@@ -31,7 +31,7 @@ from .exceptions import (
     SectorMismatchError,
     StepSizeError,
 )
-from .series import RunRecord, TimeSeries
+from .series import TimeSeries
 from .pulses import (
     AtomSpec,
     PulseSpec,
@@ -40,8 +40,6 @@ from .pulses import (
     evaluate_tl_field,
     hhg_cutoff,
     hhg_matched_field,
-    peierls_phase,
-    peierls_phase_series,
     ponderomotive_energy,
     strong_field_scales,
 )
@@ -52,7 +50,6 @@ from .grid import (
     Grid1D,
     atom_for_ip,
     calibrate_softening,
-    run_atom_reference,
 )
 from .lattice import (
     HubbardSystem,
@@ -62,11 +59,10 @@ from .lattice import (
     SectorBasis,
     build_sector_basis,
     lanczos_ground_state,
-    run_hubbard_reference,
 )
 from .feedback import (
     FeedbackConfig,
-    TrackingResult,
+    RunRecord,
     atom_control_field,
     hubbard_control_field,
     run_open_loop,

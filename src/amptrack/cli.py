@@ -3,12 +3,14 @@
 Subcommands mirror the library workflow: run a reference, run a tracking
 experiment against it, match field strengths between atoms, compute a
 spectrum, and compare two recorded runs.  Exit codes: 0 success, 2
-invalid input or configuration, 3 numerical failure (non-convergence or
-failed detection), 4 a requested residual gate was exceeded.
+invalid input or configuration, 3 numerical failure (non-convergence,
+failed detection or a non-finite residual), 4 a requested residual gate
+was exceeded.
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,15 +47,26 @@ def _out_dir(arg: str) -> Path:
     return path
 
 
-def _metadata(cfg, command: str, seed, summary: dict, columns) -> dict:
+def _metadata(cfg, command: str, summary: dict, columns) -> dict:
     return {
         "command": command,
         "version": __version__,
         "config": cfg.as_dict(),
-        "seed": seed,
         "columns": list(columns),
         "summary": summary,
     }
+
+
+def _gate(residual: float, gate) -> int:
+    """Exit code for a residual: a non-finite one fails whatever the gate."""
+    if not math.isfinite(residual):
+        print(f"numerical failure: residual {residual!r} is not finite",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    if gate is not None and residual > gate:
+        print(f"gate failed: residual {residual!r} exceeds {gate!r}")
+        return EXIT_GATE
+    return EXIT_OK
 
 
 def _reference_summary(system, record, platform: str) -> dict:
@@ -70,14 +83,13 @@ def _reference_summary(system, record, platform: str) -> dict:
 
 def cmd_run_reference(args) -> int:
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
     out = _out_dir(args.out)
     system = build_system(cfg, "reference")
     record = run_open_loop(system)
     stride = cfg.feedback.output_stride
     storage.write_reference_csv(out / "reference.csv", record, cfg.platform, stride)
     meta = _metadata(
-        cfg, "run-reference", seed,
+        cfg, "run-reference",
         _reference_summary(system, record, cfg.platform),
         storage.REFERENCE_COLUMNS[cfg.platform],
     )
@@ -88,7 +100,6 @@ def cmd_run_reference(args) -> int:
 
 def cmd_run_tracking(args) -> int:
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
     gate = args.gate if args.gate is not None else cfg.gate
     out = _out_dir(args.out)
     if args.reference is not None:
@@ -116,16 +127,13 @@ def cmd_run_tracking(args) -> int:
         "gate": gate,
         "ground_energy": system.ground_energy,
     }
-    meta = _metadata(cfg, "run-tracking", seed, summary,
+    meta = _metadata(cfg, "run-tracking", summary,
                      storage.TRACKING_COLUMNS[cfg.platform])
     storage.write_metadata(out / "metadata.json", meta)
     print(f"{residual_kind} rms residual: {result.rms_relative!r}")
     if result.guard_trips.size:
         print(f"guard held the control on {result.guard_trips.size} steps")
-    if gate is not None and result.rms_relative > gate:
-        print(f"gate failed: residual {result.rms_relative!r} exceeds {gate!r}")
-        return EXIT_GATE
-    return EXIT_OK
+    return _gate(result.rms_relative, gate)
 
 
 def cmd_match_intensity(args) -> int:
@@ -207,10 +215,7 @@ def cmd_compare(args) -> int:
             spectra = payload["spectra"]
             print(f"cutoffs: {spectra['cutoff_a']!r} vs {spectra['cutoff_b']!r} "
                   f"(delta {spectra['delta_orders']} orders)")
-    if args.gate is not None and rel > args.gate:
-        print(f"gate failed: residual {rel!r} exceeds {args.gate!r}")
-        return EXIT_GATE
-    return EXIT_OK
+    return _gate(rel, args.gate)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ref = sub.add_parser("run-reference", help="record an open-loop reference run")
     ref.add_argument("--config", required=True)
     ref.add_argument("--out", required=True)
-    ref.add_argument("--seed", type=int, default=None)
     ref.set_defaults(func=cmd_run_reference)
 
     trk = sub.add_parser("run-tracking", help="track a reference with feedback")
@@ -234,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="reference.csv to track; omitted: run it in-process")
     trk.add_argument("--gate", type=float, default=None,
                      help="fail (exit 4) if the rms residual exceeds this")
-    trk.add_argument("--seed", type=int, default=None)
     trk.set_defaults(func=cmd_run_tracking)
 
     mat = sub.add_parser("match-intensity",

@@ -57,7 +57,6 @@ class ExperimentConfig:
     pulse: PulseSpec
     feedback: FeedbackConfig
     gate: float | None
-    seed: int | None
     atom: AtomParams | None
     hubbard: HubbardParams | None
     physical: dict
@@ -78,7 +77,6 @@ class ExperimentConfig:
                 "output_stride": self.feedback.output_stride,
             },
             "gate": self.gate,
-            "seed": self.seed,
             "physical_inputs": dict(self.physical),
         }
         if self.atom is not None:
@@ -117,7 +115,7 @@ class ExperimentConfig:
 # allowed keys per section, per platform
 _SCHEMA = {
     "atom": {
-        "experiment": {"platform", "k_p", "epsilon", "output_stride", "seed", "gate"},
+        "experiment": {"platform", "k_p", "epsilon", "output_stride", "gate"},
         "pulse": {"wavelength_nm", "omega0_au", "intensity_w_cm2", "e0_au", "cycles"},
         "reference": {"ip_au", "ip_ev"},
         "driven": {"ip_au", "ip_ev"},
@@ -127,7 +125,7 @@ _SCHEMA = {
         },
     },
     "hubbard": {
-        "experiment": {"platform", "k_p", "epsilon", "output_stride", "seed", "gate"},
+        "experiment": {"platform", "k_p", "epsilon", "output_stride", "gate"},
         "pulse": {"frequency_thz", "omega0_over_t0", "e0_mv_cm", "e0_over_t0", "cycles"},
         "lattice": {"sites", "t0_ev", "a_angstrom", "n_up", "n_down"},
         "reference": {"u_over_t0"},
@@ -225,12 +223,9 @@ def _parse_experiment(sec: _Section):
         output_stride=sec.get_int("output_stride", 1),
     )
     gate = sec.get_float("gate") if sec.has("gate") else None
-    seed = sec.get_int("seed") if sec.has("seed") else None
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ConfigError("[experiment] seed must fit in an unsigned 64-bit value")
     if gate is not None and gate <= 0:
         raise ConfigError("[experiment] gate must be positive")
-    return feedback, gate, seed
+    return feedback, gate
 
 
 def _parse_atom_pulse(sec: _Section, physical: dict) -> PulseSpec:
@@ -343,7 +338,7 @@ def parse_config(path) -> ExperimentConfig:
 
     physical = {}
     try:
-        feedback, gate, seed = _parse_experiment(exp)
+        feedback, gate = _parse_experiment(exp)
         if platform == "atom":
             pulse = _parse_atom_pulse(section("pulse"), physical)
             atom = AtomParams(
@@ -380,7 +375,7 @@ def parse_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         platform=platform, pulse=pulse, feedback=feedback,
-        gate=gate, seed=seed, atom=atom, hubbard=hubbard, physical=physical,
+        gate=gate, atom=atom, hubbard=hubbard, physical=physical,
     )
 
 

@@ -2,22 +2,23 @@
 
 The loop is strictly causal: the control field at step n is a closed-form
 function of the driven state at step n and the reference sample Y_n, and
-is then held constant while the state advances one step.  Reference runs
-and tracking runs share the same loop so that a system tracking itself
-reproduces its reference arithmetic bit for bit (the control field is
+is then held constant while the state advances one step.  An open-loop
+run is the same loop with the control fixed in advance (zero for a
+reference run, or a recorded sequence replayed), so a system tracking its
+own reference reproduces that run bit for bit (the control field is
 exactly zero, not merely small).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import GridMismatchError
-from .series import RunRecord, TimeSeries
+from .series import TimeSeries
 
 __all__ = [
     "FeedbackConfig",
-    "TrackingResult",
+    "RunRecord",
     "atom_control_field",
     "hubbard_control_field",
     "run_open_loop",
@@ -49,36 +50,6 @@ class FeedbackConfig:
             raise ValueError("output_stride must be a positive integer")
 
 
-@dataclass
-class TrackingResult:
-    """Everything a tracking run records, on the propagation grid."""
-
-    t0: float
-    dt: float
-    channels: dict
-    u: np.ndarray
-    e_total: np.ndarray
-    response: np.ndarray
-    y: np.ndarray
-    residual: np.ndarray
-    rms_relative: float
-    absolute_rms: bool
-    guard_trips: np.ndarray
-    k_p: float
-    epsilon: float
-
-    def series(self, name: str) -> TimeSeries:
-        data = {
-            "u": self.u,
-            "e_total": self.e_total,
-            "response": self.response,
-            "y": self.y,
-            "residual": self.residual,
-            **self.channels,
-        }
-        return TimeSeries(self.t0, self.dt, data[name], label=name)
-
-
 def atom_control_field(force: float, e_tl: float, y: float, k_p: float) -> float:
     """Closed-form control for momentum tracking on the grid platform.
 
@@ -95,7 +66,7 @@ def hubbard_control_field(
     y: float,
     k_p: float,
     a: float,
-    cfg: FeedbackConfig,
+    epsilon: float,
     u_prev: float = 0.0,
 ):
     """Closed-form control for current tracking on the lattice platform.
@@ -107,16 +78,18 @@ def hubbard_control_field(
         u = k_p (-a^2 E_tl <H_kin> + i<[H,J]> - Y) / (1 + k_p a^2 <H_kin>).
 
     The coupling in both places is a squared: one power from dPhi/dt = -aE
-    and one from dJ/dPhi = a H_kin.  When |denominator| < cfg.epsilon the
+    and one from dJ/dPhi = a H_kin.  When |denominator| < epsilon the
     channel is singular (the current stops responding to the field); the
     previous control value is returned with the guard flag set.
     """
     c = a * a
     denom = 1.0 + k_p * c * kin
-    if abs(denom) < cfg.epsilon:
+    if abs(denom) < epsilon:
         return u_prev, True
     u = k_p * ((-c * e_tl * kin + comm) - y) / denom
     return u, False
+
+
 
 
 def _rms(x: np.ndarray) -> float:
@@ -127,7 +100,7 @@ def tracking_residual(result) -> float:
     """Relative RMS mismatch between the driven response and the target.
 
     Falls back to the absolute RMS when the target is identically zero
-    (that case is flagged on the result object by the loop).
+    (``RunRecord.absolute_rms`` flags that case).
     """
     r = np.asarray(result.response, dtype=float) - np.asarray(result.y, dtype=float)
     denom = _rms(np.asarray(result.y, dtype=float))
@@ -136,42 +109,111 @@ def tracking_residual(result) -> float:
     return _rms(r) / denom
 
 
+def _channel(name: str) -> property:
+    return property(lambda self: self.channels[name], doc=f"The {name!r} channel.")
+
+
+@dataclass
+class RunRecord:
+    """Per-step channels recorded by one run of the loop, all on one grid.
+
+    ``channels`` holds the system's observables, then ``e_total``, ``u``,
+    ``response``, ``y``, ``residual`` and ``guard`` (1.0 on steps where the
+    singularity guard held the control).  An open-loop run records its own
+    response as ``y``, so its residual is zero and its gain ``k_p`` is 0.
+    """
+
+    t0: float
+    dt: float
+    channels: dict
+    k_p: float = 0.0
+
+    u = _channel("u")
+    e_total = _channel("e_total")
+    response = _channel("response")
+    y = _channel("y")
+    residual = _channel("residual")
+
+    def series(self, name: str) -> TimeSeries:
+        return TimeSeries(self.t0, self.dt, self.channels[name], label=name)
+
+    def __len__(self) -> int:
+        first = next(iter(self.channels.values()))
+        return len(first)
+
+    @property
+    def guard_trips(self) -> np.ndarray:
+        """Step indices at which the guard held the previous control."""
+        return np.flatnonzero(self.channels["guard"])
+
+    @property
+    def rms_relative(self) -> float:
+        return tracking_residual(self)
+
+    @property
+    def absolute_rms(self) -> bool:
+        """True when the target is identically zero and the RMS is absolute."""
+        return _rms(self.y) == 0.0
+
+
+def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
+    # The control comes from the controller when tracking ``y``, else from
+    # ``u_forced``, else it is zero.  ``u`` carries the previous step's value
+    # into the controller, whose guard holds it on a singular step.
+    n = system.n_steps
+    psi = system.initial_state()
+    names = system.channel_names
+    cols = {name: np.empty(n + 1) for name in names}
+    u_arr = np.empty(n + 1)
+    e_total_arr = np.empty(n + 1)
+    resp_arr = np.empty(n + 1)
+    guard_arr = np.zeros(n + 1)
+    u = 0.0
+    for i in range(n + 1):
+        obs = system.observables(psi)
+        e_tl = system.e_tl(i * system.dt)
+        if y is not None:
+            u, guard_arr[i] = system.control(obs, e_tl, y[i], cfg, u)
+        elif u_forced is not None:
+            u = float(u_forced[i])
+        e_total = e_tl + u
+        resp_arr[i] = system.response(obs, e_total)
+        for name in names:
+            cols[name][i] = obs[name]
+        u_arr[i] = u
+        e_total_arr[i] = e_total
+        if i < n:
+            psi = system.advance(psi, i, u)
+
+    y_arr = (resp_arr if y is None else y).copy()
+    channels = dict(cols)
+    channels["e_total"] = e_total_arr
+    channels["u"] = u_arr
+    channels["response"] = resp_arr
+    channels["y"] = y_arr
+    channels["residual"] = resp_arr - y_arr
+    channels["guard"] = guard_arr
+    return RunRecord(t0=0.0, dt=system.dt, channels=channels,
+                     k_p=0.0 if cfg is None else cfg.k_p)
+
+
 def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
     """Propagate without feedback and record the Ehrenfest response as y.
 
     With ``u_forced`` given, that control sequence is replayed instead of
     zero (used to re-drive a system with a recorded field).
     """
-    n = system.n_steps
-    if u_forced is not None and len(u_forced) != n + 1:
+    if u_forced is not None and len(u_forced) != system.n_steps + 1:
         raise GridMismatchError("forced control sequence does not match the grid")
-    psi = system.initial_state()
-    names = system.channel_names
-    cols = {name: np.empty(n + 1) for name in names}
-    e_total_arr = np.empty(n + 1)
-    y_arr = np.empty(n + 1)
-    for i in range(n + 1):
-        obs = system.observables(psi)
-        e_tl = system.e_tl(i * system.dt)
-        u = 0.0 if u_forced is None else float(u_forced[i])
-        e_total = e_tl + u
-        y_arr[i] = system.response(obs, e_total)
-        for name in names:
-            cols[name][i] = obs[name]
-        e_total_arr[i] = e_total
-        if i < n:
-            psi = system.advance(psi, i, u)
-    channels = dict(cols)
-    channels["e_total"] = e_total_arr
-    channels["y"] = y_arr
-    return RunRecord(t0=0.0, dt=system.dt, channels=channels)
+    return _run(system, u_forced=u_forced)
 
 
-def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> TrackingResult:
+def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> RunRecord:
     """Drive ``system`` so its response follows the reference signal.
 
     The reference must be sampled on the identical time grid used for the
-    driven propagation; no interpolation is performed.
+    driven propagation; no interpolation is performed.  A reference with a
+    non-finite sample is rejected before anything is propagated.
     """
     n = system.n_steps
     if len(reference) != n + 1:
@@ -180,50 +222,9 @@ def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> Tracking
         )
     if abs(reference.t0) > 1e-12 or abs(reference.dt - system.dt) > 1e-12 * system.dt:
         raise GridMismatchError("reference grid does not match the propagation grid")
-
-    psi = system.initial_state()
-    y = reference.values
-    names = system.channel_names
-    cols = {name: np.empty(n + 1) for name in names}
-    u_arr = np.empty(n + 1)
-    e_total_arr = np.empty(n + 1)
-    resp_arr = np.empty(n + 1)
-    tripped = np.zeros(n + 1, dtype=bool)
-    u_prev = 0.0
-    for i in range(n + 1):
-        obs = system.observables(psi)
-        e_tl = system.e_tl(i * system.dt)
-        u, guard = system.control(obs, e_tl, y[i], cfg, u_prev)
-        e_total = e_tl + u
-        resp = system.response(obs, e_total)
-        for name in names:
-            cols[name][i] = obs[name]
-        u_arr[i] = u
-        e_total_arr[i] = e_total
-        resp_arr[i] = resp
-        tripped[i] = guard
-        if i < n:
-            psi = system.advance(psi, i, u)
-        u_prev = u
-
-    residual = resp_arr - y
-    y_rms = _rms(y)
-    absolute = y_rms == 0.0
-    rms_rel = _rms(residual) if absolute else _rms(residual) / y_rms
-    channels = dict(cols)
-    channels["e_total"] = e_total_arr
-    return TrackingResult(
-        t0=0.0,
-        dt=system.dt,
-        channels=channels,
-        u=u_arr,
-        e_total=e_total_arr,
-        response=resp_arr,
-        y=y.copy(),
-        residual=residual,
-        rms_relative=rms_rel,
-        absolute_rms=absolute,
-        guard_trips=np.flatnonzero(tripped),
-        k_p=cfg.k_p,
-        epsilon=cfg.epsilon,
-    )
+    bad = np.flatnonzero(~np.isfinite(reference.values))
+    if bad.size:
+        raise ValueError(
+            f"reference has {bad.size} non-finite samples, the first at step {bad[0]}"
+        )
+    return _run(system, reference.values, cfg)

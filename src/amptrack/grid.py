@@ -15,12 +15,10 @@ from scipy import fft as sfft
 from . import feedback
 from .exceptions import CalibrationError, ConvergenceError
 from .pulses import AtomSpec, PulseSpec, evaluate_tl_field
-from .series import RunRecord
 
 __all__ = [
     "Grid1D",
     "AbsorberSpec",
-    "GridState",
     "AtomNumerics",
     "AtomSystem",
     "soft_coulomb_potential",
@@ -28,11 +26,7 @@ __all__ = [
     "calibrate_softening",
     "atom_for_ip",
     "imaginary_time_ground_state",
-    "split_operator_step",
-    "expect_momentum",
-    "expect_force",
     "expect_energy",
-    "run_atom_reference",
 ]
 
 
@@ -89,24 +83,6 @@ class AbsorberSpec:
         return np.cos(0.5 * math.pi * s) ** self.exponent
 
 
-@dataclass
-class GridState:
-    """Complex wavefunction on a Grid1D, with its atom tag and clock."""
-
-    psi: np.ndarray
-    grid: Grid1D
-    atom: AtomSpec | None = None
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-        if self.psi.shape != (self.grid.n_points,):
-            raise ValueError("psi shape does not match the grid")
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dx)
-
-
 def soft_coulomb_potential(grid: Grid1D, alpha: float) -> np.ndarray:
     """V(x) = -1 / sqrt(x^2 + alpha^2) sampled on the grid."""
     if alpha <= 0:
@@ -127,31 +103,10 @@ def _kinetic_energy(psi: np.ndarray, k2: np.ndarray, dx: float, n: int) -> float
     return float(np.real(np.sum(0.5 * k2 * (phi.conj() * phi))) * dx / n)
 
 
-def expect_momentum(state: GridState) -> float:
-    """Spectral momentum expectation sum_k k |psi(k)|^2 (unnormalized)."""
-    grid = state.grid
-    phi = sfft.fft(state.psi)
-    val = np.sum(grid.k() * (phi.conj() * phi)) * grid.dx / grid.n_points
-    assert abs(val.imag) < 1e-10
-    return float(val.real)
-
-
-def expect_force(state: GridState, force: np.ndarray | None = None) -> float:
-    """Expectation of the core force -V'(x), with V' analytic."""
-    if force is None:
-        if state.atom is None:
-            raise ValueError("state carries no atom; pass force samples")
-        force = soft_coulomb_force(state.grid, state.atom.alpha)
-    density = np.abs(state.psi) ** 2
-    return float(np.sum(density * force) * state.grid.dx)
-
-
-def expect_energy(state: GridState, V: np.ndarray, e_total: float = 0.0) -> float:
-    """Total energy <K + V + x E> of the state (unnormalized expectation)."""
-    grid = state.grid
-    kin = _kinetic_energy(state.psi, grid.k() ** 2, grid.dx, grid.n_points)
-    pot = V if e_total == 0.0 else V + grid.x() * e_total
-    return kin + float(np.sum(np.abs(state.psi) ** 2 * pot) * grid.dx)
+def expect_energy(psi: np.ndarray, grid: Grid1D, V: np.ndarray) -> float:
+    """Field-free energy <K + V> of the state (unnormalized expectation)."""
+    kin = _kinetic_energy(psi, grid.k() ** 2, grid.dx, grid.n_points)
+    return kin + float(np.sum(np.abs(psi) ** 2 * V) * grid.dx)
 
 
 def imaginary_time_ground_state(
@@ -168,7 +123,7 @@ def imaginary_time_ground_state(
     of the final fixed point sits far below ``tol``.  Convergence is a
     relative Rayleigh-quotient change below ``tol`` per step.
 
-    Returns (GridState, energy).
+    Returns (psi, energy).
     """
     dx, n = grid.dx, grid.n_points
     k2 = grid.k() ** 2
@@ -201,7 +156,7 @@ def imaginary_time_ground_state(
                 f"imaginary time did not settle at dtau={dtau}",
                 residual=abs(energy - previous),
             )
-    return GridState(psi=psi, grid=grid), energy
+    return psi, energy
 
 
 def calibrate_softening(
@@ -224,13 +179,12 @@ def calibrate_softening(
 
     def binding(alpha: float) -> float:
         nonlocal guess
-        state, energy = imaginary_time_ground_state(
+        guess, energy = imaginary_time_ground_state(
             grid,
             soft_coulomb_potential(grid, alpha),
             dtau_schedule=(0.1, 0.02, 0.005),
             psi0=guess,
         )
-        guess = state.psi
         return -energy
 
     f_lo = binding(lo) - target_ip
@@ -254,33 +208,6 @@ def calibrate_softening(
 def atom_for_ip(target_ip: float, grid: Grid1D) -> AtomSpec:
     """Calibrated soft-core atom with the requested ionization potential."""
     return AtomSpec(ip=target_ip, alpha=calibrate_softening(target_ip, grid))
-
-
-def split_operator_step(
-    state: GridState,
-    V: np.ndarray,
-    e_total: float,
-    dt: float,
-    absorber: AbsorberSpec | None = None,
-) -> GridState:
-    """One Strang step under K + V + x*E with E held constant over dt.
-
-    Unitary before masking; the absorbing mask, if any, is applied once at
-    the end of the step.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = state.grid
-    pot_half = np.exp(-0.5j * dt * (V + grid.x() * e_total))
-    kin = np.exp(-0.5j * dt * grid.k() ** 2)
-    psi = pot_half * state.psi
-    psi = sfft.ifft(kin * sfft.fft(psi))
-    psi = pot_half * psi
-    if absorber is not None:
-        mask = absorber.mask(grid)
-        if mask is not None:
-            psi = mask * psi
-    return GridState(psi=psi, grid=grid, atom=state.atom, t=state.t + dt)
 
 
 @dataclass
@@ -327,23 +254,20 @@ class AtomSystem:
         self._mask = numerics.absorber.mask(self.grid)
         self.ground_energy = None
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
     def e_tl(self, t: float) -> float:
         return evaluate_tl_field(t, self.pulse)
 
     def initial_state(self) -> np.ndarray:
-        state, energy = imaginary_time_ground_state(self.grid, self._V)
+        psi, energy = imaginary_time_ground_state(self.grid, self._V)
         self.ground_energy = energy
         tail = self.grid.n_points // 20
-        edge = max(np.abs(state.psi[:tail]).max(), np.abs(state.psi[-tail:]).max())
+        edge = max(np.abs(psi[:tail]).max(), np.abs(psi[-tail:]).max())
         if edge > 1e-8:
             raise ValueError(
                 f"ground state does not decay at the box edge (|psi|={edge:.2e}); "
                 "enlarge the box"
             )
-        return state.psi
+        return psi
 
     def observables(self, psi: np.ndarray) -> dict:
         dx, n = self.grid.dx, self.grid.n_points
@@ -370,14 +294,3 @@ class AtomSystem:
         if self._mask is not None:
             psi *= self._mask
         return psi
-
-    def state_of(self, psi: np.ndarray, t: float) -> GridState:
-        return GridState(psi=psi, grid=self.grid, atom=self.atom, t=t)
-
-
-def run_atom_reference(
-    atom: AtomSpec, pulse: PulseSpec, numerics: AtomNumerics | None = None
-) -> RunRecord:
-    """Open-loop reference run; the y channel is d<p>/dt = <F> - E_tl."""
-    system = AtomSystem(atom, pulse, numerics or AtomNumerics())
-    return feedback.run_open_loop(system)

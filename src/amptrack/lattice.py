@@ -30,7 +30,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from . import feedback
 from .exceptions import ConvergenceError, SectorMismatchError, StepSizeError
 from .pulses import PulseSpec, evaluate_tl_field
-from .series import RunRecord
 
 __all__ = [
     "LatticeModel",
@@ -39,14 +38,7 @@ __all__ = [
     "LatticeNumerics",
     "HubbardSystem",
     "build_sector_basis",
-    "apply_hamiltonian",
-    "apply_current",
-    "kinetic_expectation",
-    "current_expectation",
-    "commutator_term",
     "lanczos_ground_state",
-    "krylov_propagate_step",
-    "run_hubbard_reference",
 ]
 
 _GROUND_STATE_SEED = 20240801
@@ -243,22 +235,6 @@ class _SectorOperators:
     def phased(self, phi: float, t0: float, u: float) -> _PhasedHamiltonian:
         return _PhasedHamiltonian(self, phi, t0, u)
 
-    def h_apply(self, psi, phi: float, t0: float, u: float) -> np.ndarray:
-        phase = np.exp(1j * phi)
-        out = -t0 * (phase * self.forward(psi) + np.conj(phase) * self.backward(psi))
-        if u != 0.0:
-            out += u * (self.double_occ * psi)
-        return out
-
-    def j_apply(self, psi, phi: float, t0: float, a: float) -> np.ndarray:
-        phase = np.exp(1j * phi)
-        return (1j * a * t0) * (
-            phase * self.forward(psi) - np.conj(phase) * self.backward(psi)
-        )
-
-    def forward_amplitude(self, psi: np.ndarray) -> complex:
-        return complex(np.vdot(psi, self.forward(psi)))
-
 
 _OPERATOR_CACHE: dict = {}
 
@@ -272,64 +248,12 @@ def _operators(basis: SectorBasis) -> _SectorOperators:
     return ops
 
 
-def _check_sector(state: ManyBodyState, model: LatticeModel):
-    if state.basis.n_sites != model.n_sites:
-        raise SectorMismatchError(
-            f"state lives on {state.basis.n_sites} sites, model has {model.n_sites}"
-        )
-
-
-def apply_hamiltonian(
-    state: ManyBodyState, model: LatticeModel, phi: float
-) -> ManyBodyState:
-    """H(phi) applied to the state; Hermitian for every phi."""
-    _check_sector(state, model)
-    out = _operators(state.basis).h_apply(state.psi, phi, model.t0, model.u)
-    return ManyBodyState(out, state.basis, phi=state.phi, t=state.t)
-
-
-def apply_current(
-    state: ManyBodyState, model: LatticeModel, phi: float
-) -> ManyBodyState:
-    """Charge-current operator J(phi) applied to the state; Hermitian."""
-    _check_sector(state, model)
-    out = _operators(state.basis).j_apply(state.psi, phi, model.t0, model.a)
-    return ManyBodyState(out, state.basis, phi=state.phi, t=state.t)
-
-
-def kinetic_expectation(state: ManyBodyState, model: LatticeModel, phi: float) -> float:
-    """<H_kin(phi)> = -2 t0 Re(e^{i phi} <T+>)."""
-    _check_sector(state, model)
-    amp = _operators(state.basis).forward_amplitude(state.psi)
-    return -2.0 * model.t0 * (np.exp(1j * phi) * amp).real
-
-
-def current_expectation(state: ManyBodyState, model: LatticeModel, phi: float) -> float:
-    """<J(phi)> = -2 a t0 Im(e^{i phi} <T+>)."""
-    _check_sector(state, model)
-    amp = _operators(state.basis).forward_amplitude(state.psi)
-    return -2.0 * model.a * model.t0 * (np.exp(1j * phi) * amp).imag
-
-
-def commutator_term(state: ManyBodyState, model: LatticeModel, phi: float) -> float:
-    """i<[H(phi), J(phi)]> evaluated as 2 Im <J psi | H psi>."""
-    _check_sector(state, model)
-    ops = _operators(state.basis)
-    h_psi = ops.h_apply(state.psi, phi, model.t0, model.u)
-    j_psi = ops.j_apply(state.psi, phi, model.t0, model.a)
-    val = np.vdot(j_psi, h_psi)
-    return 2.0 * float(val.imag)
-
-
-def _dense_hamiltonian(basis: SectorBasis, model: LatticeModel, phi: float):
-    ops = _operators(basis)
+def _dense_hamiltonian(hop: _PhasedHamiltonian, basis: SectorBasis):
     du, dd = basis.dim_up, basis.dim_down
     columns = np.eye(basis.dim, dtype=complex)
     out = np.empty((basis.dim, basis.dim), dtype=complex)
     for c in range(basis.dim):
-        out[:, c] = ops.h_apply(
-            columns[:, c].reshape(du, dd), phi, model.t0, model.u
-        ).ravel()
+        out[:, c] = hop.apply(columns[:, c].reshape(du, dd)).ravel()
     return out
 
 
@@ -347,14 +271,13 @@ def lanczos_ground_state(
     """
     if model.n_sites != basis.n_sites:
         raise SectorMismatchError("basis and model disagree on the site count")
-    ops = _operators(basis)
+    hop = _operators(basis).phased(phi, model.t0, model.u)
     du, dd = basis.dim_up, basis.dim_down
     if basis.dim < 8:
-        dense = _dense_hamiltonian(basis, model, phi)
+        dense = _dense_hamiltonian(hop, basis)
         evals, evecs = eigh(dense)
         energy, vec = float(evals[0]), evecs[:, 0]
     else:
-        hop = ops.phased(phi, model.t0, model.u)
         matvec = lambda v: hop.apply(v.reshape(du, dd)).ravel()
         op = LinearOperator((basis.dim, basis.dim), matvec=matvec, dtype=complex)
         rng = np.random.default_rng(_GROUND_STATE_SEED)
@@ -368,9 +291,7 @@ def lanczos_ground_state(
     j = int(np.argmax(np.abs(vec)))
     vec = vec * (np.conj(vec[j]) / abs(vec[j]))
     psi = vec.reshape(du, dd)
-    residual = float(
-        np.linalg.norm(ops.h_apply(psi, phi, model.t0, model.u) - energy * psi)
-    )
+    residual = float(np.linalg.norm(hop.apply(psi) - energy * psi))
     if residual > 1e-8:
         raise ConvergenceError(
             f"ground-state residual {residual:.3e} above 1e-8", residual=residual
@@ -423,29 +344,6 @@ def _krylov_apply(
         f"Krylov residual {err:.3e} above {tol:.1e} at dimension {krylov_dim}; "
         "reduce dt",
         residual=err,
-    )
-
-
-def krylov_propagate_step(
-    state: ManyBodyState,
-    model: LatticeModel,
-    phi_mid: float,
-    dt: float,
-    krylov_dim: int = 20,
-    tol: float = 1e-10,
-) -> ManyBodyState:
-    """One step of exp(-i H(phi_mid) dt) with an a-posteriori residual check.
-
-    The phase is frozen at its step midpoint by the caller.  If the
-    subspace cannot reach the residual tolerance a StepSizeError is
-    raised; the caller subdivides dt (the frozen-phase exponential
-    factorizes exactly).
-    """
-    _check_sector(state, model)
-    hop = _operators(state.basis).phased(phi_mid, model.t0, model.u)
-    psi = _krylov_apply(state.psi, hop, dt, krylov_dim, tol)
-    return ManyBodyState(
-        psi, state.basis, phi=state.phi, t=state.t + dt, u_sum=state.u_sum
     )
 
 
@@ -504,9 +402,6 @@ class HubbardSystem:
         self._c = model.a * model.a
         self.ground_energy: float | None = None
 
-    def times(self) -> np.ndarray:
-        return 0.0 + self.dt * np.arange(self.n_steps + 1)
-
     def e_tl(self, t: float) -> float:
         return float(self._e_tl[int(round(t / self.dt))])
 
@@ -519,8 +414,8 @@ class HubbardSystem:
         # one forward and one backward hop pass feed every observable.
         # The kinetic part commutes with the current on a uniform ring
         # (both are diagonal in momentum), so i<[H,J]> reduces to the
-        # interaction term; the equivalence with the general evaluation
-        # in commutator_term is a tested property.
+        # interaction term; the equivalence with the general commutator
+        # of the Jordan-Wigner matrices is a tested property.
         ops = _operators(self.basis)
         model = self.model
         psi = state.psi
@@ -542,7 +437,8 @@ class HubbardSystem:
 
     def control(self, obs, e_tl: float, y: float, cfg, u_prev: float):
         return feedback.hubbard_control_field(
-            obs["kinetic"], obs["comm"], e_tl, y, cfg.k_p, self.model.a, cfg, u_prev
+            obs["kinetic"], obs["comm"], e_tl, y, cfg.k_p, self.model.a,
+            cfg.epsilon, u_prev,
         )
 
     def advance(self, state: ManyBodyState, step: int, u: float) -> ManyBodyState:
@@ -576,20 +472,3 @@ class HubbardSystem:
             t=(step + 1) * self.dt,
             u_sum=u_sum,
         )
-
-
-def run_hubbard_reference(
-    model: LatticeModel,
-    pulse: PulseSpec,
-    numerics: LatticeNumerics | None = None,
-    n_up: int | None = None,
-    n_down: int | None = None,
-) -> RunRecord:
-    """Reference run: propagate the pulse open loop and record Y(t).
-
-    Y is the Ehrenfest rate of the current, -a^2 E <H_kin> + i<[H, J]>,
-    evaluated analytically at every grid node (no numerical
-    differentiation of the recorded current).
-    """
-    system = HubbardSystem(model, pulse, numerics, n_up=n_up, n_down=n_down)
-    return feedback.run_open_loop(system)

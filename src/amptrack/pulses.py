@@ -1,20 +1,17 @@
 """Driving fields and strong-field scaling laws.
 
-Transform-limited sin^2 pulses, Peierls-phase accumulation for lattice
-driving, the ponderomotive energy, the harmonic cutoff law, and the two
-intensity-matching rules that give a new atom the same cutoff (harmonic
-route) or the same photoelectron peak comb (ionization route) as a
-reference atom.
+Transform-limited sin^2 pulses, the ponderomotive energy, the harmonic
+cutoff law, and the two intensity-matching rules that give a new atom the
+same cutoff (harmonic route) or the same photoelectron peak comb
+(ionization route) as a reference atom.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .exceptions import InfeasibleTargetError
-from .series import TimeSeries
 
 __all__ = [
     "PulseSpec",
@@ -23,8 +20,6 @@ __all__ = [
     "CUTOFF_SLOPE",
     "HHG_MATCH_PREFACTOR",
     "evaluate_tl_field",
-    "peierls_phase",
-    "peierls_phase_series",
     "ponderomotive_energy",
     "hhg_cutoff",
     "strong_field_scales",
@@ -108,34 +103,6 @@ def evaluate_tl_field(t, spec: PulseSpec):
     field = spec.e0 * np.cos(spec.omega0 * t) * envelope
     out = np.where(inside, field, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def peierls_phase_series(spec: PulseSpec, a: float, u_history: TimeSeries) -> TimeSeries:
-    """Accumulated Peierls phase on the full propagation grid.
-
-    Phi(t) = -a * integral of [E_tl + u] from 0 to t, with the smooth pulse
-    integrated by the trapezoidal rule on the grid and the control channel
-    integrated with the zero-order hold it has during propagation (u_k acts
-    over [t_k, t_{k+1})).  Phi(0) = 0.
-    """
-    if abs(u_history.t0) > 1e-12:
-        raise ValueError("phase accumulation must start at t=0")
-    t = u_history.times()
-    dt = u_history.dt
-    e_tl = evaluate_tl_field(t, spec)
-    phi_smooth = cumulative_trapezoid(e_tl, dx=dt, initial=0.0)
-    held = np.concatenate(([0.0], np.cumsum(u_history.values[:-1]) * dt))
-    return TimeSeries(0.0, dt, -a * (phi_smooth + held), label="phase")
-
-
-def peierls_phase(t: float, spec: PulseSpec, a: float, u_history: TimeSeries) -> float:
-    """Peierls phase at a single grid time ``t``.
-
-    ``t`` must lie on the accumulated grid (no interpolation); times
-    outside the history are rejected.
-    """
-    phases = peierls_phase_series(spec, a, u_history)
-    return float(phases.values[phases.index_of(t)])
 
 
 def ponderomotive_energy(field: float, omega: float) -> float:

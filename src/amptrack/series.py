@@ -1,6 +1,6 @@
 """Uniformly sampled real time series."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +36,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.size)
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.values.size - 1)
-
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Grid index of time ``t``; ``t`` must sit on a node (no interpolation)."""
-        k = int(round((t - self.t0) / self.dt))
-        if k < 0 or k >= self.values.size:
-            raise ValueError(f"t={t} outside the sampled range")
-        if abs(self.t0 + k * self.dt - t) > tol * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a grid node of this series")
-        return k
-
     def same_grid(self, other: "TimeSeries", tol: float = 1e-12) -> bool:
         return (
             len(self) == len(other)
@@ -59,18 +43,3 @@ class TimeSeries:
             and abs(self.dt - other.dt) <= tol * self.dt
         )
 
-
-@dataclass
-class RunRecord:
-    """Per-step channels recorded by a propagation run, all on one grid."""
-
-    t0: float
-    dt: float
-    channels: dict = field(default_factory=dict)
-
-    def series(self, name: str) -> TimeSeries:
-        return TimeSeries(self.t0, self.dt, self.channels[name], label=name)
-
-    def __len__(self) -> int:
-        first = next(iter(self.channels.values()))
-        return len(first)

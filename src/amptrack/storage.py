@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import RunRecord, TimeSeries
+from .series import TimeSeries
 
 __all__ = [
     "REFERENCE_COLUMNS",
@@ -57,36 +57,20 @@ def _write_csv(path, header, columns, stride: int = 1) -> None:
             fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
 
 
-def _times(t0: float, dt: float, n: int) -> np.ndarray:
-    return t0 + dt * np.arange(n)
-
-
-def write_reference_csv(path, record: RunRecord, platform: str, stride: int = 1) -> None:
-    """Write an open-loop run in the fixed per-platform column order."""
-    header = REFERENCE_COLUMNS[platform]
-    n = len(record)
-    columns = [_times(record.t0, record.dt, n)]
+def _write_record(path, record, header, stride: int) -> None:
+    columns = [record.t0 + record.dt * np.arange(len(record))]
     columns += [record.channels[name] for name in header[1:]]
     _write_csv(path, header, columns, stride)
 
 
-def write_tracking_csv(path, result, platform: str, stride: int = 1) -> None:
+def write_reference_csv(path, record, platform: str, stride: int = 1) -> None:
+    """Write an open-loop run in the fixed per-platform column order."""
+    _write_record(path, record, REFERENCE_COLUMNS[platform], stride)
+
+
+def write_tracking_csv(path, record, platform: str, stride: int = 1) -> None:
     """Write a tracking run; ``guard`` is 1 on steps where the guard held u."""
-    header = TRACKING_COLUMNS[platform]
-    n = len(result.u)
-    guard = np.zeros(n)
-    guard[result.guard_trips] = 1.0
-    named = {
-        "t": _times(result.t0, result.dt, n),
-        "e_total": result.e_total,
-        "u": result.u,
-        "response": result.response,
-        "y": result.y,
-        "residual": result.residual,
-        "guard": guard,
-        **result.channels,
-    }
-    _write_csv(path, header, [named[name] for name in header], stride)
+    _write_record(path, record, TRACKING_COLUMNS[platform], stride)
 
 
 def write_spectrum_csv(path, spectrum, omega0: float) -> None:

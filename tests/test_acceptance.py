@@ -18,7 +18,6 @@ from amptrack.grid import (
     AtomNumerics,
     AtomSystem,
     Grid1D,
-    GridState,
     atom_for_ip,
     expect_energy,
     soft_coulomb_potential,
@@ -299,12 +298,12 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     )
     potential = soft_coulomb_potential(grid, atom.alpha)
     psi = still.initial_state()
-    e_ref = expect_energy(GridState(psi=psi, grid=grid, atom=atom), potential)
+    e_ref = expect_energy(psi, grid, potential)
     atom_energy_drift = 0.0
     for step in range(10_000):
         psi = still.advance(psi, step, 0.0)
         if (step + 1) % 250 == 0:
-            e_now = expect_energy(GridState(psi=psi, grid=grid, atom=atom), potential)
+            e_now = expect_energy(psi, grid, potential)
             atom_energy_drift = max(atom_energy_drift, abs(e_now - e_ref))
 
     model = LatticeModel(t0=1.0, u=cfg.hubbard.u_reference, a=1.0, n_sites=4)

@@ -1,0 +1,54 @@
+"""The public surface: exported names and the call sites the benchmark traces.
+
+``perfbench/spans.py`` shims named functions and methods of the layer
+modules to time them.  Its ``TARGETS`` table is read here, never changed,
+so a rename or deletion that would break the traced benchmark fails in
+the fast suite.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import amptrack
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+MODULES = sorted(
+    f"amptrack.{info.name}" for info in pkgutil.iter_modules(amptrack.__path__)
+)
+
+
+def span_targets():
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS table in {SPANS}")
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_exists(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing: {missing}"
+
+
+def test_benchmark_span_targets_resolve():
+    targets = span_targets()
+    assert targets
+    for span, module_name, attr in targets:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(module, cls_name)
+            # the shim replaces cls.__dict__[meth], so it must not be inherited
+            assert meth in vars(cls), f"{span}: {attr} not defined on {cls_name}"
+        else:
+            assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"

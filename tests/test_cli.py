@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from amptrack.cli import main
 from amptrack import storage
+from amptrack.cli import main
 
 ATOM_CFG = """
 [experiment]
@@ -76,6 +76,25 @@ def write_harmonic_csv(path, orders=(1, 3, 5, 7, 9), weak=(11, 13),
         fh.write("t,y\n")
         for ti, yi in zip(t, y):
             fh.write(f"{float(ti)!r},{float(yi)!r}\n")
+    return path
+
+
+def poison_y(src, dst, value="nan", row=5):
+    """Copy a run CSV with one ``y`` cell replaced by ``value``."""
+    lines = src.read_text().splitlines()
+    j = lines[0].split(",").index("y")
+    cells = lines[row].split(",")
+    cells[j] = value
+    lines[row] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def write_constant_csv(path, value, n=16, dt=0.05):
+    with open(path, "w") as fh:
+        fh.write("t,y\n")
+        for i in range(n):
+            fh.write(f"{float(i * dt)!r},{value!r}\n")
     return path
 
 
@@ -228,3 +247,45 @@ class TestCompare:
         assert main(["compare", "--a", str(a), "--b", str(a),
                      "--column", "response"]) == 2
         assert "no column 'response'" in capsys.readouterr().err
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("platform", ["atom", "hubbard"])
+    def test_non_finite_reference_is_rejected(self, platform, request, tmp_path,
+                                              capsys):
+        cfg = request.getfixturevalue(f"{platform}_cfg")
+        ref = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(cfg), "--out", str(ref)]) == 0
+        bad = poison_y(ref / "reference.csv", tmp_path / "bad.csv")
+        out = tmp_path / "trk"
+        capsys.readouterr()
+        assert main(["run-tracking", "--config", str(cfg), "--out", str(out),
+                     "--reference", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert not (out / "tracking.csv").exists()
+        assert main(["compare", "--a", str(bad), "--b", str(ref / "reference.csv"),
+                     "--gate", "0.01"]) == 3
+        assert "not finite" in capsys.readouterr().err
+
+    def test_overflowing_rms_exits_3(self, tmp_path, capsys):
+        a = write_constant_csv(tmp_path / "a.csv", 1e308)
+        b = write_constant_csv(tmp_path / "b.csv", -1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["compare", "--a", str(a), "--b", str(b)]) == 3
+        assert "not finite" in capsys.readouterr().err
+
+    def test_non_finite_tracking_residual_exits_3(self, atom_cfg, tmp_path, capsys):
+        # a finite reference of 1e300 cells drives the atom with a finite
+        # control, but the residual RMS overflows; no gate is given
+        ref = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(atom_cfg), "--out", str(ref)]) == 0
+        n = len(storage.read_table(ref / "reference.csv"))
+        huge = write_constant_csv(tmp_path / "huge.csv", 1e300, n=n)
+        out = tmp_path / "trk"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run-tracking", "--config", str(atom_cfg), "--out", str(out),
+                         "--reference", str(huge)]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert (out / "tracking.csv").exists()

@@ -147,7 +147,7 @@ class TestStrictValidation:
         with pytest.raises(ConfigError, match="spin"):
             parse_config(write_cfg(tmp_path, text))
 
-    def test_seed_range_checked(self, tmp_path):
+    def test_removed_seed_key_rejected(self, tmp_path):
         text = MINIMAL_ATOM.replace("k_p = 50", "k_p = 50\nseed = -1")
         with pytest.raises(ConfigError, match="seed"):
             parse_config(write_cfg(tmp_path, text))

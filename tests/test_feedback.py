@@ -15,8 +15,8 @@ from amptrack.feedback import (
     run_tracking,
     tracking_residual,
 )
-from amptrack.grid import AbsorberSpec, AtomNumerics, AtomSystem, run_atom_reference
-from amptrack.lattice import HubbardSystem, LatticeModel, LatticeNumerics, run_hubbard_reference
+from amptrack.grid import AbsorberSpec, AtomNumerics, AtomSystem
+from amptrack.lattice import HubbardSystem, LatticeModel
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -28,6 +28,21 @@ def small_atom_numerics():
 
 def small_pulse():
     return PulseSpec(e0=0.08, omega0=0.8, cycles=2)
+
+
+def atom_reference(atom, pulse, numerics):
+    return run_open_loop(AtomSystem(atom, pulse, numerics))
+
+
+def assert_records_identical(a, b):
+    """Every channel of the two records holds the same floats.
+
+    Equality is exact; the only freedom is the sign of a zero (a lattice
+    controller with a negative denominator returns -0.0 for zero control).
+    """
+    assert list(a.channels) == list(b.channels)
+    for name in a.channels:
+        assert np.array_equal(a.channels[name], b.channels[name]), name
 
 
 class TestFeedbackConfig:
@@ -67,11 +82,11 @@ class TestAtomControlLaw:
 
 
 class TestHubbardControlLaw:
-    CFG = FeedbackConfig(k_p=80.0)
+    EPSILON = FeedbackConfig(k_p=0.0).epsilon
 
     def test_zero_gain_means_zero_drive(self):
-        cfg = FeedbackConfig(k_p=0.0)
-        u, tripped = hubbard_control_field(-4.0, 0.2, 0.5, 0.1, 0.0, 1.0, cfg)
+        u, tripped = hubbard_control_field(-4.0, 0.2, 0.5, 0.1, 0.0, 1.0,
+                                           self.EPSILON)
         assert u == 0.0 and not tripped
 
     @settings(max_examples=200, deadline=None)
@@ -86,11 +101,11 @@ class TestHubbardControlLaw:
     def test_self_consistency(self, kin, comm, e_tl, y, k_p, a):
         # u solves u = k_p [(-a^2 (e_tl + u) kin + comm) - y] away from the
         # singular denominator
-        cfg = FeedbackConfig(k_p=k_p)
         c = a * a
         if abs(1.0 + k_p * c * kin) < 1e-3:
             return
-        u, tripped = hubbard_control_field(kin, comm, e_tl, y, k_p, a, cfg)
+        u, tripped = hubbard_control_field(kin, comm, e_tl, y, k_p, a,
+                                           self.EPSILON)
         assert not tripped
         assert u == pytest.approx(
             k_p * ((-c * (e_tl + u) * kin + comm) - y), abs=2e-5
@@ -99,22 +114,20 @@ class TestHubbardControlLaw:
     def test_guard_holds_previous_value(self):
         k_p, a = 10.0, 1.0
         kin = -1.0 / (k_p * a * a)  # denominator exactly zero
-        cfg = FeedbackConfig(k_p=k_p)
-        u, tripped = hubbard_control_field(kin, 0.3, 0.2, 0.1, k_p, a, cfg,
-                                           u_prev=0.77)
+        u, tripped = hubbard_control_field(kin, 0.3, 0.2, 0.1, k_p, a,
+                                           self.EPSILON, u_prev=0.77)
         assert tripped and u == 0.77
 
     def test_near_singular_trips_within_epsilon(self):
         k_p, a = 10.0, 1.0
-        cfg = FeedbackConfig(k_p=k_p, epsilon=1e-3)
         kin = (-1.0 + 5e-4) / (k_p * a * a)
-        _, tripped = hubbard_control_field(kin, 0.0, 0.0, 0.0, k_p, a, cfg)
+        _, tripped = hubbard_control_field(kin, 0.0, 0.0, 0.0, k_p, a, 1e-3)
         assert tripped
 
     def test_vanishing_kinetic_energy_needs_no_guard(self):
         # kin = 0 leaves a unit denominator, so u = k_p (comm - y) directly
-        cfg = FeedbackConfig(k_p=120.0)
-        u, tripped = hubbard_control_field(0.0, 0.4, 0.9, 0.15, 120.0, 1.7, cfg)
+        u, tripped = hubbard_control_field(0.0, 0.4, 0.9, 0.15, 120.0, 1.7,
+                                           self.EPSILON)
         assert not tripped
         assert u == pytest.approx(120.0 * (0.4 - 0.15), rel=1e-14)
 
@@ -137,7 +150,7 @@ class TestGridValidation:
     def test_reference_length_must_match(self):
         atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
         system = AtomSystem(atom, small_pulse(), small_atom_numerics())
-        ref = run_atom_reference(atom, small_pulse(), small_atom_numerics())
+        ref = atom_reference(atom, small_pulse(), small_atom_numerics())
         y = ref.series("y")
         bad = type(y)(y.t0, y.dt, y.values[:-5])
         with pytest.raises(GridMismatchError):
@@ -146,7 +159,7 @@ class TestGridValidation:
     def test_reference_spacing_must_match(self):
         atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
         system = AtomSystem(atom, small_pulse(), small_atom_numerics())
-        ref = run_atom_reference(atom, small_pulse(), small_atom_numerics())
+        ref = atom_reference(atom, small_pulse(), small_atom_numerics())
         y = ref.series("y")
         bad = type(y)(y.t0, y.dt * 1.001, y.values)
         with pytest.raises(GridMismatchError):
@@ -162,23 +175,25 @@ class TestGridValidation:
 class TestSelfTracking:
     def test_atom_tracks_itself_exactly(self):
         atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        ref = run_atom_reference(atom, small_pulse(), small_atom_numerics())
+        ref = atom_reference(atom, small_pulse(), small_atom_numerics())
         system = AtomSystem(atom, small_pulse(), small_atom_numerics())
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=50.0))
         assert np.all(result.u == 0.0)
         assert np.array_equal(result.response, ref.channels["y"])
         assert result.rms_relative == 0.0
         assert result.guard_trips.size == 0
+        assert_records_identical(result, ref)
 
     def test_hubbard_tracks_itself_exactly(self):
         model = LatticeModel(t0=1.0, u=8.0, a=1.0, n_sites=4)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        ref = run_hubbard_reference(model, pulse)
+        ref = run_open_loop(HubbardSystem(model, pulse))
         system = HubbardSystem(model, pulse)
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=50.0))
         assert np.all(result.u == 0.0)
         assert np.array_equal(result.response, ref.channels["y"])
         assert result.guard_trips.size == 0
+        assert_records_identical(result, ref)
 
 
 class TestCrossTracking:
@@ -186,8 +201,8 @@ class TestCrossTracking:
         # with k_p = 0 the loop records the driven system's own response
         target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
         driven = AtomSpec(ip=0.6697, alpha=1.0)
-        ref = run_atom_reference(target, small_pulse(), small_atom_numerics())
-        open_loop = run_atom_reference(driven, small_pulse(), small_atom_numerics())
+        ref = atom_reference(target, small_pulse(), small_atom_numerics())
+        open_loop = atom_reference(driven, small_pulse(), small_atom_numerics())
         system = AtomSystem(driven, small_pulse(), small_atom_numerics())
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=0.0))
         assert np.all(result.u == 0.0)
@@ -196,7 +211,7 @@ class TestCrossTracking:
     def test_atom_gain_scaling(self):
         target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
         driven = AtomSpec(ip=0.6697, alpha=1.0)
-        ref = run_atom_reference(target, small_pulse(), small_atom_numerics())
+        ref = atom_reference(target, small_pulse(), small_atom_numerics())
         y = ref.series("y")
         residuals = {}
         for k_p in (10.0, 100.0):
@@ -209,7 +224,7 @@ class TestCrossTracking:
     def test_replaying_recorded_control_reproduces_the_run(self):
         target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
         driven = AtomSpec(ip=0.6697, alpha=1.0)
-        ref = run_atom_reference(target, small_pulse(), small_atom_numerics())
+        ref = atom_reference(target, small_pulse(), small_atom_numerics())
         system = AtomSystem(driven, small_pulse(), small_atom_numerics())
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=40.0))
         replay = run_open_loop(
@@ -225,7 +240,7 @@ class TestCrossTracking:
         target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
         driven = AtomSpec(ip=0.6697, alpha=1.0)
         numerics = small_atom_numerics()
-        ref = run_atom_reference(target, small_pulse(), numerics)
+        ref = atom_reference(target, small_pulse(), numerics)
         system = AtomSystem(driven, small_pulse(), numerics)
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=300.0))
         p = result.channels["p"]

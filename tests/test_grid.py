@@ -18,16 +18,10 @@ from amptrack.grid import (
     AtomNumerics,
     AtomSystem,
     Grid1D,
-    GridState,
     calibrate_softening,
     expect_energy,
-    expect_force,
-    expect_momentum,
     imaginary_time_ground_state,
-    run_atom_reference,
-    soft_coulomb_force,
     soft_coulomb_potential,
-    split_operator_step,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -61,12 +55,26 @@ def field_reversal_residuals(system, forward):
     }
 
 
-def gaussian_state(grid, x0=0.0, k0=0.0, width=1.0, atom=None):
+def gaussian_state(grid, x0=0.0, k0=0.0, width=1.0):
     x = grid.x()
     psi = np.exp(-((x - x0) ** 2) / (2 * width**2)).astype(complex)
     psi *= np.exp(1j * k0 * x)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return GridState(psi=psi, grid=grid, atom=atom)
+    return psi
+
+
+def field_free_atom(half_width, n_points, alpha=SQRT2, dt=0.02):
+    """An atom with no pulse and no absorber: ``advance`` with control u
+    steps under the constant field u."""
+    return AtomSystem(
+        AtomSpec(ip=0.5, alpha=alpha),
+        PulseSpec(e0=0.0, omega0=1.0, cycles=1),
+        AtomNumerics(half_width, n_points, dt, AbsorberSpec.off()),
+    )
+
+
+def norm(psi, grid):
+    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
 
 
 class TestGrid1D:
@@ -101,24 +109,24 @@ class TestPotential:
 
 class TestObservables:
     def test_momentum_of_real_state_is_zero(self):
-        grid = Grid1D(20.0, 256)
-        state = gaussian_state(grid)
-        assert abs(expect_momentum(state)) < 1e-12
+        system = field_free_atom(20.0, 256)
+        obs = system.observables(gaussian_state(system.grid))
+        assert abs(obs["p"]) < 1e-12
 
     def test_momentum_shift_theorem(self):
-        grid = Grid1D(20.0, 256)
-        state = gaussian_state(grid, k0=0.7)
-        assert expect_momentum(state) == pytest.approx(0.7, abs=1e-8)
+        system = field_free_atom(20.0, 256)
+        obs = system.observables(gaussian_state(system.grid, k0=0.7))
+        assert obs["p"] == pytest.approx(0.7, abs=1e-8)
 
     def test_force_vanishes_for_symmetric_density(self):
-        grid = Grid1D(20.0, 256)
-        state = gaussian_state(grid)
-        assert abs(expect_force(state, soft_coulomb_force(grid, SQRT2))) < 1e-12
+        system = field_free_atom(20.0, 256)
+        obs = system.observables(gaussian_state(system.grid))
+        assert abs(obs["force"]) < 1e-12
 
     def test_force_of_displaced_gaussian_matches_quadrature(self):
-        grid = Grid1D(40.0, 8192)
+        system = field_free_atom(40.0, 8192)
         alpha2 = 2.0
-        state = gaussian_state(grid, x0=5.0, atom=AtomSpec(ip=0.5, alpha=SQRT2))
+        psi = gaussian_state(system.grid, x0=5.0)
 
         def integrand(x):
             rho = np.exp(-((x - 5.0) ** 2)) / math.sqrt(math.pi)
@@ -126,25 +134,25 @@ class TestObservables:
 
         want, err = quad(integrand, -40, 40, limit=400, epsabs=1e-13, epsrel=1e-13)
         assert err < 1e-11
-        assert expect_force(state) == pytest.approx(want, abs=1e-8)
+        assert system.observables(psi)["force"] == pytest.approx(want, abs=1e-8)
 
 
 class TestGroundState:
     def test_harmonic_oscillator(self):
         grid = Grid1D(12.0, 256)
         V = 0.5 * grid.x() ** 2
-        state, energy = imaginary_time_ground_state(grid, V)
+        psi, energy = imaginary_time_ground_state(grid, V)
         assert energy == pytest.approx(0.5, abs=1e-8)
         exact = np.exp(-grid.x() ** 2 / 2)
         exact /= math.sqrt(np.sum(exact**2) * grid.dx)
-        overlap = abs(np.sum(np.conj(state.psi) * exact) * grid.dx)
+        overlap = abs(np.sum(np.conj(psi) * exact) * grid.dx)
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_free_particle_relaxes_to_zero_momentum_mode(self):
         grid = Grid1D(10.0, 64)
-        state, energy = imaginary_time_ground_state(grid, np.zeros(64))
+        psi, energy = imaginary_time_ground_state(grid, np.zeros(64))
         assert abs(energy) < 1e-8
-        flat = np.abs(state.psi)
+        flat = np.abs(psi)
         assert flat.std() / flat.mean() < 1e-4
 
     def test_soft_coulomb_matches_dense_diagonalization(self):
@@ -205,64 +213,63 @@ class TestCalibration:
 
 class TestSplitOperator:
     def test_eigenstate_acquires_only_a_phase(self):
-        grid = Grid1D(100.0, 1024)
-        V = soft_coulomb_potential(grid, SQRT2)
-        state, e0 = imaginary_time_ground_state(grid, V)
-        state.atom = AtomSpec(ip=0.5, alpha=SQRT2)
-        dt = 0.02
-        stepped = split_operator_step(state, V, 0.0, dt)
-        overlap = np.sum(np.conj(state.psi) * stepped.psi) * grid.dx
+        system = field_free_atom(100.0, 1024)
+        psi = system.initial_state()
+        e0 = system.ground_energy
+        dt = system.dt
+        stepped = system.advance(psi, 0, 0.0)
+        grid = system.grid
+        overlap = np.sum(np.conj(psi) * stepped) * grid.dx
         assert abs(abs(overlap) - 1.0) < 1e-12
         assert -np.angle(overlap) / dt == pytest.approx(e0, abs=1e-5)
-        assert abs(expect_momentum(stepped)) < 1e-10
-        assert abs(expect_force(stepped)) < 1e-10
-        assert expect_energy(stepped, V) == pytest.approx(e0, abs=1e-10)
+        obs = system.observables(stepped)
+        assert abs(obs["p"]) < 1e-10
+        assert abs(obs["force"]) < 1e-10
+        assert expect_energy(stepped, grid, system._V) == pytest.approx(e0, abs=1e-10)
 
     def test_unitarity_without_absorber(self):
-        grid = Grid1D(30.0, 256)
-        V = soft_coulomb_potential(grid, 1.0)
-        state = gaussian_state(grid, x0=1.0)
-        for _ in range(200):
-            state = split_operator_step(state, V, 0.05, 0.05)
-            assert abs(state.norm() - 1.0) < 1e-12
+        system = field_free_atom(30.0, 256, alpha=1.0, dt=0.05)
+        psi = gaussian_state(system.grid, x0=1.0)
+        for step in range(200):
+            psi = system.advance(psi, step, 0.05)
+            assert abs(norm(psi, system.grid) - 1.0) < 1e-12
 
     def test_thousand_field_free_steps_leave_observables_fixed(self):
-        grid = Grid1D(100.0, 1024)
-        V = soft_coulomb_potential(grid, SQRT2)
-        state, _ = imaginary_time_ground_state(grid, V)
-        state.atom = AtomSpec(ip=0.5, alpha=SQRT2)
-        force = soft_coulomb_force(grid, SQRT2)
-        p0 = expect_momentum(state)
-        f0 = expect_force(state, force)
-        for _ in range(1000):
-            state = split_operator_step(state, V, 0.0, 0.02)
-        assert abs(expect_momentum(state) - p0) < 1e-8
-        assert abs(expect_force(state, force) - f0) < 1e-8
-        assert abs(state.norm() - 1.0) < 1e-10
+        system = field_free_atom(100.0, 1024)
+        psi = system.initial_state()
+        start = system.observables(psi)
+        for step in range(1000):
+            psi = system.advance(psi, step, 0.0)
+        end = system.observables(psi)
+        assert abs(end["p"] - start["p"]) < 1e-8
+        assert abs(end["force"] - start["force"]) < 1e-8
+        assert abs(norm(psi, system.grid) - 1.0) < 1e-10
 
     def test_harmonic_ehrenfest_follows_classical_motion(self):
         # Ehrenfest is exact for a quadratic potential, so a classical
         # two-variable integration is an oracle up to the stepper's O(dt^2)
-        grid = Grid1D(12.0, 256)
-        V = 0.5 * grid.x() ** 2
-        e_amp, e_freq, t_end = 0.25, 0.7, 8.0
+        e_amp, e_freq, t_stop = 0.25, 0.7, 8.0
 
         def drive(t):
             return e_amp * math.cos(e_freq * t)
 
         def quantum_error(dt):
-            n = int(round(t_end / dt))
-            state = gaussian_state(grid, x0=1.0)
+            system = field_free_atom(12.0, 256, dt=dt)
+            grid = system.grid
+            system._V = 0.5 * grid.x() ** 2
+            system._exp_v_half = np.exp(-0.5j * dt * system._V)
+            n = int(round(t_stop / dt))
+            psi = gaussian_state(grid, x0=1.0)
             xs, ps, ts = [], [], []
             for i in range(n + 1):
-                xs.append(float(np.sum(grid.x() * np.abs(state.psi) ** 2) * grid.dx))
-                ps.append(expect_momentum(state))
+                xs.append(float(np.sum(grid.x() * np.abs(psi) ** 2) * grid.dx))
+                ps.append(system.observables(psi)["p"])
                 ts.append(i * dt)
                 if i < n:
-                    state = split_operator_step(state, V, drive((i + 0.5) * dt), dt)
+                    psi = system.advance(psi, i, drive((i + 0.5) * dt))
             sol = solve_ivp(
                 lambda t, s: [s[1], -s[0] - drive(t)],
-                (0, t_end),
+                (0, t_stop),
                 [1.0, 0.0],
                 t_eval=ts,
                 rtol=1e-11,
@@ -295,14 +302,14 @@ class TestReferenceRuns:
     def test_zero_amplitude_gives_null_reference(self):
         atom = AtomSpec(ip=0.5, alpha=SQRT2)
         pulse = PulseSpec(e0=0.0, omega0=1.0, cycles=2)
-        record = run_atom_reference(atom, pulse, self.small_numerics())
+        record = run_open_loop(AtomSystem(atom, pulse, self.small_numerics()))
         assert np.max(np.abs(record.channels["y"])) < 1e-10
         assert np.max(np.abs(record.channels["p"])) < 1e-10
 
     def test_reference_starts_at_zero(self):
         atom = AtomSpec(ip=0.5, alpha=SQRT2)
         pulse = PulseSpec(e0=0.1, omega0=1.0, cycles=2)
-        record = run_atom_reference(atom, pulse, self.small_numerics())
+        record = run_open_loop(AtomSystem(atom, pulse, self.small_numerics()))
         assert record.channels["y"][0] == pytest.approx(0.0, abs=1e-10)
         assert record.channels["e_total"][0] == 0.0
 
@@ -313,7 +320,7 @@ class TestReferenceRuns:
         def residual(dt):
             numerics = AtomNumerics(box_half_width=60.0, n_points=512, dt=dt,
                                     absorber=AbsorberSpec.off())
-            rec = run_atom_reference(atom, pulse, numerics)
+            rec = run_open_loop(AtomSystem(atom, pulse, numerics))
             p = rec.channels["p"]
             dp = (p[2:] - p[:-2]) / (2 * dt)
             return np.max(np.abs(dp - rec.channels["y"][1:-1]))

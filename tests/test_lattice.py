@@ -2,26 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, expm
 
-from amptrack import PulseSpec, SectorMismatchError, StepSizeError
+from amptrack import PulseSpec, SectorMismatchError, StepSizeError, evaluate_tl_field
+from amptrack.feedback import run_open_loop
 from amptrack.lattice import (
     HubbardSystem,
     LatticeModel,
     LatticeNumerics,
     ManyBodyState,
-    apply_current,
-    apply_hamiltonian,
+    _krylov_apply,
+    _operators,
     build_sector_basis,
-    commutator_term,
-    current_expectation,
-    kinetic_expectation,
-    krylov_propagate_step,
     lanczos_ground_state,
-    run_hubbard_reference,
 )
-from amptrack.pulses import peierls_phase_series
-from amptrack.series import TimeSeries
+
+KRYLOV = LatticeNumerics()
 
 
 def model_for(L, u=0.0, t0=1.0, a=1.0):
@@ -37,15 +34,31 @@ def random_state(basis, seed=0, phi=0.0):
     return ManyBodyState(psi, basis, phi=phi)
 
 
-def module_dense(op, basis, model, phi):
+def hamiltonian(basis, model, phi):
+    """H(phi) of the propagator, the operator ``HubbardSystem.advance`` uses."""
+    return _operators(basis).phased(phi, model.t0, model.u)
+
+
+def module_dense(basis, model, phi):
+    hop = hamiltonian(basis, model, phi)
     n = basis.dim
     M = np.empty((n, n), dtype=complex)
     for c in range(n):
         e = np.zeros(n, dtype=complex)
         e[c] = 1.0
-        st = ManyBodyState(e.reshape(basis.dim_up, basis.dim_down), basis)
-        M[:, c] = op(st, model, phi).psi.ravel()
+        M[:, c] = hop.apply(e.reshape(basis.dim_up, basis.dim_down)).ravel()
     return M
+
+
+def ring(model, basis, pulse=None, numerics=None):
+    """A HubbardSystem on the sector of ``basis``, field-free by default."""
+    pulse = pulse or PulseSpec(e0=0.0, omega0=1.0, cycles=1)
+    return HubbardSystem(model, pulse, numerics,
+                         n_up=basis.n_up, n_down=basis.n_down)
+
+
+def observe(model, state):
+    return ring(model, state.basis).observables(state)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +107,21 @@ def jw_sector_matrices(L, basis, model, phi, parts=None):
     return H, J
 
 
+def jw_expectations(basis, model, state):
+    """<J>, <H_kin> and i<[H, J]> of the state from the Jordan-Wigner matrices."""
+    L = basis.n_sites
+    parts = jw_sector_parts(L, basis)
+    H, J = jw_sector_matrices(L, basis, model, state.phi, parts)
+    H_kin, _ = jw_sector_matrices(L, basis, model_for(L, t0=model.t0, a=model.a),
+                                  state.phi, parts)
+    v = state.psi.ravel()
+    return {
+        "current": (v.conj() @ J @ v).real,
+        "kinetic": (v.conj() @ H_kin @ v).real,
+        "comm": (1j * (v.conj() @ (H @ J - J @ H) @ v)).real,
+    }
+
+
 class TestSectorBasis:
     @pytest.mark.parametrize(
         "L,n_up,n_down,dim",
@@ -137,24 +165,28 @@ class TestOperatorsAgainstJordanWigner:
         ],
     )
     def test_hamiltonian_and_current_match(self, L, n_up, n_down, u, phi):
+        # the program never applies J; its current, kinetic energy and
+        # commutator enter only as the expectation values of observables()
         basis = build_sector_basis(L, n_up, n_down)
         model = model_for(L, u=u, a=1.3, t0=0.7)
-        H_ref, J_ref = jw_sector_matrices(L, basis, model, phi)
-        H = module_dense(apply_hamiltonian, basis, model, phi)
-        J = module_dense(apply_current, basis, model, phi)
+        H_ref, _ = jw_sector_matrices(L, basis, model, phi)
+        H = module_dense(basis, model, phi)
         np.testing.assert_allclose(H, H_ref, atol=1e-12)
-        np.testing.assert_allclose(J, J_ref, atol=1e-12)
+        state = random_state(basis, 3, phi=phi)
+        got = observe(model, state)
+        for name, want in jw_expectations(basis, model, state).items():
+            assert got[name] == pytest.approx(want, abs=1e-12), name
 
     def test_two_site_single_fermion_band(self):
         basis = build_sector_basis(2, 1, 0)
         model = model_for(2)
-        H = module_dense(apply_hamiltonian, basis, model, 0.0)
+        H = module_dense(basis, model, 0.0)
         np.testing.assert_allclose(np.linalg.eigvalsh(H), [-2.0, 2.0], atol=1e-12)
 
     def test_interaction_diagonal(self):
         basis = build_sector_basis(2, 1, 1)
         model = model_for(2, u=5.0)
-        H = module_dense(apply_hamiltonian, basis, model, 0.0)
+        H = module_dense(basis, model, 0.0)
         diag = np.real(np.diag(H))
         occ = [
             bin(up & down).count("1")
@@ -167,29 +199,24 @@ class TestOperatorsAgainstJordanWigner:
         model = model_for(4, u=3.0)
         for phi in (0.0, 0.9, -2.4):
             a, b = random_state(basis, 1), random_state(basis, 2)
-            ha = apply_hamiltonian(a, model, phi).psi
-            hb = apply_hamiltonian(b, model, phi).psi
+            hop = hamiltonian(basis, model, phi)
+            ha = hop.apply(a.psi)
+            hb = hop.apply(b.psi)
             lhs = np.vdot(b.psi, ha)
             rhs = np.conj(np.vdot(a.psi, hb))
             assert abs(lhs - rhs) < 1e-12
-            ja = apply_current(a, model, phi).psi
-            jb = apply_current(b, model, phi).psi
-            assert abs(np.vdot(b.psi, ja) - np.conj(np.vdot(a.psi, jb))) < 1e-12
 
     def test_expectations_are_real(self):
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=2.0)
         state = random_state(basis, 5)
-        h_psi = apply_hamiltonian(state, model, 0.7).psi
+        h_psi = hamiltonian(basis, model, 0.7).apply(state.psi)
         assert abs(np.vdot(state.psi, h_psi).imag) < 1e-12
-        j_psi = apply_current(state, model, 0.7).psi
-        assert abs(np.vdot(state.psi, j_psi).imag) < 1e-12
 
     def test_sector_mismatch_rejected(self):
         basis = build_sector_basis(4, 2, 2)
-        state = random_state(basis)
         with pytest.raises(SectorMismatchError):
-            apply_hamiltonian(state, model_for(6), 0.0)
+            lanczos_ground_state(model_for(6), basis)
 
     def test_state_shape_validated(self):
         basis = build_sector_basis(4, 2, 2)
@@ -199,25 +226,29 @@ class TestOperatorsAgainstJordanWigner:
 
 class TestDerivativeAndCommutator:
     def test_current_differentiates_into_kinetic_term(self):
-        # dJ/dPhi = a * H_kin, checked by central finite difference
+        # d<J>/dPhi = a <H_kin>, checked by central finite difference
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=6.0, a=1.7)
+        system = ring(model, basis)
         phi, h = 0.43, 1e-5
-        Jp = module_dense(apply_current, basis, model, phi + h)
-        Jm = module_dense(apply_current, basis, model, phi - h)
-        kin_model = model_for(4, u=0.0, a=1.7)
-        Hkin = module_dense(apply_hamiltonian, basis, kin_model, phi)
-        np.testing.assert_allclose((Jp - Jm) / (2 * h), model.a * Hkin, atol=1e-8)
+        for seed in (1, 2, 3):
+            psi = random_state(basis, seed).psi
+
+            def observed(p):
+                return system.observables(ManyBodyState(psi, basis, phi=p))
+
+            slope = (observed(phi + h)["current"] - observed(phi - h)["current"]) / (2 * h)
+            assert slope == pytest.approx(model.a * observed(phi)["kinetic"], abs=1e-8)
 
     def test_commutator_matches_dense_oracle(self):
         basis = build_sector_basis(2, 1, 1)
         model = model_for(2, u=3.3, a=1.2)
         phi = 0.61
         H_ref, J_ref = jw_sector_matrices(2, basis, model, phi)
-        state = random_state(basis, 9)
+        state = random_state(basis, 9, phi=phi)
         v = state.psi.ravel()
         want = (1j * (v.conj() @ (H_ref @ J_ref - J_ref @ H_ref) @ v)).real
-        got = commutator_term(state, model, phi)
+        got = observe(model, state)["comm"]
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_commutator_vanishes_without_interaction(self):
@@ -225,7 +256,8 @@ class TestDerivativeAndCommutator:
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=0.0)
         state = random_state(basis, 11, phi=0.3)
-        assert abs(commutator_term(state, model, 0.3)) < 1e-12
+        assert abs(jw_expectations(basis, model, state)["comm"]) < 1e-12
+        assert observe(model, state)["comm"] == 0.0
 
     def test_loop_commutator_shortcut_equals_general_form(self):
         basis = build_sector_basis(4, 2, 2)
@@ -235,25 +267,25 @@ class TestDerivativeAndCommutator:
         state = random_state(basis, 13, phi=-0.52)
         obs = system.observables(state)
         assert obs["comm"] == pytest.approx(
-            commutator_term(state, model, state.phi), abs=1e-12
+            jw_expectations(basis, model, state)["comm"], abs=1e-12
         )
 
     def test_commutator_zero_on_eigenstate(self):
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=5.0)
         gs, _ = lanczos_ground_state(model, basis)
-        assert abs(commutator_term(gs, model, 0.0)) < 1e-9
+        assert abs(observe(model, gs)["comm"]) < 1e-9
 
 
 class TestGroundStates:
     def test_matches_dense_at_strong_coupling(self):
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=10.0)
-        H = module_dense(apply_hamiltonian, basis, model, 0.0)
+        H = module_dense(basis, model, 0.0)
         e_dense = eigh(H, eigvals_only=True)[0]
         gs, energy = lanczos_ground_state(model, basis)
         assert energy == pytest.approx(e_dense, abs=1e-8)
-        h_psi = apply_hamiltonian(gs, model, 0.0).psi
+        h_psi = hamiltonian(basis, model, 0.0).apply(gs.psi)
         assert np.linalg.norm(h_psi - energy * gs.psi) < 1e-8
 
     def test_free_fermion_band_sums(self):
@@ -264,13 +296,13 @@ class TestGroundStates:
             bands = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(L) / L))
             want = 2.0 * bands[:n].sum()
             assert energy == pytest.approx(want, abs=1e-8)
-            assert kinetic_expectation(gs, model, 0.0) == pytest.approx(want, abs=1e-8)
+            assert observe(model, gs)["kinetic"] == pytest.approx(want, abs=1e-8)
 
     def test_ground_state_carries_no_current(self):
         basis = build_sector_basis(6, 3, 3)
         model = model_for(6, u=4.0)
         gs, _ = lanczos_ground_state(model, basis)
-        assert abs(current_expectation(gs, model, 0.0)) < 1e-10
+        assert abs(observe(model, gs)["current"]) < 1e-10
 
     def test_interaction_suppresses_kinetic_energy(self):
         basis = build_sector_basis(6, 3, 3)
@@ -278,7 +310,7 @@ class TestGroundStates:
         for u in (1.0, 5.0, 10.0):
             model = model_for(6, u=u)
             gs, _ = lanczos_ground_state(model, basis)
-            values.append(abs(kinetic_expectation(gs, model, 0.0)))
+            values.append(abs(observe(model, gs)["kinetic"]))
         assert values[0] > values[1] > values[2]
 
     def test_deterministic(self):
@@ -293,71 +325,64 @@ class TestGroundStates:
         model = model_for(4, u=9.0)
         gs, energy = lanczos_ground_state(model, basis)
         assert energy == pytest.approx(0.0, abs=1e-12)
-        assert kinetic_expectation(gs, model, 0.0) == 0.0
+        assert observe(model, gs)["kinetic"] == 0.0
 
 
 class TestKrylovPropagation:
     def test_eigenstate_gets_global_phase(self):
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=3.0)
-        gs, e0 = lanczos_ground_state(model, basis)
-        dt = 0.01
-        stepped = krylov_propagate_step(gs, model, 0.0, dt)
+        system = ring(model, basis, numerics=LatticeNumerics(dt=0.01))
+        gs = system.initial_state()
+        e0 = system.ground_energy
+        stepped = system.advance(gs, 0, 0.0)
         overlap = np.vdot(gs.psi, stepped.psi)
         assert abs(abs(overlap) - 1.0) < 1e-12
-        assert -np.angle(overlap) / dt == pytest.approx(e0, abs=1e-9)
+        assert -np.angle(overlap) / system.dt == pytest.approx(e0, abs=1e-9)
 
     def test_full_pulse_matches_dense_exponential(self):
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=10.0, a=1.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        numerics = LatticeNumerics(dt=0.005)
-        n = int(math.ceil(pulse.duration / numerics.dt - 1e-12))
-        zero_u = TimeSeries(0.0, numerics.dt, np.zeros(n + 1))
-        phases = peierls_phase_series(pulse, model.a, zero_u).values
-
-        gs, _ = lanczos_ground_state(model, basis)
-        psi_krylov = gs
-        psi_dense = gs.psi.ravel().copy()
-        parts = jw_sector_parts(4, basis)
+        system = HubbardSystem(model, pulse, LatticeNumerics(dt=0.005))
+        state = system.initial_state()
+        psi_dense = state.psi.ravel().copy()
+        parts = jw_sector_parts(4, system.basis)
         max_dev = 0.0
-        for i in range(n):
-            phi_mid = 0.5 * (phases[i] + phases[i + 1])
-            psi_krylov = krylov_propagate_step(
-                psi_krylov, model, phi_mid, numerics.dt
-            )
-            H_mid, _ = jw_sector_matrices(4, basis, model, phi_mid, parts=parts)
-            psi_dense = expm(-1j * numerics.dt * H_mid) @ psi_dense
-            dev = np.max(np.abs(psi_krylov.psi.ravel() - psi_dense))
+        for i in range(system.n_steps):
+            stepped = system.advance(state, i, 0.0)
+            phi_mid = 0.5 * (state.phi + stepped.phi)
+            H_mid, _ = jw_sector_matrices(4, system.basis, model, phi_mid, parts=parts)
+            psi_dense = expm(-1j * system.dt * H_mid) @ psi_dense
+            state = stepped
+            dev = np.max(np.abs(state.psi.ravel() - psi_dense))
             max_dev = max(max_dev, dev)
         assert max_dev < 1e-6
 
     def test_norm_drift(self):
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=10.0)
-        state = random_state(basis, 21)
+        hop = hamiltonian(basis, model, 0.28)
+        psi = random_state(basis, 21).psi
         for _ in range(1000):
-            state = krylov_propagate_step(state, model, 0.28, 0.005)
-        assert abs(math.sqrt(state.norm()) - 1.0) < 1e-11
+            psi = _krylov_apply(psi, hop, 0.005, KRYLOV.krylov_dim, KRYLOV.krylov_tol)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-11
 
     def test_energy_conserved_at_constant_phase(self):
         basis = build_sector_basis(2, 1, 1)
         model = model_for(2, u=3.7)
-        state = random_state(basis, 30)
-        phi = 0.3
-        h_psi = apply_hamiltonian(state, model, phi).psi
-        e_start = float(np.vdot(state.psi, h_psi).real)
+        hop = hamiltonian(basis, model, 0.3)
+        psi = random_state(basis, 30).psi
+        e_start = float(np.vdot(psi, hop.apply(psi)).real)
         for _ in range(10000):
-            state = krylov_propagate_step(state, model, phi, 0.005)
-        h_psi = apply_hamiltonian(state, model, phi).psi
-        assert abs(float(np.vdot(state.psi, h_psi).real) - e_start) < 1e-8
+            psi = _krylov_apply(psi, hop, 0.005, KRYLOV.krylov_dim, KRYLOV.krylov_tol)
+        assert abs(float(np.vdot(psi, hop.apply(psi)).real) - e_start) < 1e-8
 
     def test_subspace_exhaustion_raises(self):
         basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=10.0)
-        state = random_state(basis, 33)
+        psi = random_state(basis, 33).psi
         with pytest.raises(StepSizeError):
-            krylov_propagate_step(state, model, 0.0, 5.0, krylov_dim=4)
+            _krylov_apply(psi, hamiltonian(basis, model, 0.0), 5.0, 4, KRYLOV.krylov_tol)
 
     def test_advance_subdivides_oversized_steps(self):
         model = model_for(4, u=10.0)
@@ -373,31 +398,34 @@ class TestReferenceRun:
     def test_zero_field_is_silent(self):
         model = model_for(4, u=10.0)
         pulse = PulseSpec(e0=0.0, omega0=4.43, cycles=1)
-        rec = run_hubbard_reference(model, pulse)
+        rec = run_open_loop(HubbardSystem(model, pulse))
         assert np.max(np.abs(rec.channels["y"])) < 1e-9
         assert np.max(np.abs(rec.channels["current"])) < 1e-9
 
     def test_target_starts_at_zero(self):
         model = model_for(4, u=8.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        rec = run_hubbard_reference(model, pulse)
+        rec = run_open_loop(HubbardSystem(model, pulse))
         assert rec.channels["y"][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_phase_channel_reproduces_accumulator(self):
         model = model_for(4, u=8.0, a=1.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        rec = run_hubbard_reference(model, pulse)
-        n = len(rec.channels["phase"]) - 1
-        zero_u = TimeSeries(0.0, rec.dt, np.zeros(n + 1))
-        phases = peierls_phase_series(pulse, model.a, zero_u)
-        np.testing.assert_array_equal(rec.channels["phase"], phases.values)
+        rec = run_open_loop(HubbardSystem(model, pulse))
+        # with no control the phase is -a times the trapezoid-rule
+        # integral of the pulse on the propagation grid
+        t = rec.dt * np.arange(len(rec))
+        want = -model.a * cumulative_trapezoid(
+            evaluate_tl_field(t, pulse), dx=rec.dt, initial=0.0
+        )
+        np.testing.assert_array_equal(rec.channels["phase"], want)
 
     def test_ehrenfest_residual_is_second_order(self):
         model = model_for(4, u=10.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
 
         def residual(dt):
-            rec = run_hubbard_reference(model, pulse, LatticeNumerics(dt=dt))
+            rec = run_open_loop(HubbardSystem(model, pulse, LatticeNumerics(dt=dt)))
             J = rec.channels["current"]
             dJ = (J[2:] - J[:-2]) / (2 * dt)
             return np.max(np.abs(dJ - rec.channels["y"][1:-1]))

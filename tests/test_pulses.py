@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amptrack import (
+    HubbardSystem,
     InfeasibleTargetError,
+    LatticeModel,
+    LatticeNumerics,
     PulseSpec,
-    TimeSeries,
     ati_matched_field,
     evaluate_tl_field,
     hhg_cutoff,
     hhg_matched_field,
-    peierls_phase,
-    peierls_phase_series,
     ponderomotive_energy,
+    run_open_loop,
     strong_field_scales,
 )
 
@@ -28,6 +29,19 @@ def tl_field_antiderivative(t, spec):
         - np.sin((w + d) * t) / (4 * (w + d))
         - np.sin((w - d) * t) / (4 * (w - d))
     )
+
+
+def ring_phase(spec, dt, a=1.0, u_forced=None):
+    """Peierls phase channel of a two-site ring holding one fermion.
+
+    The phase is accumulated on the propagation grid by ``HubbardSystem``;
+    the one-particle ring makes each step cheap.
+    """
+    model = LatticeModel(t0=1.0, u=0.0, a=a, n_sites=2)
+    system = HubbardSystem(model, spec, LatticeNumerics(dt=dt), n_up=1, n_down=0)
+    if u_forced is not None:
+        u_forced = np.full(system.n_steps + 1, u_forced)
+    return run_open_loop(system, u_forced=u_forced).channels["phase"]
 
 
 class TestPulseSpec:
@@ -81,61 +95,41 @@ class TestField:
 class TestPeierlsPhase:
     def test_zero_field_gives_zero_phase(self):
         spec = PulseSpec(e0=0.0, omega0=1.0, cycles=2)
-        u = TimeSeries(0.0, 0.01, np.zeros(500))
-        phases = peierls_phase_series(spec, a=1.0, u_history=u)
-        np.testing.assert_array_equal(phases.values, 0.0)
+        np.testing.assert_array_equal(ring_phase(spec, 0.01), 0.0)
 
     def test_constant_field_integrates_exactly(self):
         # a constant field is representable through the held control channel
         spec = PulseSpec(e0=0.0, omega0=1.0, cycles=2)
         c, a, dt = 0.37, 2.0, 0.05
-        u = TimeSeries(0.0, dt, np.full(201, c))
+        phases = ring_phase(spec, dt, a=a, u_forced=c)
         t = 101 * dt
-        assert peierls_phase(t, spec, a, u) == pytest.approx(-a * c * t, rel=1e-13)
+        assert phases[101] == pytest.approx(-a * c * t, rel=1e-13)
 
     @pytest.mark.parametrize(
         "e0,omega0,cycles,dt_target",
         [
-            (0.0534, 0.0569, 10, 0.02),  # atom-platform defaults
             (2.61, 4.43, 10, 0.005),     # lattice-platform defaults
         ],
     )
     def test_full_pulse_phase_matches_antiderivative(self, e0, omega0, cycles, dt_target):
         spec = PulseSpec(e0=e0, omega0=omega0, cycles=cycles)
         n = int(round(spec.duration / dt_target))
-        dt = spec.duration / n
-        u = TimeSeries(0.0, dt, np.zeros(n + 1))
-        got = peierls_phase(spec.duration, spec, 1.0, u)
+        phases = ring_phase(spec, spec.duration / n)
+        assert phases.size == n + 1
         want = -tl_field_antiderivative(spec.duration, spec)
-        assert got == pytest.approx(want, abs=1e-8)
+        assert phases[-1] == pytest.approx(want, abs=1e-8)
 
     def test_interior_phase_converges_at_second_order(self):
         spec = PulseSpec(e0=1.3, omega0=2.0, cycles=4)
-        t_probe = spec.duration * 5 / 16
 
         def max_err(n):
             dt = spec.duration / n
-            u = TimeSeries(0.0, dt, np.zeros(n + 1))
-            phases = peierls_phase_series(spec, 1.0, u)
-            exact = -tl_field_antiderivative(phases.times(), spec)
-            return np.max(np.abs(phases.values - exact))
+            phases = ring_phase(spec, dt)
+            exact = -tl_field_antiderivative(dt * np.arange(n + 1), spec)
+            return np.max(np.abs(phases - exact))
 
         e1, e2 = max_err(512), max_err(1024)
         assert e1 / e2 > 3.5
-        # and the probe time sits on both grids
-        dt = spec.duration / 512
-        u = TimeSeries(0.0, dt, np.zeros(513))
-        assert math.isfinite(peierls_phase(t_probe, spec, 1.0, u))
-
-    def test_rejects_times_outside_history(self):
-        spec = PulseSpec(e0=0.1, omega0=1.0, cycles=2)
-        u = TimeSeries(0.0, 0.1, np.zeros(11))
-        with pytest.raises(ValueError):
-            peierls_phase(1.05, spec, 1.0, u)  # off-grid
-        with pytest.raises(ValueError):
-            peierls_phase(-0.1, spec, 1.0, u)
-        with pytest.raises(ValueError):
-            peierls_phase(1.2, spec, 1.0, u)
 
 
 class TestScalingLaws:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amptrack.series import RunRecord
+from amptrack.feedback import RunRecord
 from amptrack.spectral import Spectrum
 from amptrack import storage
 
@@ -17,17 +17,14 @@ def reference_record(n=7, platform="atom"):
     return RunRecord(t0=0.0, dt=0.05, channels=channels)
 
 
-class FakeTracking:
-    def __init__(self, n=9):
-        rng = np.random.default_rng(5)
-        self.t0, self.dt = 0.0, 0.01
-        self.channels = {"p": rng.normal(size=n), "force": rng.normal(size=n)}
-        self.u = rng.normal(size=n)
-        self.e_total = rng.normal(size=n)
-        self.response = rng.normal(size=n)
-        self.y = rng.normal(size=n)
-        self.residual = self.response - self.y
-        self.guard_trips = np.array([2, 5])
+def tracking_record(n=9):
+    rng = np.random.default_rng(5)
+    names = ("p", "force", "e_total", "u", "response", "y")
+    channels = {name: rng.normal(size=n) for name in names}
+    channels["residual"] = channels["response"] - channels["y"]
+    channels["guard"] = np.zeros(n)
+    channels["guard"][[2, 5]] = 1.0
+    return RunRecord(t0=0.0, dt=0.01, channels=channels, k_p=10.0)
 
 
 class TestReferenceCsv:
@@ -67,7 +64,7 @@ class TestReferenceCsv:
 
 class TestTrackingCsv:
     def test_round_trip_and_guard_flags(self, tmp_path):
-        result = FakeTracking()
+        result = tracking_record()
         path = tmp_path / "tracking.csv"
         storage.write_tracking_csv(path, result, "atom")
         table = storage.read_table(path)
@@ -75,11 +72,12 @@ class TestTrackingCsv:
         assert np.array_equal(table.columns["u"], result.u)
         assert np.array_equal(table.columns["residual"], result.residual)
         guard = table.columns["guard"]
-        assert np.array_equal(np.flatnonzero(guard), result.guard_trips)
+        assert np.array_equal(np.flatnonzero(guard), [2, 5])
+        assert np.array_equal(result.guard_trips, [2, 5])
         assert set(np.unique(guard)) <= {0.0, 1.0}
 
     def test_series_reconstruction(self, tmp_path):
-        result = FakeTracking()
+        result = tracking_record()
         path = tmp_path / "tracking.csv"
         storage.write_tracking_csv(path, result, "atom")
         series = storage.read_table(path).series("response")
