@@ -8,18 +8,6 @@ Fermi-Hubbard ring (many-body current tracking), plus the intensity
 matching rules and spectral analysis that connect the two pictures.
 """
 
-import os as _os
-
-# AMPTRACK_MAX_THREADS caps the BLAS/FFT thread pools.  The standard
-# variables must be set before the numerics libraries first load, so this
-# runs ahead of every numpy import below; it covers any process whose
-# first numpy import happens through this package (the CLI in particular).
-_cap = _os.environ.get("AMPTRACK_MAX_THREADS")
-if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
-del _cap, _os
-
 from .exceptions import (
     AmptrackError,
     CalibrationError,

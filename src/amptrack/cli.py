@@ -29,7 +29,7 @@ from .exceptions import (
     SectorMismatchError,
     StepSizeError,
 )
-from .feedback import run_open_loop, run_tracking
+from .feedback import check_reference, relative_rms, rms, run_open_loop, run_tracking
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -74,7 +74,7 @@ def _reference_summary(system, record, platform: str) -> dict:
         "n_steps": len(record) - 1,
         "dt": record.dt,
         "ground_energy": system.ground_energy,
-        "y_rms": float(np.sqrt(np.mean(record.channels["y"] ** 2))),
+        "y_rms": rms(record.channels["y"]),
     }
     if platform == "atom":
         summary["softening_alpha"] = system.atom.alpha
@@ -103,8 +103,11 @@ def cmd_run_tracking(args) -> int:
     gate = args.gate if args.gate is not None else cfg.gate
     out = _out_dir(args.out)
     if args.reference is not None:
-        table = storage.read_table(args.reference)
-        reference = table.series("y")
+        reference = storage.read_table(args.reference).series("y")
+        # reject a bad reference before building the systems, which on the
+        # atom calibrates the softening
+        dt = (cfg.atom or cfg.hubbard).numerics.dt
+        check_reference(reference, cfg.pulse.n_steps(dt), dt)
     else:
         ref_system = build_system(cfg, "reference")
         ref_record = run_open_loop(ref_system)
@@ -189,15 +192,13 @@ def cmd_compare(args) -> int:
     if not series_a.same_grid(series_b):
         raise GridMismatchError("the two runs are not on the same time grid")
     diff = series_a.values - series_b.values
-    scale = float(np.sqrt(np.mean(series_b.values**2)))
-    rms = float(np.sqrt(np.mean(diff**2)))
-    rel = rms / scale if scale > 0 else rms
+    rel = relative_rms(diff, series_b.values)
     payload = {
         "column": args.column,
-        "rms_difference": rms,
+        "rms_difference": rms(diff),
         "relative_rms": rel,
         "max_abs_difference": float(np.max(np.abs(diff))),
-        "reference_rms": scale,
+        "reference_rms": rms(series_b.values),
     }
     if args.omega0 is not None:
         comparison = spectral.compare_spectra(

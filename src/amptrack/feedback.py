@@ -20,7 +20,10 @@ __all__ = [
     "FeedbackConfig",
     "RunRecord",
     "atom_control_field",
+    "check_reference",
     "hubbard_control_field",
+    "relative_rms",
+    "rms",
     "run_open_loop",
     "run_tracking",
     "tracking_residual",
@@ -92,21 +95,28 @@ def hubbard_control_field(
 
 
 
-def _rms(x: np.ndarray) -> float:
+def rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
+
+
+def relative_rms(diff: np.ndarray, target: np.ndarray) -> float:
+    """RMS of ``diff`` over the RMS of ``target``.
+
+    Falls back to the absolute RMS when the target is identically zero.
+    """
+    scale = rms(target)
+    if scale == 0.0:
+        return rms(diff)
+    return rms(diff) / scale
 
 
 def tracking_residual(result) -> float:
     """Relative RMS mismatch between the driven response and the target.
 
-    Falls back to the absolute RMS when the target is identically zero
-    (``RunRecord.absolute_rms`` flags that case).
+    ``RunRecord.absolute_rms`` flags the absolute fallback.
     """
-    r = np.asarray(result.response, dtype=float) - np.asarray(result.y, dtype=float)
-    denom = _rms(np.asarray(result.y, dtype=float))
-    if denom == 0.0:
-        return _rms(r)
-    return _rms(r) / denom
+    y = np.asarray(result.y, dtype=float)
+    return relative_rms(np.asarray(result.response, dtype=float) - y, y)
 
 
 def _channel(name: str) -> property:
@@ -153,7 +163,7 @@ class RunRecord:
     @property
     def absolute_rms(self) -> bool:
         """True when the target is identically zero and the RMS is absolute."""
-        return _rms(self.y) == 0.0
+        return rms(self.y) == 0.0
 
 
 def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
@@ -208,23 +218,27 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
     return _run(system, u_forced=u_forced)
 
 
-def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> RunRecord:
-    """Drive ``system`` so its response follows the reference signal.
-
-    The reference must be sampled on the identical time grid used for the
-    driven propagation; no interpolation is performed.  A reference with a
-    non-finite sample is rejected before anything is propagated.
-    """
-    n = system.n_steps
-    if len(reference) != n + 1:
+def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
+    """Reject a reference that is not ``n_steps`` steps of ``dt`` from t = 0,
+    or that has a non-finite sample; no interpolation is ever performed."""
+    if len(reference) != n_steps + 1:
         raise GridMismatchError(
-            f"reference has {len(reference)} samples, propagation needs {n + 1}"
+            f"reference has {len(reference)} samples, propagation needs {n_steps + 1}"
         )
-    if abs(reference.t0) > 1e-12 or abs(reference.dt - system.dt) > 1e-12 * system.dt:
+    if abs(reference.t0) > 1e-12 or abs(reference.dt - dt) > 1e-12 * dt:
         raise GridMismatchError("reference grid does not match the propagation grid")
     bad = np.flatnonzero(~np.isfinite(reference.values))
     if bad.size:
         raise ValueError(
             f"reference has {bad.size} non-finite samples, the first at step {bad[0]}"
         )
+
+
+def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> RunRecord:
+    """Drive ``system`` so its response follows the reference signal.
+
+    The reference must pass `check_reference` on the system's own grid,
+    so a bad one is rejected before anything is propagated.
+    """
+    check_reference(reference, system.n_steps, system.dt)
     return _run(system, reference.values, cfg)

@@ -223,6 +223,11 @@ class AtomNumerics:
     dt: float = 0.02
     absorber: AbsorberSpec = field(default_factory=AbsorberSpec)
 
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        self.grid()
+
     def grid(self) -> Grid1D:
         return Grid1D(self.box_half_width, self.n_points)
 
@@ -244,7 +249,7 @@ class AtomSystem:
         self.numerics = numerics
         self.grid = numerics.grid()
         self.dt = numerics.dt
-        self.n_steps = int(math.ceil(pulse.duration / numerics.dt))
+        self.n_steps = pulse.n_steps(self.dt)
         self._x = self.grid.x()
         self._k = self.grid.k()
         self._V = soft_coulomb_potential(self.grid, atom.alpha)

@@ -395,7 +395,7 @@ class HubbardSystem:
             n_down = model.n_sites // 2
         self.basis = build_sector_basis(model.n_sites, n_up, n_down)
         self.dt = self.numerics.dt
-        self.n_steps = int(math.ceil(pulse.duration / self.dt - 1e-12))
+        self.n_steps = pulse.n_steps(self.dt)
         times = 0.0 + self.dt * np.arange(self.n_steps + 1)
         self._e_tl = evaluate_tl_field(times, pulse)
         self._phi_smooth = cumulative_trapezoid(self._e_tl, dx=self.dt, initial=0.0)

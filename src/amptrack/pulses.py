@@ -67,6 +67,11 @@ class PulseSpec:
     def duration(self) -> float:
         return 2.0 * math.pi * self.cycles / self.omega0
 
+    def n_steps(self, dt: float) -> int:
+        """Steps of ``dt`` covering the pulse; the 1e-12 allowance keeps a
+        rounding error in ``duration / dt`` from adding a step."""
+        return int(math.ceil(self.duration / dt - 1e-12))
+
 
 @dataclass(frozen=True)
 class AtomSpec:

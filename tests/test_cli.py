@@ -1,12 +1,15 @@
 """End-to-end CLI tests: artifacts, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amptrack import storage
+from amptrack import grid, storage
 from amptrack.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ATOM_CFG = """
 [experiment]
@@ -134,6 +137,14 @@ class TestRunReference:
         assert main(["run-reference", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("dt", ["0", "-0.05"])
+    def test_non_positive_dt_exits_2(self, dt, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(ATOM_CFG.replace("dt = 0.05", f"dt = {dt}"))
+        assert main(["run-reference", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "[numerics] dt must be positive" in capsys.readouterr().err
+
 
 class TestRunTracking:
     def test_in_process_reference_and_residual(self, hubbard_cfg, tmp_path, capsys):
@@ -171,6 +182,26 @@ class TestRunTracking:
         out = tmp_path / "ok"
         assert main(["run-tracking", "--config", str(hubbard_cfg),
                      "--out", str(out), "--gate", "0.5"]) == 0
+
+    @pytest.mark.parametrize("cfg_name, rows, dt, value, message", [
+        ("atom_default.cfg", 3, 0.02, 0.0, "has 3 samples"),
+        ("atom.cfg", 316, 0.04, 0.0, "grid does not match"),
+        ("atom.cfg", 316, 0.05, float("nan"), "316 non-finite"),
+    ])
+    def test_bad_reference_is_rejected_before_calibration(
+            self, cfg_name, rows, dt, value, message, atom_cfg, tmp_path,
+            monkeypatch, capsys):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrate_softening was called")
+
+        monkeypatch.setattr(grid, "calibrate_softening", calibrate)
+        cfg = atom_cfg if cfg_name == "atom.cfg" else CONFIG_DIR / cfg_name
+        ref = write_constant_csv(tmp_path / "ref.csv", value, n=rows, dt=dt)
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(cfg), "--out", str(out),
+                     "--reference", str(ref)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "tracking.csv").exists()
 
 
 class TestMatchIntensity:

@@ -1,6 +1,8 @@
 """Config parsing: strict validation and unit conversion at the boundary."""
 
+import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,78 @@ u_over_t0 = 1
 """
 
 
+# json.dumps(cfg.as_dict(), indent=2, sort_keys=True) of the two shipped
+# configs: the config echo that every metadata.json sidecar carries
+ECHO = {
+    "atom_default.cfg": """\
+{
+  "atom": {
+    "driven_ip": 0.5,
+    "numerics": {
+      "absorber_exponent": 0.125,
+      "absorber_fraction": 0.1,
+      "box_half_width": 200.0,
+      "dt": 0.02,
+      "n_points": 4096
+    },
+    "reference_ip": 0.579
+  },
+  "feedback": {
+    "epsilon": 1e-06,
+    "k_p": 1000.0,
+    "output_stride": 1
+  },
+  "gate": null,
+  "physical_inputs": {
+    "intensity_w_cm2": 100000000000000.0,
+    "wavelength_nm": 800.0
+  },
+  "platform": "atom",
+  "pulse": {
+    "cycles": 10,
+    "duration": 1103.200381123387,
+    "e0": 0.05338023364424596,
+    "omega0": 0.05695416186116098
+  }
+}""",
+    "hubbard_default.cfg": """\
+{
+  "feedback": {
+    "epsilon": 1e-06,
+    "k_p": 1000.0,
+    "output_stride": 1
+  },
+  "gate": null,
+  "hubbard": {
+    "a_angstrom": 3.8,
+    "n_down": 5,
+    "n_up": 5,
+    "numerics": {
+      "dt": 0.005,
+      "krylov_dim": 20,
+      "krylov_tol": 1e-10,
+      "max_substeps": 64
+    },
+    "sites": 10,
+    "t0_ev": 0.35,
+    "u_driven": 1.0,
+    "u_reference": 10.0
+  },
+  "physical_inputs": {
+    "e0_mv_cm": 24.0,
+    "frequency_thz": 375.0
+  },
+  "platform": "hubbard",
+  "pulse": {
+    "cycles": 10,
+    "duration": 14.179829516701444,
+    "e0": 2.605714285714286,
+    "omega0": 4.431072531428573
+  }
+}""",
+}
+
+
 class TestBundledConfigs:
     def test_atom_default_lab_units(self):
         cfg = parse_config(CONFIG_DIR / "atom_default.cfg")
@@ -96,6 +170,11 @@ class TestBundledConfigs:
         assert echo["hubbard"]["numerics"]["max_substeps"] == 64
         assert echo["pulse"]["duration"] == cfg.pulse.duration
         assert echo["physical_inputs"]["frequency_thz"] == 375.0
+
+    @pytest.mark.parametrize("name", sorted(ECHO))
+    def test_metadata_echo_is_pinned(self, name):
+        cfg = parse_config(CONFIG_DIR / name)
+        assert json.dumps(cfg.as_dict(), indent=2, sort_keys=True) == ECHO[name]
 
 
 class TestStrictValidation:
@@ -160,6 +239,48 @@ class TestStrictValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("base, old, new, message", [
+        ("atom", "omega0_au = 0.8", "wavelength_nm = 0",
+         "[pulse] wavelength_nm must be positive"),
+        ("hubbard", "omega0_over_t0 = 4.43", "frequency_thz = -375",
+         "[pulse] frequency_thz must be positive"),
+        ("atom", "e0_au = 0.08", "intensity_w_cm2 = -1e14",
+         "[pulse] intensity_w_cm2 must be nonnegative"),
+        ("hubbard", "e0_over_t0 = 2.61", "e0_mv_cm = -24",
+         "[pulse] e0_mv_cm must be nonnegative"),
+        ("atom", "ip_au = 0.5\n", "ip_au = 0\n",
+         "[driven] ionization potential must be positive"),
+        ("atom", "ip_au = 0.579", "ip_ev = -15.8",
+         "[reference] ionization potential must be positive"),
+        ("atom", "k_p = 50", "k_p = 50\ngate = 0",
+         "[experiment] gate must be positive"),
+        ("hubbard", "sites = 2", "sites = 1", "[lattice] sites must be at least 2"),
+        ("hubbard", "sites = 2", "sites = 2\nt0_ev = 0",
+         "[lattice] t0_ev and a_angstrom must be positive"),
+        ("hubbard", "sites = 2", "sites = 2\na_angstrom = -3.8",
+         "[lattice] t0_ev and a_angstrom must be positive"),
+        ("atom", "cycles = 2", "cycles = 2.5",
+         "[pulse] cycles: '2.5' is not an integer"),
+        ("atom", "[pulse]", "[pulse", "malformed config file"),
+    ])
+    def test_bad_value_is_rejected(self, tmp_path, base, old, new, message):
+        text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]
+        assert old in text
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(write_cfg(tmp_path, text.replace(old, new)))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("dt = 0.05", "dt = 0", "[numerics] dt must be positive"),
+        ("dt = 0.05", "dt = -0.05", "[numerics] dt must be positive"),
+        ("n_points = 512", "n_points = 500", "[numerics] n_points must be a power of two"),
+        ("box_half_width = 60", "box_half_width = 0",
+         "[numerics] half_width must be positive"),
+    ])
+    def test_bad_atom_numerics_fail_at_parse(self, tmp_path, old, new, message):
+        text = MINIMAL_ATOM.replace(old, new)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(write_cfg(tmp_path, text))
 
 
 class TestBuildSystem:
