@@ -69,6 +69,18 @@ def _gate(residual: float, gate) -> int:
     return EXIT_OK
 
 
+def _gate_arg(text: str) -> float:
+    """``--gate``: a positive finite number, as the config's ``gate``; argparse
+    turns the error into exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _reference_summary(system, record, platform: str) -> dict:
     summary = {
         "n_steps": len(record) - 1,
@@ -237,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--out", required=True)
     trk.add_argument("--reference", default=None,
                      help="reference.csv to track; omitted: run it in-process")
-    trk.add_argument("--gate", type=float, default=None,
+    trk.add_argument("--gate", type=_gate_arg, default=None,
                      help="fail (exit 4) if the rms residual exceeds this")
     trk.set_defaults(func=cmd_run_tracking)
 
@@ -270,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="carrier frequency; enables the spectral comparison")
     cmp_.add_argument("--window", default="hann", choices=("hann", "none"))
     cmp_.add_argument("--drop-db", type=float, default=20.0, dest="drop_db")
-    cmp_.add_argument("--gate", type=float, default=None)
+    cmp_.add_argument("--gate", type=_gate_arg, default=None)
     cmp_.add_argument("--json", action="store_true")
     cmp_.set_defaults(func=cmd_compare)
     return parser

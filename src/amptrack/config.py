@@ -117,7 +117,7 @@ class _Section:
         if present[0] == program:
             return self.take(program)
         value = self.take(lab)
-        if rule == "positive" and value <= 0 or rule == "nonnegative" and value < 0:
+        if rule == "positive" and not value > 0 or rule == "nonnegative" and not value >= 0:
             raise ConfigError(f"[{self.name}] {lab} must be {rule}")
         self.physical[echo or lab] = value
         return convert(value)
@@ -181,14 +181,14 @@ def _from_section(sec: _Section, defaults, prefix: str = ""):
 
 
 def _pulse(sec: _Section, omega0: float, e0: float) -> PulseSpec:
-    if e0 < 0:
+    if not e0 >= 0:
         raise ConfigError("[pulse] field amplitude must be nonnegative")
     return PulseSpec(e0=e0, omega0=omega0, cycles=sec.take("cycles", int))
 
 
 def _ip(sec: _Section) -> float:
     ip = sec.one_of("ip_au", "ip_ev", units.ev_to_au, echo=f"{sec.name}_ip_ev")
-    if ip <= 0:
+    if not ip > 0:
         raise ConfigError(f"[{sec.name}] ionization potential must be positive")
     return ip
 
@@ -215,7 +215,7 @@ def _parse_hubbard(sections: _Sections) -> dict:
         raise ConfigError("[lattice] sites must be at least 2")
     t0_ev = lat.take("t0_ev", float, 1.0)
     a_angstrom = lat.take("a_angstrom", float, 1.0)
-    if t0_ev <= 0 or a_angstrom <= 0:
+    if not (t0_ev > 0 and a_angstrom > 0):
         raise ConfigError("[lattice] t0_ev and a_angstrom must be positive")
     n_up = lat.take("n_up", int, sites // 2)
     n_down = lat.take("n_down", int, sites // 2)
@@ -265,7 +265,7 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc))
     gate = exp.take("gate", float, None)
-    if gate is not None and gate <= 0:
+    if gate is not None and not gate > 0:
         raise ConfigError("[experiment] gate must be positive")
     for sec in sections.taken:
         for key in sec.raw:

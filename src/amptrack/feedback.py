@@ -45,9 +45,9 @@ class FeedbackConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if self.k_p < 0:
+        if not self.k_p >= 0:
             raise ValueError("k_p must be nonnegative")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.output_stride < 1 or int(self.output_stride) != self.output_stride:
             raise ValueError("output_stride must be a positive integer")

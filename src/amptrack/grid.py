@@ -41,7 +41,7 @@ class Grid1D:
         n = self.n_points
         if n < 8 or n & (n - 1) != 0:
             raise ValueError("n_points must be a power of two, at least 8")
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ValueError("half_width must be positive")
 
     @property
@@ -66,7 +66,7 @@ class AbsorberSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction < 0.5:
             raise ValueError("fraction must lie in [0, 0.5)")
-        if self.exponent <= 0:
+        if not self.exponent > 0:
             raise ValueError("exponent must be positive")
 
     @classmethod
@@ -224,7 +224,7 @@ class AtomNumerics:
     absorber: AbsorberSpec = field(default_factory=AbsorberSpec)
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         self.grid()
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.linalg.blas import zaxpy
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -59,9 +58,9 @@ class LatticeModel:
     n_sites: int
 
     def __post_init__(self):
-        if self.t0 <= 0:
+        if not self.t0 > 0:
             raise ValueError("t0 must be positive")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError("a must be positive")
         if self.n_sites < 2 or int(self.n_sites) != self.n_sites:
             raise ValueError("n_sites must be an integer of at least 2")
@@ -200,8 +199,8 @@ class _PhasedHamiltonian:
 
     def __init__(self, ops, phi: float, t0: float, u: float):
         z = -t0 * np.exp(1j * phi)
-        self.m_up = (ops.hop_up * z + ops.hop_up_t * np.conj(z)).tocsr()
-        self.m_down = (ops.hop_down * z + ops.hop_down_t * np.conj(z)).tocsr()
+        self.m_up = ops.phased_up(z)
+        self.m_down = ops.phased_down(z)
         self.diag = u * ops.double_occ if u != 0.0 else None
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -212,15 +211,44 @@ class _PhasedHamiltonian:
         return out
 
 
+class _PhasedHop:
+    """hop z + hop^T conj(z) on the union sparsity pattern of hop and hop^T.
+
+    ``hop`` is real, so one complex matrix hop + i hop^T carries the
+    pattern and both value arrays without a cancellation.  They are fixed
+    per sector, so a new phase costs two vector operations instead of
+    sparse arithmetic.  The values equal those of the scipy sum entry by
+    entry; on two sites, where both hops share every entry, a sum that
+    cancels exactly stays as a stored zero, which the products do not see.
+    """
+
+    def __init__(self, hop: csr_matrix):
+        pair = (hop + 1j * hop.T).tocsr()
+        pair.sort_indices()
+        self.fwd = pair.data.real.astype(complex)
+        self.bwd = pair.data.imag.astype(complex)
+        self.indices = pair.indices
+        self.indptr = pair.indptr
+        self.shape = pair.shape
+
+    def __call__(self, z: complex) -> csr_matrix:
+        data = self.fwd * z + self.bwd * np.conj(z)
+        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
 class _SectorOperators:
     """Precomputed sparse structure for one (L, N_up, N_down) sector."""
 
     def __init__(self, basis: SectorBasis):
         L = basis.n_sites
-        self.hop_up = _forward_hop_matrix(L, basis.states_up).astype(complex)
-        self.hop_down = _forward_hop_matrix(L, basis.states_down).astype(complex)
+        hop_up = _forward_hop_matrix(L, basis.states_up)
+        hop_down = _forward_hop_matrix(L, basis.states_down)
+        self.hop_up = hop_up.astype(complex)
+        self.hop_down = hop_down.astype(complex)
         self.hop_up_t = self.hop_up.T.tocsr()
         self.hop_down_t = self.hop_down.T.tocsr()
+        self.phased_up = _PhasedHop(hop_up)
+        self.phased_down = _PhasedHop(hop_down)
         pop = np.array([bin(i).count("1") for i in range(1 << L)], dtype=np.int64)
         self.double_occ = pop[
             np.bitwise_and.outer(basis.states_up, basis.states_down)
@@ -299,6 +327,17 @@ def lanczos_ground_state(
     return ManyBodyState(psi, basis, phi=phi), energy
 
 
+def _real_vdot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a|b> for two complex arrays of one shape.
+
+    Summed by numpy's einsum loop over the float views, not by BLAS, so
+    the result is the same at any BLAS thread count and the call wakes
+    no BLAS threads.
+    """
+    return float(np.einsum("i,i->", a.reshape(-1).view(float),
+                           b.reshape(-1).view(float)))
+
+
 def _krylov_apply(
     psi: np.ndarray,
     hop: _PhasedHamiltonian,
@@ -311,35 +350,40 @@ def _krylov_apply(
     The three-term recurrence runs without reorthogonalization; the step
     counts involved here are small enough that orthogonality loss stays
     far below the norm-drift budget (asserted by the conservation tests).
+    Every state-sized operation is a numpy ufunc or ``_real_vdot``, never
+    BLAS.
     """
     shape = psi.shape
     flat = psi.ravel()
-    norm0 = np.linalg.norm(flat)
+    norm0 = math.sqrt(_real_vdot(flat, flat))
     if norm0 == 0.0:
         return psi.copy()
     V = np.empty((krylov_dim + 1, flat.size), dtype=complex)
-    V[0] = flat / norm0
+    np.divide(flat, norm0, out=V[0])
+    scratch = np.empty_like(V[0])
     alphas: list = []
     betas: list = []
     err = math.inf
     for m in range(krylov_dim):
         w = hop.apply(V[m].reshape(shape)).ravel()
-        alpha = float(np.vdot(V[m], w).real)
-        zaxpy(V[m], w, a=-alpha)
+        alpha = _real_vdot(V[m], w)
+        np.subtract(w, np.multiply(V[m], alpha, out=scratch), out=w)
         if m > 0:
-            zaxpy(V[m - 1], w, a=-betas[-1])
+            np.subtract(w, np.multiply(V[m - 1], betas[-1], out=scratch), out=w)
         alphas.append(alpha)
-        beta = math.sqrt(float(np.vdot(w, w).real))
+        beta = math.sqrt(_real_vdot(w, w))
         if beta < 1e-14 or m >= 2:
             evals, evecs = eigh_tridiagonal(alphas, betas)
             coeff = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
             err = beta * abs(coeff[-1]) * abs(dt)
             if err < tol or beta < 1e-14:
-                out = coeff @ V[: m + 1]
-                return (norm0 * out).reshape(shape)
+                coeff *= norm0
+                out = np.multiply(V[0], coeff[0])
+                for k in range(1, m + 1):
+                    out += np.multiply(V[k], coeff[k], out=scratch)
+                return out.reshape(shape)
         betas.append(beta)
-        V[m + 1] = w
-        V[m + 1] /= beta
+        np.divide(w, beta, out=V[m + 1])
     raise StepSizeError(
         f"Krylov residual {err:.3e} above {tol:.1e} at dimension {krylov_dim}; "
         "reduce dt",
@@ -357,11 +401,11 @@ class LatticeNumerics:
     max_substeps: int = 64
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.krylov_dim < 2:
             raise ValueError("krylov_dim must be at least 2")
-        if self.krylov_tol <= 0:
+        if not self.krylov_tol > 0:
             raise ValueError("krylov_tol must be positive")
         if self.max_substeps < 1:
             raise ValueError("max_substeps must be at least 1")
@@ -411,23 +455,28 @@ class HubbardSystem:
         return state
 
     def observables(self, state: ManyBodyState) -> dict:
-        # one forward and one backward hop pass feed every observable.
-        # The kinetic part commutes with the current on a uniform ring
-        # (both are diagonal in momentum), so i<[H,J]> reduces to the
-        # interaction term; the equivalence with the general commutator
-        # of the Jordan-Wigner matrices is a tested property.
+        # one forward hop pass feeds the current and the kinetic energy,
+        # and a backward pass adds the commutator. The kinetic part
+        # commutes with the current on a uniform ring (both are diagonal
+        # in momentum), so i<[H,J]> reduces to the interaction term; the
+        # equivalence with the general commutator of the Jordan-Wigner
+        # matrices is a tested property.  With fwd = e^{+iPhi} T+ psi:
+        # <H_kin> = -2 t0 Re<psi|fwd>, <J> = -2 a t0 Im<psi|fwd> where
+        # Im<x|y> = Re<ix|y>, and J psi = i a t0 (fwd - bwd) turns
+        # i<[H,J]> = 2U Im<J psi|D psi> into -2 U a t0 Re<fwd - bwd|D psi>.
         ops = _operators(self.basis)
         model = self.model
         psi = state.psi
-        fwd = ops.forward(psi)
-        bwd = ops.backward(psi)
         phase = np.exp(1j * state.phi)
-        rotated = phase * np.vdot(psi, fwd)
-        kin = -2.0 * model.t0 * rotated.real
-        cur = -2.0 * model.a * model.t0 * rotated.imag
+        fwd = ops.forward(psi)
+        fwd *= phase
+        kin = -2.0 * model.t0 * _real_vdot(psi, fwd)
+        cur = -2.0 * model.a * model.t0 * _real_vdot(1j * psi, fwd)
         if model.u != 0.0:
-            j_psi = (1j * model.a * model.t0) * (phase * fwd - np.conj(phase) * bwd)
-            comm = 2.0 * model.u * float(np.vdot(j_psi, ops.double_occ * psi).imag)
+            bwd = ops.backward(psi)
+            bwd *= np.conj(phase)
+            comm = (-2.0 * model.u * model.a * model.t0
+                    * _real_vdot(fwd - bwd, ops.double_occ * psi))
         else:
             comm = 0.0
         return {"current": cur, "kinetic": kin, "phase": state.phi, "comm": comm}

@@ -56,9 +56,9 @@ class PulseSpec:
     cycles: int
 
     def __post_init__(self):
-        if self.e0 < 0:
+        if not self.e0 >= 0:
             raise ValueError("e0 must be nonnegative")
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
         if int(self.cycles) != self.cycles or self.cycles < 1:
             raise ValueError("cycles must be a positive integer")
@@ -81,9 +81,9 @@ class AtomSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.ip <= 0:
+        if not self.ip > 0:
             raise ValueError("ip must be positive")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
 

@@ -137,7 +137,7 @@ class TestRunReference:
         assert main(["run-reference", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("dt", ["0", "-0.05"])
+    @pytest.mark.parametrize("dt", ["0", "-0.05", "nan"])
     def test_non_positive_dt_exits_2(self, dt, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(ATOM_CFG.replace("dt = 0.05", f"dt = {dt}"))
@@ -298,6 +298,36 @@ class TestFailClosed:
         assert main(["compare", "--a", str(bad), "--b", str(ref / "reference.csv"),
                      "--gate", "0.01"]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-tracking", "compare"])
+    @pytest.mark.parametrize("gate", ["nan", "inf", "0"])
+    def test_gate_option_must_be_positive_and_finite(self, command, gate,
+                                                     hubbard_cfg, tmp_path, capsys):
+        # a NaN gate would pass every residual: NaN compares false
+        a = write_harmonic_csv(tmp_path / "a.csv")
+        args = {"run-tracking": ["--config", str(hubbard_cfg),
+                                 "--out", str(tmp_path / "trk")],
+                "compare": ["--a", str(a), "--b", str(a)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--gate", gate])
+        assert exc.value.code == 2
+        assert "--gate: must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "trk").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("k_p = 100", "k_p = 100\ngate = nan", "[experiment] gate must be positive"),
+        ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
+         "[numerics] dt must be positive"),
+        ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
+         "[numerics] krylov_tol must be positive"),
+    ])
+    def test_nan_config_value_exits_2(self, old, new, message, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(HUBBARD_CFG.replace(old, new))
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_rms_exits_3(self, tmp_path, capsys):
         a = write_constant_csv(tmp_path / "a.csv", 1e308)

@@ -263,6 +263,30 @@ class TestStrictValidation:
         ("atom", "cycles = 2", "cycles = 2.5",
          "[pulse] cycles: '2.5' is not an integer"),
         ("atom", "[pulse]", "[pulse", "malformed config file"),
+        # NaN fails every comparison, so each sign rule must reject it too
+        ("atom", "omega0_au = 0.8", "wavelength_nm = nan",
+         "[pulse] wavelength_nm must be positive"),
+        ("atom", "e0_au = 0.08", "intensity_w_cm2 = nan",
+         "[pulse] intensity_w_cm2 must be nonnegative"),
+        ("atom", "omega0_au = 0.8", "omega0_au = nan", "omega0 must be positive"),
+        ("atom", "e0_au = 0.08", "e0_au = nan",
+         "[pulse] field amplitude must be nonnegative"),
+        ("atom", "ip_au = 0.579", "ip_au = nan",
+         "[reference] ionization potential must be positive"),
+        ("atom", "k_p = 50", "k_p = nan", "k_p must be nonnegative"),
+        ("atom", "k_p = 50", "k_p = 50\nepsilon = nan", "epsilon must be positive"),
+        ("atom", "k_p = 50", "k_p = 50\ngate = nan", "[experiment] gate must be positive"),
+        ("atom", "dt = 0.05", "dt = nan", "[numerics] dt must be positive"),
+        ("atom", "box_half_width = 60", "box_half_width = nan",
+         "[numerics] half_width must be positive"),
+        ("atom", "dt = 0.05", "dt = 0.05\nabsorber_exponent = nan",
+         "[numerics] exponent must be positive"),
+        ("hubbard", "sites = 2", "sites = 2\nt0_ev = nan",
+         "[lattice] t0_ev and a_angstrom must be positive"),
+        ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
+         "[numerics] dt must be positive"),
+        ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
+         "[numerics] krylov_tol must be positive"),
     ])
     def test_bad_value_is_rejected(self, tmp_path, base, old, new, message):
         text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, expm
 
+import amptrack
 from amptrack import PulseSpec, SectorMismatchError, StepSizeError, evaluate_tl_field
 from amptrack.feedback import run_open_loop
 from amptrack.lattice import (
@@ -224,6 +230,23 @@ class TestOperatorsAgainstJordanWigner:
             ManyBodyState(np.zeros((6, 5), dtype=complex), basis)
 
 
+class TestPhasedFactors:
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_equal_to_scipy_sum(self, L):
+        # the fixed-pattern factors against hop z + hop^T conj(z) by scipy
+        # sparse arithmetic, for both spins, every filling and five phases;
+        # L = 2 has forward and backward hops on the same entries
+        for n in range(L + 1):
+            ops = _operators(build_sector_basis(L, n, L - n))
+            for phi in (0.0, 0.3, -1.1, 0.5 * math.pi, 2.9):
+                hop = ops.phased(phi, 1.3, 0.0)
+                z = -1.3 * np.exp(1j * phi)
+                for got, fwd, bwd in ((hop.m_up, ops.hop_up, ops.hop_up_t),
+                                      (hop.m_down, ops.hop_down, ops.hop_down_t)):
+                    want = (fwd * z + bwd * np.conj(z)).tocsr()
+                    np.testing.assert_array_equal(got.toarray(), want.toarray())
+
+
 class TestDerivativeAndCommutator:
     def test_current_differentiates_into_kinetic_term(self):
         # d<J>/dPhi = a <H_kin>, checked by central finite difference
@@ -392,6 +415,46 @@ class TestKrylovPropagation:
         state = system.initial_state()
         stepped = system.advance(state, 0, 0.0)
         assert abs(math.sqrt(stepped.norm()) - 1.0) < 1e-10
+
+
+_THREAD_PROBE = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from amptrack import HubbardSystem, LatticeModel, ManyBodyState, PulseSpec
+
+    system = HubbardSystem(LatticeModel(t0=1.0, u=4.0, a=1.0, n_sites=10),
+                           PulseSpec(e0=2.61, omega0=4.43, cycles=1))
+    basis = system.basis
+    rng = np.random.default_rng(5)
+    shape = (basis.dim_up, basis.dim_down)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    state = ManyBodyState(psi / np.sqrt(np.sum(np.abs(psi) ** 2)), basis)
+    digest = hashlib.sha256()
+    for step in range(5):
+        obs = system.observables(state)
+        digest.update(repr(sorted(obs.items())).encode())
+        state = system.advance(state, step, 0.7)
+    digest.update(state.psi.tobytes())
+    print(digest.hexdigest())
+""")
+
+
+class TestThreadIndependence:
+    def test_ten_site_steps_do_not_depend_on_blas_threads(self):
+        # five observables + advance steps on the ten-site ring (dim 63 504)
+        # from a seeded state, hashed, in one process per BLAS thread count
+        src = str(Path(amptrack.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                 capture_output=True, text=True, timeout=600)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestReferenceRun:
