@@ -51,8 +51,7 @@ from .lattice import (
 from .feedback import (
     FeedbackConfig,
     RunRecord,
-    atom_control_field,
-    hubbard_control_field,
+    control_field,
     run_open_loop,
     run_tracking,
     tracking_residual,
@@ -62,7 +61,6 @@ from .spectral import (
     Spectrum,
     SpectrumComparison,
     compare_spectra,
-    detect_cutoff,
     detect_cutoff_order,
     harmonic_peaks,
     power_spectrum,

@@ -19,9 +19,8 @@ from .series import TimeSeries
 __all__ = [
     "FeedbackConfig",
     "RunRecord",
-    "atom_control_field",
     "check_reference",
-    "hubbard_control_field",
+    "control_field",
     "relative_rms",
     "rms",
     "run_open_loop",
@@ -53,46 +52,22 @@ class FeedbackConfig:
             raise ValueError("output_stride must be a positive integer")
 
 
-def atom_control_field(force: float, e_tl: float, y: float, k_p: float) -> float:
-    """Closed-form control for momentum tracking on the grid platform.
+def control_field(response: float, coupling: float, y: float, cfg, u_prev: float):
+    """Closed-form solve of the self-consistent control law.
 
-    Solving u = k_p [d<p>/dt - Y] with d<p>/dt = <F> - E_tl - u gives
-    u = k_p/(1+k_p) (<F> - E_tl - Y); the denominator 1+k_p never vanishes.
+    ``response`` is the system's Ehrenfest rate under the pulse alone and
+    ``coupling`` its slope in the control field, so the law
+    u = k_p (response + coupling u - y) solves to
+    u = k_p (response - y) / (1 - k_p coupling).  The coupling is -1 for
+    the atom's momentum, so that denominator never vanishes; on the ring
+    it is -a^2 <H_kin>.  When |denominator| < ``cfg.epsilon`` the rate
+    stops responding to the field: the previous control value is returned
+    with the guard flag set.
     """
-    return (k_p / (1.0 + k_p)) * (force - e_tl - y)
-
-
-def hubbard_control_field(
-    kin: float,
-    comm: float,
-    e_tl: float,
-    y: float,
-    k_p: float,
-    a: float,
-    epsilon: float,
-    u_prev: float = 0.0,
-):
-    """Closed-form control for current tracking on the lattice platform.
-
-    With the current and kinetic operators defined in `lattice`, the
-    Ehrenfest identity reads d<J>/dt = -a^2 E <H_kin> + i<[H, J]>, so the
-    self-consistent control law is
-
-        u = k_p (-a^2 E_tl <H_kin> + i<[H,J]> - Y) / (1 + k_p a^2 <H_kin>).
-
-    The coupling in both places is a squared: one power from dPhi/dt = -aE
-    and one from dJ/dPhi = a H_kin.  When |denominator| < epsilon the
-    channel is singular (the current stops responding to the field); the
-    previous control value is returned with the guard flag set.
-    """
-    c = a * a
-    denom = 1.0 + k_p * c * kin
-    if abs(denom) < epsilon:
+    denom = 1.0 - cfg.k_p * coupling
+    if abs(denom) < cfg.epsilon:
         return u_prev, True
-    u = k_p * ((-c * e_tl * kin + comm) - y) / denom
-    return u, False
-
-
+    return cfg.k_p * (response - y) / denom, False
 
 
 def rms(x: np.ndarray) -> float:
@@ -125,7 +100,8 @@ def _channel(name: str) -> property:
 
 @dataclass
 class RunRecord:
-    """Per-step channels recorded by one run of the loop, all on one grid.
+    """Per-step channels recorded by one run of the loop, on the grid
+    t = dt * arange(len(record)).
 
     ``channels`` holds the system's observables, then ``e_total``, ``u``,
     ``response``, ``y``, ``residual`` and ``guard`` (1.0 on steps where the
@@ -133,7 +109,6 @@ class RunRecord:
     response as ``y``, so its residual is zero and its gain ``k_p`` is 0.
     """
 
-    t0: float
     dt: float
     channels: dict
     k_p: float = 0.0
@@ -145,7 +120,7 @@ class RunRecord:
     residual = _channel("residual")
 
     def series(self, name: str) -> TimeSeries:
-        return TimeSeries(self.t0, self.dt, self.channels[name], label=name)
+        return TimeSeries(0.0, self.dt, self.channels[name], label=name)
 
     def __len__(self) -> int:
         first = next(iter(self.channels.values()))
@@ -181,7 +156,7 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
     u = 0.0
     for i in range(n + 1):
         obs = system.observables(psi)
-        e_tl = system.e_tl(i * system.dt)
+        e_tl = system.e_tl[i]
         if y is not None:
             u, guard_arr[i] = system.control(obs, e_tl, y[i], cfg, u)
         elif u_forced is not None:
@@ -203,7 +178,7 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
     channels["y"] = y_arr
     channels["residual"] = resp_arr - y_arr
     channels["guard"] = guard_arr
-    return RunRecord(t0=0.0, dt=system.dt, channels=channels,
+    return RunRecord(dt=system.dt, channels=channels,
                      k_p=0.0 if cfg is None else cfg.k_p)
 
 

@@ -238,7 +238,9 @@ class AtomSystem:
     Exposes the stepping/observable/control interface consumed by the
     tracking loop: momentum and core-force expectations, the closed-form
     control field, and an in-place split-operator advance with the smooth
-    pulse sampled at the step midpoint (second order in dt).
+    pulse sampled at the step midpoint (second order in dt).  The pulse
+    is tabulated once: ``e_tl`` at the grid nodes, ``_e_mid`` at the step
+    midpoints.
     """
 
     channel_names = ("p", "force")
@@ -250,6 +252,9 @@ class AtomSystem:
         self.grid = numerics.grid()
         self.dt = numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
+        steps = np.arange(self.n_steps + 1)
+        self.e_tl = evaluate_tl_field(self.dt * steps, pulse)
+        self._e_mid = evaluate_tl_field(self.dt * (steps[:-1] + 0.5), pulse)
         self._x = self.grid.x()
         self._k = self.grid.k()
         self._V = soft_coulomb_potential(self.grid, atom.alpha)
@@ -258,9 +263,6 @@ class AtomSystem:
         self._exp_k = np.exp(-0.5j * self.dt * self._k**2)
         self._mask = numerics.absorber.mask(self.grid)
         self.ground_energy = None
-
-    def e_tl(self, t: float) -> float:
-        return evaluate_tl_field(t, self.pulse)
 
     def initial_state(self) -> np.ndarray:
         psi, energy = imaginary_time_ground_state(self.grid, self._V)
@@ -287,11 +289,13 @@ class AtomSystem:
         return obs["force"] - e_total
 
     def control(self, obs, e_tl, y, cfg, u_prev):
-        u = feedback.atom_control_field(obs["force"], e_tl, y, cfg.k_p)
-        return u, False
+        # d<p>/dt falls by one for each unit of control field
+        rate = self.response(obs, e_tl)
+        return feedback.control_field(rate, -1.0, y, cfg, u_prev)
 
     def advance(self, psi: np.ndarray, step: int, u: float) -> np.ndarray:
-        e_held = evaluate_tl_field((step + 0.5) * self.dt, self.pulse) + u
+        # the pulse has compact support, so past its table the field is zero
+        e_held = (self._e_mid[step] if step < self.n_steps else 0.0) + u
         pot = self._exp_v_half * np.exp((-0.5j * self.dt * e_held) * self._x)
         psi = pot * psi
         psi = sfft.ifft(self._exp_k * sfft.fft(psi))

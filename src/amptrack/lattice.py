@@ -87,8 +87,6 @@ class SectorBasis:
     n_down: int
     states_up: np.ndarray
     states_down: np.ndarray
-    index_up: np.ndarray
-    index_down: np.ndarray
 
     @property
     def dim_up(self) -> int:
@@ -102,23 +100,6 @@ class SectorBasis:
     def dim(self) -> int:
         return self.dim_up * self.dim_down
 
-    def state_of(self, i: int) -> tuple:
-        if not 0 <= i < self.dim:
-            raise ValueError("basis index out of range")
-        iu, idn = divmod(i, self.dim_down)
-        return int(self.states_up[iu]), int(self.states_down[idn])
-
-    def lookup(self, up_bits: int, down_bits: int) -> int:
-        iu = self.index_up[up_bits] if 0 <= up_bits < self.index_up.size else -1
-        idn = (
-            self.index_down[down_bits]
-            if 0 <= down_bits < self.index_down.size
-            else -1
-        )
-        if iu < 0 or idn < 0:
-            raise ValueError("occupation pair is not in this sector")
-        return int(iu * self.dim_down + idn)
-
 
 def build_sector_basis(n_sites: int, n_up: int, n_down: int) -> SectorBasis:
     """Enumerate the (N_up, N_down) sector in ascending-bitmask order."""
@@ -127,20 +108,12 @@ def build_sector_basis(n_sites: int, n_up: int, n_down: int) -> SectorBasis:
     for n in (n_up, n_down):
         if not 0 <= n <= n_sites:
             raise ValueError("particle numbers must lie in [0, n_sites]")
-    states_up = _occupation_states(n_sites, n_up)
-    states_down = _occupation_states(n_sites, n_down)
-    index_up = np.full(1 << n_sites, -1, dtype=np.int64)
-    index_up[states_up] = np.arange(states_up.size)
-    index_down = np.full(1 << n_sites, -1, dtype=np.int64)
-    index_down[states_down] = np.arange(states_down.size)
     return SectorBasis(
         n_sites=n_sites,
         n_up=n_up,
         n_down=n_down,
-        states_up=states_up,
-        states_down=states_down,
-        index_up=index_up,
-        index_down=index_down,
+        states_up=_occupation_states(n_sites, n_up),
+        states_down=_occupation_states(n_sites, n_down),
     )
 
 
@@ -157,7 +130,6 @@ class ManyBodyState:
     psi: np.ndarray
     basis: SectorBasis
     phi: float = 0.0
-    t: float = 0.0
     u_sum: float = 0.0
 
     def __post_init__(self):
@@ -415,9 +387,9 @@ class HubbardSystem:
     """Driven Hubbard ring exposed through the shared tracking protocol.
 
     The Peierls phase is accumulated causally: the smooth pulse part by
-    the trapezoidal rule on the grid, the control part by its zero-order
-    hold.  Propagation over a step freezes the phase at the step
-    midpoint.
+    the trapezoidal rule on the ``e_tl`` table of node samples, the
+    control part by its zero-order hold.  Propagation over a step freezes
+    the phase at the step midpoint.
     """
 
     channel_names = ("current", "kinetic", "phase")
@@ -440,14 +412,10 @@ class HubbardSystem:
         self.basis = build_sector_basis(model.n_sites, n_up, n_down)
         self.dt = self.numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
-        times = 0.0 + self.dt * np.arange(self.n_steps + 1)
-        self._e_tl = evaluate_tl_field(times, pulse)
-        self._phi_smooth = cumulative_trapezoid(self._e_tl, dx=self.dt, initial=0.0)
+        self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)
+        self._phi_smooth = cumulative_trapezoid(self.e_tl, dx=self.dt, initial=0.0)
         self._c = model.a * model.a
         self.ground_energy: float | None = None
-
-    def e_tl(self, t: float) -> float:
-        return float(self._e_tl[int(round(t / self.dt))])
 
     def initial_state(self) -> ManyBodyState:
         state, energy = lanczos_ground_state(self.model, self.basis)
@@ -485,10 +453,9 @@ class HubbardSystem:
         return -self._c * e_total * obs["kinetic"] + obs["comm"]
 
     def control(self, obs, e_tl: float, y: float, cfg, u_prev: float):
-        return feedback.hubbard_control_field(
-            obs["kinetic"], obs["comm"], e_tl, y, cfg.k_p, self.model.a,
-            cfg.epsilon, u_prev,
-        )
+        # the field enters the rate through -a^2 E <H_kin>
+        rate = self.response(obs, e_tl)
+        return feedback.control_field(rate, -self._c * obs["kinetic"], y, cfg, u_prev)
 
     def advance(self, state: ManyBodyState, step: int, u: float) -> ManyBodyState:
         u_sum = state.u_sum + u
@@ -514,10 +481,4 @@ class HubbardSystem:
                 n_sub *= 2
                 if n_sub > self.numerics.max_substeps:
                     raise
-        return ManyBodyState(
-            psi,
-            self.basis,
-            phi=phi_new,
-            t=(step + 1) * self.dt,
-            u_sum=u_sum,
-        )
+        return ManyBodyState(psi, self.basis, phi=phi_new, u_sum=u_sum)

@@ -112,16 +112,16 @@ def evaluate_tl_field(t, spec: PulseSpec):
 
 def ponderomotive_energy(field: float, omega: float) -> float:
     """Cycle-averaged quiver energy Up = (F / 2 omega)^2."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     return (field / (2.0 * omega)) ** 2
 
 
 def hhg_cutoff(field: float, omega: float, ip: float) -> float:
     """Maximum emitted frequency 3.17 Up + Ip of the harmonic plateau."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
-    if ip <= 0:
+    if not ip > 0:
         raise ValueError("ip must be positive")
     return CUTOFF_SLOPE * ponderomotive_energy(field, omega) + ip
 
@@ -139,7 +139,9 @@ def hhg_matched_field(omega: float, cutoff: float, ip_new: float) -> float:
     the printed 1.12 rather than 2/sqrt(3.17), recomputing the cutoff from
     F' lands within 1% of the target rather than exactly on it.
     """
-    if cutoff < ip_new:
+    if not omega > 0:
+        raise ValueError("omega must be positive")
+    if not cutoff >= ip_new:
         raise InfeasibleTargetError(
             f"target cutoff {cutoff} below the new ionization potential {ip_new}"
         )
@@ -153,7 +155,7 @@ def ati_matched_field(omega: float, field: float, ip: float, ip_new: float) -> f
     exactly, so every n-photon peak position is preserved.
     """
     budget = ponderomotive_energy(field, omega) + ip - ip_new
-    if budget < 0:
+    if not budget >= 0:
         raise InfeasibleTargetError(
             f"Up + Ip = {ponderomotive_energy(field, omega) + ip} is below "
             f"the new ionization potential {ip_new}"

@@ -21,7 +21,6 @@ __all__ = [
     "SpectrumComparison",
     "power_spectrum",
     "harmonic_peaks",
-    "detect_cutoff",
     "detect_cutoff_order",
     "compare_spectra",
 ]
@@ -168,11 +167,6 @@ def detect_cutoff_order(
     threshold = float(np.median([p.power_db for p in plateau])) - drop_db
     above = [p.order for p in candidates if p.power_db >= threshold]
     return max(above)
-
-
-def detect_cutoff(spectrum: Spectrum, omega0: float, drop_db: float = 20.0) -> float:
-    """Cutoff frequency, i.e. the detected cutoff order times omega0."""
-    return detect_cutoff_order(spectrum, omega0, drop_db=drop_db) * omega0
 
 
 def compare_spectra(

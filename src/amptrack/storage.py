@@ -58,7 +58,7 @@ def _write_csv(path, header, columns, stride: int = 1) -> None:
 
 
 def _write_record(path, record, header, stride: int) -> None:
-    columns = [record.t0 + record.dt * np.arange(len(record))]
+    columns = [record.dt * np.arange(len(record))]
     columns += [record.channels[name] for name in header[1:]]
     _write_csv(path, header, columns, stride)
 

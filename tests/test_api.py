@@ -1,4 +1,5 @@
-"""The public surface: exported names and the call sites the benchmark traces.
+"""The public surface: exported names, the names the demos import, and the
+call sites the benchmark traces.
 
 ``perfbench/spans.py`` shims named functions and methods of the layer
 modules to time them.  Its ``TARGETS`` table is read here, never changed,
@@ -8,6 +9,7 @@ the fast suite.
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -15,7 +17,9 @@ import pytest
 
 import amptrack
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 MODULES = sorted(
     f"amptrack.{info.name}" for info in pkgutil.iter_modules(amptrack.__path__)
@@ -38,6 +42,15 @@ def test_every_exported_name_exists(module_name):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_imports_resolve(path):
+    # executes the module body (imports and constants), not ``main``
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def test_benchmark_span_targets_resolve():

@@ -224,6 +224,20 @@ class TestMatchIntensity:
                      "--cutoff", "0.7", "--ip", "1.3", "--ip-new", "1.0"]) == 2
         assert "cutoff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--mode", "hhg", "--omega", "nan", "--ip", "0.579", "--ip-new", "0.5",
+         "--field", "0.05"],
+        ["--mode", "ati", "--omega", "0.057", "--ip", "nan", "--ip-new", "0.5",
+         "--field", "0.05"],
+        ["--mode", "hhg", "--omega", "0.057", "--ip", "0.579", "--ip-new", "nan",
+         "--cutoff", "1.2"],
+        ["--mode", "hhg", "--omega", "nan", "--ip", "0.579", "--ip-new", "0.5",
+         "--cutoff", "1.2"],
+    ], ids=["hhg-omega", "ati-ip", "hhg-ip-new", "hhg-omega-cutoff"])
+    def test_nan_input_exits_2(self, args, capsys):
+        assert main(["match-intensity", *args]) == 2
+        assert "matched field" not in capsys.readouterr().out
+
 
 class TestSpectrum:
     def test_detects_synthetic_cutoff(self, tmp_path, capsys):

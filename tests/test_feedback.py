@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amptrack import AtomSpec, GridMismatchError, PulseSpec
+from amptrack import AtomSpec, GridMismatchError, PulseSpec, TimeSeries, grid
 from amptrack.feedback import (
     FeedbackConfig,
-    atom_control_field,
-    hubbard_control_field,
+    control_field,
     run_open_loop,
     run_tracking,
     tracking_residual,
 )
 from amptrack.grid import AbsorberSpec, AtomNumerics, AtomSystem
 from amptrack.lattice import HubbardSystem, LatticeModel
+from amptrack.pulses import evaluate_tl_field
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -60,76 +60,91 @@ class TestFeedbackConfig:
             FeedbackConfig(k_p=1.0, output_stride=0)
 
 
-class TestAtomControlLaw:
-    def test_zero_gain_means_zero_drive(self):
-        assert atom_control_field(1.3, 0.2, -0.4, 0.0) == 0.0
+class TestControlLaw:
+    """control_field solves u = k_p (response + coupling u - y).
+
+    The atom's coupling is -1; the ring's is -a^2 <H_kin>.
+    """
+
+    def law(self, response, coupling, y, k_p, epsilon=1e-6, u_prev=0.0):
+        return control_field(response, coupling, y,
+                             FeedbackConfig(k_p=k_p, epsilon=epsilon), u_prev)
+
+    @pytest.mark.parametrize("coupling", [-1.0, 4.0], ids=["atom", "ring"])
+    def test_zero_gain_means_zero_drive(self, coupling):
+        assert self.law(1.1, coupling, -0.4, 0.0) == (0.0, False)
 
     def test_explicit_value(self):
-        u = atom_control_field(0.5, 0.1, 0.3, 3.0)
+        u, tripped = self.law(0.5 - 0.1, -1.0, 0.3, 3.0)
+        assert not tripped
         assert u == pytest.approx(0.75 * (0.5 - 0.1 - 0.3), abs=1e-15)
 
     def test_high_gain_limit(self):
         mismatch = 0.5 - 0.1 - 0.3
-        u = atom_control_field(0.5, 0.1, 0.3, 1e12)
+        u, _ = self.law(0.5 - 0.1, -1.0, 0.3, 1e12)
         assert u == pytest.approx(mismatch, rel=1e-11)
 
+    @pytest.mark.parametrize("platform", ["atom", "ring"])
     @settings(max_examples=200, deadline=None)
-    @given(force=finite, e_tl=finite, y=finite, k_p=st.floats(0.0, 1e6))
-    def test_self_consistency(self, force, e_tl, y, k_p):
-        # u solves u = k_p [(force - e_tl - u) - y]
-        u = atom_control_field(force, e_tl, y, k_p)
-        assert u == pytest.approx(k_p * ((force - e_tl - u) - y), abs=1e-6)
-
-
-class TestHubbardControlLaw:
-    EPSILON = FeedbackConfig(k_p=0.0).epsilon
-
-    def test_zero_gain_means_zero_drive(self):
-        u, tripped = hubbard_control_field(-4.0, 0.2, 0.5, 0.1, 0.0, 1.0,
-                                           self.EPSILON)
-        assert u == 0.0 and not tripped
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        kin=st.floats(-15.0, -0.5),
-        comm=finite,
-        e_tl=finite,
-        y=finite,
-        k_p=st.floats(0.0, 1e4),
-        a=st.floats(0.3, 3.0),
-    )
-    def test_self_consistency(self, kin, comm, e_tl, y, k_p, a):
-        # u solves u = k_p [(-a^2 (e_tl + u) kin + comm) - y] away from the
-        # singular denominator
-        c = a * a
-        if abs(1.0 + k_p * c * kin) < 1e-3:
+    @given(data=st.data(), rest=finite, e_tl=finite, y=finite)
+    def test_self_consistency(self, platform, data, rest, e_tl, y):
+        # the rate under the pulse is coupling e_tl + rest, where rest is
+        # <F> on the atom and i<[H, J]> on the ring
+        if platform == "atom":
+            coupling, k_max, tol = -1.0, 1e6, 1e-6
+        else:
+            kin = data.draw(st.floats(-15.0, -0.5))
+            a = data.draw(st.floats(0.3, 3.0))
+            coupling, k_max, tol = -a * a * kin, 1e4, 2e-5
+        k_p = data.draw(st.floats(0.0, k_max))
+        # away from the singular denominator
+        if abs(1.0 - k_p * coupling) < 1e-3:
             return
-        u, tripped = hubbard_control_field(kin, comm, e_tl, y, k_p, a,
-                                           self.EPSILON)
+        u, tripped = self.law(coupling * e_tl + rest, coupling, y, k_p)
         assert not tripped
-        assert u == pytest.approx(
-            k_p * ((-c * (e_tl + u) * kin + comm) - y), abs=2e-5
-        )
+        assert u == pytest.approx(k_p * (coupling * (e_tl + u) + rest - y), abs=tol)
 
     def test_guard_holds_previous_value(self):
-        k_p, a = 10.0, 1.0
-        kin = -1.0 / (k_p * a * a)  # denominator exactly zero
-        u, tripped = hubbard_control_field(kin, 0.3, 0.2, 0.1, k_p, a,
-                                           self.EPSILON, u_prev=0.77)
+        k_p = 10.0
+        coupling = 1.0 / k_p  # denominator exactly zero
+        u, tripped = self.law(0.3, coupling, 0.1, k_p, u_prev=0.77)
         assert tripped and u == 0.77
 
     def test_near_singular_trips_within_epsilon(self):
-        k_p, a = 10.0, 1.0
-        kin = (-1.0 + 5e-4) / (k_p * a * a)
-        _, tripped = hubbard_control_field(kin, 0.0, 0.0, 0.0, k_p, a, 1e-3)
+        k_p = 10.0
+        coupling = (1.0 - 5e-4) / k_p
+        _, tripped = self.law(0.0, coupling, 0.0, k_p, epsilon=1e-3)
         assert tripped
 
-    def test_vanishing_kinetic_energy_needs_no_guard(self):
-        # kin = 0 leaves a unit denominator, so u = k_p (comm - y) directly
-        u, tripped = hubbard_control_field(0.0, 0.4, 0.9, 0.15, 120.0, 1.7,
-                                           self.EPSILON)
+    def test_zero_coupling_needs_no_guard(self):
+        # a ring with <H_kin> = 0 has a unit denominator: u = k_p (response - y)
+        u, tripped = self.law(0.4, 0.0, 0.15, 120.0)
         assert not tripped
         assert u == pytest.approx(120.0 * (0.4 - 0.15), rel=1e-14)
+
+
+class TestPulseTable:
+    def test_atom_evaluates_the_pulse_once_per_table(self, monkeypatch):
+        # the node and midpoint tables are built at construction, so the
+        # call count does not grow with the number of steps
+        calls = []
+
+        def counting(t, spec):
+            calls.append(t)
+            return evaluate_tl_field(t, spec)
+
+        monkeypatch.setattr(grid, "evaluate_tl_field", counting)
+        atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
+        counts = {}
+        for cycles in (1, 2):
+            calls.clear()
+            system = AtomSystem(atom, PulseSpec(e0=0.08, omega0=0.8, cycles=cycles),
+                                small_atom_numerics())
+            zero = TimeSeries(0.0, system.dt, np.zeros(system.n_steps + 1))
+            run_tracking(system, zero, FeedbackConfig(k_p=10.0))
+            counts[system.n_steps] = len(calls)
+        assert len(counts) == 2
+        assert set(counts.values()) == {2}
 
 
 class TestTrackingResidual:

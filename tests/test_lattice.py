@@ -99,8 +99,9 @@ def jw_sector_parts(L, basis):
             K += cdag[l + spin_offset] @ c[j + spin_offset]
         W += cdag[j] @ c[j] @ cdag[j + L] @ c[j + L]
     cols = [
-        up | (down << L)
-        for up, down in (basis.state_of(i) for i in range(basis.dim))
+        int(basis.states_up[i // basis.dim_down])
+        | (int(basis.states_down[i % basis.dim_down]) << L)
+        for i in range(basis.dim)
     ]
     return K[np.ix_(cols, cols)], W[np.ix_(cols, cols)]
 
@@ -136,12 +137,6 @@ class TestSectorBasis:
     def test_dimensions(self, L, n_up, n_down, dim):
         assert build_sector_basis(L, n_up, n_down).dim == dim
 
-    def test_lookup_round_trip(self):
-        for basis in (build_sector_basis(4, 2, 2), build_sector_basis(3, 2, 1)):
-            for i in range(basis.dim):
-                up, down = basis.state_of(i)
-                assert basis.lookup(up, down) == i
-
     def test_ordering_is_ascending_bitmasks(self):
         basis = build_sector_basis(5, 2, 3)
         assert np.all(np.diff(basis.states_up) > 0)
@@ -152,11 +147,6 @@ class TestSectorBasis:
             build_sector_basis(4, 5, 2)
         with pytest.raises(ValueError):
             build_sector_basis(4, -1, 2)
-
-    def test_lookup_rejects_foreign_state(self):
-        basis = build_sector_basis(4, 2, 2)
-        with pytest.raises(ValueError):
-            basis.lookup(0b0001, 0b0011)
 
 
 class TestOperatorsAgainstJordanWigner:
@@ -195,8 +185,9 @@ class TestOperatorsAgainstJordanWigner:
         H = module_dense(basis, model, 0.0)
         diag = np.real(np.diag(H))
         occ = [
-            bin(up & down).count("1")
-            for up, down in (basis.state_of(i) for i in range(basis.dim))
+            bin(int(basis.states_up[i // basis.dim_down])
+                & int(basis.states_down[i % basis.dim_down])).count("1")
+            for i in range(basis.dim)
         ]
         np.testing.assert_allclose(diag, 5.0 * np.array(occ), atol=1e-12)
 

@@ -7,7 +7,6 @@ from amptrack import DetectionError, TimeSeries
 from amptrack.spectral import (
     Spectrum,
     compare_spectra,
-    detect_cutoff,
     detect_cutoff_order,
     harmonic_peaks,
     power_spectrum,
@@ -83,7 +82,7 @@ class TestCutoffDetection:
     def test_hard_comb_cutoff(self):
         series = comb_series(odd_orders=range(3, 23, 2))
         spec = power_spectrum(series, window="hann")
-        assert detect_cutoff(spec, 1.0) == pytest.approx(21.0)
+        assert detect_cutoff_order(spec, 1.0) * 1.0 == pytest.approx(21.0)
 
     def test_drop_threshold_is_configurable(self):
         # one weak line 25 dB below the plateau, past the hard comb
@@ -104,12 +103,12 @@ class TestCutoffDetection:
         t = 0.05 * np.arange(937)
         spec = power_spectrum(make_series(np.cos(1.37 * t), dt=0.05), window="hann")
         with pytest.raises(DetectionError):
-            detect_cutoff(spec, 1.37)
+            detect_cutoff_order(spec, 1.37) * 1.37
 
     def test_noise_free_flat_input_raises(self):
         spec = power_spectrum(make_series(np.ones(512), dt=0.05), window="none")
         with pytest.raises(DetectionError):
-            detect_cutoff(spec, 1.0)
+            detect_cutoff_order(spec, 1.0) * 1.0
 
     def test_peak_table_flags_interior_maxima(self):
         series = comb_series(odd_orders=(3, 5, 7))

@@ -14,7 +14,7 @@ def reference_record(n=7, platform="atom"):
     channels = {name: rng.normal(size=n) for name in names}
     channels["e_total"] = rng.normal(size=n)
     channels["y"] = rng.normal(size=n)
-    return RunRecord(t0=0.0, dt=0.05, channels=channels)
+    return RunRecord(dt=0.05, channels=channels)
 
 
 def tracking_record(n=9):
@@ -24,7 +24,7 @@ def tracking_record(n=9):
     channels["residual"] = channels["response"] - channels["y"]
     channels["guard"] = np.zeros(n)
     channels["guard"][[2, 5]] = 1.0
-    return RunRecord(t0=0.0, dt=0.01, channels=channels, k_p=10.0)
+    return RunRecord(dt=0.01, channels=channels, k_p=10.0)
 
 
 class TestReferenceCsv:
