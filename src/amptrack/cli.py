@@ -152,6 +152,11 @@ def cmd_run_tracking(args) -> int:
 
 
 def cmd_match_intensity(args) -> int:
+    for name in ("omega", "ip", "ip_new", "field", "cutoff"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.mode == "hhg":
         if args.cutoff is not None:
             cutoff = args.cutoff

@@ -159,6 +159,11 @@ def imaginary_time_ground_state(
     return psi, energy
 
 
+def _softening_slope(grid: Grid1D, alpha: float) -> np.ndarray:
+    """dV/dalpha = alpha / (x^2 + alpha^2)^(3/2), the integrand of dE0/dalpha."""
+    return alpha / (grid.x() ** 2 + alpha**2) ** 1.5
+
+
 def calibrate_softening(
     target_ip: float,
     grid: Grid1D,
@@ -169,15 +174,22 @@ def calibrate_softening(
 ) -> float:
     """Softening alpha whose ground state binds with |E0| = target_ip.
 
-    Bisection on alpha; the ground energy is monotone increasing in alpha,
-    so |E0| is monotone decreasing.  Tolerance is on the energy, not alpha.
+    Safeguarded Newton, started at the middle of [lo, hi].  The slope is
+    exact by Hellmann-Feynman, dE0/dalpha = <dV/dalpha>, a sum over the
+    ground state each solve returns.  Steps are taken in 1/alpha, in which
+    E0 is close to linear (E0 -> -1/alpha for wide softening).  E0 rises
+    with alpha, so the sign of each residual shrinks a bracket.  A step
+    that leaves the bracket makes the solver check, once, that the edge it
+    crossed brackets the target, and then bisect.  Tolerance is on the
+    energy, not alpha.
     """
     if not 0.2 < target_ip < 2.0:
         raise ValueError("target ionization potential must lie in (0.2, 2.0)")
 
     guess = None
 
-    def binding(alpha: float) -> float:
+    def residual(alpha: float):
+        """(|E0| - target_ip, dE0/dalpha) at this softening."""
         nonlocal guess
         guess, energy = imaginary_time_ground_state(
             grid,
@@ -185,24 +197,39 @@ def calibrate_softening(
             dtau_schedule=(0.1, 0.02, 0.005),
             psi0=guess,
         )
-        return -energy
+        slope = np.sum(np.abs(guess) ** 2 * _softening_slope(grid, alpha)) * grid.dx
+        return -energy - target_ip, float(slope)
 
-    f_lo = binding(lo) - target_ip
-    f_hi = binding(hi) - target_ip
-    if not (f_lo > 0 > f_hi):
-        raise CalibrationError(
-            f"interval [{lo}, {hi}] does not bracket Ip={target_ip}"
-        )
+    # the residual falls with alpha: it is positive at a, negative at b
+    a, b = lo, hi
+    unchecked = {lo, hi}
+    alpha = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = binding(mid) - target_ip
-        if abs(f_mid) < tol:
-            return mid
-        if f_mid > 0:
-            lo = mid
+        f, slope = residual(alpha)
+        if abs(f) < tol:
+            return alpha
+        if f > 0:
+            a = alpha
         else:
-            hi = mid
-    raise CalibrationError("bisection exhausted its iteration budget")
+            b = alpha
+        # Newton in 1/alpha; a step past 1/alpha = 0 leaves through b
+        shrink = 1.0 - f / (alpha * slope)
+        step = alpha / shrink if shrink > 0 else math.inf
+        if a < step < b:
+            alpha = step
+            continue
+        edge = a if step <= a else b
+        if edge in unchecked:
+            unchecked.remove(edge)
+            f_edge, _ = residual(edge)
+            if abs(f_edge) < tol:
+                return edge
+            if not (f_edge > 0 if edge == lo else f_edge < 0):
+                raise CalibrationError(
+                    f"interval [{lo}, {hi}] does not bracket Ip={target_ip}"
+                )
+        alpha = 0.5 * (a + b)
+    raise CalibrationError("calibration exhausted its iteration budget")
 
 
 def atom_for_ip(target_ip: float, grid: Grid1D) -> AtomSpec:
@@ -255,12 +282,19 @@ class AtomSystem:
         steps = np.arange(self.n_steps + 1)
         self.e_tl = evaluate_tl_field(self.dt * steps, pulse)
         self._e_mid = evaluate_tl_field(self.dt * (steps[:-1] + 0.5), pulse)
-        self._x = self.grid.x()
-        self._k = self.grid.k()
+        # x_j = x[m r] + dx c for j = m r + c, so exp(s x) is the outer
+        # product of exp(s x[::m]) and exp(s dx c): two short exponentials
+        n = self.grid.n_points
+        m = 1 << (n.bit_length() // 2)
+        self._x_rows = self.grid.x()[::m]
+        self._x_cols = self.grid.dx * np.arange(m)
+        k = self.grid.k()
         self._V = soft_coulomb_potential(self.grid, atom.alpha)
-        self._force = soft_coulomb_force(self.grid, atom.alpha)
+        # k and the force, each value twice, against the float view of a state
+        self._k_pairs = np.repeat(k, 2)
+        self._force_pairs = np.repeat(soft_coulomb_force(self.grid, atom.alpha), 2)
         self._exp_v_half = np.exp(-0.5j * self.dt * self._V)
-        self._exp_k = np.exp(-0.5j * self.dt * self._k**2)
+        self._exp_k = np.exp(-0.5j * self.dt * k**2)
         self._mask = numerics.absorber.mask(self.grid)
         self.ground_energy = None
 
@@ -278,11 +312,13 @@ class AtomSystem:
 
     def observables(self, psi: np.ndarray) -> dict:
         dx, n = self.grid.dx, self.grid.n_points
-        phi = sfft.fft(psi)
-        p = np.sum(self._k * (phi.conj() * phi)) * dx / n
-        assert abs(p.imag) < 1e-10
-        force = np.sum(np.abs(psi) ** 2 * self._force) * dx
-        return {"p": float(p.real), "force": float(force)}
+        # sum k |phi|^2 and F |psi|^2 over the float views, BLAS-free
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        phi = sfft.fft(psi).view(float)
+        p = np.einsum("i,i,i->", self._k_pairs, phi, phi) * dx / n
+        psi = psi.view(float)
+        force = np.einsum("i,i,i->", self._force_pairs, psi, psi) * dx
+        return {"p": float(p), "force": float(force)}
 
     def response(self, obs: dict, e_total: float) -> float:
         # d<p>/dt from the Ehrenfest identity, no differentiation
@@ -296,9 +332,13 @@ class AtomSystem:
     def advance(self, psi: np.ndarray, step: int, u: float) -> np.ndarray:
         # the pulse has compact support, so past its table the field is zero
         e_held = (self._e_mid[step] if step < self.n_steps else 0.0) + u
-        pot = self._exp_v_half * np.exp((-0.5j * self.dt * e_held) * self._x)
-        psi = pot * psi
-        psi = sfft.ifft(self._exp_k * sfft.fft(psi))
+        s = -0.5j * self.dt * e_held
+        pot = (np.exp(s * self._x_rows)[:, None] * np.exp(s * self._x_cols)).ravel()
+        pot *= self._exp_v_half
+        # pot * psi is a fresh array, so the FFTs may overwrite it; psi is not
+        phi = sfft.fft(pot * psi, overwrite_x=True)
+        phi *= self._exp_k
+        psi = sfft.ifft(phi, overwrite_x=True)
         psi *= pot
         if self._mask is not None:
             psi *= self._mask

@@ -238,6 +238,24 @@ class TestMatchIntensity:
         assert main(["match-intensity", *args]) == 2
         assert "matched field" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["--mode", "hhg", "--omega", "inf", "--ip", "0.579", "--ip-new", "0.5",
+         "--field", "0.05"],
+        ["--mode", "ati", "--omega", "0.057", "--ip", "0.579", "--ip-new", "0.5",
+         "--field", "inf"],
+        ["--mode", "hhg", "--omega", "0.057", "--ip", "inf", "--ip-new", "0.5",
+         "--field", "0.05"],
+        ["--mode", "hhg", "--omega", "0.057", "--ip", "0.579", "--ip-new", "0.5",
+         "--cutoff", "inf"],
+        ["--mode", "ati", "--omega", "0.057", "--ip", "0.579", "--ip-new=-inf",
+         "--field", "0.05"],
+    ], ids=["hhg-omega", "ati-field", "hhg-ip", "hhg-cutoff", "ati-ip-new"])
+    def test_infinite_input_exits_2(self, args, capsys):
+        assert main(["match-intensity", *args]) == 2
+        captured = capsys.readouterr()
+        assert "matched field" not in captured.out
+        assert "must be finite" in captured.err
+
 
 class TestSpectrum:
     def test_detects_synthetic_cutoff(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from amptrack import (
     evaluate_tl_field,
     run_open_loop,
 )
+from amptrack import grid as grid_module
 from amptrack.grid import (
     AbsorberSpec,
     AtomNumerics,
@@ -20,7 +21,9 @@ from amptrack.grid import (
     Grid1D,
     calibrate_softening,
     expect_energy,
+    _softening_slope,
     imaginary_time_ground_state,
+    soft_coulomb_force,
     soft_coulomb_potential,
 )
 
@@ -210,6 +213,37 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_softening(0.3, grid, lo=0.1, hi=0.2)
 
+    def test_target_too_deep_for_interval(self):
+        grid = Grid1D(100.0, 1024)
+        with pytest.raises(CalibrationError):
+            calibrate_softening(1.5, grid, lo=1.0, hi=6.0)
+
+    def test_few_ground_state_solves(self, monkeypatch):
+        calls = []
+        solve = grid_module.imaginary_time_ground_state
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "imaginary_time_ground_state", counted)
+        calibrate_softening(0.5, Grid1D(100.0, 1024))
+        assert len(calls) <= 6
+
+    def test_slope_is_hellmann_feynman(self):
+        # dE0/dalpha by central difference against <dV/dalpha>, the slope
+        # the Newton steps use
+        grid = Grid1D(100.0, 1024)
+        alpha, h = 1.2, 1e-3
+
+        def ground(a):
+            return imaginary_time_ground_state(grid, soft_coulomb_potential(grid, a))
+
+        psi, _ = ground(alpha)
+        slope = np.sum(np.abs(psi) ** 2 * _softening_slope(grid, alpha)) * grid.dx
+        central = (ground(alpha + h)[1] - ground(alpha - h)[1]) / (2 * h)
+        assert slope == pytest.approx(central, abs=1e-5)
+
 
 class TestSplitOperator:
     def test_eigenstate_acquires_only_a_phase(self):
@@ -283,6 +317,45 @@ class TestSplitOperator:
         e1, e2 = quantum_error(0.04), quantum_error(0.02)
         assert e1 < 1e-3
         assert e1 / e2 > 3.5
+
+    @pytest.mark.parametrize("n_points", [512, 1024])
+    def test_step_and_observables_match_direct_split_step(self, n_points):
+        # 512 points is not a square, so the phase's two factors differ in length
+        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        pulse = PulseSpec(e0=0.1, omega0=0.3, cycles=2)
+        system = AtomSystem(atom, pulse, AtomNumerics(60.0, n_points, 0.05))
+        grid, dt = system.grid, system.dt
+        x, k = grid.x(), grid.k()
+        V = soft_coulomb_potential(grid, SQRT2)
+        force = soft_coulomb_force(grid, SQRT2)
+        mask = AbsorberSpec().mask(grid)
+
+        def direct_step(psi, step, u):
+            pot = np.exp(-0.5j * dt * V) * np.exp(
+                -0.5j * dt * (system._e_mid[step] + u) * x
+            )
+            psi = sfft.ifft(np.exp(-0.5j * dt * k**2) * sfft.fft(pot * psi))
+            return pot * psi * mask
+
+        psi = gaussian_state(grid, x0=3.0, k0=0.7)
+        for step in range(40):
+            psi = direct_step(psi, step, 0.2)
+        got, want = system.advance(psi, 40, -0.3), direct_step(psi, 40, -0.3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        phi = sfft.fft(psi)
+        p = np.real(np.sum(k * np.conj(phi) * phi)) * grid.dx / n_points
+        f = np.sum(force * np.abs(psi) ** 2) * grid.dx
+        obs = system.observables(psi)
+        assert obs["p"] == pytest.approx(p, rel=1e-13)
+        assert obs["force"] == pytest.approx(f, rel=1e-13)
+
+    def test_advance_leaves_its_input_unchanged(self):
+        system = field_free_atom(30.0, 256)
+        psi = gaussian_state(system.grid, x0=1.0, k0=0.3)
+        before = psi.copy()
+        system.advance(psi, 0, 0.1)
+        np.testing.assert_array_equal(psi, before)
 
     def test_absorber_mask_shape(self):
         grid = Grid1D(100.0, 1024)
