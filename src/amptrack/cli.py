@@ -69,9 +69,9 @@ def _gate(residual: float, gate) -> int:
     return EXIT_OK
 
 
-def _gate_arg(text: str) -> float:
-    """``--gate``: a positive finite number, as the config's ``gate``; argparse
-    turns the error into exit 2."""
+def _positive_finite(text: str) -> float:
+    """A positive finite number, for ``--gate`` (as the config's ``gate``),
+    ``--omega0`` and ``--drop-db``; argparse turns the error into exit 2."""
     try:
         value = float(text)
     except ValueError:
@@ -81,13 +81,10 @@ def _gate_arg(text: str) -> float:
     return value
 
 
-def _reference_summary(system, record, platform: str) -> dict:
-    summary = {
-        "n_steps": len(record) - 1,
-        "dt": record.dt,
-        "ground_energy": system.ground_energy,
-        "y_rms": rms(record.channels["y"]),
-    }
+def _summary(system, platform: str, **scalars) -> dict:
+    """A run's summary scalars plus its system's ground energy and, on the
+    atom, its calibrated softening."""
+    summary = dict(scalars, ground_energy=system.ground_energy)
     if platform == "atom":
         summary["softening_alpha"] = system.atom.alpha
     return summary
@@ -102,7 +99,8 @@ def cmd_run_reference(args) -> int:
     storage.write_reference_csv(out / "reference.csv", record, cfg.platform, stride)
     meta = _metadata(
         cfg, "run-reference",
-        _reference_summary(system, record, cfg.platform),
+        _summary(system, cfg.platform, n_steps=len(record) - 1, dt=record.dt,
+                 y_rms=rms(record.channels["y"])),
         storage.REFERENCE_COLUMNS[cfg.platform],
     )
     storage.write_metadata(out / "metadata.json", meta)
@@ -134,14 +132,14 @@ def cmd_run_tracking(args) -> int:
         out / "tracking.csv", result, cfg.platform, cfg.feedback.output_stride
     )
     residual_kind = "absolute" if result.absolute_rms else "relative"
-    summary = {
-        "rms_residual": result.rms_relative,
-        "residual_kind": residual_kind,
-        "guard_trip_count": int(result.guard_trips.size),
-        "k_p": result.k_p,
-        "gate": gate,
-        "ground_energy": system.ground_energy,
-    }
+    summary = _summary(
+        system, cfg.platform,
+        rms_residual=result.rms_relative,
+        residual_kind=residual_kind,
+        guard_trip_count=int(result.guard_trips.size),
+        k_p=result.k_p,
+        gate=gate,
+    )
     meta = _metadata(cfg, "run-tracking", summary,
                      storage.TRACKING_COLUMNS[cfg.platform])
     storage.write_metadata(out / "metadata.json", meta)
@@ -254,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--out", required=True)
     trk.add_argument("--reference", default=None,
                      help="reference.csv to track; omitted: run it in-process")
-    trk.add_argument("--gate", type=_gate_arg, default=None,
+    trk.add_argument("--gate", type=_positive_finite, default=None,
                      help="fail (exit 4) if the rms residual exceeds this")
     trk.set_defaults(func=cmd_run_tracking)
 
@@ -273,21 +271,23 @@ def _build_parser() -> argparse.ArgumentParser:
     spe = sub.add_parser("spectrum", help="power spectrum and cutoff of a run")
     spe.add_argument("--in", required=True, dest="input")
     spe.add_argument("--out", required=True)
-    spe.add_argument("--omega0", required=True, type=float)
+    spe.add_argument("--omega0", required=True, type=_positive_finite)
     spe.add_argument("--column", default="y")
     spe.add_argument("--window", default="hann", choices=("hann", "none"))
-    spe.add_argument("--drop-db", type=float, default=20.0, dest="drop_db")
+    spe.add_argument("--drop-db", type=_positive_finite, default=20.0,
+                     dest="drop_db")
     spe.set_defaults(func=cmd_spectrum)
 
     cmp_ = sub.add_parser("compare", help="residual and spectral comparison")
     cmp_.add_argument("--a", required=True)
     cmp_.add_argument("--b", required=True)
     cmp_.add_argument("--column", default="y")
-    cmp_.add_argument("--omega0", type=float, default=None,
+    cmp_.add_argument("--omega0", type=_positive_finite, default=None,
                       help="carrier frequency; enables the spectral comparison")
     cmp_.add_argument("--window", default="hann", choices=("hann", "none"))
-    cmp_.add_argument("--drop-db", type=float, default=20.0, dest="drop_db")
-    cmp_.add_argument("--gate", type=_gate_arg, default=None)
+    cmp_.add_argument("--drop-db", type=_positive_finite, default=20.0,
+                      dest="drop_db")
+    cmp_.add_argument("--gate", type=_positive_finite, default=None)
     cmp_.add_argument("--json", action="store_true")
     cmp_.set_defaults(func=cmd_compare)
     return parser

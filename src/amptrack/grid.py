@@ -109,19 +109,21 @@ def expect_energy(psi: np.ndarray, grid: Grid1D, V: np.ndarray) -> float:
     return kin + float(np.sum(np.abs(psi) ** 2 * V) * grid.dx)
 
 
+# the step is lowered through the schedule so that the Trotter bias of
+# the last fixed point sits far below the calibration's 1e-4 tolerance
+_DTAU_SCHEDULE = (0.1, 0.02, 0.005)
+_ENERGY_TOL = 1e-12     # relative energy change per step that ends a stage
+_MAX_STEPS = 200_000    # steps per stage before a ConvergenceError
+
+
 def imaginary_time_ground_state(
-    grid: Grid1D,
-    V: np.ndarray,
-    dtau_schedule: tuple = (0.1, 0.02, 0.005, 0.002),
-    tol: float = 1e-12,
-    max_iter: int = 200000,
-    psi0: np.ndarray | None = None,
+    grid: Grid1D, V: np.ndarray, psi0: np.ndarray | None = None
 ):
     """Relax to the ground state of K + V by split-step imaginary time.
 
-    The step size is lowered through ``dtau_schedule`` so the Trotter bias
-    of the final fixed point sits far below ``tol``.  Convergence is a
-    relative Rayleigh-quotient change below ``tol`` per step.
+    The step size is lowered through ``_DTAU_SCHEDULE``; each stage ends
+    when the Rayleigh quotient changes by less than ``_ENERGY_TOL``
+    (relative) in one step.  ``psi0`` warm-starts the relaxation.
 
     Returns (psi, energy).
     """
@@ -134,11 +136,11 @@ def imaginary_time_ground_state(
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx)
 
     energy = None
-    for dtau in dtau_schedule:
+    for dtau in _DTAU_SCHEDULE:
         exp_k = np.exp(-0.5 * k2 * dtau)
         exp_v = np.exp(-0.5 * V * dtau)
         previous = None
-        for _ in range(max_iter):
+        for _ in range(_MAX_STEPS):
             psi = exp_v * psi
             psi = sfft.ifft(exp_k * sfft.fft(psi))
             psi = exp_v * psi
@@ -146,8 +148,8 @@ def imaginary_time_ground_state(
             energy = _kinetic_energy(psi, k2, dx, n) + float(
                 np.sum(np.abs(psi) ** 2 * V) * dx
             )
-            if previous is not None and abs(energy - previous) < tol * max(
-                1.0, abs(energy)
+            if previous is not None and abs(energy - previous) < (
+                _ENERGY_TOL * max(1.0, abs(energy))
             ):
                 break
             previous = energy
@@ -164,13 +166,13 @@ def _softening_slope(grid: Grid1D, alpha: float) -> np.ndarray:
     return alpha / (grid.x() ** 2 + alpha**2) ** 1.5
 
 
+# |E0| - target_ip that ends the calibration, and its solve budget
+_CALIBRATION_TOL = 1e-4
+_CALIBRATION_MAX_ITER = 80
+
+
 def calibrate_softening(
-    target_ip: float,
-    grid: Grid1D,
-    lo: float = 0.1,
-    hi: float = 6.0,
-    tol: float = 1e-4,
-    max_iter: int = 80,
+    target_ip: float, grid: Grid1D, lo: float = 0.1, hi: float = 6.0
 ) -> float:
     """Softening alpha whose ground state binds with |E0| = target_ip.
 
@@ -192,10 +194,7 @@ def calibrate_softening(
         """(|E0| - target_ip, dE0/dalpha) at this softening."""
         nonlocal guess
         guess, energy = imaginary_time_ground_state(
-            grid,
-            soft_coulomb_potential(grid, alpha),
-            dtau_schedule=(0.1, 0.02, 0.005),
-            psi0=guess,
+            grid, soft_coulomb_potential(grid, alpha), psi0=guess
         )
         slope = np.sum(np.abs(guess) ** 2 * _softening_slope(grid, alpha)) * grid.dx
         return -energy - target_ip, float(slope)
@@ -204,9 +203,9 @@ def calibrate_softening(
     a, b = lo, hi
     unchecked = {lo, hi}
     alpha = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATION_MAX_ITER):
         f, slope = residual(alpha)
-        if abs(f) < tol:
+        if abs(f) < _CALIBRATION_TOL:
             return alpha
         if f > 0:
             a = alpha
@@ -222,7 +221,7 @@ def calibrate_softening(
         if edge in unchecked:
             unchecked.remove(edge)
             f_edge, _ = residual(edge)
-            if abs(f_edge) < tol:
+            if abs(f_edge) < _CALIBRATION_TOL:
                 return edge
             if not (f_edge > 0 if edge == lo else f_edge < 0):
                 raise CalibrationError(

@@ -18,13 +18,12 @@ the current is d<J>/dt = -a^2 E <H_kin> + i<[H, J]>.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import feedback
 from .exceptions import ConvergenceError, SectorMismatchError, StepSizeError
@@ -248,57 +247,6 @@ def _operators(basis: SectorBasis) -> _SectorOperators:
     return ops
 
 
-def _dense_hamiltonian(hop: _PhasedHamiltonian, basis: SectorBasis):
-    du, dd = basis.dim_up, basis.dim_down
-    columns = np.eye(basis.dim, dtype=complex)
-    out = np.empty((basis.dim, basis.dim), dtype=complex)
-    for c in range(basis.dim):
-        out[:, c] = hop.apply(columns[:, c].reshape(du, dd)).ravel()
-    return out
-
-
-def lanczos_ground_state(
-    model: LatticeModel,
-    basis: SectorBasis,
-    phi: float = 0.0,
-    tol: float = 1e-10,
-) -> tuple:
-    """Ground state of H(phi) in the sector, with its energy.
-
-    Deterministic: the iteration is seeded with a fixed random start
-    vector.  The converged pair must satisfy ||H psi - E psi|| < 1e-8 or a
-    ConvergenceError carrying the residual is raised.
-    """
-    if model.n_sites != basis.n_sites:
-        raise SectorMismatchError("basis and model disagree on the site count")
-    hop = _operators(basis).phased(phi, model.t0, model.u)
-    du, dd = basis.dim_up, basis.dim_down
-    if basis.dim < 8:
-        dense = _dense_hamiltonian(hop, basis)
-        evals, evecs = eigh(dense)
-        energy, vec = float(evals[0]), evecs[:, 0]
-    else:
-        matvec = lambda v: hop.apply(v.reshape(du, dd)).ravel()
-        op = LinearOperator((basis.dim, basis.dim), matvec=matvec, dtype=complex)
-        rng = np.random.default_rng(_GROUND_STATE_SEED)
-        v0 = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        try:
-            evals, evecs = eigsh(op, k=1, which="SA", v0=v0, tol=tol, maxiter=5000)
-        except Exception as exc:
-            raise ConvergenceError(f"ground-state iteration failed: {exc}") from exc
-        energy, vec = float(evals[0]), evecs[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    j = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.conj(vec[j]) / abs(vec[j]))
-    psi = vec.reshape(du, dd)
-    residual = float(np.linalg.norm(hop.apply(psi) - energy * psi))
-    if residual > 1e-8:
-        raise ConvergenceError(
-            f"ground-state residual {residual:.3e} above 1e-8", residual=residual
-        )
-    return ManyBodyState(psi, basis, phi=phi), energy
-
-
 def _real_vdot(a: np.ndarray, b: np.ndarray) -> float:
     """Re <a|b> for two complex arrays of one shape.
 
@@ -310,6 +258,89 @@ def _real_vdot(a: np.ndarray, b: np.ndarray) -> float:
                            b.reshape(-1).view(float)))
 
 
+def _lanczos(V: np.ndarray, hop: _PhasedHamiltonian, shape: tuple):
+    """Three-term Lanczos recurrence from the unit vector V[0].
+
+    Yields after each step the tridiagonal coefficients so far (alphas,
+    betas) and beta, the norm of the new residual.  Resuming fills the
+    next row of V with the normalized residual; after the last row the
+    generator stops without touching the coefficients.  There is no
+    reorthogonalization.  Every state-sized operation is a numpy ufunc or
+    ``_real_vdot``, never BLAS.
+    """
+    scratch = np.empty_like(V[0])
+    alphas: list = []
+    betas: list = []
+    for m in range(len(V)):
+        w = hop.apply(V[m].reshape(shape)).ravel()
+        alpha = _real_vdot(V[m], w)
+        np.subtract(w, np.multiply(V[m], alpha, out=scratch), out=w)
+        if m > 0:
+            np.subtract(w, np.multiply(V[m - 1], betas[-1], out=scratch), out=w)
+        alphas.append(alpha)
+        beta = math.sqrt(_real_vdot(w, w))
+        yield alphas, betas, beta
+        if m + 1 < len(V):
+            betas.append(beta)
+            np.divide(w, beta, out=V[m + 1])
+
+
+def _combine(V: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_k coeff[k] V[k] over the first len(coeff) rows of V."""
+    out = np.multiply(V[0], coeff[0])
+    scratch = np.empty_like(out)
+    for k in range(1, len(coeff)):
+        out += np.multiply(V[k], coeff[k], out=scratch)
+    return out
+
+
+# restarted Lanczos for the ground state: steps per restart (ARPACK's
+# default ncv), restart budget, and the residual that ends the iteration
+_RESTART_DIM = 20
+_MAX_RESTARTS = 100
+_GROUND_STATE_TOL = 1e-10
+
+
+def lanczos_ground_state(model: LatticeModel, basis: SectorBasis) -> tuple:
+    """Ground state of the field-free H in the sector, with its energy.
+
+    Explicitly restarted Lanczos on the recurrence of the time step: each
+    restart runs ``_RESTART_DIM`` steps from the lowest Ritz vector of the
+    last, seeded at first with a fixed random vector.  It stops when
+    ||H psi - E psi|| < 1e-10, or when beta < 1e-14, which makes the
+    Krylov space invariant and the Ritz pair exact.  The returned pair
+    must satisfy ||H psi - E psi|| < 1e-8 or a ConvergenceError carrying
+    the residual is raised.
+    """
+    if model.n_sites != basis.n_sites:
+        raise SectorMismatchError("basis and model disagree on the site count")
+    hop = _operators(basis).phased(0.0, model.t0, model.u)
+    shape = (basis.dim_up, basis.dim_down)
+    rng = np.random.default_rng(_GROUND_STATE_SEED)
+    vec = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    V = np.empty((_RESTART_DIM, basis.dim), dtype=complex)
+    for _ in range(_MAX_RESTARTS):
+        np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
+        for alphas, betas, beta in _lanczos(V, hop, shape):
+            if beta < 1e-14:
+                break
+        evals, evecs = eigh_tridiagonal(alphas, betas)
+        energy = float(evals[0])
+        vec = _combine(V, evecs[:, 0])
+        vec /= math.sqrt(_real_vdot(vec, vec))
+        r = hop.apply(vec.reshape(shape)).ravel() - energy * vec
+        residual = math.sqrt(_real_vdot(r, r))
+        if residual < _GROUND_STATE_TOL or beta < 1e-14:
+            break
+    if not residual < 1e-8:
+        raise ConvergenceError(
+            f"ground-state residual {residual:.3e} above 1e-8", residual=residual
+        )
+    j = int(np.argmax(np.abs(vec)))
+    vec *= np.conj(vec[j]) / abs(vec[j])
+    return ManyBodyState(vec.reshape(shape), basis), energy
+
+
 def _krylov_apply(
     psi: np.ndarray,
     hop: _PhasedHamiltonian,
@@ -319,43 +350,26 @@ def _krylov_apply(
 ):
     """exp(-i H dt) psi by a short Lanczos recurrence.
 
-    The three-term recurrence runs without reorthogonalization; the step
-    counts involved here are small enough that orthogonality loss stays
-    far below the norm-drift budget (asserted by the conservation tests).
-    Every state-sized operation is a numpy ufunc or ``_real_vdot``, never
-    BLAS.
+    The recurrence runs without reorthogonalization; the step counts
+    involved here are small enough that orthogonality loss stays far
+    below the norm-drift budget (asserted by the conservation tests).
     """
     shape = psi.shape
     flat = psi.ravel()
     norm0 = math.sqrt(_real_vdot(flat, flat))
     if norm0 == 0.0:
         return psi.copy()
-    V = np.empty((krylov_dim + 1, flat.size), dtype=complex)
+    V = np.empty((krylov_dim, flat.size), dtype=complex)
     np.divide(flat, norm0, out=V[0])
-    scratch = np.empty_like(V[0])
-    alphas: list = []
-    betas: list = []
     err = math.inf
-    for m in range(krylov_dim):
-        w = hop.apply(V[m].reshape(shape)).ravel()
-        alpha = _real_vdot(V[m], w)
-        np.subtract(w, np.multiply(V[m], alpha, out=scratch), out=w)
-        if m > 0:
-            np.subtract(w, np.multiply(V[m - 1], betas[-1], out=scratch), out=w)
-        alphas.append(alpha)
-        beta = math.sqrt(_real_vdot(w, w))
-        if beta < 1e-14 or m >= 2:
+    for alphas, betas, beta in _lanczos(V, hop, shape):
+        if beta < 1e-14 or len(betas) >= 2:
             evals, evecs = eigh_tridiagonal(alphas, betas)
             coeff = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
             err = beta * abs(coeff[-1]) * abs(dt)
             if err < tol or beta < 1e-14:
                 coeff *= norm0
-                out = np.multiply(V[0], coeff[0])
-                for k in range(1, m + 1):
-                    out += np.multiply(V[k], coeff[k], out=scratch)
-                return out.reshape(shape)
-        betas.append(beta)
-        np.divide(w, beta, out=V[m + 1])
+                return _combine(V, coeff).reshape(shape)
     raise StepSizeError(
         f"Krylov residual {err:.3e} above {tol:.1e} at dimension {krylov_dim}; "
         "reduce dt",

@@ -32,7 +32,6 @@ class Spectrum:
 
     omega: np.ndarray
     power: np.ndarray
-    window: str = "hann"
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -95,7 +94,7 @@ def power_spectrum(series: TimeSeries, window: str = "hann") -> Spectrum:
     if nfft % 2 == 0:
         power[-1] /= 2.0
     omega = 2.0 * math.pi * sfft.rfftfreq(nfft, d=series.dt)
-    return Spectrum(omega=omega, power=power, window=window)
+    return Spectrum(omega=omega, power=power)
 
 
 def _order_windows(spectrum: Spectrum, omega0: float):
@@ -132,21 +131,24 @@ def harmonic_peaks(spectrum: Spectrum, omega0: float) -> dict:
     return peaks
 
 
+# plateau selection: band below the strongest usable peak, floor below
+# the spectral maximum, and the fewest usable odd orders for a plateau
+_PLATEAU_BAND_DB = 30.0
+_FLOOR_DB = 100.0
+_MIN_PLATEAU_ORDERS = 3
+
+
 def detect_cutoff_order(
-    spectrum: Spectrum,
-    omega0: float,
-    drop_db: float = 20.0,
-    plateau_band_db: float = 30.0,
-    floor_db: float = 100.0,
-    min_plateau_orders: int = 3,
+    spectrum: Spectrum, omega0: float, drop_db: float = 20.0
 ) -> int:
     """Highest odd harmonic order still within ``drop_db`` of the plateau.
 
     The plateau is the set of odd orders >= 3 whose peaks are interior
-    maxima within ``plateau_band_db`` of the strongest such peak and within
-    ``floor_db`` of the overall spectral maximum; its median level minus
-    ``drop_db`` is the cutoff threshold.  Raises a detection error when no
-    plateau exists (featureless or monochromatic input).
+    maxima within ``_PLATEAU_BAND_DB`` of the strongest such peak and
+    within ``_FLOOR_DB`` of the overall spectral maximum; its median level
+    minus ``drop_db`` is the cutoff threshold.  Raises a detection error
+    when fewer than ``_MIN_PLATEAU_ORDERS`` odd orders are usable
+    (featureless or monochromatic input).
     """
     peaks = harmonic_peaks(spectrum, omega0)
     if not peaks:
@@ -156,14 +158,14 @@ def detect_cutoff_order(
         p
         for p in peaks.values()
         if p.order >= 3 and p.order % 2 == 1 and p.interior
-        and p.power_db >= anchor - floor_db
+        and p.power_db >= anchor - _FLOOR_DB
     ]
-    if len(candidates) < min_plateau_orders:
+    if len(candidates) < _MIN_PLATEAU_ORDERS:
         raise DetectionError(
             f"no harmonic plateau: {len(candidates)} usable odd orders"
         )
     top = max(p.power_db for p in candidates)
-    plateau = [p for p in candidates if p.power_db >= top - plateau_band_db]
+    plateau = [p for p in candidates if p.power_db >= top - _PLATEAU_BAND_DB]
     threshold = float(np.median([p.power_db for p in plateau])) - drop_db
     above = [p.order for p in candidates if p.power_db >= threshold]
     return max(above)

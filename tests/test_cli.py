@@ -183,6 +183,23 @@ class TestRunTracking:
         assert main(["run-tracking", "--config", str(hubbard_cfg),
                      "--out", str(out), "--gate", "0.5"]) == 0
 
+    @pytest.mark.parametrize("platform", ["atom", "hubbard"])
+    def test_metadata_records_the_driven_system(self, platform, request,
+                                                tmp_path):
+        cfg = request.getfixturevalue(f"{platform}_cfg")
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        summary = storage.read_metadata(out / "metadata.json")["summary"]
+        if platform == "atom":
+            # the driven atom of ATOM_CFG: Ip 0.5 on its 512-point grid
+            alpha = grid.calibrate_softening(0.5, grid.Grid1D(60.0, 512))
+            assert summary["softening_alpha"] == alpha
+            assert summary["ground_energy"] == pytest.approx(-0.5, abs=1e-4)
+        else:
+            assert "softening_alpha" not in summary
+            assert summary["ground_energy"] < 0.0
+
     @pytest.mark.parametrize("cfg_name, rows, dt, value, message", [
         ("atom_default.cfg", 3, 0.02, 0.0, "has 3 samples"),
         ("atom.cfg", 316, 0.04, 0.0, "grid does not match"),
@@ -345,6 +362,24 @@ class TestFailClosed:
         assert exc.value.code == 2
         assert "--gate: must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "trk").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    @pytest.mark.parametrize("flag", ["--drop-db", "--omega0"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-40"])
+    def test_spectral_options_must_be_positive_and_finite(
+            self, command, flag, value, tmp_path, capsys):
+        # an infinite drop reads the cutoff off the noise floor and writes
+        # Infinity, which is not JSON, into metadata.json
+        csv = write_harmonic_csv(tmp_path / "run.csv")
+        out = tmp_path / "spec"
+        args = {"spectrum": ["--in", str(csv), "--out", str(out)],
+                "compare": ["--a", str(csv), "--b", str(csv)]}[command]
+        options = {"--omega0": "0.3", "--drop-db": "20", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, *(x for item in options.items() for x in item)])
+        assert exc.value.code == 2
+        assert f"{flag}: must be positive and finite" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("old, new, message", [
         ("k_p = 100", "k_p = 100\ngate = nan", "[experiment] gate must be positive"),

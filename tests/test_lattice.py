@@ -11,7 +11,14 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, expm
 
 import amptrack
-from amptrack import PulseSpec, SectorMismatchError, StepSizeError, evaluate_tl_field
+from amptrack import (
+    ConvergenceError,
+    PulseSpec,
+    SectorMismatchError,
+    StepSizeError,
+    evaluate_tl_field,
+    lattice,
+)
 from amptrack.feedback import run_open_loop
 from amptrack.lattice import (
     HubbardSystem,
@@ -292,15 +299,26 @@ class TestDerivativeAndCommutator:
 
 
 class TestGroundStates:
-    def test_matches_dense_at_strong_coupling(self):
-        basis = build_sector_basis(4, 2, 2)
-        model = model_for(4, u=10.0)
+    # sectors of dimension 2 to 4 end the recurrence on an invariant
+    # Krylov space; (4, 2, 2) has dimension 36 and restarts
+    @pytest.mark.parametrize("n_sites, n_up, n_down", [
+        (2, 1, 0), (2, 1, 1), (3, 1, 0), (4, 1, 0), (4, 2, 2)])
+    def test_matches_dense_at_strong_coupling(self, n_sites, n_up, n_down):
+        basis = build_sector_basis(n_sites, n_up, n_down)
+        model = model_for(n_sites, u=10.0)
         H = module_dense(basis, model, 0.0)
         e_dense = eigh(H, eigvals_only=True)[0]
         gs, energy = lanczos_ground_state(model, basis)
         assert energy == pytest.approx(e_dense, abs=1e-8)
         h_psi = hamiltonian(basis, model, 0.0).apply(gs.psi)
         assert np.linalg.norm(h_psi - energy * gs.psi) < 1e-8
+
+    def test_exhausted_restart_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
+        basis = build_sector_basis(6, 3, 3)
+        with pytest.raises(ConvergenceError) as exc:
+            lanczos_ground_state(model_for(6, u=10.0), basis)
+        assert exc.value.residual > 1e-8
 
     def test_free_fermion_band_sums(self):
         for L, n in ((10, 5), (6, 3)):
@@ -421,6 +439,9 @@ _THREAD_PROBE = textwrap.dedent("""
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     state = ManyBodyState(psi / np.sqrt(np.sum(np.abs(psi) ** 2)), basis)
     digest = hashlib.sha256()
+    ground = system.initial_state()
+    digest.update(repr(system.ground_energy).encode())
+    digest.update(ground.psi.tobytes())
     for step in range(5):
         obs = system.observables(state)
         digest.update(repr(sorted(obs.items())).encode())
@@ -432,8 +453,9 @@ _THREAD_PROBE = textwrap.dedent("""
 
 class TestThreadIndependence:
     def test_ten_site_steps_do_not_depend_on_blas_threads(self):
-        # five observables + advance steps on the ten-site ring (dim 63 504)
-        # from a seeded state, hashed, in one process per BLAS thread count
+        # the ground state and five observables + advance steps on the
+        # ten-site ring (dim 63 504) from a seeded state, hashed, in one
+        # process per BLAS thread count
         src = str(Path(amptrack.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):

@@ -96,7 +96,7 @@ class TestTrackingCsv:
 class TestSpectrumCsv:
     def test_harmonic_order_axis(self, tmp_path):
         omega = np.linspace(0.0, 4.0, 33)
-        spectrum = Spectrum(omega=omega, power=np.exp(-omega), window="hann")
+        spectrum = Spectrum(omega=omega, power=np.exp(-omega))
         path = tmp_path / "spectrum.csv"
         storage.write_spectrum_csv(path, spectrum, omega0=0.5)
         table = storage.read_table(path)
