@@ -95,7 +95,7 @@ def cmd_run_reference(args) -> int:
     out = _out_dir(args.out)
     system = build_system(cfg, "reference")
     record = run_open_loop(system)
-    stride = cfg.feedback.output_stride
+    stride = cfg.output_stride
     storage.write_reference_csv(out / "reference.csv", record, cfg.platform, stride)
     meta = _metadata(
         cfg, "run-reference",
@@ -123,13 +123,13 @@ def cmd_run_tracking(args) -> int:
         ref_record = run_open_loop(ref_system)
         storage.write_reference_csv(
             out / "reference.csv", ref_record, cfg.platform,
-            cfg.feedback.output_stride,
+            cfg.output_stride,
         )
         reference = ref_record.series("y")
     system = build_system(cfg, "driven")
     result = run_tracking(system, reference, cfg.feedback)
     storage.write_tracking_csv(
-        out / "tracking.csv", result, cfg.platform, cfg.feedback.output_stride
+        out / "tracking.csv", result, cfg.platform, cfg.output_stride
     )
     residual_kind = "absolute" if result.absolute_rms else "relative"
     summary = _summary(
@@ -178,10 +178,10 @@ def cmd_spectrum(args) -> int:
     table = storage.read_table(args.input)
     series = table.series(args.column)
     spectrum = spectral.power_spectrum(series, window=args.window)
-    out = _out_dir(args.out)
-    storage.write_spectrum_csv(out / "spectrum.csv", spectrum, args.omega0)
     order = spectral.detect_cutoff_order(spectrum, args.omega0,
                                          drop_db=args.drop_db)
+    out = _out_dir(args.out)
+    storage.write_spectrum_csv(out / "spectrum.csv", spectrum, args.omega0)
     meta = {
         "command": "spectrum",
         "version": __version__,

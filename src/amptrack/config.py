@@ -9,6 +9,7 @@ quantity all raise a configuration error naming the offender.
 """
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from . import units
@@ -52,12 +53,17 @@ class HubbardParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully materialized experiment: every default resolved."""
+    """A fully materialized experiment: every default resolved.
+
+    ``output_stride`` thins the rows of the written CSVs only; the loop
+    always runs on the full propagation grid.
+    """
 
     platform: str
     pulse: PulseSpec
     feedback: FeedbackConfig
     gate: float | None
+    output_stride: int
     atom: AtomParams | None
     hubbard: HubbardParams | None
     physical: dict
@@ -90,16 +96,22 @@ class _Section:
         self.physical = physical
 
     def take(self, key: str, kind=float, default=_REQUIRED):
-        """Pop ``key`` and convert it with ``kind``, else return ``default``."""
+        """Pop ``key`` and convert it with ``kind``, else return ``default``.
+
+        A number must be finite: inf passes every sign rule.
+        """
         if key not in self.raw:
             if default is _REQUIRED:
                 raise ConfigError(f"missing key '{key}' in section [{self.name}]")
             return default
         text = self.raw.pop(key)
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}: '{text}' is not {_KINDS[kind]}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key}: '{text}' is not finite")
+        return value
 
     def one_of(self, program: str, lab: str, convert, rule=None, echo=None) -> float:
         """A quantity given either in program units or in laboratory units.
@@ -257,22 +269,22 @@ def parse_config(path) -> ExperimentConfig:
     sections.taken.append(exp)
     try:
         parts = _PLATFORMS[platform](sections)
-        feedback = FeedbackConfig(
-            k_p=exp.take("k_p"),
-            epsilon=exp.take("epsilon", float, 1e-6),
-            output_stride=exp.take("output_stride", int, 1),
-        )
+        feedback = FeedbackConfig(k_p=exp.take("k_p"))
     except ValueError as exc:
         raise ConfigError(str(exc))
     gate = exp.take("gate", float, None)
     if gate is not None and not gate > 0:
         raise ConfigError("[experiment] gate must be positive")
+    output_stride = exp.take("output_stride", int, 1)
+    if output_stride < 1:
+        raise ConfigError("[experiment] output_stride must be a positive integer")
     for sec in sections.taken:
         for key in sec.raw:
             raise ConfigError(f"unknown key '{key}' in section [{sec.name}]")
     return ExperimentConfig(
         platform=platform, pulse=parts["pulse"], feedback=feedback, gate=gate,
-        atom=parts.get("atom"), hubbard=parts.get("hubbard"), physical=physical,
+        output_stride=output_stride, atom=parts.get("atom"),
+        hubbard=parts.get("hubbard"), physical=physical,
     )
 
 

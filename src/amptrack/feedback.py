@@ -29,27 +29,20 @@ __all__ = [
 ]
 
 
+# |1 - k_p coupling| below which the control law is singular and the
+# guard holds the previous control
+_GUARD = 1e-6
+
+
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """Amplifier gain, singularity guard threshold, and output stride.
-
-    The guard policy is fixed: when the control-law denominator falls
-    below ``epsilon`` in magnitude, the previous control value is held and
-    the step is flagged.  ``output_stride`` thins file output only; the
-    loop itself always works on the full propagation grid.
-    """
+    """Amplifier gain of the proportional controller."""
 
     k_p: float
-    epsilon: float = 1e-6
-    output_stride: int = 1
 
     def __post_init__(self):
         if not self.k_p >= 0:
             raise ValueError("k_p must be nonnegative")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.output_stride < 1 or int(self.output_stride) != self.output_stride:
-            raise ValueError("output_stride must be a positive integer")
 
 
 def control_field(response: float, coupling: float, y: float, cfg, u_prev: float):
@@ -60,12 +53,12 @@ def control_field(response: float, coupling: float, y: float, cfg, u_prev: float
     u = k_p (response + coupling u - y) solves to
     u = k_p (response - y) / (1 - k_p coupling).  The coupling is -1 for
     the atom's momentum, so that denominator never vanishes; on the ring
-    it is -a^2 <H_kin>.  When |denominator| < ``cfg.epsilon`` the rate
-    stops responding to the field: the previous control value is returned
-    with the guard flag set.
+    it is -a^2 <H_kin>.  When |denominator| < 1e-6 the rate stops
+    responding to the field: the previous control value is returned with
+    the guard flag set.
     """
     denom = 1.0 - cfg.k_p * coupling
-    if abs(denom) < cfg.epsilon:
+    if abs(denom) < _GUARD:
         return u_prev, True
     return cfg.k_p * (response - y) / denom, False
 
@@ -200,7 +193,7 @@ def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
         raise GridMismatchError(
             f"reference has {len(reference)} samples, propagation needs {n_steps + 1}"
         )
-    if abs(reference.t0) > 1e-12 or abs(reference.dt - dt) > 1e-12 * dt:
+    if not (abs(reference.t0) <= 1e-12 and abs(reference.dt - dt) <= 1e-12 * dt):
         raise GridMismatchError("reference grid does not match the propagation grid")
     bad = np.flatnonzero(~np.isfinite(reference.values))
     if bad.size:

@@ -1,5 +1,6 @@
 """Uniformly sampled real time series."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +13,9 @@ class TimeSeries:
     Parameters
     ----------
     t0 : float
-        Time of the first sample.
+        Time of the first sample, finite.
     dt : float
-        Sample spacing, strictly positive.
+        Sample spacing, positive and finite.
     values : ndarray
         Real samples, at least two.
     label : str
@@ -28,8 +29,10 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("need a 1-D series with at least two samples")
 

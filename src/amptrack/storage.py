@@ -102,7 +102,7 @@ class Table:
             raise ValueError("need at least two rows to form a series")
         dt = float(t[1] - t[0])
         steps = np.diff(t)
-        if np.any(np.abs(steps - dt) > 1e-9 * max(1.0, abs(dt))):
+        if not np.all(np.abs(steps - dt) <= 1e-9 * max(1.0, abs(dt))):
             raise ValueError("t column is not uniformly spaced")
         return TimeSeries(float(t[0]), dt, self.columns[name], label=name)
 
@@ -115,6 +115,8 @@ def read_table(path) -> Table:
         raise ValueError(f"{path}: empty file")
     header = tuple(lines[0].split(","))
     raw = [line.split(",") for line in lines[1:]]
+    if not raw:
+        raise ValueError(f"{path}: no data rows")
     if any(len(row) != len(header) for row in raw):
         raise ValueError(f"{path}: ragged rows")
     data = np.array(raw, dtype=float)

@@ -73,7 +73,7 @@ def test_residual_scales_inversely_with_gain(
         result = run_tracking(
             _lattice_system(cfg, cfg.hubbard.u_driven, 6),
             reference,
-            FeedbackConfig(k_p=k_p, epsilon=cfg.feedback.epsilon),
+            FeedbackConfig(k_p=k_p),
         )
         rms[k_p] = result.rms_relative
     ladder = (rms[10.0], rms[100.0], rms[1000.0])
@@ -339,17 +339,11 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
         return float(np.max(np.abs((p[2:] - p[:-2]) / (2 * dt) - y[1:-1])))
 
     def lattice_residual(dt):
-        numerics = LatticeNumerics(
-            dt=dt,
-            krylov_dim=cfg.hubbard.numerics.krylov_dim,
-            krylov_tol=cfg.hubbard.numerics.krylov_tol,
-            max_substeps=cfg.hubbard.numerics.max_substeps,
-        )
         run = run_open_loop(
             HubbardSystem(
                 LatticeModel(t0=1.0, u=cfg.hubbard.u_driven, a=1.0, n_sites=4),
                 cfg.pulse,
-                numerics,
+                LatticeNumerics(dt=dt),
             )
         )
         cur, y = run.channels["current"], run.channels["y"]

@@ -143,7 +143,9 @@ class TestRunReference:
         bad.write_text(ATOM_CFG.replace("dt = 0.05", f"dt = {dt}"))
         assert main(["run-reference", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "[numerics] dt must be positive" in capsys.readouterr().err
+        message = ("[numerics] dt: 'nan' is not finite" if dt == "nan"
+                   else "[numerics] dt must be positive")
+        assert message in capsys.readouterr().err
 
 
 class TestRunTracking:
@@ -288,10 +290,12 @@ class TestSpectrum:
         assert meta["window"] == "hann"
 
     def test_monochromatic_input_exits_3(self, tmp_path, capsys):
+        # detection runs before anything is written
         csv = write_harmonic_csv(tmp_path / "mono.csv", orders=(1,), weak=())
         assert main(["spectrum", "--in", str(csv), "--out",
                      str(tmp_path / "s"), "--omega0", "0.3"]) == 3
         assert "failure" in capsys.readouterr().err
+        assert list((tmp_path / "s").glob("*")) == []
 
 
 class TestCompare:
@@ -382,11 +386,11 @@ class TestFailClosed:
         assert not (out / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("old, new, message", [
-        ("k_p = 100", "k_p = 100\ngate = nan", "[experiment] gate must be positive"),
+        ("k_p = 100", "k_p = 100\ngate = nan", "[experiment] gate: 'nan' is not finite"),
         ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
-         "[numerics] dt must be positive"),
+         "[numerics] dt: 'nan' is not finite"),
         ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
-         "[numerics] krylov_tol must be positive"),
+         "unknown key 'krylov_tol' in section [numerics]"),
     ])
     def test_nan_config_value_exits_2(self, old, new, message, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -395,6 +399,50 @@ class TestFailClosed:
         assert main(["run-tracking", "--config", str(bad), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key, old, new", [
+        ("k_p", "k_p = 50", "k_p = {}"),
+        ("gate", "k_p = 50", "k_p = 50\ngate = {}"),
+        ("e0_au", "e0_au = 0.08", "e0_au = {}"),
+        ("intensity_w_cm2", "e0_au = 0.08", "intensity_w_cm2 = {}"),
+        ("dt", "dt = 0.05", "dt = {}"),
+        ("u_over_t0", "u_over_t0 = 1\n", "u_over_t0 = {}\n"),
+    ])
+    def test_non_finite_config_number_exits_2(self, key, old, new, value,
+                                              tmp_path, capsys):
+        text = HUBBARD_CFG if key == "u_over_t0" else ATOM_CFG
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new.format(value)))
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"{key}: '{value}' is not finite" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+
+    def test_nan_time_grid_is_rejected(self, hubbard_cfg, tmp_path, capsys):
+        ref = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(hubbard_cfg),
+                     "--out", str(ref)]) == 0
+        lines = (ref / "reference.csv").read_text().splitlines()
+        bad = tmp_path / "nan_t.csv"
+        bad.write_text("\n".join([lines[0]] + ["nan," + line.split(",", 1)[1]
+                                               for line in lines[1:]]) + "\n")
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(hubbard_cfg), "--out", str(out),
+                     "--reference", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "tracking.csv").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_header_only_csv_exits_2(self, command, tmp_path, capsys):
+        empty = tmp_path / "header.csv"
+        empty.write_text("t,y\n")
+        good = write_harmonic_csv(tmp_path / "run.csv")
+        args = {"spectrum": ["--in", str(empty), "--out", str(tmp_path / "spec"),
+                             "--omega0", "0.3"],
+                "compare": ["--a", str(empty), "--b", str(good)]}[command]
+        assert main([command, *args]) == 2
+        assert "no data rows" in capsys.readouterr().err
 
     def test_overflowing_rms_exits_3(self, tmp_path, capsys):
         a = write_constant_csv(tmp_path / "a.csv", 1e308)

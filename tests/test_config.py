@@ -81,11 +81,10 @@ ECHO = {
     "reference_ip": 0.579
   },
   "feedback": {
-    "epsilon": 1e-06,
-    "k_p": 1000.0,
-    "output_stride": 1
+    "k_p": 1000.0
   },
   "gate": null,
+  "output_stride": 1,
   "physical_inputs": {
     "intensity_w_cm2": 100000000000000.0,
     "wavelength_nm": 800.0
@@ -101,9 +100,7 @@ ECHO = {
     "hubbard_default.cfg": """\
 {
   "feedback": {
-    "epsilon": 1e-06,
-    "k_p": 1000.0,
-    "output_stride": 1
+    "k_p": 1000.0
   },
   "gate": null,
   "hubbard": {
@@ -111,16 +108,14 @@ ECHO = {
     "n_down": 5,
     "n_up": 5,
     "numerics": {
-      "dt": 0.005,
-      "krylov_dim": 20,
-      "krylov_tol": 1e-10,
-      "max_substeps": 64
+      "dt": 0.005
     },
     "sites": 10,
     "t0_ev": 0.35,
     "u_driven": 1.0,
     "u_reference": 10.0
   },
+  "output_stride": 1,
   "physical_inputs": {
     "e0_mv_cm": 24.0,
     "frequency_thz": 375.0
@@ -165,9 +160,9 @@ class TestBundledConfigs:
     def test_as_dict_materializes_defaults(self):
         cfg = parse_config(CONFIG_DIR / "hubbard_default.cfg")
         echo = cfg.as_dict()
-        assert echo["feedback"]["epsilon"] == 1e-6
-        assert echo["feedback"]["output_stride"] == 1
-        assert echo["hubbard"]["numerics"]["max_substeps"] == 64
+        assert echo["feedback"] == {"k_p": 1000.0}
+        assert echo["output_stride"] == 1
+        assert echo["hubbard"]["numerics"] == {"dt": 0.005}
         assert echo["pulse"]["duration"] == cfg.pulse.duration
         assert echo["physical_inputs"]["frequency_thz"] == 375.0
 
@@ -255,6 +250,8 @@ class TestStrictValidation:
          "[reference] ionization potential must be positive"),
         ("atom", "k_p = 50", "k_p = 50\ngate = 0",
          "[experiment] gate must be positive"),
+        ("atom", "k_p = 50", "k_p = 50\noutput_stride = 0",
+         "[experiment] output_stride must be a positive integer"),
         ("hubbard", "sites = 2", "sites = 1", "[lattice] sites must be at least 2"),
         ("hubbard", "sites = 2", "sites = 2\nt0_ev = 0",
          "[lattice] t0_ev and a_angstrom must be positive"),
@@ -263,30 +260,39 @@ class TestStrictValidation:
         ("atom", "cycles = 2", "cycles = 2.5",
          "[pulse] cycles: '2.5' is not an integer"),
         ("atom", "[pulse]", "[pulse", "malformed config file"),
-        # NaN fails every comparison, so each sign rule must reject it too
+        # a non-finite number fails as it is read, naming section and key
         ("atom", "omega0_au = 0.8", "wavelength_nm = nan",
-         "[pulse] wavelength_nm must be positive"),
+         "[pulse] wavelength_nm: 'nan' is not finite"),
         ("atom", "e0_au = 0.08", "intensity_w_cm2 = nan",
-         "[pulse] intensity_w_cm2 must be nonnegative"),
-        ("atom", "omega0_au = 0.8", "omega0_au = nan", "omega0 must be positive"),
-        ("atom", "e0_au = 0.08", "e0_au = nan",
-         "[pulse] field amplitude must be nonnegative"),
+         "[pulse] intensity_w_cm2: 'nan' is not finite"),
+        ("atom", "omega0_au = 0.8", "omega0_au = nan",
+         "[pulse] omega0_au: 'nan' is not finite"),
+        ("atom", "e0_au = 0.08", "e0_au = nan", "[pulse] e0_au: 'nan' is not finite"),
         ("atom", "ip_au = 0.579", "ip_au = nan",
-         "[reference] ionization potential must be positive"),
-        ("atom", "k_p = 50", "k_p = nan", "k_p must be nonnegative"),
-        ("atom", "k_p = 50", "k_p = 50\nepsilon = nan", "epsilon must be positive"),
-        ("atom", "k_p = 50", "k_p = 50\ngate = nan", "[experiment] gate must be positive"),
-        ("atom", "dt = 0.05", "dt = nan", "[numerics] dt must be positive"),
+         "[reference] ip_au: 'nan' is not finite"),
+        ("atom", "k_p = 50", "k_p = nan", "[experiment] k_p: 'nan' is not finite"),
+        ("atom", "k_p = 50", "k_p = 50\nepsilon = nan",
+         "unknown key 'epsilon' in section [experiment]"),
+        ("atom", "k_p = 50", "k_p = 50\ngate = nan",
+         "[experiment] gate: 'nan' is not finite"),
+        ("atom", "dt = 0.05", "dt = nan", "[numerics] dt: 'nan' is not finite"),
         ("atom", "box_half_width = 60", "box_half_width = nan",
-         "[numerics] half_width must be positive"),
+         "[numerics] box_half_width: 'nan' is not finite"),
         ("atom", "dt = 0.05", "dt = 0.05\nabsorber_exponent = nan",
-         "[numerics] exponent must be positive"),
+         "[numerics] absorber_exponent: 'nan' is not finite"),
         ("hubbard", "sites = 2", "sites = 2\nt0_ev = nan",
-         "[lattice] t0_ev and a_angstrom must be positive"),
+         "[lattice] t0_ev: 'nan' is not finite"),
         ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
-         "[numerics] dt must be positive"),
+         "[numerics] dt: 'nan' is not finite"),
         ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
-         "[numerics] krylov_tol must be positive"),
+         "unknown key 'krylov_tol' in section [numerics]"),
+        # the guard threshold and the Krylov step control are constants
+        ("atom", "k_p = 50", "k_p = 50\nepsilon = 1e-6",
+         "unknown key 'epsilon' in section [experiment]"),
+        ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_dim = 20\n",
+         "unknown key 'krylov_dim' in section [numerics]"),
+        ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nmax_substeps = 64\n",
+         "unknown key 'max_substeps' in section [numerics]"),
     ])
     def test_bad_value_is_rejected(self, tmp_path, base, old, new, message):
         text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]

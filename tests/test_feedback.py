@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -47,17 +48,15 @@ def assert_records_identical(a, b):
 
 class TestFeedbackConfig:
     def test_defaults(self):
-        cfg = FeedbackConfig(k_p=100.0)
-        assert cfg.epsilon == 1e-6
-        assert cfg.output_stride == 1
+        # the gain is the controller's only setting
+        assert [f.name for f in dataclasses.fields(FeedbackConfig)] == ["k_p"]
+        assert FeedbackConfig(k_p=100.0).k_p == 100.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FeedbackConfig(k_p=-1.0)
         with pytest.raises(ValueError):
-            FeedbackConfig(k_p=1.0, epsilon=0.0)
-        with pytest.raises(ValueError):
-            FeedbackConfig(k_p=1.0, output_stride=0)
+            FeedbackConfig(k_p=math.nan)
 
 
 class TestControlLaw:
@@ -66,9 +65,8 @@ class TestControlLaw:
     The atom's coupling is -1; the ring's is -a^2 <H_kin>.
     """
 
-    def law(self, response, coupling, y, k_p, epsilon=1e-6, u_prev=0.0):
-        return control_field(response, coupling, y,
-                             FeedbackConfig(k_p=k_p, epsilon=epsilon), u_prev)
+    def law(self, response, coupling, y, k_p, u_prev=0.0):
+        return control_field(response, coupling, y, FeedbackConfig(k_p=k_p), u_prev)
 
     @pytest.mark.parametrize("coupling", [-1.0, 4.0], ids=["atom", "ring"])
     def test_zero_gain_means_zero_drive(self, coupling):
@@ -111,10 +109,13 @@ class TestControlLaw:
         assert tripped and u == 0.77
 
     def test_near_singular_trips_within_epsilon(self):
+        # the guard threshold is 1e-6: |1 - k_p coupling| = 5e-7 trips it,
+        # 2e-6 does not
         k_p = 10.0
-        coupling = (1.0 - 5e-4) / k_p
-        _, tripped = self.law(0.0, coupling, 0.0, k_p, epsilon=1e-3)
+        _, tripped = self.law(0.0, (1.0 - 5e-7) / k_p, 0.0, k_p)
         assert tripped
+        _, tripped = self.law(0.0, (1.0 - 2e-6) / k_p, 0.0, k_p)
+        assert not tripped
 
     def test_zero_coupling_needs_no_guard(self):
         # a ring with <H_kin> = 0 has a unit denominator: u = k_p (response - y)

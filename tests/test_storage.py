@@ -123,10 +123,24 @@ class TestReadTable:
         with pytest.raises(ValueError, match="empty"):
             storage.read_table(path)
 
+    def test_rejects_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("t,y\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            storage.read_table(path)
+
     def test_series_needs_uniform_time(self, tmp_path):
         path = tmp_path / "warped.csv"
         path.write_text("t,y\n0.0,1.0\n0.1,2.0\n0.35,3.0\n")
         with pytest.raises(ValueError, match="uniform"):
+            storage.read_table(path).series("y")
+
+    @pytest.mark.parametrize("t", ["nan,nan,nan", "0.0,nan,0.2", "nan,0.1,0.2"])
+    def test_series_needs_finite_time(self, tmp_path, t):
+        # NaN fails the uniformity test and the grid checks of TimeSeries
+        path = tmp_path / "nan.csv"
+        path.write_text("t,y\n" + "".join(f"{ti},1.0\n" for ti in t.split(",")))
+        with pytest.raises(ValueError):
             storage.read_table(path).series("y")
 
 
