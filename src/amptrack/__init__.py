@@ -23,13 +23,11 @@ from .series import TimeSeries
 from .pulses import (
     AtomSpec,
     PulseSpec,
-    StrongFieldScales,
     ati_matched_field,
     evaluate_tl_field,
     hhg_cutoff,
     hhg_matched_field,
     ponderomotive_energy,
-    strong_field_scales,
 )
 from .grid import (
     AbsorberSpec,
@@ -54,7 +52,6 @@ from .feedback import (
     control_field,
     run_open_loop,
     run_tracking,
-    tracking_residual,
 )
 from .spectral import (
     OrderPeak,
@@ -68,8 +65,6 @@ from .spectral import (
 from .config import ExperimentConfig, build_system, parse_config
 from .units import (
     intensity_to_au_field,
-    mv_cm_to_au,
-    thz_to_au_angular,
     wavelength_nm_to_au_angular,
 )
 

@@ -70,8 +70,8 @@ def _gate(residual: float, gate) -> int:
 
 
 def _positive_finite(text: str) -> float:
-    """A positive finite number, for ``--gate`` (as the config's ``gate``),
-    ``--omega0`` and ``--drop-db``; argparse turns the error into exit 2."""
+    """A positive finite number, for ``--gate``, ``--omega0`` and
+    ``--drop-db``; argparse turns the error into exit 2."""
     try:
         value = float(text)
     except ValueError:
@@ -95,8 +95,7 @@ def cmd_run_reference(args) -> int:
     out = _out_dir(args.out)
     system = build_system(cfg, "reference")
     record = run_open_loop(system)
-    stride = cfg.output_stride
-    storage.write_reference_csv(out / "reference.csv", record, cfg.platform, stride)
+    storage.write_reference_csv(out / "reference.csv", record, cfg.platform)
     meta = _metadata(
         cfg, "run-reference",
         _summary(system, cfg.platform, n_steps=len(record) - 1, dt=record.dt,
@@ -110,7 +109,6 @@ def cmd_run_reference(args) -> int:
 
 def cmd_run_tracking(args) -> int:
     cfg = parse_config(args.config)
-    gate = args.gate if args.gate is not None else cfg.gate
     out = _out_dir(args.out)
     if args.reference is not None:
         reference = storage.read_table(args.reference).series("y")
@@ -121,16 +119,11 @@ def cmd_run_tracking(args) -> int:
     else:
         ref_system = build_system(cfg, "reference")
         ref_record = run_open_loop(ref_system)
-        storage.write_reference_csv(
-            out / "reference.csv", ref_record, cfg.platform,
-            cfg.output_stride,
-        )
+        storage.write_reference_csv(out / "reference.csv", ref_record, cfg.platform)
         reference = ref_record.series("y")
     system = build_system(cfg, "driven")
     result = run_tracking(system, reference, cfg.feedback)
-    storage.write_tracking_csv(
-        out / "tracking.csv", result, cfg.platform, cfg.output_stride
-    )
+    storage.write_tracking_csv(out / "tracking.csv", result, cfg.platform)
     residual_kind = "absolute" if result.absolute_rms else "relative"
     summary = _summary(
         system, cfg.platform,
@@ -138,15 +131,16 @@ def cmd_run_tracking(args) -> int:
         residual_kind=residual_kind,
         guard_trip_count=int(result.guard_trips.size),
         k_p=result.k_p,
-        gate=gate,
+        gate=args.gate,
     )
     meta = _metadata(cfg, "run-tracking", summary,
                      storage.TRACKING_COLUMNS[cfg.platform])
+    meta["reference"] = args.reference
     storage.write_metadata(out / "metadata.json", meta)
     print(f"{residual_kind} rms residual: {result.rms_relative!r}")
     if result.guard_trips.size:
         print(f"guard held the control on {result.guard_trips.size} steps")
-    return _gate(result.rms_relative, gate)
+    return _gate(result.rms_relative, args.gate)
 
 
 def cmd_match_intensity(args) -> int:

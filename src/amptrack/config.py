@@ -53,17 +53,11 @@ class HubbardParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully materialized experiment: every default resolved.
-
-    ``output_stride`` thins the rows of the written CSVs only; the loop
-    always runs on the full propagation grid.
-    """
+    """A fully materialized experiment: every default resolved."""
 
     platform: str
     pulse: PulseSpec
     feedback: FeedbackConfig
-    gate: float | None
-    output_stride: int
     atom: AtomParams | None
     hubbard: HubbardParams | None
     physical: dict
@@ -272,19 +266,12 @@ def parse_config(path) -> ExperimentConfig:
         feedback = FeedbackConfig(k_p=exp.take("k_p"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    gate = exp.take("gate", float, None)
-    if gate is not None and not gate > 0:
-        raise ConfigError("[experiment] gate must be positive")
-    output_stride = exp.take("output_stride", int, 1)
-    if output_stride < 1:
-        raise ConfigError("[experiment] output_stride must be a positive integer")
     for sec in sections.taken:
         for key in sec.raw:
             raise ConfigError(f"unknown key '{key}' in section [{sec.name}]")
     return ExperimentConfig(
-        platform=platform, pulse=parts["pulse"], feedback=feedback, gate=gate,
-        output_stride=output_stride, atom=parts.get("atom"),
-        hubbard=parts.get("hubbard"), physical=physical,
+        platform=platform, pulse=parts["pulse"], feedback=feedback,
+        atom=parts.get("atom"), hubbard=parts.get("hubbard"), physical=physical,
     )
 
 

@@ -9,6 +9,7 @@ own reference reproduces that run bit for bit (the control field is
 exactly zero, not merely small).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "rms",
     "run_open_loop",
     "run_tracking",
-    "tracking_residual",
 ]
 
 
@@ -41,6 +41,8 @@ class FeedbackConfig:
     k_p: float
 
     def __post_init__(self):
+        if not math.isfinite(self.k_p):
+            raise ValueError("k_p must be finite")
         if not self.k_p >= 0:
             raise ValueError("k_p must be nonnegative")
 
@@ -78,15 +80,6 @@ def relative_rms(diff: np.ndarray, target: np.ndarray) -> float:
     return rms(diff) / scale
 
 
-def tracking_residual(result) -> float:
-    """Relative RMS mismatch between the driven response and the target.
-
-    ``RunRecord.absolute_rms`` flags the absolute fallback.
-    """
-    y = np.asarray(result.y, dtype=float)
-    return relative_rms(np.asarray(result.response, dtype=float) - y, y)
-
-
 def _channel(name: str) -> property:
     return property(lambda self: self.channels[name], doc=f"The {name!r} channel.")
 
@@ -107,7 +100,6 @@ class RunRecord:
     k_p: float = 0.0
 
     u = _channel("u")
-    e_total = _channel("e_total")
     response = _channel("response")
     y = _channel("y")
     residual = _channel("residual")
@@ -126,7 +118,9 @@ class RunRecord:
 
     @property
     def rms_relative(self) -> float:
-        return tracking_residual(self)
+        """RMS of the residual over the RMS of ``y``; absolute when ``y``
+        is identically zero, which ``absolute_rms`` flags."""
+        return relative_rms(self.residual, self.y)
 
     @property
     def absolute_rms(self) -> bool:

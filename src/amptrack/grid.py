@@ -41,6 +41,8 @@ class Grid1D:
         n = self.n_points
         if n < 8 or n & (n - 1) != 0:
             raise ValueError("n_points must be a power of two, at least 8")
+        if not math.isfinite(self.half_width):
+            raise ValueError("half_width must be finite")
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
 
@@ -66,6 +68,8 @@ class AbsorberSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction < 0.5:
             raise ValueError("fraction must lie in [0, 0.5)")
+        if not math.isfinite(self.exponent):
+            raise ValueError("exponent must be finite")
         if not self.exponent > 0:
             raise ValueError("exponent must be positive")
 
@@ -98,15 +102,16 @@ def soft_coulomb_force(grid: Grid1D, alpha: float) -> np.ndarray:
     return -x / (x**2 + alpha**2) ** 1.5
 
 
-def _kinetic_energy(psi: np.ndarray, k2: np.ndarray, dx: float, n: int) -> float:
+def _energy(psi: np.ndarray, k2: np.ndarray, V: np.ndarray,
+            dx: float, n: int) -> float:
     phi = sfft.fft(psi)
-    return float(np.real(np.sum(0.5 * k2 * (phi.conj() * phi))) * dx / n)
+    kin = float(np.real(np.sum(0.5 * k2 * (phi.conj() * phi))) * dx / n)
+    return kin + float(np.sum(np.abs(psi) ** 2 * V) * dx)
 
 
 def expect_energy(psi: np.ndarray, grid: Grid1D, V: np.ndarray) -> float:
     """Field-free energy <K + V> of the state (unnormalized expectation)."""
-    kin = _kinetic_energy(psi, grid.k() ** 2, grid.dx, grid.n_points)
-    return kin + float(np.sum(np.abs(psi) ** 2 * V) * grid.dx)
+    return _energy(psi, grid.k() ** 2, V, grid.dx, grid.n_points)
 
 
 # the step is lowered through the schedule so that the Trotter bias of
@@ -145,9 +150,7 @@ def imaginary_time_ground_state(
             psi = sfft.ifft(exp_k * sfft.fft(psi))
             psi = exp_v * psi
             psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-            energy = _kinetic_energy(psi, k2, dx, n) + float(
-                np.sum(np.abs(psi) ** 2 * V) * dx
-            )
+            energy = _energy(psi, k2, V, dx, n)
             if previous is not None and abs(energy - previous) < (
                 _ENERGY_TOL * max(1.0, abs(energy))
             ):
@@ -250,6 +253,8 @@ class AtomNumerics:
     absorber: AbsorberSpec = field(default_factory=AbsorberSpec)
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         self.grid()

@@ -57,6 +57,9 @@ class LatticeModel:
     n_sites: int
 
     def __post_init__(self):
+        for name in ("t0", "u", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.t0 > 0:
             raise ValueError("t0 must be positive")
         if not self.a > 0:
@@ -136,9 +139,6 @@ class ManyBodyState:
         want = (self.basis.dim_up, self.basis.dim_down)
         if self.psi.shape != want:
             raise ValueError(f"psi shape {self.psi.shape} does not match {want}")
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2))
 
 
 def _forward_hop_matrix(n_sites: int, states: np.ndarray) -> csr_matrix:
@@ -409,6 +409,8 @@ class LatticeNumerics:
     dt: float = 0.005
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 

@@ -16,13 +16,11 @@ from .exceptions import InfeasibleTargetError
 __all__ = [
     "PulseSpec",
     "AtomSpec",
-    "StrongFieldScales",
     "CUTOFF_SLOPE",
     "HHG_MATCH_PREFACTOR",
     "evaluate_tl_field",
     "ponderomotive_energy",
     "hhg_cutoff",
-    "strong_field_scales",
     "hhg_matched_field",
     "ati_matched_field",
 ]
@@ -41,9 +39,10 @@ class PulseSpec:
     Parameters
     ----------
     e0 : float
-        Peak field amplitude, >= 0, in program units.
+        Peak field amplitude, >= 0 and finite, in program units.
     omega0 : float
-        Carrier angular frequency, > 0, in rad per program time unit.
+        Carrier angular frequency, > 0 and finite, in rad per program
+        time unit.
     cycles : int
         Number of carrier cycles under the envelope, >= 1.
 
@@ -56,11 +55,14 @@ class PulseSpec:
     cycles: int
 
     def __post_init__(self):
+        for name in ("e0", "omega0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.e0 >= 0:
             raise ValueError("e0 must be nonnegative")
         if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
-        if int(self.cycles) != self.cycles or self.cycles < 1:
+        if not 1 <= self.cycles < math.inf or int(self.cycles) != self.cycles:
             raise ValueError("cycles must be a positive integer")
 
     @property
@@ -81,18 +83,13 @@ class AtomSpec:
     alpha: float
 
     def __post_init__(self):
+        for name in ("ip", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.ip > 0:
             raise ValueError("ip must be positive")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-
-
-@dataclass(frozen=True)
-class StrongFieldScales:
-    """Ponderomotive energy and harmonic cutoff of a pulse/atom pair."""
-
-    up: float
-    cutoff: float
 
 
 def evaluate_tl_field(t, spec: PulseSpec):
@@ -124,12 +121,6 @@ def hhg_cutoff(field: float, omega: float, ip: float) -> float:
     if not ip > 0:
         raise ValueError("ip must be positive")
     return CUTOFF_SLOPE * ponderomotive_energy(field, omega) + ip
-
-
-def strong_field_scales(field: float, omega: float, ip: float) -> StrongFieldScales:
-    """Bundle Up and the cutoff for one pulse/atom pair."""
-    up = ponderomotive_energy(field, omega)
-    return StrongFieldScales(up=up, cutoff=CUTOFF_SLOPE * up + ip)
 
 
 def hhg_matched_field(omega: float, cutoff: float, ip_new: float) -> float:

@@ -46,31 +46,27 @@ TRACKING_COLUMNS = {
 SPECTRUM_COLUMNS = ("omega", "harmonic_order", "power")
 
 
-def _write_csv(path, header, columns, stride: int = 1) -> None:
-    if stride < 1 or int(stride) != stride:
-        raise ValueError("stride must be a positive integer")
-    n = len(columns[0])
-    rows = range(0, n, stride)
+def _write_csv(path, header, columns) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in rows:
+        for i in range(len(columns[0])):
             fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
 
 
-def _write_record(path, record, header, stride: int) -> None:
+def _write_record(path, record, header) -> None:
     columns = [record.dt * np.arange(len(record))]
     columns += [record.channels[name] for name in header[1:]]
-    _write_csv(path, header, columns, stride)
+    _write_csv(path, header, columns)
 
 
-def write_reference_csv(path, record, platform: str, stride: int = 1) -> None:
+def write_reference_csv(path, record, platform: str) -> None:
     """Write an open-loop run in the fixed per-platform column order."""
-    _write_record(path, record, REFERENCE_COLUMNS[platform], stride)
+    _write_record(path, record, REFERENCE_COLUMNS[platform])
 
 
-def write_tracking_csv(path, record, platform: str, stride: int = 1) -> None:
+def write_tracking_csv(path, record, platform: str) -> None:
     """Write a tracking run; ``guard`` is 1 on steps where the guard held u."""
-    _write_record(path, record, TRACKING_COLUMNS[platform], stride)
+    _write_record(path, record, TRACKING_COLUMNS[platform])
 
 
 def write_spectrum_csv(path, spectrum, omega0: float) -> None:

@@ -10,17 +10,8 @@ import math
 # 1 hartree in eV
 HARTREE_EV = 27.2114
 
-# 1 atomic unit of field in MV/cm
-FIELD_AU_MV_CM = 5.142e3
-
-# 1 bohr in angstrom
-BOHR_ANGSTROM = 0.5292
-
 # Planck constant in eV*s (photon energy per unit ordinary frequency)
 PLANCK_EV_S = 4.135667696e-15
-
-# atomic unit of time in seconds, hbar / hartree
-ATOMIC_TIME_S = PLANCK_EV_S / (2.0 * math.pi * HARTREE_EV)
 
 # vacuum speed of light in m/s
 SPEED_OF_LIGHT_M_S = 2.99792458e8
@@ -33,26 +24,9 @@ def ev_to_au(energy_ev: float) -> float:
     return energy_ev / HARTREE_EV
 
 
-def au_to_ev(energy_au: float) -> float:
-    return energy_au * HARTREE_EV
-
-
-def mv_cm_to_au(field_mv_cm: float) -> float:
-    return field_mv_cm / FIELD_AU_MV_CM
-
-
-def angstrom_to_au(length_angstrom: float) -> float:
-    return length_angstrom / BOHR_ANGSTROM
-
-
 def thz_to_ev(frequency_thz: float) -> float:
     """Photon energy in eV for an ordinary (not angular) frequency in THz."""
     return PLANCK_EV_S * frequency_thz * 1e12
-
-
-def thz_to_au_angular(frequency_thz: float) -> float:
-    """Angular frequency in rad per atomic time unit."""
-    return 2.0 * math.pi * frequency_thz * 1e12 * ATOMIC_TIME_S
 
 
 def intensity_to_au_field(intensity_w_cm2: float) -> float:

@@ -65,3 +65,38 @@ def test_benchmark_span_targets_resolve():
             assert meth in vars(cls), f"{span}: {attr} not defined on {cls_name}"
         else:
             assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
+
+
+# a valid instance of each public value type, as keyword arguments
+VALID = {
+    amptrack.PulseSpec: dict(e0=1.0, omega0=1.0, cycles=1),
+    amptrack.AtomSpec: dict(ip=0.5, alpha=1.4),
+    amptrack.Grid1D: dict(half_width=10.0, n_points=8),
+    amptrack.AbsorberSpec: dict(),
+    amptrack.AtomNumerics: dict(),
+    amptrack.LatticeModel: dict(t0=1.0, u=1.0, a=1.0, n_sites=2),
+    amptrack.LatticeNumerics: dict(),
+    amptrack.FeedbackConfig: dict(k_p=1.0),
+}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("cls, field", [
+    (amptrack.PulseSpec, "e0"),
+    (amptrack.PulseSpec, "omega0"),
+    (amptrack.PulseSpec, "cycles"),
+    (amptrack.AtomSpec, "ip"),
+    (amptrack.AtomSpec, "alpha"),
+    (amptrack.Grid1D, "half_width"),
+    (amptrack.AbsorberSpec, "exponent"),
+    (amptrack.AtomNumerics, "dt"),
+    (amptrack.LatticeModel, "t0"),
+    (amptrack.LatticeModel, "u"),
+    (amptrack.LatticeModel, "a"),
+    (amptrack.LatticeNumerics, "dt"),
+    (amptrack.FeedbackConfig, "k_p"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_value_types_reject_non_finite_numbers(cls, field, value):
+    # the config parser stops these first; a library caller meets them here
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        cls(**{**VALID[cls], field: value})

@@ -170,6 +170,10 @@ class TestRunTracking:
                      "--reference", str(first / "reference.csv")]) == 0
         assert (first / "tracking.csv").read_bytes() == \
                (second / "tracking.csv").read_bytes()
+        # metadata names the tracked file, or null for an in-process reference
+        assert storage.read_metadata(first / "metadata.json")["reference"] is None
+        assert storage.read_metadata(second / "metadata.json")["reference"] == \
+               str(first / "reference.csv")
 
     def test_gate_failure_exits_4(self, hubbard_cfg, tmp_path, capsys):
         out = tmp_path / "gated"
@@ -386,7 +390,8 @@ class TestFailClosed:
         assert not (out / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("old, new, message", [
-        ("k_p = 100", "k_p = 100\ngate = nan", "[experiment] gate: 'nan' is not finite"),
+        ("k_p = 100", "k_p = 100\ngate = nan",
+         "unknown key 'gate' in section [experiment]"),
         ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
          "[numerics] dt: 'nan' is not finite"),
         ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
@@ -416,7 +421,9 @@ class TestFailClosed:
         bad.write_text(text.replace(old, new.format(value)))
         out = tmp_path / "trk"
         assert main(["run-tracking", "--config", str(bad), "--out", str(out)]) == 2
-        assert f"{key}: '{value}' is not finite" in capsys.readouterr().err
+        message = ("unknown key 'gate' in section [experiment]" if key == "gate"
+                   else f"{key}: '{value}' is not finite")
+        assert message in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
     def test_nan_time_grid_is_rejected(self, hubbard_cfg, tmp_path, capsys):

@@ -83,8 +83,6 @@ ECHO = {
   "feedback": {
     "k_p": 1000.0
   },
-  "gate": null,
-  "output_stride": 1,
   "physical_inputs": {
     "intensity_w_cm2": 100000000000000.0,
     "wavelength_nm": 800.0
@@ -102,7 +100,6 @@ ECHO = {
   "feedback": {
     "k_p": 1000.0
   },
-  "gate": null,
   "hubbard": {
     "a_angstrom": 3.8,
     "n_down": 5,
@@ -115,7 +112,6 @@ ECHO = {
     "u_driven": 1.0,
     "u_reference": 10.0
   },
-  "output_stride": 1,
   "physical_inputs": {
     "e0_mv_cm": 24.0,
     "frequency_thz": 375.0
@@ -161,7 +157,6 @@ class TestBundledConfigs:
         cfg = parse_config(CONFIG_DIR / "hubbard_default.cfg")
         echo = cfg.as_dict()
         assert echo["feedback"] == {"k_p": 1000.0}
-        assert echo["output_stride"] == 1
         assert echo["hubbard"]["numerics"] == {"dt": 0.005}
         assert echo["pulse"]["duration"] == cfg.pulse.duration
         assert echo["physical_inputs"]["frequency_thz"] == 375.0
@@ -249,9 +244,9 @@ class TestStrictValidation:
         ("atom", "ip_au = 0.579", "ip_ev = -15.8",
          "[reference] ionization potential must be positive"),
         ("atom", "k_p = 50", "k_p = 50\ngate = 0",
-         "[experiment] gate must be positive"),
+         "unknown key 'gate' in section [experiment]"),
         ("atom", "k_p = 50", "k_p = 50\noutput_stride = 0",
-         "[experiment] output_stride must be a positive integer"),
+         "unknown key 'output_stride' in section [experiment]"),
         ("hubbard", "sites = 2", "sites = 1", "[lattice] sites must be at least 2"),
         ("hubbard", "sites = 2", "sites = 2\nt0_ev = 0",
          "[lattice] t0_ev and a_angstrom must be positive"),
@@ -274,7 +269,7 @@ class TestStrictValidation:
         ("atom", "k_p = 50", "k_p = 50\nepsilon = nan",
          "unknown key 'epsilon' in section [experiment]"),
         ("atom", "k_p = 50", "k_p = 50\ngate = nan",
-         "[experiment] gate: 'nan' is not finite"),
+         "unknown key 'gate' in section [experiment]"),
         ("atom", "dt = 0.05", "dt = nan", "[numerics] dt: 'nan' is not finite"),
         ("atom", "box_half_width = 60", "box_half_width = nan",
          "[numerics] box_half_width: 'nan' is not finite"),

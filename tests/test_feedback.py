@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 from amptrack import AtomSpec, GridMismatchError, PulseSpec, TimeSeries, grid
 from amptrack.feedback import (
     FeedbackConfig,
+    RunRecord,
     control_field,
     run_open_loop,
     run_tracking,
-    tracking_residual,
 )
 from amptrack.grid import AbsorberSpec, AtomNumerics, AtomSystem
 from amptrack.lattice import HubbardSystem, LatticeModel
@@ -149,17 +148,25 @@ class TestPulseTable:
 
 
 class TestTrackingResidual:
+    """RunRecord.rms_relative reads the residual channel against y."""
+
+    def record(self, response, y):
+        response, y = np.array(response), np.array(y)
+        return RunRecord(dt=1.0, channels={"response": response, "y": y,
+                                           "residual": response - y})
+
     def test_perfect_match_is_zero(self):
-        r = SimpleNamespace(response=np.array([1.0, 2.0]), y=np.array([1.0, 2.0]))
-        assert tracking_residual(r) == 0.0
+        assert self.record([1.0, 2.0], [1.0, 2.0]).rms_relative == 0.0
 
     def test_relative_normalization(self):
-        r = SimpleNamespace(response=np.array([2.0, 0.0]), y=np.array([1.0, 0.0]))
-        assert tracking_residual(r) == pytest.approx(1.0)
+        r = self.record([2.0, 0.0], [1.0, 0.0])
+        assert r.rms_relative == pytest.approx(1.0)
+        assert not r.absolute_rms
 
     def test_zero_target_falls_back_to_absolute(self):
-        r = SimpleNamespace(response=np.array([0.3, -0.3]), y=np.zeros(2))
-        assert tracking_residual(r) == pytest.approx(0.3)
+        r = self.record([0.3, -0.3], [0.0, 0.0])
+        assert r.rms_relative == pytest.approx(0.3)
+        assert r.absolute_rms
 
 
 class TestGridValidation:
@@ -234,7 +241,6 @@ class TestCrossTracking:
             system = AtomSystem(driven, small_pulse(), small_atom_numerics())
             result = run_tracking(system, y, FeedbackConfig(k_p=k_p))
             residuals[k_p] = result.rms_relative
-            assert tracking_residual(result) == pytest.approx(result.rms_relative)
         assert residuals[100.0] < residuals[10.0] / 2.0
 
     def test_replaying_recorded_control_reproduces_the_run(self):

