@@ -1,10 +1,12 @@
 """End-to-end CLI tests: artifacts, determinism, and exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from amptrack import grid, storage
 from amptrack.cli import main
@@ -225,6 +227,50 @@ class TestRunTracking:
                      "--reference", str(ref)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "tracking.csv").exists()
+
+
+class TestArtifactDigests:
+    """SHA-256 digests of the run-tracking CSVs, pinned per library build.
+
+    A change that keeps the arithmetic keeps these bytes.  A change that
+    alters the arithmetic updates the digests and says so in CHANGES.md.
+    """
+
+    # numpy and scipy versions the digests were computed with
+    VERSIONS = ("2.4.6", "1.17.1")
+    DIGESTS = {
+        "atom": (
+            "0ac596f0c53a910f692ae83dc20569c44131fc36bbd78f3f0e02508b21b3982d",
+            "3f0a7b6f53bd748fb0481358b8cae56db667d599ef524c6f31202be845d31bb9",
+        ),
+        "hubbard-2": (
+            "ceddb31aac615e8d2f75b0de46f73ca5c99e21f9d1cac4f5e96ddde6db121082",
+            "4178d1e54f5fa335dad3c284bb589917e7d1afdbb658ecb1e82228a7bc3768b1",
+        ),
+        "hubbard-6": (
+            "ad418a157ce2f0159fb7989fe780f1b20597e887d7b62ac4cdfdabd7cd04a7d0",
+            "d4c086d667a828bfa65d7cf0c4b35d441b240105e0de12efe7dbb5a315d5a101",
+        ),
+    }
+    CONFIGS = {
+        "atom": ATOM_CFG,
+        "hubbard-2": HUBBARD_CFG,
+        "hubbard-6": HUBBARD_CFG.replace("sites = 2", "sites = 6"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_csv_digests(self, case, tmp_path):
+        versions = (np.__version__, scipy.__version__)
+        if versions != self.VERSIONS:
+            pytest.skip(f"digests pinned for numpy {self.VERSIONS[0]} and scipy "
+                        f"{self.VERSIONS[1]}, found {versions[0]} and {versions[1]}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIGS[case])
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(cfg), "--out", str(out)]) == 0
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("reference.csv", "tracking.csv"))
+        assert digests == self.DIGESTS[case]
 
 
 class TestMatchIntensity:
