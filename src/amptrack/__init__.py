@@ -16,7 +16,6 @@ from .exceptions import (
     DetectionError,
     GridMismatchError,
     InfeasibleTargetError,
-    SectorMismatchError,
     StepSizeError,
 )
 from .series import TimeSeries
@@ -41,10 +40,6 @@ from .lattice import (
     HubbardSystem,
     LatticeModel,
     LatticeNumerics,
-    ManyBodyState,
-    SectorBasis,
-    build_sector_basis,
-    lanczos_ground_state,
 )
 from .feedback import (
     FeedbackConfig,

@@ -26,7 +26,6 @@ from .exceptions import (
     DetectionError,
     GridMismatchError,
     InfeasibleTargetError,
-    SectorMismatchError,
     StepSizeError,
 )
 from .feedback import check_reference, relative_rms, rms, run_open_loop, run_tracking
@@ -36,8 +35,7 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
-_INVALID = (ConfigError, GridMismatchError, SectorMismatchError,
-            InfeasibleTargetError, ValueError)
+_INVALID = (ConfigError, GridMismatchError, InfeasibleTargetError, ValueError)
 _NUMERICAL = (ConvergenceError, StepSizeError, DetectionError, CalibrationError)
 
 

@@ -39,7 +39,3 @@ class DetectionError(AmptrackError):
 
 class GridMismatchError(AmptrackError):
     """Reference signal and driven propagation do not share one time grid."""
-
-
-class SectorMismatchError(AmptrackError):
-    """A many-body state does not belong to the expected particle sector."""

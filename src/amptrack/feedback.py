@@ -105,7 +105,7 @@ class RunRecord:
     residual = _channel("residual")
 
     def series(self, name: str) -> TimeSeries:
-        return TimeSeries(0.0, self.dt, self.channels[name], label=name)
+        return TimeSeries(0.0, self.dt, self.channels[name])
 
     def __len__(self) -> int:
         first = next(iter(self.channels.values()))

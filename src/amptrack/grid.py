@@ -26,7 +26,6 @@ __all__ = [
     "calibrate_softening",
     "atom_for_ip",
     "imaginary_time_ground_state",
-    "expect_energy",
 ]
 
 
@@ -73,10 +72,6 @@ class AbsorberSpec:
         if not self.exponent > 0:
             raise ValueError("exponent must be positive")
 
-    @classmethod
-    def off(cls) -> "AbsorberSpec":
-        return cls(fraction=0.0)
-
     def mask(self, grid: Grid1D):
         """Mask samples in [0, 1], or None when the absorber is disabled."""
         if self.fraction == 0.0:
@@ -107,11 +102,6 @@ def _energy(psi: np.ndarray, k2: np.ndarray, V: np.ndarray,
     phi = sfft.fft(psi)
     kin = float(np.real(np.sum(0.5 * k2 * (phi.conj() * phi))) * dx / n)
     return kin + float(np.sum(np.abs(psi) ** 2 * V) * dx)
-
-
-def expect_energy(psi: np.ndarray, grid: Grid1D, V: np.ndarray) -> float:
-    """Field-free energy <K + V> of the state (unnormalized expectation)."""
-    return _energy(psi, grid.k() ** 2, V, grid.dx, grid.n_points)
 
 
 # the step is lowered through the schedule so that the Trotter bias of
@@ -253,10 +243,12 @@ class AtomNumerics:
     absorber: AbsorberSpec = field(default_factory=AbsorberSpec)
 
     def __post_init__(self):
-        if not math.isfinite(self.dt):
-            raise ValueError("dt must be finite")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        # checked here so that a bad box is reported under its own key
+        for name in ("dt", "box_half_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         self.grid()
 
     def grid(self) -> Grid1D:

@@ -26,18 +26,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
 
 from . import feedback
-from .exceptions import ConvergenceError, SectorMismatchError, StepSizeError
+from .exceptions import ConvergenceError, StepSizeError
 from .pulses import PulseSpec, evaluate_tl_field
 
-__all__ = [
-    "LatticeModel",
-    "SectorBasis",
-    "ManyBodyState",
-    "LatticeNumerics",
-    "HubbardSystem",
-    "build_sector_basis",
-    "lanczos_ground_state",
-]
+__all__ = ["LatticeModel", "LatticeNumerics", "HubbardSystem"]
 
 _GROUND_STATE_SEED = 20240801
 
@@ -77,7 +69,7 @@ def _occupation_states(n_sites: int, n_particles: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SectorBasis:
+class _SectorBasis:
     """Ordered (N_up, N_down) occupation basis on an L-site ring.
 
     Product states are indexed as i = i_up * dim_down + i_down with each
@@ -103,25 +95,9 @@ class SectorBasis:
         return self.dim_up * self.dim_down
 
 
-def build_sector_basis(n_sites: int, n_up: int, n_down: int) -> SectorBasis:
-    """Enumerate the (N_up, N_down) sector in ascending-bitmask order."""
-    if n_sites < 2:
-        raise ValueError("n_sites must be at least 2")
-    for n in (n_up, n_down):
-        if not 0 <= n <= n_sites:
-            raise ValueError("particle numbers must lie in [0, n_sites]")
-    return SectorBasis(
-        n_sites=n_sites,
-        n_up=n_up,
-        n_down=n_down,
-        states_up=_occupation_states(n_sites, n_up),
-        states_down=_occupation_states(n_sites, n_down),
-    )
-
-
 @dataclass
-class ManyBodyState:
-    """Amplitudes over a SectorBasis as a (dim_up, dim_down) matrix.
+class _ManyBodyState:
+    """Amplitudes over a sector basis as a complex (dim_up, dim_down) matrix.
 
     ``phi`` is the accumulated Peierls phase the state was propagated
     with, and ``u_sum`` the running sum of held control samples; both are
@@ -130,15 +106,8 @@ class ManyBodyState:
     """
 
     psi: np.ndarray
-    basis: SectorBasis
     phi: float = 0.0
     u_sum: float = 0.0
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-        want = (self.basis.dim_up, self.basis.dim_down)
-        if self.psi.shape != want:
-            raise ValueError(f"psi shape {self.psi.shape} does not match {want}")
 
 
 def _forward_hop_matrix(n_sites: int, states: np.ndarray) -> csr_matrix:
@@ -210,7 +179,7 @@ class _PhasedHop:
 class _SectorOperators:
     """Precomputed sparse structure for one (L, N_up, N_down) sector."""
 
-    def __init__(self, basis: SectorBasis):
+    def __init__(self, basis: _SectorBasis):
         L = basis.n_sites
         hop_up = _forward_hop_matrix(L, basis.states_up)
         hop_down = _forward_hop_matrix(L, basis.states_down)
@@ -238,7 +207,7 @@ class _SectorOperators:
 _OPERATOR_CACHE: dict = {}
 
 
-def _operators(basis: SectorBasis) -> _SectorOperators:
+def _operators(basis: _SectorBasis) -> _SectorOperators:
     key = (basis.n_sites, basis.n_up, basis.n_down)
     ops = _OPERATOR_CACHE.get(key)
     if ops is None:
@@ -303,46 +272,6 @@ _KRYLOV_TOL = 1e-10
 _MAX_HALVINGS = 6
 _MAX_RESTARTS = 100
 _GROUND_STATE_TOL = 1e-10
-
-
-def lanczos_ground_state(model: LatticeModel, basis: SectorBasis) -> tuple:
-    """Ground state of the field-free H in the sector, with its energy.
-
-    Explicitly restarted Lanczos on the recurrence of the time step: each
-    restart runs ``_KRYLOV_DIM`` steps from the lowest Ritz vector of the
-    last, seeded at first with a fixed random vector.  It stops when
-    ||H psi - E psi|| < 1e-10, or when beta < 1e-14, which makes the
-    Krylov space invariant and the Ritz pair exact.  The returned pair
-    must satisfy ||H psi - E psi|| < 1e-8 or a ConvergenceError carrying
-    the residual is raised.
-    """
-    if model.n_sites != basis.n_sites:
-        raise SectorMismatchError("basis and model disagree on the site count")
-    hop = _operators(basis).phased(0.0, model.t0, model.u)
-    shape = (basis.dim_up, basis.dim_down)
-    rng = np.random.default_rng(_GROUND_STATE_SEED)
-    vec = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    V = np.empty((_KRYLOV_DIM, basis.dim), dtype=complex)
-    for _ in range(_MAX_RESTARTS):
-        np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
-        for alphas, betas, beta in _lanczos(V, hop, shape):
-            if beta < 1e-14:
-                break
-        evals, evecs = eigh_tridiagonal(alphas, betas)
-        energy = float(evals[0])
-        vec = _combine(V, evecs[:, 0])
-        vec /= math.sqrt(_real_vdot(vec, vec))
-        r = hop.apply(vec.reshape(shape)).ravel() - energy * vec
-        residual = math.sqrt(_real_vdot(r, r))
-        if residual < _GROUND_STATE_TOL or beta < 1e-14:
-            break
-    if not residual < 1e-8:
-        raise ConvergenceError(
-            f"ground-state residual {residual:.3e} above 1e-8", residual=residual
-        )
-    j = int(np.argmax(np.abs(vec)))
-    vec *= np.conj(vec[j]) / abs(vec[j])
-    return ManyBodyState(vec.reshape(shape), basis), energy
 
 
 def _evolved(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
@@ -418,6 +347,9 @@ class LatticeNumerics:
 class HubbardSystem:
     """Driven Hubbard ring exposed through the shared tracking protocol.
 
+    The state lives in the sector of ``n_up`` and ``n_down`` particles,
+    half filling of each spin by default; ``basis.dim`` is its dimension.
+
     The Peierls phase is accumulated causally: the smooth pulse part by
     the trapezoidal rule on the ``e_tl`` table of node samples, the
     control part by its zero-order hold.  Propagation over a step freezes
@@ -437,11 +369,14 @@ class HubbardSystem:
         self.model = model
         self.pulse = pulse
         self.numerics = numerics if numerics is not None else LatticeNumerics()
-        if n_up is None:
-            n_up = model.n_sites // 2
-        if n_down is None:
-            n_down = model.n_sites // 2
-        self.basis = build_sector_basis(model.n_sites, n_up, n_down)
+        L = model.n_sites
+        n_up = L // 2 if n_up is None else n_up
+        n_down = L // 2 if n_down is None else n_down
+        for n in (n_up, n_down):
+            if not 0 <= n <= L:
+                raise ValueError("particle numbers must lie in [0, n_sites]")
+        self.basis = _SectorBasis(L, n_up, n_down, _occupation_states(L, n_up),
+                                  _occupation_states(L, n_down))
         self.dt = self.numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
         self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)
@@ -449,12 +384,46 @@ class HubbardSystem:
         self._c = model.a * model.a
         self.ground_energy: float | None = None
 
-    def initial_state(self) -> ManyBodyState:
-        state, energy = lanczos_ground_state(self.model, self.basis)
-        self.ground_energy = energy
-        return state
+    def initial_state(self) -> _ManyBodyState:
+        """Ground state of the field-free H in the sector; sets ``ground_energy``.
 
-    def observables(self, state: ManyBodyState) -> dict:
+        Explicitly restarted Lanczos on the recurrence of the time step: each
+        restart runs ``_KRYLOV_DIM`` steps from the lowest Ritz vector of the
+        last, seeded at first with a fixed random vector.  It stops when
+        ||H psi - E psi|| < 1e-10, or when beta < 1e-14, which makes the
+        Krylov space invariant and the Ritz pair exact.  The returned state
+        must satisfy ||H psi - E psi|| < 1e-8 or a ConvergenceError carrying
+        the residual is raised.
+        """
+        basis = self.basis
+        hop = _operators(basis).phased(0.0, self.model.t0, self.model.u)
+        shape = (basis.dim_up, basis.dim_down)
+        rng = np.random.default_rng(_GROUND_STATE_SEED)
+        vec = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        V = np.empty((_KRYLOV_DIM, basis.dim), dtype=complex)
+        for _ in range(_MAX_RESTARTS):
+            np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
+            for alphas, betas, beta in _lanczos(V, hop, shape):
+                if beta < 1e-14:
+                    break
+            evals, evecs = eigh_tridiagonal(alphas, betas)
+            energy = float(evals[0])
+            vec = _combine(V, evecs[:, 0])
+            vec /= math.sqrt(_real_vdot(vec, vec))
+            r = hop.apply(vec.reshape(shape)).ravel() - energy * vec
+            residual = math.sqrt(_real_vdot(r, r))
+            if residual < _GROUND_STATE_TOL or beta < 1e-14:
+                break
+        if not residual < 1e-8:
+            raise ConvergenceError(
+                f"ground-state residual {residual:.3e} above 1e-8", residual=residual
+            )
+        j = int(np.argmax(np.abs(vec)))
+        vec *= np.conj(vec[j]) / abs(vec[j])
+        self.ground_energy = energy
+        return _ManyBodyState(vec.reshape(shape))
+
+    def observables(self, state: _ManyBodyState) -> dict:
         # one forward hop pass feeds the current and the kinetic energy,
         # and a backward pass adds the commutator. The kinetic part
         # commutes with the current on a uniform ring (both are diagonal
@@ -489,7 +458,7 @@ class HubbardSystem:
         rate = self.response(obs, e_tl)
         return feedback.control_field(rate, -self._c * obs["kinetic"], y, cfg, u_prev)
 
-    def advance(self, state: ManyBodyState, step: int, u: float) -> ManyBodyState:
+    def advance(self, state: _ManyBodyState, step: int, u: float) -> _ManyBodyState:
         u_sum = state.u_sum + u
         phi_new = -self.model.a * (
             self._phi_smooth[step + 1] + u_sum * self.dt
@@ -497,4 +466,4 @@ class HubbardSystem:
         phi_mid = 0.5 * (state.phi + phi_new)
         hop = _operators(self.basis).phased(phi_mid, self.model.t0, self.model.u)
         psi = _krylov_apply(state.psi, hop, self.dt)
-        return ManyBodyState(psi, self.basis, phi=phi_new, u_sum=u_sum)
+        return _ManyBodyState(psi, phi=phi_new, u_sum=u_sum)

@@ -18,14 +18,11 @@ class TimeSeries:
         Sample spacing, positive and finite.
     values : ndarray
         Real samples, at least two.
-    label : str
-        Channel name, e.g. ``"y"`` or ``"u"``.
     """
 
     t0: float
     dt: float
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

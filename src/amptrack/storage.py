@@ -24,7 +24,6 @@ __all__ = [
     "write_spectrum_csv",
     "read_table",
     "write_metadata",
-    "read_metadata",
 ]
 
 # fixed column orders; the per-platform observable channels come first
@@ -89,10 +88,11 @@ class Table:
 
     def series(self, name: str) -> TimeSeries:
         """Rebuild a channel as a uniform series from the ``t`` column."""
-        if name not in self.columns:
-            raise ValueError(
-                f"no column {name!r}; file has {', '.join(self.header)}"
-            )
+        for column in (name, "t"):
+            if column not in self.columns:
+                raise ValueError(
+                    f"no column {column!r}; file has {', '.join(self.header)}"
+                )
         t = self.columns["t"]
         if len(t) < 2:
             raise ValueError("need at least two rows to form a series")
@@ -100,7 +100,7 @@ class Table:
         steps = np.diff(t)
         if not np.all(np.abs(steps - dt) <= 1e-9 * max(1.0, abs(dt))):
             raise ValueError("t column is not uniformly spaced")
-        return TimeSeries(float(t[0]), dt, self.columns[name], label=name)
+        return TimeSeries(float(t[0]), dt, self.columns[name])
 
 
 def read_table(path) -> Table:
@@ -125,8 +125,3 @@ def write_metadata(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_metadata(path) -> dict:
-    with open(path, "r") as fh:
-        return json.load(fh)

@@ -18,8 +18,8 @@ from amptrack.grid import (
     AtomNumerics,
     AtomSystem,
     Grid1D,
+    _energy,
     atom_for_ip,
-    expect_energy,
     soft_coulomb_potential,
 )
 from amptrack.lattice import HubbardSystem, LatticeModel, LatticeNumerics
@@ -278,7 +278,8 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     drive = PulseSpec(e0=0.05, omega0=0.25, cycles=2)
 
     # Norm under driving with the absorber off (the split steps are unitary).
-    system = AtomSystem(atom, drive, AtomNumerics(60.0, 512, 0.02, AbsorberSpec.off()))
+    no_absorber = AbsorberSpec(fraction=0.0)
+    system = AtomSystem(atom, drive, AtomNumerics(60.0, 512, 0.02, no_absorber))
     psi = system.initial_state()
     for step in range(system.n_steps):
         psi = system.advance(psi, step, 0.0)
@@ -294,16 +295,17 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     # Field-free energy over ten thousand steps, both platforms.
     still = AtomSystem(
         atom, PulseSpec(e0=0.0, omega0=0.25, cycles=2),
-        AtomNumerics(60.0, 512, 0.02, AbsorberSpec.off()),
+        AtomNumerics(60.0, 512, 0.02, no_absorber),
     )
     potential = soft_coulomb_potential(grid, atom.alpha)
+    k2 = grid.k() ** 2
     psi = still.initial_state()
-    e_ref = expect_energy(psi, grid, potential)
+    e_ref = _energy(psi, k2, potential, grid.dx, grid.n_points)
     atom_energy_drift = 0.0
     for step in range(10_000):
         psi = still.advance(psi, step, 0.0)
         if (step + 1) % 250 == 0:
-            e_now = expect_energy(psi, grid, potential)
+            e_now = _energy(psi, k2, potential, grid.dx, grid.n_points)
             atom_energy_drift = max(atom_energy_drift, abs(e_now - e_ref))
 
     model = LatticeModel(t0=1.0, u=cfg.hubbard.u_reference, a=1.0, n_sites=4)
@@ -333,7 +335,7 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     # must shrink at the second-order rate when dt halves.
     def atom_residual(dt):
         run = run_open_loop(
-            AtomSystem(atom, drive, AtomNumerics(60.0, 512, dt, AbsorberSpec.off()))
+            AtomSystem(atom, drive, AtomNumerics(60.0, 512, dt, no_absorber))
         )
         p, y = run.channels["p"], run.channels["y"]
         return float(np.max(np.abs((p[2:] - p[:-2]) / (2 * dt) - y[1:-1])))

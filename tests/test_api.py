@@ -90,6 +90,7 @@ VALID = {
     (amptrack.Grid1D, "half_width"),
     (amptrack.AbsorberSpec, "exponent"),
     (amptrack.AtomNumerics, "dt"),
+    (amptrack.AtomNumerics, "box_half_width"),
     (amptrack.LatticeModel, "t0"),
     (amptrack.LatticeModel, "u"),
     (amptrack.LatticeModel, "a"),

@@ -95,6 +95,10 @@ def poison_y(src, dst, value="nan", row=5):
     return dst
 
 
+def read_json(path):
+    return json.loads(path.read_text())
+
+
 def write_constant_csv(path, value, n=16, dt=0.05):
     with open(path, "w") as fh:
         fh.write("t,y\n")
@@ -110,7 +114,7 @@ class TestRunReference:
                      "--out", str(out)]) == 0
         table = storage.read_table(out / "reference.csv")
         assert table.header == storage.REFERENCE_COLUMNS["atom"]
-        meta = storage.read_metadata(out / "metadata.json")
+        meta = read_json(out / "metadata.json")
         assert meta["command"] == "run-reference"
         assert meta["config"]["platform"] == "atom"
         assert meta["summary"]["ground_energy"] == pytest.approx(-0.579, abs=5e-3)
@@ -149,6 +153,15 @@ class TestRunReference:
                    else "[numerics] dt must be positive")
         assert message in capsys.readouterr().err
 
+    def test_bad_box_half_width_names_its_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(ATOM_CFG.replace("box_half_width = 60",
+                                        "box_half_width = -60"))
+        assert main(["run-reference", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "[numerics] box_half_width must be positive" in \
+            capsys.readouterr().err
+
 
 class TestRunTracking:
     def test_in_process_reference_and_residual(self, hubbard_cfg, tmp_path, capsys):
@@ -158,7 +171,7 @@ class TestRunTracking:
         assert (out / "reference.csv").exists()
         table = storage.read_table(out / "tracking.csv")
         assert table.header == storage.TRACKING_COLUMNS["hubbard"]
-        meta = storage.read_metadata(out / "metadata.json")
+        meta = read_json(out / "metadata.json")
         assert meta["summary"]["residual_kind"] == "relative"
         assert meta["summary"]["rms_residual"] < 0.05
         assert "rms residual" in capsys.readouterr().out
@@ -173,8 +186,8 @@ class TestRunTracking:
         assert (first / "tracking.csv").read_bytes() == \
                (second / "tracking.csv").read_bytes()
         # metadata names the tracked file, or null for an in-process reference
-        assert storage.read_metadata(first / "metadata.json")["reference"] is None
-        assert storage.read_metadata(second / "metadata.json")["reference"] == \
+        assert read_json(first / "metadata.json")["reference"] is None
+        assert read_json(second / "metadata.json")["reference"] == \
                str(first / "reference.csv")
 
     def test_gate_failure_exits_4(self, hubbard_cfg, tmp_path, capsys):
@@ -198,7 +211,7 @@ class TestRunTracking:
         out = tmp_path / "trk"
         assert main(["run-tracking", "--config", str(cfg),
                      "--out", str(out)]) == 0
-        summary = storage.read_metadata(out / "metadata.json")["summary"]
+        summary = read_json(out / "metadata.json")["summary"]
         if platform == "atom":
             # the driven atom of ATOM_CFG: Ip 0.5 on its 512-point grid
             alpha = grid.calibrate_softening(0.5, grid.Grid1D(60.0, 512))
@@ -335,7 +348,7 @@ class TestSpectrum:
         assert "cutoff order: 9" in capsys.readouterr().out
         table = storage.read_table(out / "spectrum.csv")
         assert table.header == storage.SPECTRUM_COLUMNS
-        meta = storage.read_metadata(out / "metadata.json")
+        meta = read_json(out / "metadata.json")
         assert meta["cutoff_order"] == 9
         assert meta["window"] == "hann"
 
@@ -496,6 +509,17 @@ class TestFailClosed:
                 "compare": ["--a", str(empty), "--b", str(good)]}[command]
         assert main([command, *args]) == 2
         assert "no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_csv_without_t_column_exits_2(self, command, tmp_path, capsys):
+        csv = tmp_path / "y.csv"
+        csv.write_text("y\n0.0\n1.0\n0.5\n")
+        args = {"spectrum": ["--in", str(csv), "--out", str(tmp_path / "spec"),
+                             "--omega0", "0.3"],
+                "compare": ["--a", str(csv), "--b", str(csv)]}[command]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no column 't'; file has y" in err
 
     def test_overflowing_rms_exits_3(self, tmp_path, capsys):
         a = write_constant_csv(tmp_path / "a.csv", 1e308)

@@ -300,7 +300,7 @@ class TestStrictValidation:
         ("dt = 0.05", "dt = -0.05", "[numerics] dt must be positive"),
         ("n_points = 512", "n_points = 500", "[numerics] n_points must be a power of two"),
         ("box_half_width = 60", "box_half_width = 0",
-         "[numerics] half_width must be positive"),
+         "[numerics] box_half_width must be positive"),
     ])
     def test_bad_atom_numerics_fail_at_parse(self, tmp_path, old, new, message):
         text = MINIMAL_ATOM.replace(old, new)

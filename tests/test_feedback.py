@@ -23,7 +23,7 @@ finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
 def small_atom_numerics():
     return AtomNumerics(box_half_width=60.0, n_points=512, dt=0.05,
-                        absorber=AbsorberSpec.off())
+                        absorber=AbsorberSpec(fraction=0.0))
 
 
 def small_pulse():

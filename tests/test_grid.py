@@ -19,9 +19,9 @@ from amptrack.grid import (
     AtomNumerics,
     AtomSystem,
     Grid1D,
-    calibrate_softening,
-    expect_energy,
+    _energy,
     _softening_slope,
+    calibrate_softening,
     imaginary_time_ground_state,
     soft_coulomb_force,
     soft_coulomb_potential,
@@ -72,7 +72,7 @@ def field_free_atom(half_width, n_points, alpha=SQRT2, dt=0.02):
     return AtomSystem(
         AtomSpec(ip=0.5, alpha=alpha),
         PulseSpec(e0=0.0, omega0=1.0, cycles=1),
-        AtomNumerics(half_width, n_points, dt, AbsorberSpec.off()),
+        AtomNumerics(half_width, n_points, dt, AbsorberSpec(fraction=0.0)),
     )
 
 
@@ -259,7 +259,8 @@ class TestSplitOperator:
         obs = system.observables(stepped)
         assert abs(obs["p"]) < 1e-10
         assert abs(obs["force"]) < 1e-10
-        assert expect_energy(stepped, grid, system._V) == pytest.approx(e0, abs=1e-10)
+        energy = _energy(stepped, grid.k() ** 2, system._V, grid.dx, grid.n_points)
+        assert energy == pytest.approx(e0, abs=1e-10)
 
     def test_unitarity_without_absorber(self):
         system = field_free_atom(30.0, 256, alpha=1.0, dt=0.05)
@@ -364,11 +365,11 @@ class TestSplitOperator:
         interior = np.abs(grid.x()) < 100.0 - 20.0
         np.testing.assert_array_equal(mask[interior], 1.0)
         assert mask[0] < 0.01 and mask[-1] < 0.01
-        assert AbsorberSpec.off().mask(grid) is None
+        assert AbsorberSpec(fraction=0.0).mask(grid) is None
 
 
 class TestReferenceRuns:
-    def small_numerics(self, absorber=AbsorberSpec.off()):
+    def small_numerics(self, absorber=AbsorberSpec(fraction=0.0)):
         return AtomNumerics(box_half_width=60.0, n_points=512, dt=0.05,
                             absorber=absorber)
 
@@ -392,7 +393,7 @@ class TestReferenceRuns:
 
         def residual(dt):
             numerics = AtomNumerics(box_half_width=60.0, n_points=512, dt=dt,
-                                    absorber=AbsorberSpec.off())
+                                    absorber=AbsorberSpec(fraction=0.0))
             rec = run_open_loop(AtomSystem(atom, pulse, numerics))
             p = rec.channels["p"]
             dp = (p[2:] - p[:-2]) / (2 * dt)

@@ -14,7 +14,6 @@ import amptrack
 from amptrack import (
     ConvergenceError,
     PulseSpec,
-    SectorMismatchError,
     StepSizeError,
     evaluate_tl_field,
     lattice,
@@ -24,15 +23,19 @@ from amptrack.lattice import (
     HubbardSystem,
     LatticeModel,
     LatticeNumerics,
-    ManyBodyState,
     _krylov_apply,
+    _ManyBodyState,
     _operators,
-    build_sector_basis,
-    lanczos_ground_state,
 )
 
 def model_for(L, u=0.0, t0=1.0, a=1.0):
     return LatticeModel(t0=t0, u=u, a=a, n_sites=L)
+
+
+def ring(model, n_up=None, n_down=None, pulse=None, numerics=None):
+    """A HubbardSystem on the (n_up, n_down) sector, field-free by default."""
+    pulse = pulse or PulseSpec(e0=0.0, omega0=1.0, cycles=1)
+    return HubbardSystem(model, pulse, numerics, n_up=n_up, n_down=n_down)
 
 
 def random_state(basis, seed=0, phi=0.0):
@@ -41,7 +44,7 @@ def random_state(basis, seed=0, phi=0.0):
         (basis.dim_up, basis.dim_down)
     )
     psi /= np.linalg.norm(psi.ravel())
-    return ManyBodyState(psi, basis, phi=phi)
+    return _ManyBodyState(psi, phi=phi)
 
 
 def hamiltonian(basis, model, phi):
@@ -58,17 +61,6 @@ def module_dense(basis, model, phi):
         e[c] = 1.0
         M[:, c] = hop.apply(e.reshape(basis.dim_up, basis.dim_down)).ravel()
     return M
-
-
-def ring(model, basis, pulse=None, numerics=None):
-    """A HubbardSystem on the sector of ``basis``, field-free by default."""
-    pulse = pulse or PulseSpec(e0=0.0, omega0=1.0, cycles=1)
-    return HubbardSystem(model, pulse, numerics,
-                         n_up=basis.n_up, n_down=basis.n_down)
-
-
-def observe(model, state):
-    return ring(model, state.basis).observables(state)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +128,22 @@ def jw_expectations(basis, model, state):
 class TestSectorBasis:
     @pytest.mark.parametrize(
         "L,n_up,n_down,dim",
-        [(2, 1, 1, 4), (4, 2, 2, 36), (10, 5, 5, 63504), (3, 2, 1, 9)],
+        [(2, 1, 1, 4), (4, 2, 2, 36), (10, 5, 5, 63504), (3, 2, 1, 9),
+         (6, None, None, 400)],
     )
     def test_dimensions(self, L, n_up, n_down, dim):
-        assert build_sector_basis(L, n_up, n_down).dim == dim
+        assert ring(model_for(L), n_up, n_down).basis.dim == dim
 
     def test_ordering_is_ascending_bitmasks(self):
-        basis = build_sector_basis(5, 2, 3)
+        basis = ring(model_for(5), 2, 3).basis
         assert np.all(np.diff(basis.states_up) > 0)
         assert np.all(np.diff(basis.states_down) > 0)
 
     def test_rejects_bad_occupations(self):
-        with pytest.raises(ValueError):
-            build_sector_basis(4, 5, 2)
-        with pytest.raises(ValueError):
-            build_sector_basis(4, -1, 2)
+        with pytest.raises(ValueError, match="particle numbers"):
+            ring(model_for(4), 5, 2)
+        with pytest.raises(ValueError, match="particle numbers"):
+            ring(model_for(4), -1, 2)
 
 
 class TestOperatorsAgainstJordanWigner:
@@ -167,25 +160,26 @@ class TestOperatorsAgainstJordanWigner:
     def test_hamiltonian_and_current_match(self, L, n_up, n_down, u, phi):
         # the program never applies J; its current, kinetic energy and
         # commutator enter only as the expectation values of observables()
-        basis = build_sector_basis(L, n_up, n_down)
         model = model_for(L, u=u, a=1.3, t0=0.7)
+        system = ring(model, n_up, n_down)
+        basis = system.basis
         H_ref, _ = jw_sector_matrices(L, basis, model, phi)
         H = module_dense(basis, model, phi)
         np.testing.assert_allclose(H, H_ref, atol=1e-12)
         state = random_state(basis, 3, phi=phi)
-        got = observe(model, state)
+        got = system.observables(state)
         for name, want in jw_expectations(basis, model, state).items():
             assert got[name] == pytest.approx(want, abs=1e-12), name
 
     def test_two_site_single_fermion_band(self):
-        basis = build_sector_basis(2, 1, 0)
         model = model_for(2)
+        basis = ring(model, 1, 0).basis
         H = module_dense(basis, model, 0.0)
         np.testing.assert_allclose(np.linalg.eigvalsh(H), [-2.0, 2.0], atol=1e-12)
 
     def test_interaction_diagonal(self):
-        basis = build_sector_basis(2, 1, 1)
         model = model_for(2, u=5.0)
+        basis = ring(model, 1, 1).basis
         H = module_dense(basis, model, 0.0)
         diag = np.real(np.diag(H))
         occ = [
@@ -196,8 +190,8 @@ class TestOperatorsAgainstJordanWigner:
         np.testing.assert_allclose(diag, 5.0 * np.array(occ), atol=1e-12)
 
     def test_hermiticity_on_random_states(self):
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=3.0)
+        basis = ring(model).basis
         for phi in (0.0, 0.9, -2.4):
             a, b = random_state(basis, 1), random_state(basis, 2)
             hop = hamiltonian(basis, model, phi)
@@ -208,21 +202,11 @@ class TestOperatorsAgainstJordanWigner:
             assert abs(lhs - rhs) < 1e-12
 
     def test_expectations_are_real(self):
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=2.0)
+        basis = ring(model).basis
         state = random_state(basis, 5)
         h_psi = hamiltonian(basis, model, 0.7).apply(state.psi)
         assert abs(np.vdot(state.psi, h_psi).imag) < 1e-12
-
-    def test_sector_mismatch_rejected(self):
-        basis = build_sector_basis(4, 2, 2)
-        with pytest.raises(SectorMismatchError):
-            lanczos_ground_state(model_for(6), basis)
-
-    def test_state_shape_validated(self):
-        basis = build_sector_basis(4, 2, 2)
-        with pytest.raises(ValueError):
-            ManyBodyState(np.zeros((6, 5), dtype=complex), basis)
 
 
 class TestPhasedFactors:
@@ -232,7 +216,7 @@ class TestPhasedFactors:
         # sparse arithmetic, for both spins, every filling and five phases;
         # L = 2 has forward and backward hops on the same entries
         for n in range(L + 1):
-            ops = _operators(build_sector_basis(L, n, L - n))
+            ops = _operators(ring(model_for(L), n, L - n).basis)
             for phi in (0.0, 0.3, -1.1, 0.5 * math.pi, 2.9):
                 hop = ops.phased(phi, 1.3, 0.0)
                 z = -1.3 * np.exp(1j * phi)
@@ -245,54 +229,51 @@ class TestPhasedFactors:
 class TestDerivativeAndCommutator:
     def test_current_differentiates_into_kinetic_term(self):
         # d<J>/dPhi = a <H_kin>, checked by central finite difference
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=6.0, a=1.7)
-        system = ring(model, basis)
+        system = ring(model)
         phi, h = 0.43, 1e-5
         for seed in (1, 2, 3):
-            psi = random_state(basis, seed).psi
+            psi = random_state(system.basis, seed).psi
 
             def observed(p):
-                return system.observables(ManyBodyState(psi, basis, phi=p))
+                return system.observables(_ManyBodyState(psi, phi=p))
 
             slope = (observed(phi + h)["current"] - observed(phi - h)["current"]) / (2 * h)
             assert slope == pytest.approx(model.a * observed(phi)["kinetic"], abs=1e-8)
 
     def test_commutator_matches_dense_oracle(self):
-        basis = build_sector_basis(2, 1, 1)
         model = model_for(2, u=3.3, a=1.2)
+        system = ring(model)
         phi = 0.61
-        H_ref, J_ref = jw_sector_matrices(2, basis, model, phi)
-        state = random_state(basis, 9, phi=phi)
+        H_ref, J_ref = jw_sector_matrices(2, system.basis, model, phi)
+        state = random_state(system.basis, 9, phi=phi)
         v = state.psi.ravel()
         want = (1j * (v.conj() @ (H_ref @ J_ref - J_ref @ H_ref) @ v)).real
-        got = observe(model, state)["comm"]
+        got = system.observables(state)["comm"]
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_commutator_vanishes_without_interaction(self):
         # hopping and current are both diagonal in momentum on the ring
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=0.0)
-        state = random_state(basis, 11, phi=0.3)
-        assert abs(jw_expectations(basis, model, state)["comm"]) < 1e-12
-        assert observe(model, state)["comm"] == 0.0
+        system = ring(model)
+        state = random_state(system.basis, 11, phi=0.3)
+        assert abs(jw_expectations(system.basis, model, state)["comm"]) < 1e-12
+        assert system.observables(state)["comm"] == 0.0
 
     def test_loop_commutator_shortcut_equals_general_form(self):
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=7.0, a=1.4)
         pulse = PulseSpec(e0=1.0, omega0=4.43, cycles=2)
         system = HubbardSystem(model, pulse)
-        state = random_state(basis, 13, phi=-0.52)
+        state = random_state(system.basis, 13, phi=-0.52)
         obs = system.observables(state)
         assert obs["comm"] == pytest.approx(
-            jw_expectations(basis, model, state)["comm"], abs=1e-12
+            jw_expectations(system.basis, model, state)["comm"], abs=1e-12
         )
 
     def test_commutator_zero_on_eigenstate(self):
-        basis = build_sector_basis(4, 2, 2)
-        model = model_for(4, u=5.0)
-        gs, _ = lanczos_ground_state(model, basis)
-        assert abs(observe(model, gs)["comm"]) < 1e-9
+        system = ring(model_for(4, u=5.0))
+        gs = system.initial_state()
+        assert abs(system.observables(gs)["comm"]) < 1e-9
 
 
 class TestGroundStates:
@@ -301,67 +282,65 @@ class TestGroundStates:
     @pytest.mark.parametrize("n_sites, n_up, n_down", [
         (2, 1, 0), (2, 1, 1), (3, 1, 0), (4, 1, 0), (4, 2, 2)])
     def test_matches_dense_at_strong_coupling(self, n_sites, n_up, n_down):
-        basis = build_sector_basis(n_sites, n_up, n_down)
         model = model_for(n_sites, u=10.0)
+        system = ring(model, n_up, n_down)
+        basis = system.basis
         H = module_dense(basis, model, 0.0)
         e_dense = eigh(H, eigvals_only=True)[0]
-        gs, energy = lanczos_ground_state(model, basis)
+        gs = system.initial_state()
+        energy = system.ground_energy
         assert energy == pytest.approx(e_dense, abs=1e-8)
         h_psi = hamiltonian(basis, model, 0.0).apply(gs.psi)
         assert np.linalg.norm(h_psi - energy * gs.psi) < 1e-8
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
-        basis = build_sector_basis(6, 3, 3)
+        system = ring(model_for(6, u=10.0))
         with pytest.raises(ConvergenceError) as exc:
-            lanczos_ground_state(model_for(6, u=10.0), basis)
+            system.initial_state()
         assert exc.value.residual > 1e-8
+        assert system.ground_energy is None
 
     def test_free_fermion_band_sums(self):
         for L, n in ((10, 5), (6, 3)):
-            basis = build_sector_basis(L, n, n)
-            model = model_for(L)
-            gs, energy = lanczos_ground_state(model, basis)
+            system = ring(model_for(L), n, n)
+            gs = system.initial_state()
+            energy = system.ground_energy
             bands = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(L) / L))
             want = 2.0 * bands[:n].sum()
             assert energy == pytest.approx(want, abs=1e-8)
-            assert observe(model, gs)["kinetic"] == pytest.approx(want, abs=1e-8)
+            assert system.observables(gs)["kinetic"] == pytest.approx(want, abs=1e-8)
 
     def test_ground_state_carries_no_current(self):
-        basis = build_sector_basis(6, 3, 3)
-        model = model_for(6, u=4.0)
-        gs, _ = lanczos_ground_state(model, basis)
-        assert abs(observe(model, gs)["current"]) < 1e-10
+        system = ring(model_for(6, u=4.0))
+        gs = system.initial_state()
+        assert abs(system.observables(gs)["current"]) < 1e-10
 
     def test_interaction_suppresses_kinetic_energy(self):
-        basis = build_sector_basis(6, 3, 3)
         values = []
         for u in (1.0, 5.0, 10.0):
-            model = model_for(6, u=u)
-            gs, _ = lanczos_ground_state(model, basis)
-            values.append(abs(observe(model, gs)["kinetic"]))
+            system = ring(model_for(6, u=u))
+            gs = system.initial_state()
+            values.append(abs(system.observables(gs)["kinetic"]))
         assert values[0] > values[1] > values[2]
 
     def test_deterministic(self):
-        basis = build_sector_basis(6, 3, 3)
         model = model_for(6, u=4.0)
-        a, _ = lanczos_ground_state(model, basis)
-        b, _ = lanczos_ground_state(model, basis)
+        a = ring(model).initial_state()
+        b = ring(model).initial_state()
         np.testing.assert_array_equal(a.psi, b.psi)
 
     def test_empty_sector(self):
-        basis = build_sector_basis(4, 0, 0)
-        model = model_for(4, u=9.0)
-        gs, energy = lanczos_ground_state(model, basis)
-        assert energy == pytest.approx(0.0, abs=1e-12)
-        assert observe(model, gs)["kinetic"] == 0.0
+        system = ring(model_for(4, u=9.0), 0, 0)
+        gs = system.initial_state()
+        assert system.ground_energy == pytest.approx(0.0, abs=1e-12)
+        assert system.observables(gs)["kinetic"] == 0.0
 
 
 class TestKrylovPropagation:
     def test_eigenstate_gets_global_phase(self):
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=3.0)
-        system = ring(model, basis, numerics=LatticeNumerics(dt=0.01))
+        system = ring(model, numerics=LatticeNumerics(dt=0.01))
         gs = system.initial_state()
         e0 = system.ground_energy
         stepped = system.advance(gs, 0, 0.0)
@@ -388,8 +367,8 @@ class TestKrylovPropagation:
         assert max_dev < 1e-6
 
     def test_norm_drift(self):
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=10.0)
+        basis = ring(model).basis
         hop = hamiltonian(basis, model, 0.28)
         psi = random_state(basis, 21).psi
         for _ in range(1000):
@@ -397,8 +376,8 @@ class TestKrylovPropagation:
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-11
 
     def test_energy_conserved_at_constant_phase(self):
-        basis = build_sector_basis(2, 1, 1)
         model = model_for(2, u=3.7)
+        basis = ring(model).basis
         hop = hamiltonian(basis, model, 0.3)
         psi = random_state(basis, 30).psi
         e_start = float(np.vdot(psi, hop.apply(psi)).real)
@@ -409,8 +388,8 @@ class TestKrylovPropagation:
     def test_subspace_exhaustion_raises(self):
         # ||H|| = 21 on this sector: even dt / 2^6 = 1.6 is far beyond what
         # 20 Lanczos vectors resolve, so the step fails with its residual
-        basis = build_sector_basis(4, 2, 2)
         model = model_for(4, u=10.0)
+        basis = ring(model).basis
         psi = random_state(basis, 33).psi
         with pytest.raises(StepSizeError, match="reduce dt") as exc:
             _krylov_apply(psi, hamiltonian(basis, model, 0.0), 100.0)
@@ -435,7 +414,8 @@ class TestKrylovPropagation:
 _THREAD_PROBE = textwrap.dedent("""
     import hashlib
     import numpy as np
-    from amptrack import HubbardSystem, LatticeModel, ManyBodyState, PulseSpec
+    from amptrack import HubbardSystem, LatticeModel, PulseSpec
+    from amptrack.lattice import _ManyBodyState
 
     system = HubbardSystem(LatticeModel(t0=1.0, u=4.0, a=1.0, n_sites=10),
                            PulseSpec(e0=2.61, omega0=4.43, cycles=1))
@@ -443,7 +423,7 @@ _THREAD_PROBE = textwrap.dedent("""
     rng = np.random.default_rng(5)
     shape = (basis.dim_up, basis.dim_down)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    state = ManyBodyState(psi / np.sqrt(np.sum(np.abs(psi) ** 2)), basis)
+    state = _ManyBodyState(psi / np.sqrt(np.sum(np.abs(psi) ** 2)))
     digest = hashlib.sha256()
     ground = system.initial_state()
     digest.update(repr(system.ground_energy).encode())

@@ -1,5 +1,7 @@
 """Round-trip and determinism tests for the CSV/JSON writers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ class TestMetadata:
         storage.write_metadata(path, payload)
         text = path.read_text()
         assert text.index('"alpha"') < text.index('"k_p"') < text.index('"zeta"')
-        assert storage.read_metadata(path) == payload
+        assert json.loads(path.read_text()) == payload
 
     def test_writes_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
