@@ -1,10 +1,10 @@
 """A weakly interacting Hubbard ring reproducing a strongly interacting one.
 
-Six sites at half filling: the U/t0 = 10 reference ring is driven by the
+Ten sites at half filling: the U/t0 = 10 reference ring is driven by the
 bundled terahertz pulse and its current response is recorded; the U/t0 = 1
 ring then tracks that response through the proportional amplifier, with
 the singularity guard active whenever the kinetic channel decouples.
-Uses the bundled default configuration for everything except the size.
+Uses the bundled default configuration.
 """
 
 import argparse
@@ -22,11 +22,10 @@ from amptrack import (
 from amptrack.storage import write_tracking_csv
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hubbard_default.cfg"
-SITES = 6
 
 
 def ring(cfg, u_over_t0):
-    model = LatticeModel(t0=1.0, u=u_over_t0, a=1.0, n_sites=SITES)
+    model = LatticeModel(t0=1.0, u=u_over_t0, a=1.0, n_sites=cfg.hubbard.sites)
     return HubbardSystem(model, cfg.pulse, cfg.hubbard.numerics)
 
 
@@ -36,7 +35,7 @@ def main():
     args = parser.parse_args()
 
     cfg = parse_config(CONFIG)
-    print(f"{SITES}-site ring at half filling, pulse omega0/t0 = "
+    print(f"{cfg.hubbard.sites}-site ring at half filling, pulse omega0/t0 = "
           f"{cfg.pulse.omega0:.3f}, aE0/t0 = {cfg.pulse.e0:.3f}")
 
     reference = ring(cfg, cfg.hubbard.u_reference)

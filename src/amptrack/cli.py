@@ -147,6 +147,9 @@ def cmd_match_intensity(args) -> int:
         if value is not None and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise ConfigError(f"{flag} must be finite, got {value!r}")
+    if not args.ip > 0:
+        # with --cutoff no formula reads --ip, so it is checked here
+        raise ConfigError(f"--ip must be positive, got {args.ip!r}")
     if args.mode == "hhg":
         if args.cutoff is not None:
             cutoff = args.cutoff

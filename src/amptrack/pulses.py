@@ -132,6 +132,8 @@ def hhg_matched_field(omega: float, cutoff: float, ip_new: float) -> float:
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
+    if not ip_new > 0:
+        raise ValueError("ip_new must be positive")
     if not cutoff >= ip_new:
         raise InfeasibleTargetError(
             f"target cutoff {cutoff} below the new ionization potential {ip_new}"
@@ -145,6 +147,9 @@ def ati_matched_field(omega: float, field: float, ip: float, ip_new: float) -> f
     F' = 2 omega * sqrt(Up + Ip - Ip'), which enforces Up' + Ip' = Up + Ip
     exactly, so every n-photon peak position is preserved.
     """
+    for name, value in (("ip", ip), ("ip_new", ip_new)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
     budget = ponderomotive_energy(field, omega) + ip - ip_new
     if not budget >= 0:
         raise InfeasibleTargetError(

@@ -33,7 +33,7 @@ from amptrack.pulses import (
 )
 from amptrack.spectral import detect_cutoff_order, harmonic_peaks, power_spectrum
 from test_grid import field_reversal_residuals
-from test_lattice import jw_sector_matrices, jw_sector_parts
+from test_lattice import Embedded
 
 pytestmark = pytest.mark.slow
 
@@ -143,7 +143,8 @@ def test_driven_lattice_matches_dense_exponential(hubbard_config, criterion_repo
     sequence; the replay reconstructs the documented phase rule (pulse
     part by trapezoid, control part by zero-order hold, midpoint freeze)
     and applies the exact exponential of the Jordan-Wigner sector
-    Hamiltonian at every step.
+    Hamiltonian at every step to the ring's ground-state block, embedded
+    in the sector.
     """
     cfg = hubbard_config
     sites = 4
@@ -157,11 +158,11 @@ def test_driven_lattice_matches_dense_exponential(hubbard_config, criterion_repo
     phi_smooth = cumulative_trapezoid(
         evaluate_tl_field(times, cfg.pulse), dx=dt, initial=0.0
     )
-    parts = jw_sector_parts(sites, system.basis)
     model = system.model
 
     state = system.initial_state()
-    psi_dense = state.psi.ravel().astype(complex)
+    embedded = Embedded(system)
+    psi_dense = embedded.vector(state)
     u_sum = 0.0
     phi_prev = 0.0
     max_dev = 0.0
@@ -170,11 +171,11 @@ def test_driven_lattice_matches_dense_exponential(hubbard_config, criterion_repo
         u_sum += u
         phi_new = -model.a * (phi_smooth[step + 1] + u_sum * dt)
         phi_mid = 0.5 * (phi_prev + phi_new)
-        h_mid, _ = jw_sector_matrices(sites, system.basis, model, phi_mid, parts=parts)
+        h_mid, _ = embedded.matrices(model, phi_mid)
         w, vecs = eigh(h_mid)
         psi_dense = vecs @ (np.exp(-1j * dt * w) * (vecs.conj().T @ psi_dense))
         state = system.advance(state, step, u)
-        dev = float(np.max(np.abs(np.abs(state.psi.ravel()) - np.abs(psi_dense))))
+        dev = float(np.max(np.abs(np.abs(embedded.vector(state)) - np.abs(psi_dense))))
         max_dev = max(max_dev, dev)
         phi_prev = phi_new
 
@@ -315,11 +316,12 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     )
     assert still_lat.n_steps >= 10_000
     state = still_lat.initial_state()
-    h_zero, _ = jw_sector_matrices(4, still_lat.basis, model, 0.0)
+    embedded = Embedded(still_lat)
+    h_zero, _ = embedded.matrices(model, 0.0)
 
     def lattice_energy(st):
-        flat = st.psi.ravel()
-        return float(np.real(np.vdot(flat, h_zero @ flat)))
+        v = embedded.vector(st)
+        return float(np.real(np.vdot(v, h_zero @ v)))
 
     e_ref = lattice_energy(state)
     lattice_energy_drift = 0.0

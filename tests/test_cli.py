@@ -242,6 +242,19 @@ class TestRunTracking:
         assert not (out / "tracking.csv").exists()
 
 
+    def test_degenerate_sector_exits_2(self, tmp_path, capsys):
+        # three sites with two up and one down spin: the lowest level lies
+        # at K = +-2pi/3, so no unique ground state exists to start from
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(HUBBARD_CFG.replace("sites = 2", "sites = 3\nn_up = 2\nn_down = 1"))
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no unique ground state" in err
+        assert "sector (L=3, N_up=2, N_down=1)" in err
+        assert not (out / "reference.csv").exists()
+
+
 class TestArtifactDigests:
     """SHA-256 digests of the run-tracking CSVs, pinned per library build.
 
@@ -257,12 +270,12 @@ class TestArtifactDigests:
             "3f0a7b6f53bd748fb0481358b8cae56db667d599ef524c6f31202be845d31bb9",
         ),
         "hubbard-2": (
-            "ceddb31aac615e8d2f75b0de46f73ca5c99e21f9d1cac4f5e96ddde6db121082",
-            "4178d1e54f5fa335dad3c284bb589917e7d1afdbb658ecb1e82228a7bc3768b1",
+            "09cdf39e92453b85047a55adf112ff50fddc4eaf1688a939cea9b2567740fddc",
+            "ee07df92ffd74198f9ee82592ae9174ae834043d103271078843f38e1c008831",
         ),
         "hubbard-6": (
-            "ad418a157ce2f0159fb7989fe780f1b20597e887d7b62ac4cdfdabd7cd04a7d0",
-            "d4c086d667a828bfa65d7cf0c4b35d441b240105e0de12efe7dbb5a315d5a101",
+            "799c39870c37e8d3e2d4111bb22953dc06e7d0626c6d267e68c55ca2a8a9408f",
+            "023738241a143cc17b077b382560170f287d091434d50f3085bed9f366fa7250",
         ),
     }
     CONFIGS = {
@@ -305,6 +318,23 @@ class TestMatchIntensity:
         assert main(["match-intensity", "--mode", "hhg", "--omega", "0.9",
                      "--cutoff", "0.7", "--ip", "1.3", "--ip-new", "1.0"]) == 2
         assert "cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "hhg", "--omega", "0.9", "--cutoff", "1.8", "--ip", "1.3",
+         "--ip-new", "-1.0"],
+        ["--mode", "ati", "--omega", "0.05", "--field", "0.05", "--ip", "0.9",
+         "--ip-new", "0"],
+        ["--mode", "hhg", "--omega", "0.9", "--cutoff", "1.8", "--ip", "-1.3",
+         "--ip-new", "1.0"],
+        ["--mode", "ati", "--omega", "0.05", "--field", "0.05", "--ip", "-1.3",
+         "--ip-new", "0.5"],
+    ], ids=["hhg-ip-new", "ati-ip-new", "hhg-ip-cutoff", "ati-ip"])
+    def test_nonpositive_ip_exits_2(self, args, capsys):
+        assert main(["match-intensity", *args]) == 2
+        captured = capsys.readouterr()
+        assert "matched field" not in captured.out
+        assert captured.err.startswith("error:")
+        assert "must be positive" in captured.err
 
     @pytest.mark.parametrize("args", [
         ["--mode", "hhg", "--omega", "nan", "--ip", "0.579", "--ip-new", "0.5",

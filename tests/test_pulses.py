@@ -166,6 +166,11 @@ class TestScalingLaws:
         with pytest.raises(InfeasibleTargetError):
             hhg_matched_field(0.5, 0.4, 0.5)
 
+    @pytest.mark.parametrize("ip_new", [0.0, -1.0])
+    def test_hhg_match_rejects_nonpositive_ip(self, ip_new):
+        with pytest.raises(ValueError, match="^ip_new must be positive"):
+            hhg_matched_field(0.9, 1.8, ip_new)
+
     @given(
         omega=st.floats(0.02, 2.0),
         cutoff=st.floats(0.1, 10.0),
@@ -189,6 +194,13 @@ class TestScalingLaws:
     def test_ati_infeasible(self):
         with pytest.raises(InfeasibleTargetError):
             ati_matched_field(0.5, 0.01, 0.3, 5.0)
+
+    @pytest.mark.parametrize("ip,ip_new,name", [
+        (0.9, 0.0, "ip_new"), (0.9, -1.3, "ip_new"), (0.0, 0.5, "ip"),
+        (-1.3, 0.5, "ip")])
+    def test_ati_match_rejects_nonpositive_ip(self, ip, ip_new, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            ati_matched_field(0.05, 0.05, ip, ip_new)
 
     @given(
         omega=st.floats(0.02, 2.0),
