@@ -3,9 +3,9 @@
 Subcommands mirror the library workflow: run a reference, run a tracking
 experiment against it, match field strengths between atoms, compute a
 spectrum, and compare two recorded runs.  Exit codes: 0 success, 2
-invalid input or configuration, 3 numerical failure (non-convergence,
-failed detection or a non-finite residual), 4 a requested residual gate
-was exceeded.
+invalid input or configuration, 3 numerical failure (non-convergence, a
+singular control law, failed detection or a non-finite residual), 4 a
+requested residual gate was exceeded.
 """
 
 import argparse
@@ -127,7 +127,6 @@ def cmd_run_tracking(args) -> int:
         system, cfg.platform,
         rms_residual=result.rms_relative,
         residual_kind=residual_kind,
-        guard_trip_count=int(result.guard_trips.size),
         k_p=result.k_p,
         gate=args.gate,
     )
@@ -136,8 +135,6 @@ def cmd_run_tracking(args) -> int:
     meta["reference"] = args.reference
     storage.write_metadata(out / "metadata.json", meta)
     print(f"{residual_kind} rms residual: {result.rms_relative!r}")
-    if result.guard_trips.size:
-        print(f"guard held the control on {result.guard_trips.size} steps")
     return _gate(result.rms_relative, args.gate)
 
 

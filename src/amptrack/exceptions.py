@@ -18,7 +18,7 @@ class CalibrationError(AmptrackError):
 
 
 class ConvergenceError(AmptrackError):
-    """An iterative solver stopped before reaching its tolerance."""
+    """An iterative solver missed its tolerance, or a solve had no solution."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GridMismatchError
+from .exceptions import ConvergenceError, GridMismatchError
 from .series import TimeSeries
 
 __all__ = [
@@ -27,11 +27,6 @@ __all__ = [
     "run_open_loop",
     "run_tracking",
 ]
-
-
-# |1 - k_p coupling| below which the control law is singular and the
-# guard holds the previous control
-_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ class FeedbackConfig:
             raise ValueError("k_p must be nonnegative")
 
 
-def control_field(response: float, coupling: float, y: float, cfg, u_prev: float):
+def control_field(response: float, coupling: float, y: float, cfg) -> float:
     """Closed-form solve of the self-consistent control law.
 
     ``response`` is the system's Ehrenfest rate under the pulse alone and
@@ -55,14 +50,16 @@ def control_field(response: float, coupling: float, y: float, cfg, u_prev: float
     u = k_p (response + coupling u - y) solves to
     u = k_p (response - y) / (1 - k_p coupling).  The coupling is -1 for
     the atom's momentum, so that denominator never vanishes; on the ring
-    it is -a^2 <H_kin>.  When |denominator| < 1e-6 the rate stops
-    responding to the field: the previous control value is returned with
-    the guard flag set.
+    it is -a^2 <H_kin>, and a denominator of exactly zero, where no field
+    moves the rate, raises ConvergenceError.
     """
     denom = 1.0 - cfg.k_p * coupling
-    if abs(denom) < _GUARD:
-        return u_prev, True
-    return cfg.k_p * (response - y) / denom, False
+    if denom == 0.0:
+        raise ConvergenceError(
+            f"control law is singular: 1 - k_p coupling = 0 at k_p = {cfg.k_p!r}, "
+            f"coupling = {coupling!r}"
+        )
+    return cfg.k_p * (response - y) / denom
 
 
 def rms(x: np.ndarray) -> float:
@@ -90,8 +87,7 @@ class RunRecord:
     t = dt * arange(len(record)).
 
     ``channels`` holds the system's observables, then ``e_total``, ``u``,
-    ``response``, ``y``, ``residual`` and ``guard`` (1.0 on steps where the
-    singularity guard held the control).  An open-loop run records its own
+    ``response``, ``y`` and ``residual``.  An open-loop run records its own
     response as ``y``, so its residual is zero and its gain ``k_p`` is 0.
     """
 
@@ -112,11 +108,6 @@ class RunRecord:
         return len(first)
 
     @property
-    def guard_trips(self) -> np.ndarray:
-        """Step indices at which the guard held the previous control."""
-        return np.flatnonzero(self.channels["guard"])
-
-    @property
     def rms_relative(self) -> float:
         """RMS of the residual over the RMS of ``y``; absolute when ``y``
         is identically zero, which ``absolute_rms`` flags."""
@@ -129,9 +120,6 @@ class RunRecord:
 
 
 def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
-    # The control comes from the controller when tracking ``y``, else from
-    # ``u_forced``, else it is zero.  ``u`` carries the previous step's value
-    # into the controller, whose guard holds it on a singular step.
     n = system.n_steps
     psi = system.initial_state()
     names = system.channel_names
@@ -139,15 +127,13 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
     u_arr = np.empty(n + 1)
     e_total_arr = np.empty(n + 1)
     resp_arr = np.empty(n + 1)
-    guard_arr = np.zeros(n + 1)
-    u = 0.0
     for i in range(n + 1):
         obs = system.observables(psi)
         e_tl = system.e_tl[i]
         if y is not None:
-            u, guard_arr[i] = system.control(obs, e_tl, y[i], cfg, u)
-        elif u_forced is not None:
-            u = float(u_forced[i])
+            u = system.control(obs, e_tl, y[i], cfg)
+        else:
+            u = 0.0 if u_forced is None else float(u_forced[i])
         e_total = e_tl + u
         resp_arr[i] = system.response(obs, e_total)
         for name in names:
@@ -164,7 +150,6 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
     channels["response"] = resp_arr
     channels["y"] = y_arr
     channels["residual"] = resp_arr - y_arr
-    channels["guard"] = guard_arr
     return RunRecord(dt=system.dt, channels=channels,
                      k_p=0.0 if cfg is None else cfg.k_p)
 

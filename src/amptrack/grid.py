@@ -320,10 +320,10 @@ class AtomSystem:
         # d<p>/dt from the Ehrenfest identity, no differentiation
         return obs["force"] - e_total
 
-    def control(self, obs, e_tl, y, cfg, u_prev):
+    def control(self, obs, e_tl, y, cfg):
         # d<p>/dt falls by one for each unit of control field
         rate = self.response(obs, e_tl)
-        return feedback.control_field(rate, -1.0, y, cfg, u_prev)
+        return feedback.control_field(rate, -1.0, y, cfg)
 
     def advance(self, psi: np.ndarray, step: int, u: float) -> np.ndarray:
         # the pulse has compact support, so past its table the field is zero

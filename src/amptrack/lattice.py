@@ -66,8 +66,10 @@ class LatticeModel:
             raise ValueError("t0 must be positive")
         if not self.a > 0:
             raise ValueError("a must be positive")
-        if self.n_sites < 2 or int(self.n_sites) != self.n_sites:
-            raise ValueError("n_sites must be an integer of at least 2")
+        if not isinstance(self.n_sites, numbers.Integral):
+            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}")
+        if self.n_sites < 2:
+            raise ValueError("n_sites must be at least 2")
 
 
 def _occupation_states(n_sites: int, n_particles: int) -> np.ndarray:
@@ -606,10 +608,10 @@ class HubbardSystem:
     def response(self, obs: dict, e_total: float) -> float:
         return -self._c * e_total * obs["kinetic"] + obs["comm"]
 
-    def control(self, obs, e_tl: float, y: float, cfg, u_prev: float):
+    def control(self, obs, e_tl: float, y: float, cfg):
         # the field enters the rate through -a^2 E <H_kin>
         rate = self.response(obs, e_tl)
-        return feedback.control_field(rate, -self._c * obs["kinetic"], y, cfg, u_prev)
+        return feedback.control_field(rate, -self._c * obs["kinetic"], y, cfg)
 
     def advance(self, state: _ManyBodyState, step: int, u: float) -> _ManyBodyState:
         u_sum = state.u_sum + u

@@ -99,7 +99,7 @@ def power_spectrum(series: TimeSeries, window: str = "hann") -> Spectrum:
 
 def _order_windows(spectrum: Spectrum, omega0: float):
     """Bin ranges [(n-1/2) w0, (n+1/2) w0) for each whole harmonic order."""
-    if omega0 <= 0:
+    if not omega0 > 0:
         raise ValueError("omega0 must be positive")
     n_max = int(math.floor(spectrum.omega[-1] / omega0 - 0.5))
     edges = (np.arange(1, n_max + 2) - 0.5) * omega0

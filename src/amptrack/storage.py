@@ -33,12 +33,10 @@ REFERENCE_COLUMNS = {
 }
 
 TRACKING_COLUMNS = {
-    "atom": (
-        "t", "p", "force", "e_total", "u", "response", "y", "residual", "guard",
-    ),
+    "atom": ("t", "p", "force", "e_total", "u", "response", "y", "residual"),
     "hubbard": (
         "t", "current", "kinetic", "phase", "e_total",
-        "u", "response", "y", "residual", "guard",
+        "u", "response", "y", "residual",
     ),
 }
 
@@ -64,13 +62,13 @@ def write_reference_csv(path, record, platform: str) -> None:
 
 
 def write_tracking_csv(path, record, platform: str) -> None:
-    """Write a tracking run; ``guard`` is 1 on steps where the guard held u."""
+    """Write a tracking run in the fixed per-platform column order."""
     _write_record(path, record, TRACKING_COLUMNS[platform])
 
 
 def write_spectrum_csv(path, spectrum, omega0: float) -> None:
     """Write a one-sided power spectrum with the harmonic-order axis."""
-    if omega0 <= 0:
+    if not omega0 > 0:
         raise ValueError("omega0 must be positive")
     order = spectrum.omega / omega0
     _write_csv(path, SPECTRUM_COLUMNS, [spectrum.omega, order, spectrum.power])

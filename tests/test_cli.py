@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from amptrack import grid, storage
+from amptrack import feedback, grid, lattice, storage
 from amptrack.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -204,6 +204,17 @@ class TestRunTracking:
         assert main(["run-tracking", "--config", str(hubbard_cfg),
                      "--out", str(out), "--gate", "0.5"]) == 0
 
+    def test_singular_control_law_exits_3(self, hubbard_cfg, tmp_path,
+                                          monkeypatch, capsys):
+        # a coupling of 1/k_p makes 1 - k_p coupling exactly zero
+        def control(self, obs, e_tl, y, cfg):
+            return feedback.control_field(0.0, 1.0 / cfg.k_p, y, cfg)
+
+        monkeypatch.setattr(lattice.HubbardSystem, "control", control)
+        assert main(["run-tracking", "--config", str(hubbard_cfg),
+                     "--out", str(tmp_path / "trk")]) == 3
+        assert "control law is singular" in capsys.readouterr().err
+
     @pytest.mark.parametrize("platform", ["atom", "hubbard"])
     def test_metadata_records_the_driven_system(self, platform, request,
                                                 tmp_path):
@@ -267,15 +278,15 @@ class TestArtifactDigests:
     DIGESTS = {
         "atom": (
             "0ac596f0c53a910f692ae83dc20569c44131fc36bbd78f3f0e02508b21b3982d",
-            "3f0a7b6f53bd748fb0481358b8cae56db667d599ef524c6f31202be845d31bb9",
+            "ef86db586a389cdb7fb2ec8498de1d87793b49c75d9899e484282ab9d591f154",
         ),
         "hubbard-2": (
             "09cdf39e92453b85047a55adf112ff50fddc4eaf1688a939cea9b2567740fddc",
-            "ee07df92ffd74198f9ee82592ae9174ae834043d103271078843f38e1c008831",
+            "d7411961d7820ad3339c829b0a7be981a6dfa600e79af4731b9ebf7c59b9963d",
         ),
         "hubbard-6": (
             "799c39870c37e8d3e2d4111bb22953dc06e7d0626c6d267e68c55ca2a8a9408f",
-            "023738241a143cc17b077b382560170f287d091434d50f3085bed9f366fa7250",
+            "aa5ced3247166bc82bc10f364433043faf2bae4a414bd41129c049864563cf84",
         ),
     }
     CONFIGS = {

@@ -281,7 +281,7 @@ class TestStrictValidation:
          "[numerics] dt: 'nan' is not finite"),
         ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
          "unknown key 'krylov_tol' in section [numerics]"),
-        # the guard threshold and the Krylov step control are constants
+        # the control law has no threshold, and the Krylov step control is fixed
         ("atom", "k_p = 50", "k_p = 50\nepsilon = 1e-6",
          "unknown key 'epsilon' in section [experiment]"),
         ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_dim = 20\n",

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amptrack import AtomSpec, GridMismatchError, PulseSpec, TimeSeries, grid
+from amptrack import (
+    AtomSpec,
+    ConvergenceError,
+    GridMismatchError,
+    PulseSpec,
+    TimeSeries,
+    grid,
+)
 from amptrack.feedback import (
     FeedbackConfig,
     RunRecord,
@@ -64,21 +71,20 @@ class TestControlLaw:
     The atom's coupling is -1; the ring's is -a^2 <H_kin>.
     """
 
-    def law(self, response, coupling, y, k_p, u_prev=0.0):
-        return control_field(response, coupling, y, FeedbackConfig(k_p=k_p), u_prev)
+    def law(self, response, coupling, y, k_p):
+        return control_field(response, coupling, y, FeedbackConfig(k_p=k_p))
 
     @pytest.mark.parametrize("coupling", [-1.0, 4.0], ids=["atom", "ring"])
     def test_zero_gain_means_zero_drive(self, coupling):
-        assert self.law(1.1, coupling, -0.4, 0.0) == (0.0, False)
+        assert self.law(1.1, coupling, -0.4, 0.0) == 0.0
 
     def test_explicit_value(self):
-        u, tripped = self.law(0.5 - 0.1, -1.0, 0.3, 3.0)
-        assert not tripped
+        u = self.law(0.5 - 0.1, -1.0, 0.3, 3.0)
         assert u == pytest.approx(0.75 * (0.5 - 0.1 - 0.3), abs=1e-15)
 
     def test_high_gain_limit(self):
         mismatch = 0.5 - 0.1 - 0.3
-        u, _ = self.law(0.5 - 0.1, -1.0, 0.3, 1e12)
+        u = self.law(0.5 - 0.1, -1.0, 0.3, 1e12)
         assert u == pytest.approx(mismatch, rel=1e-11)
 
     @pytest.mark.parametrize("platform", ["atom", "ring"])
@@ -97,29 +103,23 @@ class TestControlLaw:
         # away from the singular denominator
         if abs(1.0 - k_p * coupling) < 1e-3:
             return
-        u, tripped = self.law(coupling * e_tl + rest, coupling, y, k_p)
-        assert not tripped
+        u = self.law(coupling * e_tl + rest, coupling, y, k_p)
         assert u == pytest.approx(k_p * (coupling * (e_tl + u) + rest - y), abs=tol)
 
-    def test_guard_holds_previous_value(self):
-        k_p = 10.0
-        coupling = 1.0 / k_p  # denominator exactly zero
-        u, tripped = self.law(0.3, coupling, 0.1, k_p, u_prev=0.77)
-        assert tripped and u == 0.77
+    def test_zero_denominator_raises(self):
+        # 1 - 4 * 0.25 is exactly zero: no field moves the rate
+        with pytest.raises(ConvergenceError, match="control law is singular"):
+            self.law(0.3, 0.25, 0.1, 4.0)
 
-    def test_near_singular_trips_within_epsilon(self):
-        # the guard threshold is 1e-6: |1 - k_p coupling| = 5e-7 trips it,
-        # 2e-6 does not
+    def test_near_singular_denominator_solves_exactly(self):
         k_p = 10.0
-        _, tripped = self.law(0.0, (1.0 - 5e-7) / k_p, 0.0, k_p)
-        assert tripped
-        _, tripped = self.law(0.0, (1.0 - 2e-6) / k_p, 0.0, k_p)
-        assert not tripped
+        coupling = (1.0 - 5e-7) / k_p
+        u = self.law(0.3, coupling, 0.1, k_p)
+        assert u == k_p * (0.3 - 0.1) / (1.0 - k_p * coupling)
 
     def test_zero_coupling_needs_no_guard(self):
         # a ring with <H_kin> = 0 has a unit denominator: u = k_p (response - y)
-        u, tripped = self.law(0.4, 0.0, 0.15, 120.0)
-        assert not tripped
+        u = self.law(0.4, 0.0, 0.15, 120.0)
         assert u == pytest.approx(120.0 * (0.4 - 0.15), rel=1e-14)
 
 
@@ -204,7 +204,6 @@ class TestSelfTracking:
         assert np.all(result.u == 0.0)
         assert np.array_equal(result.response, ref.channels["y"])
         assert result.rms_relative == 0.0
-        assert result.guard_trips.size == 0
         assert_records_identical(result, ref)
 
     def test_hubbard_tracks_itself_exactly(self):
@@ -215,7 +214,6 @@ class TestSelfTracking:
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=50.0))
         assert np.all(result.u == 0.0)
         assert np.array_equal(result.response, ref.channels["y"])
-        assert result.guard_trips.size == 0
         assert_records_identical(result, ref)
 
 

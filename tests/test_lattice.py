@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -230,6 +231,16 @@ class TestSectorBasis:
     def test_rejects_non_integer_fillings(self, n_up, n_down):
         with pytest.raises(ValueError, match="particle numbers must be integers"):
             ring(model_for(4), n_up, n_down)
+
+    @pytest.mark.parametrize("n_sites,message", [
+        (6.0, "n_sites must be an integer, got 6.0"),
+        ("6", "n_sites must be an integer, got '6'"),
+        (1, "n_sites must be at least 2"),
+    ])
+    def test_rejects_bad_site_count(self, n_sites, message):
+        # a float count is the model's fault, not the fillings'
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatticeModel(t0=1.0, u=1.0, a=1.0, n_sites=n_sites)
 
 
 class TestOperatorsAgainstJordanWigner:

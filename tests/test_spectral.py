@@ -119,6 +119,13 @@ class TestCutoffDetection:
         # levels of the constructed lines are equal to within a fraction of a dB
         assert abs(peaks[3].power_db - peaks[7].power_db) < 0.5
 
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_omega0(self, omega0):
+        spec = power_spectrum(comb_series(odd_orders=(3, 5)), window="hann")
+        for find in (detect_cutoff_order, harmonic_peaks):
+            with pytest.raises(ValueError, match="omega0 must be positive"):
+                find(spec, omega0)
+
 
 class TestCompareSpectra:
     def test_identical_spectra_have_zero_difference(self):

@@ -1,6 +1,8 @@
 """Round-trip and determinism tests for the CSV/JSON writers."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from amptrack.feedback import RunRecord
 from amptrack.spectral import Spectrum
 from amptrack import storage
+
+FORMATS_DOC = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
 
 def reference_record(n=7, platform="atom"):
@@ -24,8 +28,6 @@ def tracking_record(n=9):
     names = ("p", "force", "e_total", "u", "response", "y")
     channels = {name: rng.normal(size=n) for name in names}
     channels["residual"] = channels["response"] - channels["y"]
-    channels["guard"] = np.zeros(n)
-    channels["guard"][[2, 5]] = 1.0
     return RunRecord(dt=0.01, channels=channels, k_p=10.0)
 
 
@@ -55,7 +57,7 @@ class TestReferenceCsv:
 
 
 class TestTrackingCsv:
-    def test_round_trip_and_guard_flags(self, tmp_path):
+    def test_round_trip_is_bit_exact(self, tmp_path):
         result = tracking_record()
         path = tmp_path / "tracking.csv"
         storage.write_tracking_csv(path, result, "atom")
@@ -63,10 +65,6 @@ class TestTrackingCsv:
         assert table.header == storage.TRACKING_COLUMNS["atom"]
         assert np.array_equal(table.columns["u"], result.u)
         assert np.array_equal(table.columns["residual"], result.residual)
-        guard = table.columns["guard"]
-        assert np.array_equal(np.flatnonzero(guard), [2, 5])
-        assert np.array_equal(result.guard_trips, [2, 5])
-        assert set(np.unique(guard)) <= {0.0, 1.0}
 
     def test_series_reconstruction(self, tmp_path):
         result = tracking_record()
@@ -100,6 +98,14 @@ class TestSpectrumCsv:
         spectrum = Spectrum(omega=np.arange(4.0), power=np.ones(4))
         with pytest.raises(ValueError):
             storage.write_spectrum_csv(tmp_path / "s.csv", spectrum, omega0=0.0)
+
+    def test_rejects_nan_omega0(self, tmp_path):
+        # NaN fails every comparison, so the check is written as not > 0
+        spectrum = Spectrum(omega=np.arange(4.0), power=np.ones(4))
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="omega0 must be positive"):
+            storage.write_spectrum_csv(path, spectrum, omega0=float("nan"))
+        assert not path.exists()
 
 
 class TestReadTable:
@@ -150,3 +156,19 @@ class TestMetadata:
         storage.write_metadata(a, {"x": 0.1, "y": [1, 2, 3]})
         storage.write_metadata(b, {"x": 0.1, "y": [1, 2, 3]})
         assert a.read_bytes() == b.read_bytes()
+
+
+def documented_columns(section):
+    """The platform -> column table under the doc's ``## `section``` heading."""
+    body = FORMATS_DOC.read_text().split(f"## `{section}`\n", 1)[1]
+    body = body.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\w+) \| `([^`]*)` \|$", body, flags=re.M)
+    return {platform: tuple(columns.split(", ")) for platform, columns in rows}
+
+
+@pytest.mark.parametrize("section, layout", [
+    ("reference.csv", storage.REFERENCE_COLUMNS),
+    ("tracking.csv", storage.TRACKING_COLUMNS),
+])
+def test_formats_doc_lists_the_column_layouts(section, layout):
+    assert documented_columns(section) == layout
