@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import feedback
@@ -266,9 +266,12 @@ class _PhasedHop:
     """z T + conj(z) T^H + u D as one sparse matrix on a fixed pattern.
 
     The pattern is the union of those of T, T^H and the diagonal, and the
-    values of each term are stored on it separately, so a new phase costs
-    three vector operations instead of sparse arithmetic, and one H apply
-    is one sparse product.  An entry that two terms share holds their sum.
+    values of each term are stored on it separately.  A call writes
+    fwd z + bwd conj(z) + u occ into the data of one matrix built on the
+    pattern at construction, so a new phase costs a few vector operations
+    and no sparse arithmetic or allocation of a matrix, and one H apply is
+    one sparse product.  An entry that two terms share holds their sum.
+    Every call returns that same matrix: the next call overwrites it.
     """
 
     def __init__(self, hop: csr_matrix, double_occ: np.ndarray):
@@ -280,19 +283,23 @@ class _PhasedHop:
         diag_key = np.arange(n, dtype=np.int64) * (n + 1)
         keys = np.unique(np.concatenate([fwd_key, bwd_key, diag_key]))
         rows, cols = np.divmod(keys, n)
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
         self.fwd = np.zeros(keys.size, dtype=complex)
         self.fwd[np.searchsorted(keys, fwd_key)] = entries.data
         self.bwd = np.zeros(keys.size, dtype=complex)
         self.bwd[np.searchsorted(keys, bwd_key)] = np.conj(entries.data)
         self.occ = np.zeros(keys.size)
         self.occ[np.searchsorted(keys, diag_key)] = double_occ
-        self.shape = (n, n)
+        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self._matrix = csr_matrix(
+            (np.zeros(keys.size, dtype=complex), cols.astype(np.int32), indptr),
+            shape=(n, n))
 
     def __call__(self, z: complex, u: float) -> csr_matrix:
-        data = self.fwd * z + self.bwd * np.conj(z) + u * self.occ
-        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        data = self._matrix.data
+        np.multiply(self.fwd, z, out=data)
+        data += self.bwd * np.conj(z)
+        data += u * self.occ
+        return self._matrix
 
 
 class _BlockOperators:
@@ -306,7 +313,7 @@ class _BlockOperators:
         self._phased = _PhasedHop(hop, self.double_occ)
 
     def phased(self, phi: float, t0: float, u: float) -> csr_matrix:
-        """H(phi) of the block."""
+        """H(phi) of the block, in a matrix that the next call rewrites."""
         return self._phased(-t0 * np.exp(1j * phi), u)
 
 
@@ -340,7 +347,8 @@ def _lanczos(V: np.ndarray, hop: csr_matrix):
     next row of V with the normalized residual; after the last row the
     generator stops without touching the coefficients.  There is no
     reorthogonalization.  Every state-sized operation is a sparse product,
-    a numpy ufunc or ``_real_vdot``, never BLAS.
+    a numpy ufunc or ``_real_vdot``, never BLAS.  A coefficient that is
+    not finite raises ConvergenceError before it reaches the eigensolver.
     """
     scratch = np.empty_like(V[0])
     alphas: list = []
@@ -353,6 +361,10 @@ def _lanczos(V: np.ndarray, hop: csr_matrix):
             np.subtract(w, np.multiply(V[m - 1], betas[-1], out=scratch), out=w)
         alphas.append(alpha)
         beta = math.sqrt(_real_vdot(w, w))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ConvergenceError(
+                "Lanczos coefficients are not finite: the state or the "
+                "Peierls phase is not finite")
         yield alphas, betas, beta
         if m + 1 < len(V):
             betas.append(beta)
@@ -379,6 +391,23 @@ _MAX_RESTARTS = 100
 _GROUND_STATE_TOL = 1e-10
 
 
+def _tridiagonal_eigh(alphas: list, betas: list):
+    """Eigenvalues and eigenvectors of the symmetric tridiagonal (alphas, betas).
+
+    LAPACK ``dstevd`` called directly: the driver and the bits of
+    ``scipy.linalg.eigh_tridiagonal`` for a full spectrum, without its
+    per-call input checks, which cost several times the solve at these
+    sizes.  The coefficients come from ``_lanczos``, which has checked
+    that they are finite.  A 1x1 matrix is its own eigenpair.
+    """
+    if not betas:
+        return np.array(alphas), np.ones((1, 1))
+    evals, evecs, info = lapack.dstevd(alphas, betas, compute_v=1)
+    if info:
+        raise ConvergenceError(f"tridiagonal eigensolver dstevd failed, info {info}")
+    return evals, evecs
+
+
 def _evolved(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     """exp(-i T t) e_0 for the tridiagonal T = evecs diag(evals) evecs^T."""
     return evecs @ (np.exp(-1j * t * evals) * evecs[0, :])
@@ -388,15 +417,18 @@ def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
     """exp(-i H dt) psi by short Lanczos recurrences.
 
     The recurrence stops at the first dimension whose error estimate
-    beta |c_last| |t| for the time t left is below ``_KRYLOV_TOL``.  When
-    the full ``_KRYLOV_DIM`` space misses it, the same tridiagonal matrix
+    beta |c_last| |t| for the time t left is below ``_KRYLOV_TOL``; the
+    estimate and the coefficients come from ``_tridiagonal_eigh``, LAPACK
+    ``dstevd`` on the recurrence's tridiagonal matrix.  When the full
+    ``_KRYLOV_DIM`` space misses it, the same tridiagonal matrix
     propagates over the longest halving t / 2^k that passes, and the
     recurrence restarts from the result for the rest (Expokit's step
     control, Sidje, ACM TOMS 24, 130 (1998)); past ``_MAX_HALVINGS`` a
-    StepSizeError carries the residual.  There is no reorthogonalization;
-    the step counts involved here are small enough that orthogonality
-    loss stays far below the norm-drift budget (asserted by the
-    conservation tests).
+    StepSizeError carries the residual.  A state or an H that is not
+    finite raises ConvergenceError from the recurrence.  There is no
+    reorthogonalization; the step counts involved here are small enough
+    that orthogonality loss stays far below the norm-drift budget
+    (asserted by the conservation tests).
     """
     norm0 = math.sqrt(_real_vdot(psi, psi))
     if norm0 == 0.0:
@@ -408,7 +440,7 @@ def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
         tau = left
         for alphas, betas, beta in _lanczos(V, hop):
             if beta < 1e-14 or len(betas) >= 2:
-                evals, evecs = eigh_tridiagonal(alphas, betas)
+                evals, evecs = _tridiagonal_eigh(alphas, betas)
                 coeff = _evolved(evals, evecs, tau)
                 err = beta * abs(coeff[-1]) * abs(tau)
                 if err < _KRYLOV_TOL or beta < 1e-14:
@@ -467,7 +499,7 @@ def _ground_state(hop: csr_matrix):
         for alphas, betas, beta in _lanczos(V, hop):
             if beta < 1e-14:
                 break
-        evals, evecs = eigh_tridiagonal(alphas, betas)
+        evals, evecs = _tridiagonal_eigh(alphas, betas)
         energy = float(evals[0])
         vec = _combine(V, evecs[:, 0])
         vec /= math.sqrt(_real_vdot(vec, vec))

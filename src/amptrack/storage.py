@@ -102,8 +102,12 @@ class Table:
 
 
 def read_table(path) -> Table:
-    """Read a CSV written by this module back into named float columns."""
-    with open(path, "r", newline="\n") as fh:
+    """Read a CSV written by this module back into named float columns.
+
+    Lines are read with universal newlines, so a copy with CRLF (or CR)
+    line endings reads the same as the LF original.
+    """
+    with open(path, "r") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")

@@ -190,6 +190,22 @@ class TestRunTracking:
         assert read_json(second / "metadata.json")["reference"] == \
                str(first / "reference.csv")
 
+    def test_crlf_reference_tracks_like_the_original(self, hubbard_cfg, tmp_path):
+        ref = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(hubbard_cfg),
+                     "--out", str(ref)]) == 0
+        lf = ref / "reference.csv"
+        crlf = tmp_path / "reference-crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for path in (lf, crlf):
+            out = tmp_path / path.stem
+            assert main(["run-tracking", "--config", str(hubbard_cfg),
+                         "--out", str(out), "--reference", str(path)]) == 0
+            outputs.append((out / "tracking.csv").read_bytes())
+        assert b"\r" not in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_gate_failure_exits_4(self, hubbard_cfg, tmp_path, capsys):
         out = tmp_path / "gated"
         code = main(["run-tracking", "--config", str(hubbard_cfg),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.sparse import csr_matrix, diags
 
 import amptrack
@@ -31,6 +31,7 @@ from amptrack.lattice import (
     _krylov_apply,
     _ManyBodyState,
     _operators,
+    _tridiagonal_eigh,
 )
 
 def model_for(L, u=0.0, t0=1.0, a=1.0):
@@ -540,6 +541,71 @@ class TestKrylovPropagation:
                 H_mid, _ = embedded.matrices(model, phi_mid)
                 psi_dense = expm(-1j * dt * H_mid) @ embedded.vector(state)
                 assert np.max(np.abs(embedded.vector(stepped) - psi_dense)) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_control_fails_as_numerical(self, u):
+        # a non-finite u makes the Peierls phase, and so every entry of
+        # H, NaN: a numerical failure (exit 3), not a step size to reduce
+        system = ring(model_for(4, u=3.0))
+        state = system.initial_state()
+        with pytest.raises(ConvergenceError, match="not finite"):
+            system.advance(state, 0, u)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_fails_as_numerical(self):
+        model = model_for(4, u=3.0)
+        basis = ring(model).basis
+        psi = random_state(basis, 35).psi
+        psi[2] = complex(math.nan, 0.0)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            _krylov_apply(psi, hamiltonian(basis, model, 0.2), 0.005)
+
+    def test_systems_sharing_operators_step_independently(self):
+        # U/t0 = 10 and U/t0 = 1 on one six-site block share the cached
+        # operators, whose H(phi) matrix every advance rewrites in place;
+        # stepped alternately, each keeps the bits it has when stepped alone
+        pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=1)
+        systems = [HubbardSystem(model_for(6, u=u), pulse) for u in (10.0, 1.0)]
+        starts = [system.initial_state() for system in systems]
+        assert systems[0].basis is systems[1].basis
+        assert _operators(systems[0].basis) is _operators(systems[1].basis)
+
+        def step(system, state, i):
+            return system.advance(state, i, 0.3 * math.sin(0.1 * i))
+
+        alone = []
+        for system, state in zip(systems, starts):
+            for i in range(50):
+                state = step(system, state, i)
+            alone.append(state.psi)
+        states = list(starts)
+        for i in range(50):
+            states = [step(system, state, i)
+                      for system, state in zip(systems, states)]
+        for state, want in zip(states, alone):
+            np.testing.assert_array_equal(state.psi, want)
+
+
+class TestTridiagonalEigh:
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_matches_scipy(self, m):
+        rng = np.random.default_rng(100 + m)
+        alphas = list(rng.standard_normal(m))
+        betas = list(np.abs(rng.standard_normal(m - 1)))
+        evals, evecs = _tridiagonal_eigh(alphas, betas)
+        want_evals, want_evecs = eigh_tridiagonal(alphas, betas)
+        np.testing.assert_allclose(evals, want_evals, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(evecs, want_evecs, rtol=0, atol=1e-13)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def dstevd(d, e, compute_v=1):
+            n = len(d)
+            return np.zeros(n), np.zeros((n, n)), 1
+
+        monkeypatch.setattr(lattice.lapack, "dstevd", dstevd)
+        with pytest.raises(ConvergenceError, match="dstevd"):
+            _tridiagonal_eigh([1.0, 2.0], [0.5])
 
 
 _THREAD_PROBE = textwrap.dedent("""

@@ -133,6 +133,13 @@ class TestReadTable:
         with pytest.raises(ValueError, match="uniform"):
             storage.read_table(path).series("y")
 
+    def test_reads_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"t,y\r\n0.0,1.0\r\n0.1,2.0\r\n")
+        table = storage.read_table(path)
+        assert table.header == ("t", "y")
+        np.testing.assert_array_equal(table.series("y").values, [1.0, 2.0])
+
     @pytest.mark.parametrize("t", ["nan,nan,nan", "0.0,nan,0.2", "nan,0.1,0.2"])
     def test_series_needs_finite_time(self, tmp_path, t):
         # NaN fails the uniformity test and the grid checks of TimeSeries
