@@ -12,9 +12,8 @@ import argparse
 from amptrack import (
     AtomNumerics,
     AtomSystem,
-    Grid1D,
     PulseSpec,
-    atom_for_ip,
+    calibrate_softening,
     detect_cutoff_order,
     harmonic_peaks,
     hhg_cutoff,
@@ -34,13 +33,12 @@ def main():
     parser.add_argument("--out", default="atom_spectrum.csv")
     args = parser.parse_args()
 
-    grid = Grid1D(half_width=120.0, n_points=2048)
-    atom = atom_for_ip(IP, grid)
     pulse = PulseSpec(e0=E0, omega0=OMEGA0, cycles=CYCLES)
     numerics = AtomNumerics(120.0, 2048, 0.02)
-    print(f"soft-core atom: Ip = {IP}, calibrated alpha = {atom.alpha:.6f}")
+    alpha = calibrate_softening(IP, numerics.grid())
+    print(f"soft-core atom: Ip = {IP}, calibrated alpha = {alpha:.6f}")
 
-    system = AtomSystem(atom, pulse, numerics)
+    system = AtomSystem(alpha, pulse, numerics)
     print(f"propagating {system.n_steps} steps "
           f"({CYCLES} cycles, dt = {numerics.dt})...")
     record = run_open_loop(system)

@@ -16,9 +16,8 @@ from amptrack import (
     AtomNumerics,
     AtomSystem,
     FeedbackConfig,
-    Grid1D,
     PulseSpec,
-    atom_for_ip,
+    calibrate_softening,
     run_open_loop,
     run_tracking,
 )
@@ -32,8 +31,8 @@ N_POINTS = 1024
 
 
 def build(ip, pulse, numerics):
-    atom = atom_for_ip(ip, Grid1D(HALF_WIDTH, N_POINTS))
-    return AtomSystem(atom, pulse, numerics)
+    alpha = calibrate_softening(ip, numerics.grid())
+    return AtomSystem(alpha, pulse, numerics)
 
 
 def main():

@@ -12,21 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from amptrack import (
-    HubbardSystem,
-    LatticeModel,
-    parse_config,
-    run_open_loop,
-    run_tracking,
-)
+from amptrack import build_system, parse_config, run_open_loop, run_tracking
 from amptrack.storage import write_tracking_csv
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hubbard_default.cfg"
-
-
-def ring(cfg, u_over_t0):
-    model = LatticeModel(t0=1.0, u=u_over_t0, a=1.0, n_sites=cfg.hubbard.sites)
-    return HubbardSystem(model, cfg.pulse, cfg.hubbard.numerics)
 
 
 def main():
@@ -35,17 +24,18 @@ def main():
     args = parser.parse_args()
 
     cfg = parse_config(CONFIG)
-    print(f"{cfg.hubbard.sites}-site ring at half filling, pulse omega0/t0 = "
-          f"{cfg.pulse.omega0:.3f}, aE0/t0 = {cfg.pulse.e0:.3f}")
+    par = cfg.hubbard
+    print(f"{par.sites}-site ring, N_up = {par.n_up}, N_down = {par.n_down}, "
+          f"pulse omega0/t0 = {cfg.pulse.omega0:.3f}, aE0/t0 = {cfg.pulse.e0:.3f}")
 
-    reference = ring(cfg, cfg.hubbard.u_reference)
+    reference = build_system(cfg, "reference")
     print(f"reference U/t0 = {cfg.hubbard.u_reference:.0f}: "
           f"{reference.n_steps} steps...")
     record = run_open_loop(reference)
     print(f"  ground energy {reference.ground_energy:.6f} t0, "
           f"response rms {np.sqrt(np.mean(record.channels['y']**2)):.4f}")
 
-    driven = ring(cfg, cfg.hubbard.u_driven)
+    driven = build_system(cfg, "driven")
     result = run_tracking(driven, record.series("y"), cfg.feedback)
     print(f"driven U/t0 = {cfg.hubbard.u_driven:.0f} at "
           f"k_p = {cfg.feedback.k_p:.0f}:")

@@ -20,7 +20,6 @@ from .exceptions import (
 )
 from .series import TimeSeries
 from .pulses import (
-    AtomSpec,
     PulseSpec,
     ati_matched_field,
     evaluate_tl_field,
@@ -33,12 +32,10 @@ from .grid import (
     AtomNumerics,
     AtomSystem,
     Grid1D,
-    atom_for_ip,
     calibrate_softening,
 )
 from .lattice import (
     HubbardSystem,
-    LatticeModel,
     LatticeNumerics,
 )
 from .feedback import (

@@ -84,7 +84,7 @@ def _summary(system, platform: str, **scalars) -> dict:
     atom, its calibrated softening."""
     summary = dict(scalars, ground_energy=system.ground_energy)
     if platform == "atom":
-        summary["softening_alpha"] = system.atom.alpha
+        summary["softening_alpha"] = system.alpha
     return summary
 
 

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 from . import units
 from .exceptions import ConfigError
 from .feedback import FeedbackConfig
-from .grid import AtomNumerics, AtomSystem, atom_for_ip
-from .lattice import HubbardSystem, LatticeModel, LatticeNumerics
+from .grid import AtomNumerics, AtomSystem, calibrate_softening
+from .lattice import HubbardSystem, LatticeNumerics
 from .pulses import PulseSpec
 
 __all__ = [
@@ -286,11 +286,10 @@ def build_system(cfg: ExperimentConfig, role: str):
         raise ValueError("role must be 'reference' or 'driven'")
     if cfg.platform == "atom":
         ip = cfg.atom.reference_ip if role == "reference" else cfg.atom.driven_ip
-        spec = atom_for_ip(ip, cfg.atom.numerics.grid())
-        return AtomSystem(spec, cfg.pulse, cfg.atom.numerics)
+        alpha = calibrate_softening(ip, cfg.atom.numerics.grid())
+        return AtomSystem(alpha, cfg.pulse, cfg.atom.numerics)
     par = cfg.hubbard
     u = par.u_reference if role == "reference" else par.u_driven
-    model = LatticeModel(t0=1.0, u=u, a=1.0, n_sites=par.sites)
     return HubbardSystem(
-        model, cfg.pulse, par.numerics, n_up=par.n_up, n_down=par.n_down
+        par.sites, u, cfg.pulse, par.numerics, n_up=par.n_up, n_down=par.n_down
     )

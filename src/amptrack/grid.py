@@ -14,7 +14,7 @@ from scipy import fft as sfft
 
 from . import feedback
 from .exceptions import CalibrationError, ConvergenceError
-from .pulses import AtomSpec, PulseSpec, evaluate_tl_field
+from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = [
     "Grid1D",
@@ -24,7 +24,6 @@ __all__ = [
     "soft_coulomb_potential",
     "soft_coulomb_force",
     "calibrate_softening",
-    "atom_for_ip",
     "imaginary_time_ground_state",
 ]
 
@@ -84,15 +83,15 @@ class AbsorberSpec:
 
 def soft_coulomb_potential(grid: Grid1D, alpha: float) -> np.ndarray:
     """V(x) = -1 / sqrt(x^2 + alpha^2) sampled on the grid."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     return -1.0 / np.sqrt(grid.x() ** 2 + alpha**2)
 
 
 def soft_coulomb_force(grid: Grid1D, alpha: float) -> np.ndarray:
     """Core force -V'(x) = -x / (x^2 + alpha^2)^(3/2), analytic."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     x = grid.x()
     return -x / (x**2 + alpha**2) ** 1.5
 
@@ -224,11 +223,6 @@ def calibrate_softening(
     raise CalibrationError("calibration exhausted its iteration budget")
 
 
-def atom_for_ip(target_ip: float, grid: Grid1D) -> AtomSpec:
-    """Calibrated soft-core atom with the requested ionization potential."""
-    return AtomSpec(ip=target_ip, alpha=calibrate_softening(target_ip, grid))
-
-
 @dataclass
 class AtomNumerics:
     """Grid and stepping defaults for atom runs.
@@ -256,7 +250,7 @@ class AtomNumerics:
 
 
 class AtomSystem:
-    """A driven soft-core atom, prepared in its ground state.
+    """A driven soft-core atom of softening ``alpha``, in its ground state.
 
     Exposes the stepping/observable/control interface consumed by the
     tracking loop: momentum and core-force expectations, the closed-form
@@ -268,8 +262,8 @@ class AtomSystem:
 
     channel_names = ("p", "force")
 
-    def __init__(self, atom: AtomSpec, pulse: PulseSpec, numerics: AtomNumerics):
-        self.atom = atom
+    def __init__(self, alpha: float, pulse: PulseSpec, numerics: AtomNumerics):
+        self.alpha = alpha
         self.pulse = pulse
         self.numerics = numerics
         self.grid = numerics.grid()
@@ -285,10 +279,11 @@ class AtomSystem:
         self._x_rows = self.grid.x()[::m]
         self._x_cols = self.grid.dx * np.arange(m)
         k = self.grid.k()
-        self._V = soft_coulomb_potential(self.grid, atom.alpha)
+        # rejects an alpha that is not finite and positive
+        self._V = soft_coulomb_potential(self.grid, alpha)
         # k and the force, each value twice, against the float view of a state
         self._k_pairs = np.repeat(k, 2)
-        self._force_pairs = np.repeat(soft_coulomb_force(self.grid, atom.alpha), 2)
+        self._force_pairs = np.repeat(soft_coulomb_force(self.grid, alpha), 2)
         self._exp_v_half = np.exp(-0.5j * self.dt * self._V)
         self._exp_k = np.exp(-0.5j * self.dt * k**2)
         self._mask = numerics.absorber.mask(self.grid)
@@ -297,7 +292,7 @@ class AtomSystem:
     def initial_state(self) -> np.ndarray:
         psi, energy = imaginary_time_ground_state(self.grid, self._V)
         self.ground_energy = energy
-        tail = self.grid.n_points // 20
+        tail = max(1, self.grid.n_points // 20)
         edge = max(np.abs(psi[:tail]).max(), np.abs(psi[-tail:]).max())
         if edge > 1e-8:
             raise ValueError(

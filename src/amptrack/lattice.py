@@ -10,11 +10,12 @@ the lattice control law.
 Operator conventions, with T+ the bare forward-hop sum over sites and
 spins (site j to j+1 around the ring):
 
-    H(Phi) = -t0 (e^{+iPhi} T+ + e^{-iPhi} T+^dag) + U sum_j n_up n_down
-    J(Phi) = +i a t0 (e^{+iPhi} T+ - e^{-iPhi} T+^dag)
+    H(Phi) = -(e^{+iPhi} T+ + e^{-iPhi} T+^dag) + U sum_j n_up n_down
+    J(Phi) = +i (e^{+iPhi} T+ - e^{-iPhi} T+^dag)
 
-so dJ/dPhi = a H_kin, and with dPhi/dt = -a E(t) the Ehrenfest rate of
-the current is d<J>/dt = -a^2 E <H_kin> + i<[H, J]>.
+in hopping units, t0 = a = 1, so dJ/dPhi = H_kin, and with
+dPhi/dt = -E(t) the Ehrenfest rate of the current is
+d<J>/dt = -E <H_kin> + i<[H, J]>.
 
 The translation T c+_j T^-1 = c+_{j+1 mod L} commutes with H(Phi), J and
 the interaction, so a state stays in its block K = 2 pi k / L, on which
@@ -39,37 +40,9 @@ from . import feedback
 from .exceptions import ConvergenceError, StepSizeError
 from .pulses import PulseSpec, evaluate_tl_field
 
-__all__ = ["LatticeModel", "LatticeNumerics", "HubbardSystem"]
+__all__ = ["LatticeNumerics", "HubbardSystem"]
 
 _GROUND_STATE_SEED = 20240801
-
-
-@dataclass(frozen=True)
-class LatticeModel:
-    """Hubbard ring: hopping t0, interaction u, lattice spacing a, L sites.
-
-    Energies are in units of t0 and lengths in units of a when the
-    dimensionless internal parameterization is used; the boundary is
-    always periodic and the wrap bond carries the same Peierls phase.
-    """
-
-    t0: float
-    u: float
-    a: float
-    n_sites: int
-
-    def __post_init__(self):
-        for name in ("t0", "u", "a"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
-        if not self.a > 0:
-            raise ValueError("a must be positive")
-        if not isinstance(self.n_sites, numbers.Integral):
-            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}")
-        if self.n_sites < 2:
-            raise ValueError("n_sites must be at least 2")
 
 
 def _occupation_states(n_sites: int, n_particles: int) -> np.ndarray:
@@ -312,9 +285,9 @@ class _BlockOperators:
         self.double_occ = np.bitwise_count(basis.up & basis.down).astype(float)
         self._phased = _PhasedHop(hop, self.double_occ)
 
-    def phased(self, phi: float, t0: float, u: float) -> csr_matrix:
+    def phased(self, phi: float, u: float) -> csr_matrix:
         """H(phi) of the block, in a matrix that the next call rewrites."""
-        return self._phased(-t0 * np.exp(1j * phi), u)
+        return self._phased(-np.exp(1j * phi), u)
 
 
 # operators of the blocks that systems work in; the ground-state scan
@@ -527,11 +500,12 @@ def _block_name(n_sites: int, k: int) -> str:
 class HubbardSystem:
     """Driven Hubbard ring exposed through the shared tracking protocol.
 
-    The state lives in one momentum block of the sector of ``n_up`` and
-    ``n_down`` particles, half filling of each spin by default: the block
-    of the field-free ground state, which ``initial_state`` picks.  Until
-    then ``basis`` is the K = 0 block.  ``basis.dim`` is the block's
-    dimension.
+    A periodic ring of ``n_sites`` sites and interaction ``u`` in hopping
+    units, t0 = a = 1.  The state lives in one momentum block of the
+    sector of ``n_up`` and ``n_down`` particles, half filling of each spin
+    by default: the block of the field-free ground state, which
+    ``initial_state`` picks.  Until then ``basis`` is the K = 0 block.
+    ``basis.dim`` is the block's dimension.
 
     The Peierls phase is accumulated causally: the smooth pulse part by
     the trapezoidal rule on the ``e_tl`` table of node samples, the
@@ -541,18 +515,20 @@ class HubbardSystem:
 
     channel_names = ("current", "kinetic", "phase")
 
-    def __init__(
-        self,
-        model: LatticeModel,
-        pulse: PulseSpec,
-        numerics: LatticeNumerics | None = None,
-        n_up: int | None = None,
-        n_down: int | None = None,
-    ):
-        self.model = model
+    def __init__(self, n_sites: int, u: float, pulse: PulseSpec,
+                 numerics: LatticeNumerics | None = None,
+                 n_up: int | None = None, n_down: int | None = None):
+        if not math.isfinite(u):
+            raise ValueError("u must be finite")
+        if not isinstance(n_sites, numbers.Integral):
+            raise ValueError(f"n_sites must be an integer, got {n_sites!r}")
+        if n_sites < 2:
+            raise ValueError("n_sites must be at least 2")
+        self.n_sites = n_sites
+        self.u = u
         self.pulse = pulse
         self.numerics = numerics if numerics is not None else LatticeNumerics()
-        L = model.n_sites
+        L = n_sites
         n_up = L // 2 if n_up is None else n_up
         n_down = L // 2 if n_down is None else n_down
         for n in (n_up, n_down):
@@ -565,7 +541,6 @@ class HubbardSystem:
         self.n_steps = pulse.n_steps(self.dt)
         self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)
         self._phi_smooth = cumulative_trapezoid(self.e_tl, dx=self.dt, initial=0.0)
-        self._c = model.a * model.a
         self.ground_energy: float | None = None
         self._ground: np.ndarray | None = None
 
@@ -591,7 +566,7 @@ class HubbardSystem:
             basis = _block_basis(L, n_up, n_down, k)
             if basis.dim:
                 ops = _OPERATOR_CACHE.get(basis) or _BlockOperators(basis)
-                hop = ops.phased(0.0, self.model.t0, self.model.u)
+                hop = ops.phased(0.0, self.u)
                 levels.append((*_ground_state(hop), basis))
         levels.sort(key=lambda level: level[0])
         energy, vec, basis = levels[0]
@@ -617,40 +592,36 @@ class HubbardSystem:
         # in momentum), so i<[H,J]> reduces to the interaction term; the
         # equivalence with the general commutator of the Jordan-Wigner
         # matrices is a tested property.  With fwd = e^{+iPhi} T+ psi:
-        # <H_kin> = -2 t0 Re<psi|fwd>, <J> = -2 a t0 Im<psi|fwd> where
-        # Im<x|y> = Re<ix|y>, and J psi = i a t0 (fwd - bwd) turns
-        # i<[H,J]> = 2U Im<J psi|D psi> into -2 U a t0 Re<fwd - bwd|D psi>.
+        # <H_kin> = -2 Re<psi|fwd>, <J> = -2 Im<psi|fwd> where
+        # Im<x|y> = Re<ix|y>, and J psi = i (fwd - bwd) turns
+        # i<[H,J]> = 2U Im<J psi|D psi> into -2 U Re<fwd - bwd|D psi>.
         ops = _operators(self.basis)
-        model = self.model
         psi = state.psi
         phase = np.exp(1j * state.phi)
         fwd = ops.hop @ psi
         fwd *= phase
-        kin = -2.0 * model.t0 * _real_vdot(psi, fwd)
-        cur = -2.0 * model.a * model.t0 * _real_vdot(1j * psi, fwd)
-        if model.u != 0.0:
+        kin = -2.0 * _real_vdot(psi, fwd)
+        cur = -2.0 * _real_vdot(1j * psi, fwd)
+        if self.u != 0.0:
             bwd = ops.hop_h @ psi
             bwd *= np.conj(phase)
-            comm = (-2.0 * model.u * model.a * model.t0
-                    * _real_vdot(fwd - bwd, ops.double_occ * psi))
+            comm = -2.0 * self.u * _real_vdot(fwd - bwd, ops.double_occ * psi)
         else:
             comm = 0.0
         return {"current": cur, "kinetic": kin, "phase": state.phi, "comm": comm}
 
     def response(self, obs: dict, e_total: float) -> float:
-        return -self._c * e_total * obs["kinetic"] + obs["comm"]
+        return -e_total * obs["kinetic"] + obs["comm"]
 
     def control(self, obs, e_tl: float, y: float, cfg):
-        # the field enters the rate through -a^2 E <H_kin>
+        # the field enters the rate through -E <H_kin>
         rate = self.response(obs, e_tl)
-        return feedback.control_field(rate, -self._c * obs["kinetic"], y, cfg)
+        return feedback.control_field(rate, -obs["kinetic"], y, cfg)
 
     def advance(self, state: _ManyBodyState, step: int, u: float) -> _ManyBodyState:
         u_sum = state.u_sum + u
-        phi_new = -self.model.a * (
-            self._phi_smooth[step + 1] + u_sum * self.dt
-        )
+        phi_new = -(self._phi_smooth[step + 1] + u_sum * self.dt)
         phi_mid = 0.5 * (state.phi + phi_new)
-        hop = _operators(self.basis).phased(phi_mid, self.model.t0, self.model.u)
+        hop = _operators(self.basis).phased(phi_mid, self.u)
         psi = _krylov_apply(state.psi, hop, self.dt)
         return _ManyBodyState(psi, phi=phi_new, u_sum=u_sum)

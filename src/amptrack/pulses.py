@@ -15,7 +15,6 @@ from .exceptions import InfeasibleTargetError
 
 __all__ = [
     "PulseSpec",
-    "AtomSpec",
     "CUTOFF_SLOPE",
     "HHG_MATCH_PREFACTOR",
     "evaluate_tl_field",
@@ -73,23 +72,6 @@ class PulseSpec:
         """Steps of ``dt`` covering the pulse; the 1e-12 allowance keeps a
         rounding error in ``duration / dt`` from adding a step."""
         return int(math.ceil(self.duration / dt - 1e-12))
-
-
-@dataclass(frozen=True)
-class AtomSpec:
-    """Soft-core model atom: ionization potential and softening length."""
-
-    ip: float
-    alpha: float
-
-    def __post_init__(self):
-        for name in ("ip", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.ip > 0:
-            raise ValueError("ip must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
 
 
 def evaluate_tl_field(t, spec: PulseSpec):

@@ -117,7 +117,20 @@ def read_table(path) -> Table:
         raise ValueError(f"{path}: no data rows")
     if any(len(row) != len(header) for row in raw):
         raise ValueError(f"{path}: ragged rows")
-    data = np.array(raw, dtype=float)
+    try:
+        data = np.array(raw, dtype=float)
+    except ValueError:
+        # the line numbers of the data rows, read again only to name the cell
+        with open(path, "r") as fh:
+            numbers = [n for n, line in enumerate(fh, 1) if line.strip()][1:]
+        for number, row in zip(numbers, raw):
+            for name, cell in zip(header, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: line {number}, column {name!r}: "
+                                     f"{cell!r} is not a number") from None
+        raise
     columns = {name: data[:, j] for j, name in enumerate(header)}
     return Table(header=header, columns=columns)
 

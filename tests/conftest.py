@@ -17,7 +17,7 @@ from amptrack import pulses
 from amptrack.config import build_system, parse_config
 from amptrack.feedback import FeedbackConfig, run_open_loop, run_tracking
 from amptrack.grid import AtomSystem
-from amptrack.lattice import HubbardSystem, LatticeModel
+from amptrack.lattice import HubbardSystem
 from amptrack.pulses import PulseSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -109,7 +109,7 @@ def hydrogen_six_cycle_reference(atom_config, hydrogen_reference):
     short = PulseSpec(e0=pulse.e0, omega0=pulse.omega0, cycles=6)
     return _timed_reference(
         lambda: AtomSystem(
-            hydrogen_reference.system.atom, short, atom_config.atom.numerics
+            hydrogen_reference.system.alpha, short, atom_config.atom.numerics
         )
     )
 
@@ -123,14 +123,13 @@ def matched_hydrogen_reference(atom_config, hydrogen_reference):
     matched = PulseSpec(e0=field, omega0=pulse.omega0, cycles=pulse.cycles)
     return _timed_reference(
         lambda: AtomSystem(
-            hydrogen_reference.system.atom, matched, atom_config.atom.numerics
+            hydrogen_reference.system.alpha, matched, atom_config.atom.numerics
         )
     )
 
 
 def _hubbard_system(config, u, sites):
-    model = LatticeModel(t0=1.0, u=u, a=1.0, n_sites=sites)
-    return HubbardSystem(model, config.pulse, config.hubbard.numerics)
+    return HubbardSystem(sites, u, config.pulse, config.hubbard.numerics)
 
 
 @pytest.fixture(scope="session")

@@ -19,10 +19,10 @@ from amptrack.grid import (
     AtomSystem,
     Grid1D,
     _energy,
-    atom_for_ip,
+    calibrate_softening,
     soft_coulomb_potential,
 )
-from amptrack.lattice import HubbardSystem, LatticeModel, LatticeNumerics
+from amptrack.lattice import HubbardSystem, LatticeNumerics
 from amptrack.pulses import (
     PulseSpec,
     ati_matched_field,
@@ -39,8 +39,7 @@ pytestmark = pytest.mark.slow
 
 
 def _lattice_system(cfg, u_over_t0, sites):
-    model = LatticeModel(t0=1.0, u=u_over_t0, a=1.0, n_sites=sites)
-    return HubbardSystem(model, cfg.pulse, cfg.hubbard.numerics)
+    return HubbardSystem(sites, u_over_t0, cfg.pulse, cfg.hubbard.numerics)
 
 
 def test_cross_species_tracking_accuracy_and_budget(
@@ -158,8 +157,6 @@ def test_driven_lattice_matches_dense_exponential(hubbard_config, criterion_repo
     phi_smooth = cumulative_trapezoid(
         evaluate_tl_field(times, cfg.pulse), dx=dt, initial=0.0
     )
-    model = system.model
-
     state = system.initial_state()
     embedded = Embedded(system)
     psi_dense = embedded.vector(state)
@@ -169,9 +166,9 @@ def test_driven_lattice_matches_dense_exponential(hubbard_config, criterion_repo
     for step in range(n):
         u = float(result.u[step])
         u_sum += u
-        phi_new = -model.a * (phi_smooth[step + 1] + u_sum * dt)
+        phi_new = -(phi_smooth[step + 1] + u_sum * dt)
         phi_mid = 0.5 * (phi_prev + phi_new)
-        h_mid, _ = embedded.matrices(model, phi_mid)
+        h_mid, _ = embedded.matrices(phi_mid)
         w, vecs = eigh(h_mid)
         psi_dense = vecs @ (np.exp(-1j * dt * w) * (vecs.conj().T @ psi_dense))
         state = system.advance(state, step, u)
@@ -275,12 +272,12 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     """Norm and energy stay put; Ehrenfest residuals shrink with the step."""
     cfg = hubbard_config
     grid = Grid1D(60.0, 512)
-    atom = atom_for_ip(0.5, grid)
+    alpha = calibrate_softening(0.5, grid)
     drive = PulseSpec(e0=0.05, omega0=0.25, cycles=2)
 
     # Norm under driving with the absorber off (the split steps are unitary).
     no_absorber = AbsorberSpec(fraction=0.0)
-    system = AtomSystem(atom, drive, AtomNumerics(60.0, 512, 0.02, no_absorber))
+    system = AtomSystem(alpha, drive, AtomNumerics(60.0, 512, 0.02, no_absorber))
     psi = system.initial_state()
     for step in range(system.n_steps):
         psi = system.advance(psi, step, 0.0)
@@ -295,10 +292,10 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
 
     # Field-free energy over ten thousand steps, both platforms.
     still = AtomSystem(
-        atom, PulseSpec(e0=0.0, omega0=0.25, cycles=2),
+        alpha, PulseSpec(e0=0.0, omega0=0.25, cycles=2),
         AtomNumerics(60.0, 512, 0.02, no_absorber),
     )
-    potential = soft_coulomb_potential(grid, atom.alpha)
+    potential = soft_coulomb_potential(grid, alpha)
     k2 = grid.k() ** 2
     psi = still.initial_state()
     e_ref = _energy(psi, k2, potential, grid.dx, grid.n_points)
@@ -309,15 +306,15 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
             e_now = _energy(psi, k2, potential, grid.dx, grid.n_points)
             atom_energy_drift = max(atom_energy_drift, abs(e_now - e_ref))
 
-    model = LatticeModel(t0=1.0, u=cfg.hubbard.u_reference, a=1.0, n_sites=4)
     still_lat = HubbardSystem(
-        model, PulseSpec(e0=0.0, omega0=cfg.pulse.omega0, cycles=36),
+        4, cfg.hubbard.u_reference,
+        PulseSpec(e0=0.0, omega0=cfg.pulse.omega0, cycles=36),
         cfg.hubbard.numerics,
     )
     assert still_lat.n_steps >= 10_000
     state = still_lat.initial_state()
     embedded = Embedded(still_lat)
-    h_zero, _ = embedded.matrices(model, 0.0)
+    h_zero, _ = embedded.matrices(0.0)
 
     def lattice_energy(st):
         v = embedded.vector(st)
@@ -337,18 +334,14 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     # must shrink at the second-order rate when dt halves.
     def atom_residual(dt):
         run = run_open_loop(
-            AtomSystem(atom, drive, AtomNumerics(60.0, 512, dt, no_absorber))
+            AtomSystem(alpha, drive, AtomNumerics(60.0, 512, dt, no_absorber))
         )
         p, y = run.channels["p"], run.channels["y"]
         return float(np.max(np.abs((p[2:] - p[:-2]) / (2 * dt) - y[1:-1])))
 
     def lattice_residual(dt):
         run = run_open_loop(
-            HubbardSystem(
-                LatticeModel(t0=1.0, u=cfg.hubbard.u_driven, a=1.0, n_sites=4),
-                cfg.pulse,
-                LatticeNumerics(dt=dt),
-            )
+            HubbardSystem(4, cfg.hubbard.u_driven, cfg.pulse, LatticeNumerics(dt=dt))
         )
         cur, y = run.channels["current"], run.channels["y"]
         return float(np.max(np.abs((cur[2:] - cur[:-2]) / (2 * dt) - y[1:-1])))
@@ -381,7 +374,8 @@ def test_control_field_satisfies_closed_form(
     """Recorded control equals k_p times the realized residual pointwise.
 
     Every step is checked.  The margin is the smallest |1 - k_p coupling|
-    of the run: 1 + k_p on the atom, |1 + k_p a^2 <H_kin>| on the ring.
+    of the run: 1 + k_p on the atom, |1 + k_p <H_kin>| on the ring, in
+    hopping units.
     """
     devs = {}
     for label, run in (("atom", atom_trackings[1000.0]), ("lattice", hubbard_tracking)):
@@ -390,9 +384,8 @@ def test_control_field_satisfies_closed_form(
         if label == "atom":
             margin = 1.0 + res.k_p
         else:
-            a = run.system.model.a
             kinetic = res.channels["kinetic"]
-            margin = float(np.min(np.abs(1.0 + res.k_p * a * a * kinetic)))
+            margin = float(np.min(np.abs(1.0 + res.k_p * kinetic)))
         devs[label] = (dev, margin)
     ok = all(dev <= 1e-9 for dev, _ in devs.values())
     detail = (

@@ -1,5 +1,5 @@
-"""The public surface: exported names, the names the demos import, and the
-call sites the benchmark traces.
+"""The public surface: exported names, the names the demos and the docs'
+scripts import, and the call sites the benchmark traces.
 
 ``perfbench/spans.py`` shims named functions and methods of the layer
 modules to time them.  Its ``TARGETS`` table is read here, never changed,
@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -70,11 +71,9 @@ def test_benchmark_span_targets_resolve():
 # a valid instance of each public value type, as keyword arguments
 VALID = {
     amptrack.PulseSpec: dict(e0=1.0, omega0=1.0, cycles=1),
-    amptrack.AtomSpec: dict(ip=0.5, alpha=1.4),
     amptrack.Grid1D: dict(half_width=10.0, n_points=8),
     amptrack.AbsorberSpec: dict(),
     amptrack.AtomNumerics: dict(),
-    amptrack.LatticeModel: dict(t0=1.0, u=1.0, a=1.0, n_sites=2),
     amptrack.LatticeNumerics: dict(),
     amptrack.FeedbackConfig: dict(k_p=1.0),
 }
@@ -85,15 +84,10 @@ VALID = {
     (amptrack.PulseSpec, "e0"),
     (amptrack.PulseSpec, "omega0"),
     (amptrack.PulseSpec, "cycles"),
-    (amptrack.AtomSpec, "ip"),
-    (amptrack.AtomSpec, "alpha"),
     (amptrack.Grid1D, "half_width"),
     (amptrack.AbsorberSpec, "exponent"),
     (amptrack.AtomNumerics, "dt"),
     (amptrack.AtomNumerics, "box_half_width"),
-    (amptrack.LatticeModel, "t0"),
-    (amptrack.LatticeModel, "u"),
-    (amptrack.LatticeModel, "a"),
     (amptrack.LatticeNumerics, "dt"),
     (amptrack.FeedbackConfig, "k_p"),
 ], ids=lambda x: getattr(x, "__name__", x))
@@ -101,3 +95,47 @@ def test_value_types_reject_non_finite_numbers(cls, field, value):
     # the config parser stops these first; a library caller meets them here
     with pytest.raises(ValueError, match=f"^{field} must be"):
         cls(**{**VALID[cls], field: value})
+
+
+# the two systems take their model numbers directly
+PULSE = dict(e0=1.0, omega0=1.0, cycles=1)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_hubbard_system_rejects_non_finite_u(value):
+    with pytest.raises(ValueError, match="^u must be finite"):
+        amptrack.HubbardSystem(2, value, amptrack.PulseSpec(**PULSE))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   0.0, -1.4])
+def test_atom_system_rejects_bad_alpha(value):
+    numerics = amptrack.AtomNumerics(box_half_width=10.0, n_points=8)
+    with pytest.raises(ValueError, match="^alpha must be finite and positive"):
+        amptrack.AtomSystem(value, amptrack.PulseSpec(**PULSE), numerics)
+
+
+def test_removed_model_types_are_not_exported():
+    for name in ("LatticeModel", "AtomSpec", "atom_for_ip"):
+        assert not hasattr(amptrack, name), name
+
+
+DOCS = sorted((ROOT / "docs").glob("*.md"))
+
+
+def python_blocks(path):
+    return re.findall(r"^```python\n(.*?)^```", path.read_text(), re.M | re.S)
+
+
+@pytest.mark.parametrize("path", DOCS, ids=[p.stem for p in DOCS])
+def test_doc_script_imports_resolve(path):
+    # parses each python block of the page; runs none of them
+    missing = []
+    for block in python_blocks(path):
+        for node in ast.walk(ast.parse(block)):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module.split(".")[0] == "amptrack"):
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert not missing, f"{path.name} imports missing names: {missing}"

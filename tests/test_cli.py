@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from amptrack import feedback, grid, lattice, storage
+from amptrack import config, feedback, grid, lattice, storage
 from amptrack.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -153,6 +153,16 @@ class TestRunReference:
                    else "[numerics] dt must be positive")
         assert message in capsys.readouterr().err
 
+    def test_smallest_grid_checks_its_box_edge(self, tmp_path, capsys):
+        # 16 points: n // 20 is 0, so each edge is checked at one point
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(ATOM_CFG.replace("box_half_width = 60", "box_half_width = 20")
+                       .replace("n_points = 512", "n_points = 16"))
+        assert main(["run-reference", "--config", str(cfg),
+                     "--out", str(tmp_path / "ref")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not decay at the box edge" in err
+
     def test_bad_box_half_width_names_its_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(ATOM_CFG.replace("box_half_width = 60",
@@ -259,7 +269,7 @@ class TestRunTracking:
         def calibrate(*args, **kwargs):
             raise AssertionError("calibrate_softening was called")
 
-        monkeypatch.setattr(grid, "calibrate_softening", calibrate)
+        monkeypatch.setattr(config, "calibrate_softening", calibrate)
         cfg = atom_cfg if cfg_name == "atom.cfg" else CONFIG_DIR / cfg_name
         ref = write_constant_csv(tmp_path / "ref.csv", value, n=rows, dt=dt)
         out = tmp_path / "trk"
@@ -445,6 +455,13 @@ class TestCompare:
         b = write_harmonic_csv(tmp_path / "b.csv", dt=0.04)
         assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_bad_cell_is_located_and_exits_2(self, tmp_path, capsys):
+        a = write_harmonic_csv(tmp_path / "a.csv")
+        bad = poison_y(a, tmp_path / "bad.csv", value="abc")
+        assert main(["compare", "--a", str(a), "--b", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 6, column 'y': 'abc' is not a number" in err
 
     def test_unknown_column_exits_2(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")

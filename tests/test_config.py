@@ -314,7 +314,7 @@ class TestBuildSystem:
         driven = build_system(cfg, "driven")
         assert isinstance(driven, AtomSystem)
         # ip = 0.5 calibrates to the textbook softening sqrt(2)
-        assert driven.atom.alpha == pytest.approx(math.sqrt(2), abs=0.02)
+        assert driven.alpha == pytest.approx(math.sqrt(2), abs=0.02)
         assert driven.dt == 0.05
 
     def test_hubbard_roles_differ_in_interaction(self, tmp_path):
@@ -322,8 +322,8 @@ class TestBuildSystem:
         ref = build_system(cfg, "reference")
         driven = build_system(cfg, "driven")
         assert isinstance(ref, HubbardSystem)
-        assert ref.model.u == 8.0 and driven.model.u == 1.0
-        assert ref.model.t0 == 1.0 and ref.model.a == 1.0
+        assert ref.u == 8.0 and driven.u == 1.0
+        assert ref.n_sites == driven.n_sites == 2
         assert ref.basis.n_up == 1 and ref.basis.n_down == 1
 
     def test_role_is_checked(self, tmp_path):

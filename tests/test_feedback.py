@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amptrack import (
-    AtomSpec,
     ConvergenceError,
     GridMismatchError,
     PulseSpec,
@@ -22,7 +21,7 @@ from amptrack.feedback import (
     run_tracking,
 )
 from amptrack.grid import AbsorberSpec, AtomNumerics, AtomSystem
-from amptrack.lattice import HubbardSystem, LatticeModel
+from amptrack.lattice import HubbardSystem
 from amptrack.pulses import evaluate_tl_field
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -37,8 +36,8 @@ def small_pulse():
     return PulseSpec(e0=0.08, omega0=0.8, cycles=2)
 
 
-def atom_reference(atom, pulse, numerics):
-    return run_open_loop(AtomSystem(atom, pulse, numerics))
+def atom_reference(alpha, pulse, numerics):
+    return run_open_loop(AtomSystem(alpha, pulse, numerics))
 
 
 def assert_records_identical(a, b):
@@ -68,7 +67,7 @@ class TestFeedbackConfig:
 class TestControlLaw:
     """control_field solves u = k_p (response + coupling u - y).
 
-    The atom's coupling is -1; the ring's is -a^2 <H_kin>.
+    The atom's coupling is -1; the ring's is -<H_kin>.
     """
 
     def law(self, response, coupling, y, k_p):
@@ -134,11 +133,11 @@ class TestPulseTable:
             return evaluate_tl_field(t, spec)
 
         monkeypatch.setattr(grid, "evaluate_tl_field", counting)
-        atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
+        alpha = math.sqrt(2)
         counts = {}
         for cycles in (1, 2):
             calls.clear()
-            system = AtomSystem(atom, PulseSpec(e0=0.08, omega0=0.8, cycles=cycles),
+            system = AtomSystem(alpha, PulseSpec(e0=0.08, omega0=0.8, cycles=cycles),
                                 small_atom_numerics())
             zero = TimeSeries(0.0, system.dt, np.zeros(system.n_steps + 1))
             run_tracking(system, zero, FeedbackConfig(k_p=10.0))
@@ -171,35 +170,35 @@ class TestTrackingResidual:
 
 class TestGridValidation:
     def test_reference_length_must_match(self):
-        atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        system = AtomSystem(atom, small_pulse(), small_atom_numerics())
-        ref = atom_reference(atom, small_pulse(), small_atom_numerics())
+        alpha = math.sqrt(2)
+        system = AtomSystem(alpha, small_pulse(), small_atom_numerics())
+        ref = atom_reference(alpha, small_pulse(), small_atom_numerics())
         y = ref.series("y")
         bad = type(y)(y.t0, y.dt, y.values[:-5])
         with pytest.raises(GridMismatchError):
             run_tracking(system, bad, FeedbackConfig(k_p=10.0))
 
     def test_reference_spacing_must_match(self):
-        atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        system = AtomSystem(atom, small_pulse(), small_atom_numerics())
-        ref = atom_reference(atom, small_pulse(), small_atom_numerics())
+        alpha = math.sqrt(2)
+        system = AtomSystem(alpha, small_pulse(), small_atom_numerics())
+        ref = atom_reference(alpha, small_pulse(), small_atom_numerics())
         y = ref.series("y")
         bad = type(y)(y.t0, y.dt * 1.001, y.values)
         with pytest.raises(GridMismatchError):
             run_tracking(system, bad, FeedbackConfig(k_p=10.0))
 
     def test_forced_control_length_must_match(self):
-        atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        system = AtomSystem(atom, small_pulse(), small_atom_numerics())
+        alpha = math.sqrt(2)
+        system = AtomSystem(alpha, small_pulse(), small_atom_numerics())
         with pytest.raises(GridMismatchError):
             run_open_loop(system, u_forced=np.zeros(7))
 
 
 class TestSelfTracking:
     def test_atom_tracks_itself_exactly(self):
-        atom = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        ref = atom_reference(atom, small_pulse(), small_atom_numerics())
-        system = AtomSystem(atom, small_pulse(), small_atom_numerics())
+        alpha = math.sqrt(2)
+        ref = atom_reference(alpha, small_pulse(), small_atom_numerics())
+        system = AtomSystem(alpha, small_pulse(), small_atom_numerics())
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=50.0))
         assert np.all(result.u == 0.0)
         assert np.array_equal(result.response, ref.channels["y"])
@@ -207,10 +206,9 @@ class TestSelfTracking:
         assert_records_identical(result, ref)
 
     def test_hubbard_tracks_itself_exactly(self):
-        model = LatticeModel(t0=1.0, u=8.0, a=1.0, n_sites=4)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        ref = run_open_loop(HubbardSystem(model, pulse))
-        system = HubbardSystem(model, pulse)
+        ref = run_open_loop(HubbardSystem(4, 8.0, pulse))
+        system = HubbardSystem(4, 8.0, pulse)
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=50.0))
         assert np.all(result.u == 0.0)
         assert np.array_equal(result.response, ref.channels["y"])
@@ -220,8 +218,7 @@ class TestSelfTracking:
 class TestCrossTracking:
     def test_zero_gain_reduces_to_open_loop(self):
         # with k_p = 0 the loop records the driven system's own response
-        target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        driven = AtomSpec(ip=0.6697, alpha=1.0)
+        target, driven = math.sqrt(2), 1.0  # the two atoms' softenings
         ref = atom_reference(target, small_pulse(), small_atom_numerics())
         open_loop = atom_reference(driven, small_pulse(), small_atom_numerics())
         system = AtomSystem(driven, small_pulse(), small_atom_numerics())
@@ -230,8 +227,7 @@ class TestCrossTracking:
         assert np.array_equal(result.response, open_loop.channels["y"])
 
     def test_atom_gain_scaling(self):
-        target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        driven = AtomSpec(ip=0.6697, alpha=1.0)
+        target, driven = math.sqrt(2), 1.0  # the two atoms' softenings
         ref = atom_reference(target, small_pulse(), small_atom_numerics())
         y = ref.series("y")
         residuals = {}
@@ -242,8 +238,7 @@ class TestCrossTracking:
         assert residuals[100.0] < residuals[10.0] / 2.0
 
     def test_replaying_recorded_control_reproduces_the_run(self):
-        target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        driven = AtomSpec(ip=0.6697, alpha=1.0)
+        target, driven = math.sqrt(2), 1.0  # the two atoms' softenings
         ref = atom_reference(target, small_pulse(), small_atom_numerics())
         system = AtomSystem(driven, small_pulse(), small_atom_numerics())
         result = run_tracking(system, ref.series("y"), FeedbackConfig(k_p=40.0))
@@ -257,8 +252,7 @@ class TestCrossTracking:
     def test_tracked_momentum_slope_follows_target(self):
         # the driven atom's response is d<p>/dt; with high gain its
         # recorded momentum derivative should approach the target curve
-        target = AtomSpec(ip=0.5, alpha=math.sqrt(2))
-        driven = AtomSpec(ip=0.6697, alpha=1.0)
+        target, driven = math.sqrt(2), 1.0  # the two atoms' softenings
         numerics = small_atom_numerics()
         ref = atom_reference(target, small_pulse(), numerics)
         system = AtomSystem(driven, small_pulse(), numerics)

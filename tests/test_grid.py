@@ -7,7 +7,6 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from amptrack import (
-    AtomSpec,
     CalibrationError,
     PulseSpec,
     evaluate_tl_field,
@@ -70,7 +69,7 @@ def field_free_atom(half_width, n_points, alpha=SQRT2, dt=0.02):
     """An atom with no pulse and no absorber: ``advance`` with control u
     steps under the constant field u."""
     return AtomSystem(
-        AtomSpec(ip=0.5, alpha=alpha),
+        alpha,
         PulseSpec(e0=0.0, omega0=1.0, cycles=1),
         AtomNumerics(half_width, n_points, dt, AbsorberSpec(fraction=0.0)),
     )
@@ -108,6 +107,14 @@ class TestPotential:
         right = V[grid.x() > 0]
         assert np.all(np.diff(right) > 0) and right[-1] < 0
         assert abs(right[-1]) < 0.01
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("sample", [soft_coulomb_potential, soft_coulomb_force],
+                             ids=lambda f: f.__name__)
+    def test_softening_must_be_finite_and_positive(self, sample, alpha):
+        # NaN fails every comparison, so "alpha <= 0" alone would let it through
+        with pytest.raises(ValueError, match="^alpha must be finite and positive"):
+            sample(Grid1D(10.0, 16), alpha)
 
 
 class TestObservables:
@@ -322,9 +329,9 @@ class TestSplitOperator:
     @pytest.mark.parametrize("n_points", [512, 1024])
     def test_step_and_observables_match_direct_split_step(self, n_points):
         # 512 points is not a square, so the phase's two factors differ in length
-        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        alpha = SQRT2
         pulse = PulseSpec(e0=0.1, omega0=0.3, cycles=2)
-        system = AtomSystem(atom, pulse, AtomNumerics(60.0, n_points, 0.05))
+        system = AtomSystem(alpha, pulse, AtomNumerics(60.0, n_points, 0.05))
         grid, dt = system.grid, system.dt
         x, k = grid.x(), grid.k()
         V = soft_coulomb_potential(grid, SQRT2)
@@ -374,27 +381,27 @@ class TestReferenceRuns:
                             absorber=absorber)
 
     def test_zero_amplitude_gives_null_reference(self):
-        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        alpha = SQRT2
         pulse = PulseSpec(e0=0.0, omega0=1.0, cycles=2)
-        record = run_open_loop(AtomSystem(atom, pulse, self.small_numerics()))
+        record = run_open_loop(AtomSystem(alpha, pulse, self.small_numerics()))
         assert np.max(np.abs(record.channels["y"])) < 1e-10
         assert np.max(np.abs(record.channels["p"])) < 1e-10
 
     def test_reference_starts_at_zero(self):
-        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        alpha = SQRT2
         pulse = PulseSpec(e0=0.1, omega0=1.0, cycles=2)
-        record = run_open_loop(AtomSystem(atom, pulse, self.small_numerics()))
+        record = run_open_loop(AtomSystem(alpha, pulse, self.small_numerics()))
         assert record.channels["y"][0] == pytest.approx(0.0, abs=1e-10)
         assert record.channels["e_total"][0] == 0.0
 
     def test_ehrenfest_residual_halves_quadratically(self):
-        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        alpha = SQRT2
         pulse = PulseSpec(e0=0.2, omega0=0.5, cycles=2)
 
         def residual(dt):
             numerics = AtomNumerics(box_half_width=60.0, n_points=512, dt=dt,
                                     absorber=AbsorberSpec(fraction=0.0))
-            rec = run_open_loop(AtomSystem(atom, pulse, numerics))
+            rec = run_open_loop(AtomSystem(alpha, pulse, numerics))
             p = rec.channels["p"]
             dp = (p[2:] - p[:-2]) / (2 * dt)
             return np.max(np.abs(dp - rec.channels["y"][1:-1]))
@@ -406,15 +413,15 @@ class TestReferenceRuns:
         # Fast counterpart of acceptance criterion 6's parity gate.  The
         # pulse ionizes enough for flux to reach the absorber, so an
         # asymmetric mask or grid shows up in the residual.
-        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        alpha = SQRT2
         pulse = PulseSpec(e0=0.1, omega0=0.1, cycles=2)
-        system = AtomSystem(atom, pulse, AtomNumerics(60.0, 512, 0.02))
+        system = AtomSystem(alpha, pulse, AtomNumerics(60.0, 512, 0.02))
         residuals = field_reversal_residuals(system, run_open_loop(system))
         assert all(r <= 1e-10 for r in residuals.values()), residuals
 
     def test_box_too_small_is_rejected(self):
-        atom = AtomSpec(ip=0.5, alpha=SQRT2)
+        alpha = SQRT2
         pulse = PulseSpec(e0=0.1, omega0=1.0, cycles=2)
         numerics = AtomNumerics(box_half_width=10.0, n_points=64, dt=0.05)
         with pytest.raises(ValueError, match="box"):
-            AtomSystem(atom, pulse, numerics).initial_state()
+            AtomSystem(alpha, pulse, numerics).initial_state()

@@ -25,7 +25,6 @@ from amptrack import (
 from amptrack.feedback import run_open_loop
 from amptrack.lattice import (
     HubbardSystem,
-    LatticeModel,
     LatticeNumerics,
     _block_basis,
     _krylov_apply,
@@ -34,18 +33,14 @@ from amptrack.lattice import (
     _tridiagonal_eigh,
 )
 
-def model_for(L, u=0.0, t0=1.0, a=1.0):
-    return LatticeModel(t0=t0, u=u, a=a, n_sites=L)
-
-
-def ring(model, n_up=None, n_down=None, pulse=None, numerics=None, k=None):
-    """A HubbardSystem on the (n_up, n_down) sector, field-free by default.
+def ring(L, u=0.0, n_up=None, n_down=None, pulse=None, numerics=None, k=None):
+    """An L-site HubbardSystem on the (n_up, n_down) sector, field-free by default.
 
     With ``k`` given, the system works in the block K = 2 pi k / L in place
     of the K = 0 block it holds until ``initial_state`` picks one.
     """
     pulse = pulse or PulseSpec(e0=0.0, omega0=1.0, cycles=1)
-    system = HubbardSystem(model, pulse, numerics, n_up=n_up, n_down=n_down)
+    system = HubbardSystem(L, u, pulse, numerics, n_up=n_up, n_down=n_down)
     if k is not None:
         b = system.basis
         system.basis = _block_basis(b.n_sites, b.n_up, b.n_down, k)
@@ -59,13 +54,13 @@ def random_state(basis, seed=0, phi=0.0):
     return _ManyBodyState(psi, phi=phi)
 
 
-def hamiltonian(basis, model, phi):
+def hamiltonian(basis, u, phi):
     """H(phi) of the propagator, the operator ``HubbardSystem.advance`` uses."""
-    return _operators(basis).phased(phi, model.t0, model.u)
+    return _operators(basis).phased(phi, u)
 
 
-def module_dense(basis, model, phi):
-    return hamiltonian(basis, model, phi).toarray()
+def module_dense(basis, u, phi):
+    return hamiltonian(basis, u, phi).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +138,11 @@ def jw_embedding(basis, T):
     return E
 
 
-def jw_sector_matrices(parts, model, phi):
+def jw_sector_matrices(parts, u, phi, t0=1.0, a=1.0):
     K, W = parts[0], parts[1]
     fwd = np.exp(1j * phi)
-    H = -model.t0 * (fwd * K + np.conj(fwd) * K.T) + model.u * W
-    J = (1j * model.a * model.t0) * (fwd * K - np.conj(fwd) * K.T)
+    H = -t0 * (fwd * K + np.conj(fwd) * K.T) + u * W
+    J = (1j * a * t0) * (fwd * K - np.conj(fwd) * K.T)
     return H, J
 
 
@@ -156,20 +151,21 @@ class Embedded:
 
     def __init__(self, system):
         b = system.basis
+        self.u = system.u
         self.parts = jw_sector_parts(b.n_sites, b.n_up, b.n_down)
         self.E = jw_embedding(b, self.parts[2])
 
     def vector(self, state):
         return self.E @ state.psi
 
-    def matrices(self, model, phi):
-        return jw_sector_matrices(self.parts, model, phi)
+    def matrices(self, phi):
+        """H(phi) and J(phi) of the system's interaction, t0 = a = 1."""
+        return jw_sector_matrices(self.parts, self.u, phi)
 
-    def expectations(self, model, state):
+    def expectations(self, state):
         """<J>, <H_kin> and i<[H, J]> of the state from the JW matrices."""
-        H, J = self.matrices(model, state.phi)
-        H_kin, _ = self.matrices(
-            model_for(model.n_sites, t0=model.t0, a=model.a), state.phi)
+        H, J = self.matrices(state.phi)
+        H_kin, _ = jw_sector_matrices(self.parts, 0.0, state.phi)
         v = self.vector(state)
         return {
             "current": (v.conj() @ J @ v).real,
@@ -185,7 +181,7 @@ class TestSectorBasis:
          (6, None, None, 400)],
     )
     def test_dimensions(self, L, n_up, n_down, dim):
-        b = ring(model_for(L), n_up, n_down).basis
+        b = ring(L, n_up=n_up, n_down=n_down).basis
         assert sum(_block_basis(L, b.n_up, b.n_down, k).dim for k in range(L)) == dim
 
     @pytest.mark.parametrize(
@@ -194,7 +190,7 @@ class TestSectorBasis:
          (6, None, None, 68)],
     )
     def test_k0_block_dimensions(self, L, n_up, n_down, dim):
-        assert ring(model_for(L), n_up, n_down).basis.dim == dim
+        assert ring(L, n_up=n_up, n_down=n_down).basis.dim == dim
 
     @pytest.mark.parametrize("L", range(2, 9))
     def test_blocks_partition_the_sector(self, L):
@@ -218,20 +214,20 @@ class TestSectorBasis:
                         T @ E, np.exp(2j * np.pi * k / L) * E, atol=1e-12)
 
     def test_ordering_is_ascending_bitmasks(self):
-        basis = ring(model_for(5), 2, 3).basis
+        basis = ring(5, n_up=2, n_down=3).basis
         key = basis.up * (1 << 5) + basis.down
         assert np.all(np.diff(key) > 0)
 
     def test_rejects_bad_occupations(self):
         with pytest.raises(ValueError, match="particle numbers"):
-            ring(model_for(4), 5, 2)
+            ring(4, n_up=5, n_down=2)
         with pytest.raises(ValueError, match="particle numbers"):
-            ring(model_for(4), -1, 2)
+            ring(4, n_up=-1, n_down=2)
 
     @pytest.mark.parametrize("n_up,n_down", [(1.5, 2), (2, 2.0), (2, "2")])
     def test_rejects_non_integer_fillings(self, n_up, n_down):
         with pytest.raises(ValueError, match="particle numbers must be integers"):
-            ring(model_for(4), n_up, n_down)
+            ring(4, n_up=n_up, n_down=n_down)
 
     @pytest.mark.parametrize("n_sites,message", [
         (6.0, "n_sites must be an integer, got 6.0"),
@@ -239,9 +235,9 @@ class TestSectorBasis:
         (1, "n_sites must be at least 2"),
     ])
     def test_rejects_bad_site_count(self, n_sites, message):
-        # a float count is the model's fault, not the fillings'
+        # a float count is the ring's fault, not the fillings'
         with pytest.raises(ValueError, match=re.escape(message)):
-            LatticeModel(t0=1.0, u=1.0, a=1.0, n_sites=n_sites)
+            ring(n_sites, 1.0)
 
 
 class TestOperatorsAgainstJordanWigner:
@@ -258,51 +254,47 @@ class TestOperatorsAgainstJordanWigner:
     def test_hamiltonian_and_current_match(self, L, n_up, n_down, u, phi):
         # the program never applies J; its current, kinetic energy and
         # commutator enter only as the expectation values of observables()
-        model = model_for(L, u=u, a=1.3, t0=0.7)
         for k in range(L):
-            system = ring(model, n_up, n_down, k=k)
+            system = ring(L, u, n_up, n_down, k=k)
             embedded = Embedded(system)
-            H_ref, _ = embedded.matrices(model, phi)
+            H_ref, _ = embedded.matrices(phi)
             E = embedded.E
-            H = module_dense(system.basis, model, phi)
+            H = module_dense(system.basis, u, phi)
             np.testing.assert_allclose(H, E.conj().T @ H_ref @ E, atol=1e-12)
             state = random_state(system.basis, 3, phi=phi)
             got = system.observables(state)
-            for name, want in embedded.expectations(model, state).items():
+            for name, want in embedded.expectations(state).items():
                 assert got[name] == pytest.approx(want, abs=1e-12), name
 
     def test_two_site_single_fermion_band(self):
-        model = model_for(2)
-        levels = [np.linalg.eigvalsh(module_dense(ring(model, 1, 0, k=k).basis,
-                                                  model, 0.0)) for k in (0, 1)]
+        levels = [np.linalg.eigvalsh(module_dense(ring(2, 0.0, 1, 0, k=k).basis,
+                                                  0.0, 0.0)) for k in (0, 1)]
         np.testing.assert_allclose(np.sort(np.concatenate(levels)), [-2.0, 2.0],
                                    atol=1e-12)
 
     def test_interaction_diagonal(self):
         for k in (0, 1):
-            basis = ring(model_for(2), 1, 1, k=k).basis
-            H = module_dense(basis, model_for(2, u=5.0), 0.0)
-            H0 = module_dense(basis, model_for(2), 0.0)
+            basis = ring(2, 0.0, 1, 1, k=k).basis
+            H = module_dense(basis, 5.0, 0.0)
+            H0 = module_dense(basis, 0.0, 0.0)
             occ = [bin(int(up) & int(down)).count("1")
                    for up, down in zip(basis.up, basis.down)]
             np.testing.assert_allclose(H - H0, 5.0 * np.diag(occ), atol=1e-12)
 
     def test_hermiticity_on_random_states(self):
-        model = model_for(4, u=3.0)
         for k in range(4):
-            basis = ring(model, k=k).basis
+            basis = ring(4, k=k).basis
             for phi in (0.0, 0.9, -2.4):
                 a, b = random_state(basis, 1), random_state(basis, 2)
-                hop = hamiltonian(basis, model, phi)
+                hop = hamiltonian(basis, 3.0, phi)
                 lhs = np.vdot(b.psi, hop @ a.psi)
                 rhs = np.conj(np.vdot(a.psi, hop @ b.psi))
                 assert abs(lhs - rhs) < 1e-12
 
     def test_expectations_are_real(self):
-        model = model_for(4, u=2.0)
-        basis = ring(model).basis
+        basis = ring(4).basis
         state = random_state(basis, 5)
-        h_psi = hamiltonian(basis, model, 0.7) @ state.psi
+        h_psi = hamiltonian(basis, 2.0, 0.7) @ state.psi
         assert abs(np.vdot(state.psi, h_psi).imag) < 1e-12
 
 
@@ -316,19 +308,18 @@ class TestPhasedFactors:
             for k in range(L):
                 ops = _operators(_block_basis(L, n, L - n, k))
                 for phi in (0.0, 0.3, -1.1, 0.5 * math.pi, 2.9):
-                    z = -1.3 * np.exp(1j * phi)
+                    z = -np.exp(1j * phi)
                     for u in (0.0, 2.5):
                         want = (ops.hop * z + ops.hop_h * np.conj(z)
                                 + diags(u * ops.double_occ)).tocsr()
-                        got = ops.phased(phi, 1.3, u)
+                        got = ops.phased(phi, u)
                         np.testing.assert_array_equal(got.toarray(), want.toarray())
 
 
 class TestDerivativeAndCommutator:
     def test_current_differentiates_into_kinetic_term(self):
-        # d<J>/dPhi = a <H_kin>, checked by central finite difference
-        model = model_for(4, u=6.0, a=1.7)
-        system = ring(model)
+        # d<J>/dPhi = <H_kin>, checked by central finite difference
+        system = ring(4, 6.0)
         phi, h = 0.43, 1e-5
         for seed in (1, 2, 3):
             psi = random_state(system.basis, seed).psi
@@ -337,15 +328,14 @@ class TestDerivativeAndCommutator:
                 return system.observables(_ManyBodyState(psi, phi=p))
 
             slope = (observed(phi + h)["current"] - observed(phi - h)["current"]) / (2 * h)
-            assert slope == pytest.approx(model.a * observed(phi)["kinetic"], abs=1e-8)
+            assert slope == pytest.approx(observed(phi)["kinetic"], abs=1e-8)
 
     def test_commutator_matches_dense_oracle(self):
-        model = model_for(2, u=3.3, a=1.2)
         phi = 0.61
         for k in (0, 1):
-            system = ring(model, k=k)
+            system = ring(2, 3.3, k=k)
             embedded = Embedded(system)
-            H_ref, J_ref = embedded.matrices(model, phi)
+            H_ref, J_ref = embedded.matrices(phi)
             state = random_state(system.basis, 9, phi=phi)
             v = embedded.vector(state)
             want = (1j * (v.conj() @ (H_ref @ J_ref - J_ref @ H_ref) @ v)).real
@@ -354,25 +344,23 @@ class TestDerivativeAndCommutator:
 
     def test_commutator_vanishes_without_interaction(self):
         # hopping and current are both diagonal in momentum on the ring
-        model = model_for(4, u=0.0)
-        system = ring(model)
+        system = ring(4)
         state = random_state(system.basis, 11, phi=0.3)
-        assert abs(Embedded(system).expectations(model, state)["comm"]) < 1e-12
+        assert abs(Embedded(system).expectations(state)["comm"]) < 1e-12
         assert system.observables(state)["comm"] == 0.0
 
     def test_loop_commutator_shortcut_equals_general_form(self):
-        model = model_for(4, u=7.0, a=1.4)
         pulse = PulseSpec(e0=1.0, omega0=4.43, cycles=2)
         for k in range(4):
-            system = ring(model, pulse=pulse, k=k)
+            system = ring(4, 7.0, pulse=pulse, k=k)
             state = random_state(system.basis, 13, phi=-0.52)
             obs = system.observables(state)
             assert obs["comm"] == pytest.approx(
-                Embedded(system).expectations(model, state)["comm"], abs=1e-12
+                Embedded(system).expectations(state)["comm"], abs=1e-12
             )
 
     def test_commutator_zero_on_eigenstate(self):
-        system = ring(model_for(4, u=5.0))
+        system = ring(4, 5.0)
         gs = system.initial_state()
         assert abs(system.observables(gs)["comm"]) < 1e-9
 
@@ -383,15 +371,14 @@ class TestGroundStates:
     @pytest.mark.parametrize("n_sites, n_up, n_down", [
         (2, 1, 0), (2, 1, 1), (3, 1, 0), (4, 1, 0), (4, 2, 2), (6, 3, 3)])
     def test_matches_dense_at_strong_coupling(self, n_sites, n_up, n_down):
-        model = model_for(n_sites, u=10.0)
-        system = ring(model, n_up, n_down)
+        system = ring(n_sites, 10.0, n_up, n_down)
         gs = system.initial_state()
         energy = system.ground_energy
         embedded = Embedded(system)
-        H_full, _ = embedded.matrices(model, 0.0)
+        H_full, _ = embedded.matrices(0.0)
         e_dense = eigh(H_full, eigvals_only=True)[0]
         assert energy == pytest.approx(e_dense, abs=1e-8)
-        h_psi = hamiltonian(system.basis, model, 0.0) @ gs.psi
+        h_psi = hamiltonian(system.basis, system.u, 0.0) @ gs.psi
         assert np.linalg.norm(h_psi - energy * gs.psi) < 1e-8
         v = embedded.vector(gs)
         assert np.linalg.norm(H_full @ v - e_dense * v) < 1e-8
@@ -403,7 +390,7 @@ class TestGroundStates:
         (4, 2, 2, 0.0, ("K = 0", "K = pi")),
     ])
     def test_degenerate_sector_fails_closed(self, L, n_up, n_down, u, blocks):
-        system = ring(model_for(L, u=u), n_up, n_down)
+        system = ring(L, u, n_up, n_down)
         with pytest.raises(ValueError, match="no unique ground state") as exc:
             system.initial_state()
         message = str(exc.value)
@@ -413,7 +400,7 @@ class TestGroundStates:
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
-        system = ring(model_for(6, u=10.0))
+        system = ring(6, 10.0)
         with pytest.raises(ConvergenceError) as exc:
             system.initial_state()
         assert exc.value.residual > 1e-8
@@ -421,7 +408,7 @@ class TestGroundStates:
 
     def test_free_fermion_band_sums(self):
         for L, n in ((10, 5), (6, 3)):
-            system = ring(model_for(L), n, n)
+            system = ring(L, n_up=n, n_down=n)
             gs = system.initial_state()
             energy = system.ground_energy
             bands = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(L) / L))
@@ -430,26 +417,25 @@ class TestGroundStates:
             assert system.observables(gs)["kinetic"] == pytest.approx(want, abs=1e-8)
 
     def test_ground_state_carries_no_current(self):
-        system = ring(model_for(6, u=4.0))
+        system = ring(6, 4.0)
         gs = system.initial_state()
         assert abs(system.observables(gs)["current"]) < 1e-10
 
     def test_interaction_suppresses_kinetic_energy(self):
         values = []
         for u in (1.0, 5.0, 10.0):
-            system = ring(model_for(6, u=u))
+            system = ring(6, u)
             gs = system.initial_state()
             values.append(abs(system.observables(gs)["kinetic"]))
         assert values[0] > values[1] > values[2]
 
     def test_deterministic(self):
-        model = model_for(6, u=4.0)
-        a = ring(model).initial_state()
-        b = ring(model).initial_state()
+        a = ring(6, 4.0).initial_state()
+        b = ring(6, 4.0).initial_state()
         np.testing.assert_array_equal(a.psi, b.psi)
 
     def test_repeated_call_returns_a_copy(self):
-        system = ring(model_for(4, u=4.0))
+        system = ring(4, 4.0)
         a = system.initial_state()
         b = system.initial_state()
         np.testing.assert_array_equal(a.psi, b.psi)
@@ -458,7 +444,7 @@ class TestGroundStates:
         assert np.linalg.norm(system.initial_state().psi) == pytest.approx(1.0)
 
     def test_empty_sector(self):
-        system = ring(model_for(4, u=9.0), 0, 0)
+        system = ring(4, 9.0, 0, 0)
         gs = system.initial_state()
         assert system.ground_energy == pytest.approx(0.0, abs=1e-12)
         assert system.observables(gs)["kinetic"] == 0.0
@@ -466,8 +452,7 @@ class TestGroundStates:
 
 class TestKrylovPropagation:
     def test_eigenstate_gets_global_phase(self):
-        model = model_for(4, u=3.0)
-        system = ring(model, numerics=LatticeNumerics(dt=0.01))
+        system = ring(4, 3.0, numerics=LatticeNumerics(dt=0.01))
         gs = system.initial_state()
         e0 = system.ground_energy
         stepped = system.advance(gs, 0, 0.0)
@@ -476,9 +461,8 @@ class TestKrylovPropagation:
         assert -np.angle(overlap) / system.dt == pytest.approx(e0, abs=1e-9)
 
     def test_full_pulse_matches_dense_exponential(self):
-        model = model_for(4, u=10.0, a=1.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        system = HubbardSystem(model, pulse, LatticeNumerics(dt=0.005))
+        system = HubbardSystem(4, 10.0, pulse, LatticeNumerics(dt=0.005))
         state = system.initial_state()
         embedded = Embedded(system)
         psi_dense = embedded.vector(state)
@@ -486,7 +470,7 @@ class TestKrylovPropagation:
         for i in range(system.n_steps):
             stepped = system.advance(state, i, 0.0)
             phi_mid = 0.5 * (state.phi + stepped.phi)
-            H_mid, _ = embedded.matrices(model, phi_mid)
+            H_mid, _ = embedded.matrices(phi_mid)
             psi_dense = expm(-1j * system.dt * H_mid) @ psi_dense
             state = stepped
             dev = np.max(np.abs(embedded.vector(state) - psi_dense))
@@ -494,18 +478,16 @@ class TestKrylovPropagation:
         assert max_dev < 1e-6
 
     def test_norm_drift(self):
-        model = model_for(4, u=10.0)
-        basis = ring(model).basis
-        hop = hamiltonian(basis, model, 0.28)
+        basis = ring(4).basis
+        hop = hamiltonian(basis, 10.0, 0.28)
         psi = random_state(basis, 21).psi
         for _ in range(1000):
             psi = _krylov_apply(psi, hop, 0.005)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-11
 
     def test_energy_conserved_at_constant_phase(self):
-        model = model_for(2, u=3.7)
-        basis = ring(model).basis
-        hop = hamiltonian(basis, model, 0.3)
+        basis = ring(2).basis
+        hop = hamiltonian(basis, 3.7, 0.3)
         psi = random_state(basis, 30).psi
         e_start = float(np.vdot(psi, hop @ psi).real)
         for _ in range(10000):
@@ -515,11 +497,10 @@ class TestKrylovPropagation:
     def test_subspace_exhaustion_raises(self):
         # ||H|| = 32 on this block: even dt / 2^6 = 1.6 is far beyond what
         # 20 Lanczos vectors resolve, so the step fails with its residual
-        model = model_for(6, u=10.0)
-        basis = ring(model).basis
+        basis = ring(6).basis
         psi = random_state(basis, 33).psi
         with pytest.raises(StepSizeError, match="reduce dt") as exc:
-            _krylov_apply(psi, hamiltonian(basis, model, 0.0), 100.0)
+            _krylov_apply(psi, hamiltonian(basis, 10.0, 0.0), 100.0)
         assert exc.value.residual > 1e-10
 
     def test_advance_subdivides_oversized_steps(self):
@@ -527,18 +508,17 @@ class TestKrylovPropagation:
         # the Krylov space and still matches the dense exponential; the
         # six-site blocks (dimension 66 and 68) exceed the 20 Lanczos
         # vectors, which the four-site ones (8 and 10) do not
-        model = model_for(6, u=10.0)
         pulse = PulseSpec(e0=2.61, omega0=0.3, cycles=1)
         for dt in (2.0, 20.0):
             for k in range(6):
-                system = ring(model, pulse=pulse, numerics=LatticeNumerics(dt=dt),
-                              k=k)
+                system = ring(6, 10.0, pulse=pulse,
+                              numerics=LatticeNumerics(dt=dt), k=k)
                 embedded = Embedded(system)
                 state = random_state(system.basis, 34)
                 stepped = system.advance(state, 0, 0.1)
                 phi_mid = 0.5 * (state.phi + stepped.phi)
                 assert phi_mid != 0.0
-                H_mid, _ = embedded.matrices(model, phi_mid)
+                H_mid, _ = embedded.matrices(phi_mid)
                 psi_dense = expm(-1j * dt * H_mid) @ embedded.vector(state)
                 assert np.max(np.abs(embedded.vector(stepped) - psi_dense)) < 1e-9
 
@@ -547,26 +527,25 @@ class TestKrylovPropagation:
     def test_non_finite_control_fails_as_numerical(self, u):
         # a non-finite u makes the Peierls phase, and so every entry of
         # H, NaN: a numerical failure (exit 3), not a step size to reduce
-        system = ring(model_for(4, u=3.0))
+        system = ring(4, 3.0)
         state = system.initial_state()
         with pytest.raises(ConvergenceError, match="not finite"):
             system.advance(state, 0, u)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_fails_as_numerical(self):
-        model = model_for(4, u=3.0)
-        basis = ring(model).basis
+        basis = ring(4).basis
         psi = random_state(basis, 35).psi
         psi[2] = complex(math.nan, 0.0)
         with pytest.raises(ConvergenceError, match="not finite"):
-            _krylov_apply(psi, hamiltonian(basis, model, 0.2), 0.005)
+            _krylov_apply(psi, hamiltonian(basis, 3.0, 0.2), 0.005)
 
     def test_systems_sharing_operators_step_independently(self):
         # U/t0 = 10 and U/t0 = 1 on one six-site block share the cached
         # operators, whose H(phi) matrix every advance rewrites in place;
         # stepped alternately, each keeps the bits it has when stepped alone
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=1)
-        systems = [HubbardSystem(model_for(6, u=u), pulse) for u in (10.0, 1.0)]
+        systems = [HubbardSystem(6, u, pulse) for u in (10.0, 1.0)]
         starts = [system.initial_state() for system in systems]
         assert systems[0].basis is systems[1].basis
         assert _operators(systems[0].basis) is _operators(systems[1].basis)
@@ -611,11 +590,10 @@ class TestTridiagonalEigh:
 _THREAD_PROBE = textwrap.dedent("""
     import hashlib
     import numpy as np
-    from amptrack import HubbardSystem, LatticeModel, PulseSpec
+    from amptrack import HubbardSystem, PulseSpec
     from amptrack.lattice import _ManyBodyState
 
-    system = HubbardSystem(LatticeModel(t0=1.0, u=4.0, a=1.0, n_sites=10),
-                           PulseSpec(e0=2.61, omega0=4.43, cycles=1))
+    system = HubbardSystem(10, 4.0, PulseSpec(e0=2.61, omega0=4.43, cycles=1))
     digest = hashlib.sha256()
     ground = system.initial_state()
     digest.update(repr(system.ground_energy).encode())
@@ -654,36 +632,32 @@ class TestThreadIndependence:
 
 class TestReferenceRun:
     def test_zero_field_is_silent(self):
-        model = model_for(4, u=10.0)
         pulse = PulseSpec(e0=0.0, omega0=4.43, cycles=1)
-        rec = run_open_loop(HubbardSystem(model, pulse))
+        rec = run_open_loop(HubbardSystem(4, 10.0, pulse))
         assert np.max(np.abs(rec.channels["y"])) < 1e-9
         assert np.max(np.abs(rec.channels["current"])) < 1e-9
 
     def test_target_starts_at_zero(self):
-        model = model_for(4, u=8.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        rec = run_open_loop(HubbardSystem(model, pulse))
+        rec = run_open_loop(HubbardSystem(4, 8.0, pulse))
         assert rec.channels["y"][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_phase_channel_reproduces_accumulator(self):
-        model = model_for(4, u=8.0, a=1.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        rec = run_open_loop(HubbardSystem(model, pulse))
-        # with no control the phase is -a times the trapezoid-rule
+        rec = run_open_loop(HubbardSystem(4, 8.0, pulse))
+        # with no control the phase is minus the trapezoid-rule
         # integral of the pulse on the propagation grid
         t = rec.dt * np.arange(len(rec))
-        want = -model.a * cumulative_trapezoid(
+        want = -cumulative_trapezoid(
             evaluate_tl_field(t, pulse), dx=rec.dt, initial=0.0
         )
         np.testing.assert_array_equal(rec.channels["phase"], want)
 
     def test_ehrenfest_residual_is_second_order(self):
-        model = model_for(4, u=10.0)
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
 
         def residual(dt):
-            rec = run_open_loop(HubbardSystem(model, pulse, LatticeNumerics(dt=dt)))
+            rec = run_open_loop(HubbardSystem(4, 10.0, pulse, LatticeNumerics(dt=dt)))
             J = rec.channels["current"]
             dJ = (J[2:] - J[:-2]) / (2 * dt)
             return np.max(np.abs(dJ - rec.channels["y"][1:-1]))

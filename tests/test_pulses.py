@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from amptrack import (
     HubbardSystem,
     InfeasibleTargetError,
-    LatticeModel,
     LatticeNumerics,
     PulseSpec,
     ati_matched_field,
@@ -30,14 +29,13 @@ def tl_field_antiderivative(t, spec):
     )
 
 
-def ring_phase(spec, dt, a=1.0, u_forced=None):
+def ring_phase(spec, dt, u_forced=None):
     """Peierls phase channel of a two-site ring holding one fermion.
 
     The phase is accumulated on the propagation grid by ``HubbardSystem``;
     the one-particle ring makes each step cheap.
     """
-    model = LatticeModel(t0=1.0, u=0.0, a=a, n_sites=2)
-    system = HubbardSystem(model, spec, LatticeNumerics(dt=dt), n_up=1, n_down=0)
+    system = HubbardSystem(2, 0.0, spec, LatticeNumerics(dt=dt), n_up=1, n_down=0)
     if u_forced is not None:
         u_forced = np.full(system.n_steps + 1, u_forced)
     return run_open_loop(system, u_forced=u_forced).channels["phase"]
@@ -99,10 +97,10 @@ class TestPeierlsPhase:
     def test_constant_field_integrates_exactly(self):
         # a constant field is representable through the held control channel
         spec = PulseSpec(e0=0.0, omega0=1.0, cycles=2)
-        c, a, dt = 0.37, 2.0, 0.05
-        phases = ring_phase(spec, dt, a=a, u_forced=c)
+        c, dt = 0.37, 0.05
+        phases = ring_phase(spec, dt, u_forced=c)
         t = 101 * dt
-        assert phases[101] == pytest.approx(-a * c * t, rel=1e-13)
+        assert phases[101] == pytest.approx(-c * t, rel=1e-13)
 
     @pytest.mark.parametrize(
         "e0,omega0,cycles,dt_target",

@@ -115,6 +115,14 @@ class TestReadTable:
         with pytest.raises(ValueError, match="ragged"):
             storage.read_table(path)
 
+    def test_names_the_line_and_column_of_a_bad_cell(self, tmp_path):
+        # line numbers count the file's lines, blank ones included
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.0,1.0\n\n0.1,abc\n")
+        message = f"{path}: line 4, column 'y': 'abc' is not a number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            storage.read_table(path)
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
