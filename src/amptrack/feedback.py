@@ -49,9 +49,9 @@ def control_field(response: float, coupling: float, y: float, cfg) -> float:
     ``coupling`` its slope in the control field, so the law
     u = k_p (response + coupling u - y) solves to
     u = k_p (response - y) / (1 - k_p coupling).  The coupling is -1 for
-    the atom's momentum, so that denominator never vanishes; on the ring
-    it is -a^2 <H_kin>, and a denominator of exactly zero, where no field
-    moves the rate, raises ConvergenceError.
+    the atom's momentum, so that denominator never vanishes; on the ring,
+    in hopping units, it is -<H_kin>, and a denominator of exactly zero,
+    where no field moves the rate, raises ConvergenceError.
     """
     denom = 1.0 - cfg.k_p * coupling
     if denom == 0.0:

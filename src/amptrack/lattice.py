@@ -1,11 +1,12 @@
 """Driven Fermi-Hubbard rings by exact diagonalization.
 
 Momentum blocks of fixed-particle-number sectors, built from the
-translation orbits of per-spin occupation bitmasks; sparse forward-hop
-blocks with fermionic wrap signs; Lanczos ground states scanned over the
-blocks; short-iterate Krylov propagation with a midpoint-frozen Peierls
-phase; and the current, kinetic and commutator observables that enter
-the lattice control law.
+translation orbits of per-spin occupation bitmasks, and their spin-flip
+parity halves when N_up = N_down; sparse forward-hop blocks with
+fermionic wrap signs; Lanczos ground states scanned over the blocks;
+short-iterate Krylov propagation with a midpoint-frozen Peierls phase;
+and the current, kinetic and commutator observables that enter the
+lattice control law.
 
 Operator conventions, with T+ the bare forward-hop sum over sites and
 spins (site j to j+1 around the ring):
@@ -22,7 +23,9 @@ the interaction, so a state stays in its block K = 2 pi k / L, on which
 T acts as e^{iK}.  Product states are c+ strings in ascending site order,
 up spins before down spins (the Jordan-Wigner order).  T maps one to
 another times the wrap sign (-1)^(N_sigma - 1) of each spin that has a
-particle on site L-1.
+particle on site L-1.  At N_up = N_down the spin flip F, c+_{j up} <->
+c+_{j down}, commutes with T, H(Phi), J and the interaction as well, so
+the state also keeps its parity F = +-1.
 """
 
 import functools
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import lapack
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from . import feedback
 from .exceptions import ConvergenceError, StepSizeError
@@ -139,6 +142,10 @@ class _BlockBasis:
     def dim(self) -> int:
         return self.up.size
 
+    @property
+    def double_occ(self) -> np.ndarray:
+        return np.bitwise_count(self.up & self.down).astype(float)
+
 
 @functools.cache
 def _block_basis(n_sites: int, n_up: int, n_down: int, k: int) -> _BlockBasis:
@@ -201,6 +208,27 @@ def _block_phases(n_sites: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * m / n_sites)
 
 
+def _block_index(basis: _BlockBasis):
+    """The orbits of the block's sector, the per-spin indices (i_up, i_down)
+    of its representatives, and the block position of every product state
+    that is a representative in the block, -1 for every other."""
+    orb = _orbits(basis.n_sites, basis.n_up, basis.n_down)
+    i_up = np.searchsorted(orb.states_up, basis.up)
+    i_down = np.searchsorted(orb.states_down, basis.down)
+    position = np.full(orb.rep.size, -1)
+    position[i_up * orb.states_down.size + i_down] = np.arange(basis.dim)
+    return orb, i_up, i_down, position
+
+
+def _projection_factor(basis: _BlockBasis, orb: _Orbits, target: np.ndarray,
+                       col: np.ndarray) -> np.ndarray:
+    """sign e^{iKl} sqrt(R_a / R_b): the amplitude on basis vector b of the
+    product state ``target`` = sign T^l r_b, reached from basis vector a =
+    ``col`` and projected onto the block."""
+    return (orb.sign[target] * _block_phases(basis.n_sites, basis.k)[orb.shift[target]]
+            * np.sqrt(basis.period[col] / orb.period[target]))
+
+
 def _block_hop(basis: _BlockBasis) -> csr_matrix:
     """Forward-hop block T_K, from sparse column gathers and one COO sum.
 
@@ -211,10 +239,8 @@ def _block_hop(basis: _BlockBasis) -> csr_matrix:
     projects to zero and is dropped.
     """
     L = basis.n_sites
-    orb = _orbits(L, basis.n_up, basis.n_down)
+    orb, i_up, i_down, position = _block_index(basis)
     width = orb.states_down.size
-    i_up = np.searchsorted(orb.states_up, basis.up)
-    i_down = np.searchsorted(orb.states_down, basis.down)
     hop_up = _forward_hop_matrix(L, orb.states_up)[:, i_up].tocoo()
     hop_down = _forward_hop_matrix(L, orb.states_down)[:, i_down].tocoo()
     target = np.concatenate([
@@ -222,17 +248,111 @@ def _block_hop(basis: _BlockBasis) -> csr_matrix:
         i_up[hop_down.col] * width + hop_down.row,
     ])
     col = np.concatenate([hop_up.col, hop_down.col])
-    position = np.full(orb.rep.size, -1)
-    position[i_up * width + i_down] = np.arange(basis.dim)
     row = position[orb.rep[target]]
     inside = row >= 0
     target, col, row = target[inside], col[inside], row[inside]
     value = (np.concatenate([hop_up.data, hop_down.data])[inside]
-             * orb.sign[target] * _block_phases(L, basis.k)[orb.shift[target]]
-             * np.sqrt(basis.period[col] / orb.period[target]))
+             * _projection_factor(basis, orb, target, col))
     hop = coo_matrix((value, (row, col)), shape=(basis.dim, basis.dim)).tocsr()
     hop.eliminate_zeros()
     return hop
+
+
+def _spin_flip(basis: _BlockBasis):
+    """The spin flip F on a block with N_up = N_down: F|a> = c[a] |image[a]>.
+
+    F swaps the spins, c+_{j up} <-> c+_{j down}, and commutes with T.
+    Moving the swapped creators back into up-before-down order gives
+    (-1)^(N_up N_down), and the swapped representative is T^l r_b up to its
+    sign, so c_a = (-1)^(N_up N_down) sign e^{iKl} sqrt(R_a / R_b), read
+    from the orbits as ``_block_hop`` reads a hop's landing state.
+    """
+    orb, i_up, i_down, position = _block_index(basis)
+    target = i_down * orb.states_down.size + i_up
+    c = _projection_factor(basis, orb, target, np.arange(basis.dim))
+    if (basis.n_up * basis.n_down) % 2:
+        c = -c
+    return position[orb.rep[target]], c
+
+
+@dataclass(frozen=True, eq=False)
+class _ParityHalf:
+    """Spin-flip parity half F = p of a momentum block with N_up = N_down.
+
+    Its basis vectors are the columns of the isometry ``q`` on the block:
+    (|a> + p c_a |b>) / sqrt(2) for each pair a < b with F|a> = c_a |b>,
+    and |a> for each a with F|a> = p |a>, in ascending a.  ``first[j]`` is
+    the a of column j.  F swaps no site's double occupancy, so the half's
+    interaction is diagonal, with the value of ``first``.
+    """
+
+    block: _BlockBasis
+    parity: int
+    q: csr_matrix
+    first: np.ndarray
+
+    @property
+    def n_sites(self) -> int:
+        return self.block.n_sites
+
+    @property
+    def n_up(self) -> int:
+        return self.block.n_up
+
+    @property
+    def n_down(self) -> int:
+        return self.block.n_down
+
+    @property
+    def k(self) -> int:
+        return self.block.k
+
+    @property
+    def dim(self) -> int:
+        return self.first.size
+
+    @property
+    def double_occ(self) -> np.ndarray:
+        return self.block.double_occ[self.first]
+
+
+@functools.cache
+def _parity_half(n_sites: int, n_up: int, n_down: int, k: int,
+                 parity: int) -> _ParityHalf:
+    block = _block_basis(n_sites, n_up, n_down, k)
+    image, c = _spin_flip(block)
+    a = np.arange(block.dim)
+    # a fixed point has c_a = +-1, a real number up to the rounding of e^{iKl}
+    first = np.flatnonzero((a < image) | ((a == image) & (parity * c.real > 0)))
+    paired = np.flatnonzero(image[first] != first)
+    scale = np.ones(first.size, dtype=complex)
+    scale[paired] = math.sqrt(0.5)
+    rows = np.concatenate([first, image[first[paired]]])
+    cols = np.concatenate([np.arange(first.size), paired])
+    values = np.concatenate([scale, parity * math.sqrt(0.5) * c[first[paired]]])
+    q = csr_matrix((values, (rows, cols)), shape=(block.dim, first.size))
+    return _ParityHalf(block, parity, q, first)
+
+
+def _parity_half_of(block: _BlockBasis, psi: np.ndarray):
+    """The parity half of ``block`` that holds its lowest vector ``psi``, and
+    psi in that half.
+
+    F commutes with H, so a nondegenerate lowest level has <psi|F|psi> =
+    +-1.  Any other value means the level is degenerate across the two
+    parities, and ValueError says so.
+    """
+    image, c = _spin_flip(block)
+    flip = _real_vdot(psi[image], c * psi)
+    if abs(abs(flip) - 1.0) > 1e-8:
+        raise ValueError(
+            f"sector (L={block.n_sites}, N_up={block.n_up}, N_down={block.n_down}) "
+            f"has no unique ground state: the lowest level of block "
+            f"{_block_name(block.n_sites, block.k)} holds both spin-flip "
+            f"parities, +1 and -1 (<F> = {flip:.3g})")
+    half = _parity_half(block.n_sites, block.n_up, block.n_down, block.k,
+                        1 if flip > 0 else -1)
+    return half, half.q.conj().T @ psi
 
 
 class _PhasedHop:
@@ -276,13 +396,17 @@ class _PhasedHop:
 
 
 class _BlockOperators:
-    """Forward hop, its adjoint and the double occupancy of one block."""
+    """Forward hop, its adjoint and the double occupancy of a block or of a
+    parity half, where the hop is Q^H T_K Q."""
 
-    def __init__(self, basis: _BlockBasis):
-        hop = _block_hop(basis)
+    def __init__(self, basis: _BlockBasis | _ParityHalf):
+        if isinstance(basis, _ParityHalf):
+            hop = (basis.q.conj().T @ _block_hop(basis.block) @ basis.q).tocsr()
+        else:
+            hop = _block_hop(basis)
         self.hop = hop.astype(complex)
         self.hop_h = self.hop.conj().T.tocsr()
-        self.double_occ = np.bitwise_count(basis.up & basis.down).astype(float)
+        self.double_occ = basis.double_occ
         self._phased = _PhasedHop(hop, self.double_occ)
 
     def phased(self, phi: float, u: float) -> csr_matrix:
@@ -290,8 +414,8 @@ class _BlockOperators:
         return self._phased(-np.exp(1j * phi), u)
 
 
-# operators of the blocks that systems work in; the ground-state scan
-# builds those of the other blocks without keeping them
+# operators of the blocks and parity halves that systems work in; the
+# ground-state scan builds only the field-free H of each block
 _OPERATOR_CACHE: dict = {}
 
 
@@ -504,8 +628,10 @@ class HubbardSystem:
     units, t0 = a = 1.  The state lives in one momentum block of the
     sector of ``n_up`` and ``n_down`` particles, half filling of each spin
     by default: the block of the field-free ground state, which
-    ``initial_state`` picks.  Until then ``basis`` is the K = 0 block.
-    ``basis.dim`` is the block's dimension.
+    ``initial_state`` picks, and at ``n_up == n_down`` the spin-flip
+    parity half of that block that holds it.  Until then ``basis`` is the
+    K = 0 block.  ``basis.dim`` is the dimension of the space the state
+    lives in.
 
     The Peierls phase is accumulated causally: the smooth pulse part by
     the trapezoidal rule on the ``e_tl`` table of node samples, the
@@ -549,11 +675,14 @@ class HubbardSystem:
 
         The first call solves every block K = 2 pi k / L, k = 0..L/2, with
         ``_ground_state`` and keeps the lowest; K and -K share a spectrum,
-        since H and T are real in the occupation basis.  Later calls return
-        a copy of that state.  A sector whose ground state is not unique
-        raises ValueError: its lowest level lies at a K other than 0 or pi,
-        whose -K twin is degenerate with it, or two blocks' lowest levels
-        agree to 1e-8.
+        since H and T are real in the occupation basis.  At N_up = N_down
+        the state is then kept in the parity half of its block that
+        <psi|F|psi> names.  Later calls return a copy of that state.  A
+        sector whose ground state is not unique raises ValueError: its
+        lowest level lies at a K other than 0 or pi, whose -K twin is
+        degenerate with it, two blocks' lowest levels agree to 1e-8, or
+        |<psi|F|psi>| is off 1 by more than 1e-8, so that the block's
+        lowest level holds both parities.
         """
         if self._ground is None:
             self._ground = self._solve_ground_state()
@@ -565,9 +694,11 @@ class HubbardSystem:
         for k in range(L // 2 + 1):
             basis = _block_basis(L, n_up, n_down, k)
             if basis.dim:
-                ops = _OPERATOR_CACHE.get(basis) or _BlockOperators(basis)
-                hop = ops.phased(0.0, self.u)
-                levels.append((*_ground_state(hop), basis))
+                # H(0) alone, complex like the Lanczos vectors, so that no
+                # product converts it
+                hop = _block_hop(basis)
+                h0 = diags(self.u * basis.double_occ) - hop - hop.conj().T
+                levels.append((*_ground_state(h0.astype(complex).tocsr()), basis))
         levels.sort(key=lambda level: level[0])
         energy, vec, basis = levels[0]
         sector = f"sector (L={L}, N_up={n_up}, N_down={n_down})"
@@ -581,6 +712,8 @@ class HubbardSystem:
                 f"{sector} has no unique ground state: blocks "
                 f"{_block_name(L, basis.k)} and {_block_name(L, levels[1][2].k)} "
                 f"share the lowest level {energy:.10g} to 1e-8")
+        if n_up == n_down:
+            basis, vec = _parity_half_of(basis, vec)
         self.basis = basis
         self.ground_energy = energy
         return vec

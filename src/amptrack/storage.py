@@ -101,6 +101,15 @@ class Table:
         return TimeSeries(float(t[0]), dt, self.columns[name])
 
 
+def _data_line_numbers(path) -> list:
+    """File line numbers of the data rows, blank lines counted.
+
+    Read again only on a failure, to name the line at fault.
+    """
+    with open(path, "r") as fh:
+        return [n for n, line in enumerate(fh, 1) if line.strip()][1:]
+
+
 def read_table(path) -> Table:
     """Read a CSV written by this module back into named float columns.
 
@@ -115,15 +124,14 @@ def read_table(path) -> Table:
     raw = [line.split(",") for line in lines[1:]]
     if not raw:
         raise ValueError(f"{path}: no data rows")
-    if any(len(row) != len(header) for row in raw):
-        raise ValueError(f"{path}: ragged rows")
+    for i, row in enumerate(raw):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {_data_line_numbers(path)[i]} has "
+                             f"{len(row)} cells, header has {len(header)}")
     try:
         data = np.array(raw, dtype=float)
     except ValueError:
-        # the line numbers of the data rows, read again only to name the cell
-        with open(path, "r") as fh:
-            numbers = [n for n, line in enumerate(fh, 1) if line.strip()][1:]
-        for number, row in zip(numbers, raw):
+        for number, row in zip(_data_line_numbers(path), raw):
             for name, cell in zip(header, row):
                 try:
                     float(cell)

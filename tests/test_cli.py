@@ -311,8 +311,8 @@ class TestArtifactDigests:
             "d7411961d7820ad3339c829b0a7be981a6dfa600e79af4731b9ebf7c59b9963d",
         ),
         "hubbard-6": (
-            "799c39870c37e8d3e2d4111bb22953dc06e7d0626c6d267e68c55ca2a8a9408f",
-            "aa5ced3247166bc82bc10f364433043faf2bae4a414bd41129c049864563cf84",
+            "100cf72d429e9f22bb0eee6b7ec69b60a75015836d0d3c18bff91748313d2a10",
+            "0da2b1ce1843b54736649e0d6e63ba83777374924ecf0d49e4fdba2480b56e53",
         ),
     }
     CONFIGS = {
@@ -462,6 +462,15 @@ class TestCompare:
         assert main(["compare", "--a", str(a), "--b", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}: line 6, column 'y': 'abc' is not a number" in err
+
+    def test_ragged_row_is_located_and_exits_2(self, tmp_path, capsys):
+        a = write_harmonic_csv(tmp_path / "a.csv")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("t,current,kinetic,y\n0.0,1.0,2.0,3.0\n0.1\n")
+        assert main(["compare", "--a", str(a), "--b", str(ragged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{ragged}: line 3 has 1 cells, header has 4" in err
 
     def test_unknown_column_exits_2(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")

@@ -30,6 +30,9 @@ from amptrack.lattice import (
     _krylov_apply,
     _ManyBodyState,
     _operators,
+    _parity_half,
+    _parity_half_of,
+    _ParityHalf,
     _tridiagonal_eigh,
 )
 
@@ -92,12 +95,29 @@ def sector_states(L, n_up, n_down):
     )
 
 
+def jw_mode_map(L, n_up, n_down, image):
+    """The unitary c+_m -> c+_{image[m]} from the (n_up, n_down) sector.
+
+    It maps c+_{m1} ... c+_{mN}|0> (modes ascending) to the product of the
+    mapped creators on the vacuum, as a full-Fock-by-sector matrix.
+    """
+    cdag = [m.T.tocsr() for m in jw_annihilators(2 * L)]
+    vacuum = np.zeros(1 << (2 * L))
+    vacuum[0] = 1.0
+    cols = sector_states(L, n_up, n_down)
+    U = np.zeros((vacuum.size, len(cols)))
+    for i, s in enumerate(cols):
+        v = vacuum
+        for m in reversed([m for m in range(2 * L) if s & (1 << m)]):
+            v = cdag[image[m]] @ v
+        U[:, i] = v
+    return U
+
+
 def jw_sector_parts(L, n_up, n_down):
     """Forward-hop sum, double occupancy and translation T in the sector.
 
-    T is the unitary with T c+_j T^-1 = c+_{j+1 mod L} for both spins: it
-    maps c+_{m1} ... c+_{mN}|0> (modes ascending) to the product of the
-    translated creators on the vacuum.
+    T is the unitary with T c+_j T^-1 = c+_{j+1 mod L} for both spins.
     """
     c = jw_annihilators(2 * L)
     cdag = [m.T.tocsr() for m in c]
@@ -111,19 +131,32 @@ def jw_sector_parts(L, n_up, n_down):
         W = W + cdag[j] @ c[j] @ cdag[j + L] @ c[j + L]
     cols = sector_states(L, n_up, n_down)
     shifted = [(m // L) * L + (m % L + 1) % L for m in range(2 * L)]
-    vacuum = np.zeros(dim)
-    vacuum[0] = 1.0
-    T = np.zeros((dim, len(cols)))
-    for i, s in enumerate(cols):
-        v = vacuum
-        for m in reversed([m for m in range(2 * L) if s & (1 << m)]):
-            v = cdag[shifted[m]] @ v
-        T[:, i] = v
+    T = jw_mode_map(L, n_up, n_down, shifted)
     return K[cols][:, cols].toarray(), W[cols][:, cols].toarray(), T[cols, :]
 
 
+def jw_spin_flip(L, n):
+    """The spin flip F, c+_{j up} <-> c+_{j down}, in the sector (n, n).
+
+    Moving the swapped creators back into up-before-down order makes
+    F|ups, downs> = (-1)^(n n) |downs, ups>, which is checked here.
+    """
+    cols = sector_states(L, n, n)
+    F = jw_mode_map(L, n, n, [(m + L) % (2 * L) for m in range(2 * L)])[cols, :]
+    mask = (1 << L) - 1
+    swap = [cols.index((s >> L) | ((s & mask) << L)) for s in cols]
+    np.testing.assert_array_equal(F, (-1.0) ** (n * n) * np.eye(len(cols))[swap].T)
+    return F
+
+
 def jw_embedding(basis, T):
-    """Sector vectors of the block basis: normalised P_K|r> per representative."""
+    """Sector vectors of the block basis: normalised P_K|r> per representative.
+
+    A parity half's vectors are E_K Q_p, those of its block times its
+    isometry.
+    """
+    if isinstance(basis, _ParityHalf):
+        return jw_embedding(basis.block, T) @ basis.q.toarray()
     L = basis.n_sites
     index = {s: i for i, s in enumerate(sector_states(L, basis.n_up, basis.n_down))}
     K = 2.0 * np.pi * basis.k / L
@@ -212,6 +245,31 @@ class TestSectorBasis:
                                                atol=1e-12)
                     np.testing.assert_allclose(
                         T @ E, np.exp(2j * np.pi * k / L) * E, atol=1e-12)
+
+    @pytest.mark.parametrize("L", range(2, 7))
+    def test_parity_halves_are_orthonormal_eigenbases(self, L):
+        # E_K Q_p of each half, from the program's orbit arithmetic,
+        # against T and F built from Jordan-Wigner creators
+        for n in range(L + 1):
+            T = jw_sector_parts(L, n, n)[2]
+            F = jw_spin_flip(L, n)
+            for k in range(L):
+                halves = [_parity_half(L, n, n, k, p) for p in (1, -1)]
+                assert sum(h.dim for h in halves) == _block_basis(L, n, n, k).dim
+                for p, half in zip((1, -1), halves):
+                    E = jw_embedding(half, T)
+                    np.testing.assert_allclose(E.conj().T @ E, np.eye(half.dim),
+                                               atol=1e-12)
+                    np.testing.assert_allclose(
+                        T @ E, np.exp(2j * np.pi * k / L) * E, atol=1e-12)
+                    np.testing.assert_allclose(F @ E, p * E, atol=1e-12)
+
+    def test_ten_site_k0_halves(self):
+        assert [_parity_half(10, 5, 5, 0, p).dim for p in (1, -1)] == [3150, 3202]
+        for u in (10.0, 1.0):
+            system = ring(10, u)
+            system.initial_state()
+            assert system.basis is _parity_half(10, 5, 5, 0, -1)
 
     def test_ordering_is_ascending_bitmasks(self):
         basis = ring(5, n_up=2, n_down=3).basis
@@ -384,6 +442,7 @@ class TestGroundStates:
         assert np.linalg.norm(H_full @ v - e_dense * v) < 1e-8
         if (n_sites, n_up, n_down) == (4, 2, 2):
             assert system.basis.k == 2  # K = pi
+        assert isinstance(system.basis, _ParityHalf) == (n_up == n_down)
 
     @pytest.mark.parametrize("L,n_up,n_down,u,blocks", [
         (3, 2, 1, 10.0, ("K = 2pi*1/3", "K = 2pi*2/3")),
@@ -396,6 +455,43 @@ class TestGroundStates:
         message = str(exc.value)
         assert f"sector (L={L}, N_up={n_up}, N_down={n_down})" in message
         assert all(block in message for block in blocks)
+        assert system.ground_energy is None
+
+    def test_parity_mixed_ground_state_fails_closed(self, monkeypatch):
+        # an equal mixture of the two halves' lowest vectors has <F> = 0:
+        # the block's lowest level would be degenerate across the parities
+        block = _block_basis(6, 3, 3, 0)
+        solve = lattice._ground_state
+        lifted = []
+        for p in (1, -1):
+            half = _parity_half(6, 3, 3, 0, p)
+            _, vec = solve(hamiltonian(half, 10.0, 0.0))
+            lifted.append(half.q @ vec)
+        mixture = (lifted[0] + lifted[1]) / math.sqrt(2)
+        with pytest.raises(ValueError, match="no unique ground state") as exc:
+            _parity_half_of(block, mixture)
+        message = str(exc.value)
+        assert "sector (L=6, N_up=3, N_down=3)" in message
+        assert "block K = 0" in message
+        assert "+1 and -1" in message
+        for p, vec in zip((1, -1), lifted):
+            half, psi = _parity_half_of(block, vec)
+            assert half is _parity_half(6, 3, 3, 0, p)
+            np.testing.assert_allclose(half.q @ psi, vec, atol=1e-14)
+
+        # the scan solves K = 0 first; hand it the mixture as its lowest level
+        def mixed_first(hop):
+            energy, vec = solve(hop)
+            if hop.shape[0] == block.dim and not calls:
+                energy, vec = energy - 100.0, mixture
+            calls.append(hop.shape[0])
+            return energy, vec
+
+        calls = []
+        monkeypatch.setattr(lattice, "_ground_state", mixed_first)
+        system = ring(6, 10.0)
+        with pytest.raises(ValueError, match="holds both spin-flip parities"):
+            system.initial_state()
         assert system.ground_energy is None
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
@@ -566,6 +662,25 @@ class TestKrylovPropagation:
             np.testing.assert_array_equal(state.psi, want)
 
 
+    @pytest.mark.parametrize("n_sites", [6, 10])
+    def test_parity_half_agrees_with_full_block(self, n_sites):
+        # five steps in the ground state's half, lifted by Q, against the
+        # same steps on the full K block's H(phi) from the lifted start
+        pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=1)
+        system = HubbardSystem(n_sites, 10.0, pulse)
+        state = system.initial_state()
+        half = system.basis
+        full = half.q @ state.psi
+        for i in range(5):
+            stepped = system.advance(state, 100 + i, 0.3)
+            phi_mid = 0.5 * (state.phi + stepped.phi)
+            assert phi_mid != 0.0
+            full = _krylov_apply(full, hamiltonian(half.block, system.u, phi_mid),
+                                 system.dt)
+            state = stepped
+        np.testing.assert_allclose(half.q @ state.psi, full, rtol=0, atol=1e-12)
+
+
 class TestTridiagonalEigh:
     @pytest.mark.parametrize("m", range(1, 21))
     def test_matches_scipy(self, m):
@@ -614,8 +729,8 @@ _THREAD_PROBE = textwrap.dedent("""
 class TestThreadIndependence:
     def test_ten_site_steps_do_not_depend_on_blas_threads(self):
         # the ground-state scan and five observables + advance steps on
-        # the ten-site ring (K = 0 block, dim 6 352) from a seeded state,
-        # hashed, in one process per BLAS thread count
+        # the ten-site ring (the parity half of the K = 0 block, dim 3 202)
+        # from a seeded state, hashed, in one process per BLAS thread count
         src = str(Path(amptrack.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):

@@ -112,7 +112,20 @@ class TestReadTable:
     def test_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y\n0.0,1.0\n0.1\n")
-        with pytest.raises(ValueError, match="ragged"):
+        message = f"{path}: line 3 has 1 cells, header has 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            storage.read_table(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,y\n0.0,1.0\n\n0.1,2.0,3.0\n0.2\n", "line 4 has 3 cells, header has 2"),
+        ("t,y,u\n0.0,1.0,0.0\n0.1,abc\n", "line 3 has 2 cells, header has 3"),
+    ], ids=["long-row-first", "short-row-with-bad-cell"])
+    def test_names_the_first_ragged_row(self, tmp_path, text, message):
+        # line numbers count the file's lines, blank ones included; a row
+        # with the wrong count fails on its count before its cells are read
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             storage.read_table(path)
 
     def test_names_the_line_and_column_of_a_bad_cell(self, tmp_path):
