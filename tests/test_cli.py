@@ -314,11 +314,18 @@ class TestArtifactDigests:
             "100cf72d429e9f22bb0eee6b7ec69b60a75015836d0d3c18bff91748313d2a10",
             "0da2b1ce1843b54736649e0d6e63ba83777374924ecf0d49e4fdba2480b56e53",
         ),
+        "hubbard-6-4-2": (
+            "11f7a4afe424e2ecadea2176aa38ee40557aed6c72c1bde1ce40c1e29e8e656c",
+            "78ff3fd4fb6f58b7e6d5acca96fbae9f58e6b8fd33db3282cc59a75f57c5b3ea",
+        ),
     }
     CONFIGS = {
         "atom": ATOM_CFG,
         "hubbard-2": HUBBARD_CFG,
         "hubbard-6": HUBBARD_CFG.replace("sites = 2", "sites = 6"),
+        # outside half filling: no spin-flip parity, the whole K = pi block
+        "hubbard-6-4-2": HUBBARD_CFG.replace("sites = 2",
+                                             "sites = 6\nn_up = 4\nn_down = 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
