@@ -25,7 +25,6 @@ from .exceptions import (
     ConvergenceError,
     DetectionError,
     GridMismatchError,
-    InfeasibleTargetError,
     StepSizeError,
 )
 from .feedback import check_reference, relative_rms, rms, run_open_loop, run_tracking
@@ -35,7 +34,6 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
-_INVALID = (ConfigError, GridMismatchError, InfeasibleTargetError, ValueError)
 _NUMERICAL = (ConvergenceError, StepSizeError, DetectionError, CalibrationError)
 
 
@@ -169,6 +167,11 @@ def cmd_match_intensity(args) -> int:
 def cmd_spectrum(args) -> int:
     table = storage.read_table(args.input)
     series = table.series(args.column)
+    bad = np.flatnonzero(~np.isfinite(series.values))
+    if bad.size:
+        raise ValueError(f"{args.input}: column {args.column!r} has {bad.size} "
+                         f"non-finite samples, the first at row {bad[0]} "
+                         f"(t = {series.t0 + bad[0] * series.dt:g})")
     spectrum = spectral.power_spectrum(series, window=args.window)
     order = spectral.detect_cutoff_order(spectrum, args.omega0,
                                          drop_db=args.drop_db)
@@ -200,6 +203,9 @@ def cmd_compare(args) -> int:
         raise GridMismatchError("the two runs are not on the same time grid")
     diff = series_a.values - series_b.values
     rel = relative_rms(diff, series_b.values)
+    if not math.isfinite(rel):
+        # a non-finite input fails here, not in the spectral comparison
+        return _gate(rel, args.gate)
     payload = {
         "column": args.column,
         "rms_difference": rms(diff),
@@ -290,13 +296,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except AmptrackError as exc:
+    except (AmptrackError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

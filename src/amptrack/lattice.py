@@ -1,8 +1,9 @@
 """Driven Fermi-Hubbard rings by exact diagonalization.
 
 Momentum blocks of fixed-particle-number sectors, built from the
-translation orbits of per-spin occupation bitmasks, and their spin-flip
-parity halves when N_up = N_down; sparse forward-hop blocks with
+translation orbits of per-spin occupation bitmasks, and the one space
+type a state lives in on a block: the whole block, or its spin-flip
+parity half when N_up = N_down; sparse forward-hop blocks with
 fermionic wrap signs; Lanczos ground states scanned over the blocks;
 short-iterate Krylov propagation with a midpoint-frozen Peierls phase;
 and the current, kinetic and commutator observables that enter the
@@ -31,13 +32,13 @@ the state also keeps its parity F = +-1.
 import functools
 import itertools
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import lapack
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import coo_matrix, csr_matrix, diags, identity
 
 from . import feedback
 from .exceptions import ConvergenceError, StepSizeError
@@ -177,27 +178,19 @@ class _ManyBodyState:
 
 
 def _forward_hop_matrix(n_sites: int, states: np.ndarray) -> csr_matrix:
-    # directed hop j -> j+1 mod L; the wrap bond picks up the parity of
-    # the occupations strictly between the endpoints in site order
-    index = {int(s): i for i, s in enumerate(states)}
+    # directed hop j -> j+1 mod L for every (state, bond) pair at once; the
+    # wrap bond picks up the parity of the occupations strictly between the
+    # endpoints in site order
+    bond = np.arange(n_sites)
+    src, dst = 1 << bond, 1 << ((bond + 1) % n_sites)
+    col, j = np.nonzero((states[:, None] & src != 0) & (states[:, None] & dst == 0))
+    s = states[col]
     interior = ((1 << (n_sites - 1)) - 1) & ~1
-    rows, cols, vals = [], [], []
-    for c, s in enumerate(states):
-        s = int(s)
-        for j in range(n_sites):
-            l = (j + 1) % n_sites
-            bj, bl = 1 << j, 1 << l
-            if s & bj and not s & bl:
-                rows.append(index[(s ^ bj) | bl])
-                cols.append(c)
-                if j == n_sites - 1:
-                    vals.append(-1.0 if bin(s & interior).count("1") % 2 else 1.0)
-                else:
-                    vals.append(1.0)
+    odd = (j == n_sites - 1) & (np.bitwise_count(s & interior) % 2 == 1)
     n = states.size
-    return csr_matrix(
-        (np.array(vals), (np.array(rows, int), np.array(cols, int))), shape=(n, n)
-    )
+    return csr_matrix((np.where(odd, -1.0, 1.0),
+                       (np.searchsorted(states, (s ^ src[j]) | dst[j]), col)),
+                      shape=(n, n))
 
 
 def _block_phases(n_sites: int, k: int) -> np.ndarray:
@@ -276,36 +269,23 @@ def _spin_flip(basis: _BlockBasis):
 
 
 @dataclass(frozen=True, eq=False)
-class _ParityHalf:
-    """Spin-flip parity half F = p of a momentum block with N_up = N_down.
+class _Space:
+    """The space a ring's state lives in: the columns of the isometry ``q``
+    on a momentum block.
 
-    Its basis vectors are the columns of the isometry ``q`` on the block:
-    (|a> + p c_a |b>) / sqrt(2) for each pair a < b with F|a> = c_a |b>,
-    and |a> for each a with F|a> = p |a>, in ascending a.  ``first[j]`` is
-    the a of column j.  F swaps no site's double occupancy, so the half's
-    interaction is diagonal, with the value of ``first``.
+    With ``parity`` 0, ``q`` is the identity and the space is the whole
+    block.  With ``parity`` p = +-1, N_up = N_down and the space is the
+    spin-flip parity half F = p: its columns are (|a> + p c_a |b>) / sqrt(2)
+    for each pair a < b with F|a> = c_a |b>, and |a> for each a with F|a> =
+    p |a>, in ascending a.  ``first[j]`` is the a of column j.  F swaps no
+    site's double occupancy, so the interaction is diagonal on the columns,
+    with the value of ``first``.
     """
 
     block: _BlockBasis
     parity: int
     q: csr_matrix
     first: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return self.block.n_sites
-
-    @property
-    def n_up(self) -> int:
-        return self.block.n_up
-
-    @property
-    def n_down(self) -> int:
-        return self.block.n_down
-
-    @property
-    def k(self) -> int:
-        return self.block.k
 
     @property
     def dim(self) -> int:
@@ -317,9 +297,10 @@ class _ParityHalf:
 
 
 @functools.cache
-def _parity_half(n_sites: int, n_up: int, n_down: int, k: int,
-                 parity: int) -> _ParityHalf:
-    block = _block_basis(n_sites, n_up, n_down, k)
+def _space(block: _BlockBasis, parity: int) -> _Space:
+    if not parity:
+        return _Space(block, 0, identity(block.dim, dtype=complex, format="csr"),
+                      np.arange(block.dim))
     image, c = _spin_flip(block)
     a = np.arange(block.dim)
     # a fixed point has c_a = +-1, a real number up to the rounding of e^{iKl}
@@ -331,17 +312,20 @@ def _parity_half(n_sites: int, n_up: int, n_down: int, k: int,
     cols = np.concatenate([np.arange(first.size), paired])
     values = np.concatenate([scale, parity * math.sqrt(0.5) * c[first[paired]]])
     q = csr_matrix((values, (rows, cols)), shape=(block.dim, first.size))
-    return _ParityHalf(block, parity, q, first)
+    return _Space(block, parity, q, first)
 
 
-def _parity_half_of(block: _BlockBasis, psi: np.ndarray):
-    """The parity half of ``block`` that holds its lowest vector ``psi``, and
-    psi in that half.
+def _ground_space(block: _BlockBasis, psi: np.ndarray):
+    """The space of ``block`` that holds its lowest vector ``psi``, and psi
+    in that space.
 
-    F commutes with H, so a nondegenerate lowest level has <psi|F|psi> =
-    +-1.  Any other value means the level is degenerate across the two
-    parities, and ValueError says so.
+    Off N_up = N_down that is the whole block.  At N_up = N_down it is a
+    parity half: F commutes with H, so a nondegenerate lowest level has
+    <psi|F|psi> = +-1.  Any other value means the level is degenerate
+    across the two parities, and ValueError says so.
     """
+    if block.n_up != block.n_down:
+        return _space(block, 0), psi
     image, c = _spin_flip(block)
     flip = _real_vdot(psi[image], c * psi)
     if abs(abs(flip) - 1.0) > 1e-8:
@@ -350,9 +334,8 @@ def _parity_half_of(block: _BlockBasis, psi: np.ndarray):
             f"has no unique ground state: the lowest level of block "
             f"{_block_name(block.n_sites, block.k)} holds both spin-flip "
             f"parities, +1 and -1 (<F> = {flip:.3g})")
-    half = _parity_half(block.n_sites, block.n_up, block.n_down, block.k,
-                        1 if flip > 0 else -1)
-    return half, half.q.conj().T @ psi
+    space = _space(block, 1 if flip > 0 else -1)
+    return space, space.q.conj().T @ psi
 
 
 class _PhasedHop:
@@ -396,34 +379,23 @@ class _PhasedHop:
 
 
 class _BlockOperators:
-    """Forward hop, its adjoint and the double occupancy of a block or of a
-    parity half, where the hop is Q^H T_K Q."""
+    """Forward hop Q^H T_K Q, its adjoint and the double occupancy of a
+    space on the block K."""
 
-    def __init__(self, basis: _BlockBasis | _ParityHalf):
-        if isinstance(basis, _ParityHalf):
-            hop = (basis.q.conj().T @ _block_hop(basis.block) @ basis.q).tocsr()
-        else:
-            hop = _block_hop(basis)
-        self.hop = hop.astype(complex)
+    def __init__(self, space: _Space):
+        self.hop = (space.q.conj().T @ _block_hop(space.block) @ space.q).tocsr()
         self.hop_h = self.hop.conj().T.tocsr()
-        self.double_occ = basis.double_occ
-        self._phased = _PhasedHop(hop, self.double_occ)
+        self.double_occ = space.double_occ
+        self._phased = _PhasedHop(self.hop, self.double_occ)
 
     def phased(self, phi: float, u: float) -> csr_matrix:
-        """H(phi) of the block, in a matrix that the next call rewrites."""
+        """H(phi) of the space, in a matrix that the next call rewrites."""
         return self._phased(-np.exp(1j * phi), u)
 
 
-# operators of the blocks and parity halves that systems work in; the
-# ground-state scan builds only the field-free H of each block
-_OPERATOR_CACHE: dict = {}
-
-
-def _operators(basis: _BlockBasis) -> _BlockOperators:
-    ops = _OPERATOR_CACHE.get(basis)
-    if ops is None:
-        ops = _OPERATOR_CACHE[basis] = _BlockOperators(basis)
-    return ops
+# operators of the spaces that systems work in; the ground-state scan
+# builds only the field-free H of each block
+_operators = functools.cache(_BlockOperators)
 
 
 def _real_vdot(a: np.ndarray, b: np.ndarray) -> float:
@@ -625,13 +597,14 @@ class HubbardSystem:
     """Driven Hubbard ring exposed through the shared tracking protocol.
 
     A periodic ring of ``n_sites`` sites and interaction ``u`` in hopping
-    units, t0 = a = 1.  The state lives in one momentum block of the
-    sector of ``n_up`` and ``n_down`` particles, half filling of each spin
-    by default: the block of the field-free ground state, which
-    ``initial_state`` picks, and at ``n_up == n_down`` the spin-flip
-    parity half of that block that holds it.  Until then ``basis`` is the
-    K = 0 block.  ``basis.dim`` is the dimension of the space the state
-    lives in.
+    units, t0 = a = 1.  The state lives in ``basis``, a space on one
+    momentum block of the sector of ``n_up`` and ``n_down`` particles,
+    half filling of each spin by default.  ``initial_state`` picks the
+    block of the field-free ground state, and the space on it that holds
+    that state: the spin-flip parity half at ``n_up == n_down``, the whole
+    block otherwise.  Until then ``basis`` holds the whole K = 0 block as
+    a space.  ``basis.dim`` is the dimension of the space the state lives
+    in.
 
     The Peierls phase is accumulated causally: the smooth pulse part by
     the trapezoidal rule on the ``e_tl`` table of node samples, the
@@ -646,8 +619,10 @@ class HubbardSystem:
                  n_up: int | None = None, n_down: int | None = None):
         if not math.isfinite(u):
             raise ValueError("u must be finite")
-        if not isinstance(n_sites, numbers.Integral):
-            raise ValueError(f"n_sites must be an integer, got {n_sites!r}")
+        try:
+            n_sites = operator.index(n_sites)
+        except TypeError:
+            raise ValueError(f"n_sites must be an integer, got {n_sites!r}") from None
         if n_sites < 2:
             raise ValueError("n_sites must be at least 2")
         self.n_sites = n_sites
@@ -655,14 +630,16 @@ class HubbardSystem:
         self.pulse = pulse
         self.numerics = numerics if numerics is not None else LatticeNumerics()
         L = n_sites
-        n_up = L // 2 if n_up is None else n_up
-        n_down = L // 2 if n_down is None else n_down
+        fillings = []
         for n in (n_up, n_down):
-            if not isinstance(n, numbers.Integral):
-                raise ValueError(f"particle numbers must be integers, got {n!r}")
+            try:
+                n = L // 2 if n is None else operator.index(n)
+            except TypeError:
+                raise ValueError(f"particle numbers must be integers, got {n!r}") from None
             if not 0 <= n <= L:
                 raise ValueError("particle numbers must lie in [0, n_sites]")
-        self.basis = _block_basis(L, int(n_up), int(n_down), 0)
+            fillings.append(n)
+        self.basis = _space(_block_basis(L, *fillings, 0), 0)
         self.dt = self.numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
         self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)
@@ -675,21 +652,22 @@ class HubbardSystem:
 
         The first call solves every block K = 2 pi k / L, k = 0..L/2, with
         ``_ground_state`` and keeps the lowest; K and -K share a spectrum,
-        since H and T are real in the occupation basis.  At N_up = N_down
-        the state is then kept in the parity half of its block that
-        <psi|F|psi> names.  Later calls return a copy of that state.  A
-        sector whose ground state is not unique raises ValueError: its
-        lowest level lies at a K other than 0 or pi, whose -K twin is
-        degenerate with it, two blocks' lowest levels agree to 1e-8, or
-        |<psi|F|psi>| is off 1 by more than 1e-8, so that the block's
-        lowest level holds both parities.
+        since H and T are real in the occupation basis.  The state is then
+        kept in the space of its block that ``_ground_space`` names: at
+        N_up = N_down the parity half that <psi|F|psi> names.  Later calls
+        return a copy of that state.  A sector whose ground state is not
+        unique raises ValueError: its lowest level lies at a K other than 0
+        or pi, whose -K twin is degenerate with it, two blocks' lowest
+        levels agree to 1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8,
+        so that the block's lowest level holds both parities.
         """
         if self._ground is None:
             self._ground = self._solve_ground_state()
         return _ManyBodyState(self._ground.copy())
 
     def _solve_ground_state(self) -> np.ndarray:
-        L, n_up, n_down = self.basis.n_sites, self.basis.n_up, self.basis.n_down
+        b = self.basis.block
+        L, n_up, n_down = b.n_sites, b.n_up, b.n_down
         levels = []
         for k in range(L // 2 + 1):
             basis = _block_basis(L, n_up, n_down, k)
@@ -712,9 +690,7 @@ class HubbardSystem:
                 f"{sector} has no unique ground state: blocks "
                 f"{_block_name(L, basis.k)} and {_block_name(L, levels[1][2].k)} "
                 f"share the lowest level {energy:.10g} to 1e-8")
-        if n_up == n_down:
-            basis, vec = _parity_half_of(basis, vec)
-        self.basis = basis
+        self.basis, vec = _ground_space(basis, vec)
         self.ground_energy = energy
         return vec
 

@@ -505,6 +505,31 @@ class TestFailClosed:
                      "--gate", "0.01"]) == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_spectrum_names_non_finite_samples(self, value, tmp_path, capsys):
+        # a NaN or inf used to surface as "no harmonic plateau" (exit 3)
+        csv = write_harmonic_csv(tmp_path / "run.csv")
+        bad = poison_y(csv, tmp_path / "bad.csv", value=value)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--in", str(bad), "--out", str(out),
+                     "--omega0", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert (f"{bad}: column 'y' has 1 non-finite samples, the first at row 4 "
+                f"(t = 0.2)") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gate", [None, "1e9"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_compare_checks_its_residual_before_the_spectra(self, value, gate,
+                                                            tmp_path, capsys):
+        a = write_harmonic_csv(tmp_path / "a.csv")
+        bad = poison_y(a, tmp_path / "bad.csv", value=value)
+        args = ["compare", "--a", str(bad), "--b", str(a), "--omega0", "0.3"]
+        assert main(args + (["--gate", gate] if gate else [])) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: residual {value} is not finite\n"
+
     @pytest.mark.parametrize("command", ["run-tracking", "compare"])
     @pytest.mark.parametrize("gate", ["nan", "inf", "0"])
     def test_gate_option_must_be_positive_and_finite(self, command, gate,

@@ -324,7 +324,7 @@ class TestBuildSystem:
         assert isinstance(ref, HubbardSystem)
         assert ref.u == 8.0 and driven.u == 1.0
         assert ref.n_sites == driven.n_sites == 2
-        assert ref.basis.n_up == 1 and ref.basis.n_down == 1
+        assert ref.basis.block.n_up == 1 and ref.basis.block.n_down == 1
 
     def test_role_is_checked(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL_HUBBARD))

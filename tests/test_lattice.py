@@ -27,27 +27,31 @@ from amptrack.lattice import (
     HubbardSystem,
     LatticeNumerics,
     _block_basis,
+    _ground_space,
     _krylov_apply,
     _ManyBodyState,
     _operators,
-    _parity_half,
-    _parity_half_of,
-    _ParityHalf,
+    _space,
     _tridiagonal_eigh,
 )
 
 def ring(L, u=0.0, n_up=None, n_down=None, pulse=None, numerics=None, k=None):
     """An L-site HubbardSystem on the (n_up, n_down) sector, field-free by default.
 
-    With ``k`` given, the system works in the block K = 2 pi k / L in place
-    of the K = 0 block it holds until ``initial_state`` picks one.
+    With ``k`` given, the system works in the whole block K = 2 pi k / L in
+    place of the K = 0 block it holds until ``initial_state`` picks one.
     """
     pulse = pulse or PulseSpec(e0=0.0, omega0=1.0, cycles=1)
     system = HubbardSystem(L, u, pulse, numerics, n_up=n_up, n_down=n_down)
     if k is not None:
-        b = system.basis
-        system.basis = _block_basis(b.n_sites, b.n_up, b.n_down, k)
+        b = system.basis.block
+        system.basis = block_space(b.n_sites, b.n_up, b.n_down, k)
     return system
+
+
+def block_space(L, n_up, n_down, k, parity=0):
+    """The space of the given parity on block K = 2 pi k / L; 0 is the block."""
+    return _space(_block_basis(L, n_up, n_down, k), parity)
 
 
 def random_state(basis, seed=0, phi=0.0):
@@ -149,26 +153,22 @@ def jw_spin_flip(L, n):
     return F
 
 
-def jw_embedding(basis, T):
-    """Sector vectors of the block basis: normalised P_K|r> per representative.
-
-    A parity half's vectors are E_K Q_p, those of its block times its
-    isometry.
-    """
-    if isinstance(basis, _ParityHalf):
-        return jw_embedding(basis.block, T) @ basis.q.toarray()
-    L = basis.n_sites
-    index = {s: i for i, s in enumerate(sector_states(L, basis.n_up, basis.n_down))}
-    K = 2.0 * np.pi * basis.k / L
+def jw_embedding(space, T):
+    """Sector vectors of a space: E_K Q, with E_K the normalised P_K|r> per
+    representative of the space's block and Q the space's isometry."""
+    block = space.block
+    L = block.n_sites
+    index = {s: i for i, s in enumerate(sector_states(L, block.n_up, block.n_down))}
+    K = 2.0 * np.pi * block.k / L
     powers = [np.eye(T.shape[0])]
     for _ in range(L - 1):
         powers.append(T @ powers[-1])
-    E = np.zeros((T.shape[0], basis.dim), dtype=complex)
-    for a in range(basis.dim):
-        r = index[int(basis.up[a]) | (int(basis.down[a]) << L)]
+    E = np.zeros((T.shape[0], block.dim), dtype=complex)
+    for a in range(block.dim):
+        r = index[int(block.up[a]) | (int(block.down[a]) << L)]
         col = sum(np.exp(-1j * K * n) * powers[n][:, r] for n in range(L)) / L
         E[:, a] = col / np.linalg.norm(col)
-    return E
+    return E @ space.q.toarray()
 
 
 def jw_sector_matrices(parts, u, phi, t0=1.0, a=1.0):
@@ -180,13 +180,13 @@ def jw_sector_matrices(parts, u, phi, t0=1.0, a=1.0):
 
 
 class Embedded:
-    """A system's block, embedded in its Jordan-Wigner sector."""
+    """A system's space, embedded in its Jordan-Wigner sector."""
 
     def __init__(self, system):
-        b = system.basis
+        b = system.basis.block
         self.u = system.u
         self.parts = jw_sector_parts(b.n_sites, b.n_up, b.n_down)
-        self.E = jw_embedding(b, self.parts[2])
+        self.E = jw_embedding(system.basis, self.parts[2])
 
     def vector(self, state):
         return self.E @ state.psi
@@ -214,7 +214,7 @@ class TestSectorBasis:
          (6, None, None, 400)],
     )
     def test_dimensions(self, L, n_up, n_down, dim):
-        b = ring(L, n_up=n_up, n_down=n_down).basis
+        b = ring(L, n_up=n_up, n_down=n_down).basis.block
         assert sum(_block_basis(L, b.n_up, b.n_down, k).dim for k in range(L)) == dim
 
     @pytest.mark.parametrize(
@@ -239,9 +239,9 @@ class TestSectorBasis:
                 T = jw_sector_parts(L, n_up, n_down)[2]
                 np.testing.assert_allclose(T.T @ T, np.eye(T.shape[0]), atol=1e-12)
                 for k in range(L):
-                    basis = _block_basis(L, n_up, n_down, k)
-                    E = jw_embedding(basis, T)
-                    np.testing.assert_allclose(E.conj().T @ E, np.eye(basis.dim),
+                    space = block_space(L, n_up, n_down, k)
+                    E = jw_embedding(space, T)
+                    np.testing.assert_allclose(E.conj().T @ E, np.eye(space.dim),
                                                atol=1e-12)
                     np.testing.assert_allclose(
                         T @ E, np.exp(2j * np.pi * k / L) * E, atol=1e-12)
@@ -254,7 +254,7 @@ class TestSectorBasis:
             T = jw_sector_parts(L, n, n)[2]
             F = jw_spin_flip(L, n)
             for k in range(L):
-                halves = [_parity_half(L, n, n, k, p) for p in (1, -1)]
+                halves = [block_space(L, n, n, k, p) for p in (1, -1)]
                 assert sum(h.dim for h in halves) == _block_basis(L, n, n, k).dim
                 for p, half in zip((1, -1), halves):
                     E = jw_embedding(half, T)
@@ -265,14 +265,14 @@ class TestSectorBasis:
                     np.testing.assert_allclose(F @ E, p * E, atol=1e-12)
 
     def test_ten_site_k0_halves(self):
-        assert [_parity_half(10, 5, 5, 0, p).dim for p in (1, -1)] == [3150, 3202]
+        assert [block_space(10, 5, 5, 0, p).dim for p in (1, -1)] == [3150, 3202]
         for u in (10.0, 1.0):
             system = ring(10, u)
             system.initial_state()
-            assert system.basis is _parity_half(10, 5, 5, 0, -1)
+            assert system.basis is block_space(10, 5, 5, 0, -1)
 
     def test_ordering_is_ascending_bitmasks(self):
-        basis = ring(5, n_up=2, n_down=3).basis
+        basis = ring(5, n_up=2, n_down=3).basis.block
         key = basis.up * (1 << 5) + basis.down
         assert np.all(np.diff(key) > 0)
 
@@ -307,6 +307,8 @@ class TestOperatorsAgainstJordanWigner:
             (3, 2, 1, 2.5, -0.37),
             (4, 2, 2, 10.0, 0.52),
             (4, 3, 2, 1.0, 2.1),
+            (5, 3, 1, 3.0, -1.3),
+            (6, 3, 3, 6.0, 0.9),
         ],
     )
     def test_hamiltonian_and_current_match(self, L, n_up, n_down, u, phi):
@@ -336,7 +338,7 @@ class TestOperatorsAgainstJordanWigner:
             H = module_dense(basis, 5.0, 0.0)
             H0 = module_dense(basis, 0.0, 0.0)
             occ = [bin(int(up) & int(down)).count("1")
-                   for up, down in zip(basis.up, basis.down)]
+                   for up, down in zip(basis.block.up, basis.block.down)]
             np.testing.assert_allclose(H - H0, 5.0 * np.diag(occ), atol=1e-12)
 
     def test_hermiticity_on_random_states(self):
@@ -364,7 +366,7 @@ class TestPhasedFactors:
         # phases; L = 2 has forward and backward hops on the same entries
         for n in range(L + 1):
             for k in range(L):
-                ops = _operators(_block_basis(L, n, L - n, k))
+                ops = _operators(block_space(L, n, L - n, k))
                 for phi in (0.0, 0.3, -1.1, 0.5 * math.pi, 2.9):
                     z = -np.exp(1j * phi)
                     for u in (0.0, 2.5):
@@ -441,8 +443,8 @@ class TestGroundStates:
         v = embedded.vector(gs)
         assert np.linalg.norm(H_full @ v - e_dense * v) < 1e-8
         if (n_sites, n_up, n_down) == (4, 2, 2):
-            assert system.basis.k == 2  # K = pi
-        assert isinstance(system.basis, _ParityHalf) == (n_up == n_down)
+            assert system.basis.block.k == 2  # K = pi
+        assert (system.basis.parity != 0) == (n_up == n_down)
 
     @pytest.mark.parametrize("L,n_up,n_down,u,blocks", [
         (3, 2, 1, 10.0, ("K = 2pi*1/3", "K = 2pi*2/3")),
@@ -464,19 +466,19 @@ class TestGroundStates:
         solve = lattice._ground_state
         lifted = []
         for p in (1, -1):
-            half = _parity_half(6, 3, 3, 0, p)
+            half = _space(block, p)
             _, vec = solve(hamiltonian(half, 10.0, 0.0))
             lifted.append(half.q @ vec)
         mixture = (lifted[0] + lifted[1]) / math.sqrt(2)
         with pytest.raises(ValueError, match="no unique ground state") as exc:
-            _parity_half_of(block, mixture)
+            _ground_space(block, mixture)
         message = str(exc.value)
         assert "sector (L=6, N_up=3, N_down=3)" in message
         assert "block K = 0" in message
         assert "+1 and -1" in message
         for p, vec in zip((1, -1), lifted):
-            half, psi = _parity_half_of(block, vec)
-            assert half is _parity_half(6, 3, 3, 0, p)
+            half, psi = _ground_space(block, vec)
+            assert half is _space(block, p)
             np.testing.assert_allclose(half.q @ psi, vec, atol=1e-14)
 
         # the scan solves K = 0 first; hand it the mixture as its lowest level
@@ -675,8 +677,8 @@ class TestKrylovPropagation:
             stepped = system.advance(state, 100 + i, 0.3)
             phi_mid = 0.5 * (state.phi + stepped.phi)
             assert phi_mid != 0.0
-            full = _krylov_apply(full, hamiltonian(half.block, system.u, phi_mid),
-                                 system.dt)
+            full = _krylov_apply(full, hamiltonian(_space(half.block, 0), system.u,
+                                                   phi_mid), system.dt)
             state = stepped
         np.testing.assert_allclose(half.q @ state.psi, full, rtol=0, atol=1e-12)
 
