@@ -35,7 +35,7 @@ def main():
 
     pulse = PulseSpec(e0=E0, omega0=OMEGA0, cycles=CYCLES)
     numerics = AtomNumerics(120.0, 2048, 0.02)
-    alpha = calibrate_softening(IP, numerics.grid())
+    alpha = calibrate_softening(IP, numerics)
     print(f"soft-core atom: Ip = {IP}, calibrated alpha = {alpha:.6f}")
 
     system = AtomSystem(alpha, pulse, numerics)

@@ -31,7 +31,7 @@ N_POINTS = 1024
 
 
 def build(ip, pulse, numerics):
-    alpha = calibrate_softening(ip, numerics.grid())
+    alpha = calibrate_softening(ip, numerics)
     return AtomSystem(alpha, pulse, numerics)
 
 

@@ -27,13 +27,7 @@ from .pulses import (
     hhg_matched_field,
     ponderomotive_energy,
 )
-from .grid import (
-    AbsorberSpec,
-    AtomNumerics,
-    AtomSystem,
-    Grid1D,
-    calibrate_softening,
-)
+from .grid import AtomNumerics, AtomSystem, calibrate_softening
 from .lattice import (
     HubbardSystem,
     LatticeNumerics,

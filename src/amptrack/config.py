@@ -10,7 +10,7 @@ quantity all raise a configuration error naming the offender.
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import units
 from .exceptions import ConfigError
@@ -70,10 +70,6 @@ class ExperimentConfig:
         for name in ("atom", "hubbard"):
             if out[name] is None:
                 del out[name]
-        if self.atom is not None:
-            num = out["atom"]["numerics"]
-            for key, value in num.pop("absorber").items():
-                num[f"absorber_{key}"] = value
         return out
 
 
@@ -169,17 +165,13 @@ def _load_sections(path) -> dict:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _from_section(sec: _Section, defaults, prefix: str = ""):
-    """A copy of the dataclass ``defaults`` with each field read from the key
-    ``prefix + name``, of the default's type; a nested dataclass field
-    ``name`` reads its own fields under the prefix ``name_``."""
+def _from_section(sec: _Section, defaults):
+    """A copy of the dataclass ``defaults`` with each field read from the
+    key of its name, of the default's type."""
     values = {}
     for f in fields(defaults):
         value = getattr(defaults, f.name)
-        if is_dataclass(value):
-            values[f.name] = _from_section(sec, value, f"{f.name}_")
-        else:
-            values[f.name] = sec.take(prefix + f.name, type(value), value)
+        values[f.name] = sec.take(f.name, type(value), value)
     try:
         return type(defaults)(**values)
     except ValueError as exc:
@@ -286,7 +278,7 @@ def build_system(cfg: ExperimentConfig, role: str):
         raise ValueError("role must be 'reference' or 'driven'")
     if cfg.platform == "atom":
         ip = cfg.atom.reference_ip if role == "reference" else cfg.atom.driven_ip
-        alpha = calibrate_softening(ip, cfg.atom.numerics.grid())
+        alpha = calibrate_softening(ip, cfg.atom.numerics)
         return AtomSystem(alpha, cfg.pulse, cfg.atom.numerics)
     par = cfg.hubbard
     u = par.u_reference if role == "reference" else par.u_driven

@@ -7,7 +7,7 @@ numerical differentiation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -17,8 +17,6 @@ from .exceptions import CalibrationError, ConvergenceError
 from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = [
-    "Grid1D",
-    "AbsorberSpec",
     "AtomNumerics",
     "AtomSystem",
     "soft_coulomb_potential",
@@ -29,70 +27,68 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform symmetric grid on [-L, L] with a power-of-two point count."""
+class AtomNumerics:
+    """Grid, time step and absorber of an atom run: the keys of [numerics].
 
-    half_width: float
-    n_points: int
+    The grid is uniform and symmetric on [-box_half_width, box_half_width]
+    with a power-of-two point count.  The absorber is a cosine mask over
+    the outer ``absorber_fraction`` of each box edge, raised to
+    ``absorber_exponent``; a fraction of zero disables it.  The defaults
+    resolve a quiver amplitude E0/omega0^2 of roughly 16 a.u. at the
+    default pulse with a wide margin.
+    """
+
+    box_half_width: float = 200.0
+    n_points: int = 4096
+    dt: float = 0.02
+    absorber_fraction: float = 0.1
+    absorber_exponent: float = 0.125
 
     def __post_init__(self):
         n = self.n_points
         if n < 8 or n & (n - 1) != 0:
             raise ValueError("n_points must be a power of two, at least 8")
-        if not math.isfinite(self.half_width):
-            raise ValueError("half_width must be finite")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        for name in ("box_half_width", "dt", "absorber_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.absorber_fraction < 0.5:
+            raise ValueError("absorber_fraction must lie in [0, 0.5)")
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.half_width / (self.n_points - 1)
+        return 2.0 * self.box_half_width / (self.n_points - 1)
 
     def x(self) -> np.ndarray:
-        return -self.half_width + self.dx * np.arange(self.n_points)
+        return -self.box_half_width + self.dx * np.arange(self.n_points)
 
     def k(self) -> np.ndarray:
         # discrete Fourier dual of x
         return 2.0 * math.pi * sfft.fftfreq(self.n_points, d=self.dx)
 
-
-@dataclass(frozen=True)
-class AbsorberSpec:
-    """Cosine absorbing mask over the outer ``fraction`` of each box edge."""
-
-    fraction: float = 0.1
-    exponent: float = 0.125
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction < 0.5:
-            raise ValueError("fraction must lie in [0, 0.5)")
-        if not math.isfinite(self.exponent):
-            raise ValueError("exponent must be finite")
-        if not self.exponent > 0:
-            raise ValueError("exponent must be positive")
-
-    def mask(self, grid: Grid1D):
+    def mask(self):
         """Mask samples in [0, 1], or None when the absorber is disabled."""
-        if self.fraction == 0.0:
+        if self.absorber_fraction == 0.0:
             return None
-        width = self.fraction * 2.0 * grid.half_width
-        inner = grid.half_width - width
-        s = np.clip((np.abs(grid.x()) - inner) / width, 0.0, 1.0)
-        return np.cos(0.5 * math.pi * s) ** self.exponent
+        width = self.absorber_fraction * 2.0 * self.box_half_width
+        inner = self.box_half_width - width
+        s = np.clip((np.abs(self.x()) - inner) / width, 0.0, 1.0)
+        return np.cos(0.5 * math.pi * s) ** self.absorber_exponent
 
 
-def soft_coulomb_potential(grid: Grid1D, alpha: float) -> np.ndarray:
+def soft_coulomb_potential(numerics: AtomNumerics, alpha: float) -> np.ndarray:
     """V(x) = -1 / sqrt(x^2 + alpha^2) sampled on the grid."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-    return -1.0 / np.sqrt(grid.x() ** 2 + alpha**2)
+    return -1.0 / np.sqrt(numerics.x() ** 2 + alpha**2)
 
 
-def soft_coulomb_force(grid: Grid1D, alpha: float) -> np.ndarray:
+def soft_coulomb_force(numerics: AtomNumerics, alpha: float) -> np.ndarray:
     """Core force -V'(x) = -x / (x^2 + alpha^2)^(3/2), analytic."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-    x = grid.x()
+    x = numerics.x()
     return -x / (x**2 + alpha**2) ** 1.5
 
 
@@ -111,7 +107,7 @@ _MAX_STEPS = 200_000    # steps per stage before a ConvergenceError
 
 
 def imaginary_time_ground_state(
-    grid: Grid1D, V: np.ndarray, psi0: np.ndarray | None = None
+    numerics: AtomNumerics, V: np.ndarray, psi0: np.ndarray | None = None
 ):
     """Relax to the ground state of K + V by split-step imaginary time.
 
@@ -121,10 +117,10 @@ def imaginary_time_ground_state(
 
     Returns (psi, energy).
     """
-    dx, n = grid.dx, grid.n_points
-    k2 = grid.k() ** 2
+    dx, n = numerics.dx, numerics.n_points
+    k2 = numerics.k() ** 2
     if psi0 is None:
-        psi = np.exp(-0.5 * grid.x() ** 2).astype(complex)
+        psi = np.exp(-0.5 * numerics.x() ** 2).astype(complex)
     else:
         psi = np.asarray(psi0, dtype=complex).copy()
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx)
@@ -153,9 +149,9 @@ def imaginary_time_ground_state(
     return psi, energy
 
 
-def _softening_slope(grid: Grid1D, alpha: float) -> np.ndarray:
+def _softening_slope(numerics: AtomNumerics, alpha: float) -> np.ndarray:
     """dV/dalpha = alpha / (x^2 + alpha^2)^(3/2), the integrand of dE0/dalpha."""
-    return alpha / (grid.x() ** 2 + alpha**2) ** 1.5
+    return alpha / (numerics.x() ** 2 + alpha**2) ** 1.5
 
 
 # |E0| - target_ip that ends the calibration, and its solve budget
@@ -164,7 +160,7 @@ _CALIBRATION_MAX_ITER = 80
 
 
 def calibrate_softening(
-    target_ip: float, grid: Grid1D, lo: float = 0.1, hi: float = 6.0
+    target_ip: float, numerics: AtomNumerics, lo: float = 0.1, hi: float = 6.0
 ) -> float:
     """Softening alpha whose ground state binds with |E0| = target_ip.
 
@@ -186,9 +182,10 @@ def calibrate_softening(
         """(|E0| - target_ip, dE0/dalpha) at this softening."""
         nonlocal guess
         guess, energy = imaginary_time_ground_state(
-            grid, soft_coulomb_potential(grid, alpha), psi0=guess
+            numerics, soft_coulomb_potential(numerics, alpha), psi0=guess
         )
-        slope = np.sum(np.abs(guess) ** 2 * _softening_slope(grid, alpha)) * grid.dx
+        slope = np.sum(np.abs(guess) ** 2
+                       * _softening_slope(numerics, alpha)) * numerics.dx
         return -energy - target_ip, float(slope)
 
     # the residual falls with alpha: it is positive at a, negative at b
@@ -223,32 +220,6 @@ def calibrate_softening(
     raise CalibrationError("calibration exhausted its iteration budget")
 
 
-@dataclass
-class AtomNumerics:
-    """Grid and stepping defaults for atom runs.
-
-    The defaults resolve a quiver amplitude E0/omega0^2 of roughly 16 a.u.
-    at the default pulse with a wide margin.
-    """
-
-    box_half_width: float = 200.0
-    n_points: int = 4096
-    dt: float = 0.02
-    absorber: AbsorberSpec = field(default_factory=AbsorberSpec)
-
-    def __post_init__(self):
-        # checked here so that a bad box is reported under its own key
-        for name in ("dt", "box_half_width"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        self.grid()
-
-    def grid(self) -> Grid1D:
-        return Grid1D(self.box_half_width, self.n_points)
-
-
 class AtomSystem:
     """A driven soft-core atom of softening ``alpha``, in its ground state.
 
@@ -257,7 +228,8 @@ class AtomSystem:
     control field, and an in-place split-operator advance with the smooth
     pulse sampled at the step midpoint (second order in dt).  The pulse
     is tabulated once: ``e_tl`` at the grid nodes, ``_e_mid`` at the step
-    midpoints.
+    midpoints.  ``numerics`` is the one record of the grid, the time step
+    and the absorber.
     """
 
     channel_names = ("p", "force")
@@ -266,7 +238,6 @@ class AtomSystem:
         self.alpha = alpha
         self.pulse = pulse
         self.numerics = numerics
-        self.grid = numerics.grid()
         self.dt = numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
         steps = np.arange(self.n_steps + 1)
@@ -274,25 +245,25 @@ class AtomSystem:
         self._e_mid = evaluate_tl_field(self.dt * (steps[:-1] + 0.5), pulse)
         # x_j = x[m r] + dx c for j = m r + c, so exp(s x) is the outer
         # product of exp(s x[::m]) and exp(s dx c): two short exponentials
-        n = self.grid.n_points
+        n = numerics.n_points
         m = 1 << (n.bit_length() // 2)
-        self._x_rows = self.grid.x()[::m]
-        self._x_cols = self.grid.dx * np.arange(m)
-        k = self.grid.k()
+        self._x_rows = numerics.x()[::m]
+        self._x_cols = numerics.dx * np.arange(m)
+        k = numerics.k()
         # rejects an alpha that is not finite and positive
-        self._V = soft_coulomb_potential(self.grid, alpha)
+        self._V = soft_coulomb_potential(numerics, alpha)
         # k and the force, each value twice, against the float view of a state
         self._k_pairs = np.repeat(k, 2)
-        self._force_pairs = np.repeat(soft_coulomb_force(self.grid, alpha), 2)
+        self._force_pairs = np.repeat(soft_coulomb_force(numerics, alpha), 2)
         self._exp_v_half = np.exp(-0.5j * self.dt * self._V)
         self._exp_k = np.exp(-0.5j * self.dt * k**2)
-        self._mask = numerics.absorber.mask(self.grid)
+        self._mask = numerics.mask()
         self.ground_energy = None
 
     def initial_state(self) -> np.ndarray:
-        psi, energy = imaginary_time_ground_state(self.grid, self._V)
+        psi, energy = imaginary_time_ground_state(self.numerics, self._V)
         self.ground_energy = energy
-        tail = max(1, self.grid.n_points // 20)
+        tail = max(1, self.numerics.n_points // 20)
         edge = max(np.abs(psi[:tail]).max(), np.abs(psi[-tail:]).max())
         if edge > 1e-8:
             raise ValueError(
@@ -302,7 +273,7 @@ class AtomSystem:
         return psi
 
     def observables(self, psi: np.ndarray) -> dict:
-        dx, n = self.grid.dx, self.grid.n_points
+        dx, n = self.numerics.dx, self.numerics.n_points
         # sum k |phi|^2 and F |psi|^2 over the float views, BLAS-free
         psi = np.ascontiguousarray(psi, dtype=complex)
         phi = sfft.fft(psi).view(float)

@@ -338,59 +338,50 @@ def _ground_space(block: _BlockBasis, psi: np.ndarray):
     return space, space.q.conj().T @ psi
 
 
-class _PhasedHop:
-    """z T + conj(z) T^H + u D as one sparse matrix on a fixed pattern.
+class _BlockOperators:
+    """Forward hop Q^H T_K Q, its adjoint and the double occupancy of a
+    space on the block K, and its H(phi) = z T + conj(z) T^H + u D with
+    z = -e^{i phi} as one sparse matrix on a fixed pattern.
 
     The pattern is the union of those of T, T^H and the diagonal, and the
-    values of each term are stored on it separately.  A call writes
+    values of each term are stored on it separately.  ``phased`` writes
     fwd z + bwd conj(z) + u occ into the data of one matrix built on the
-    pattern at construction, so a new phase costs a few vector operations
-    and no sparse arithmetic or allocation of a matrix, and one H apply is
-    one sparse product.  An entry that two terms share holds their sum.
-    Every call returns that same matrix: the next call overwrites it.
+    pattern here, so a new phase costs a few vector operations and no
+    sparse arithmetic or allocation of a matrix, and one H apply is one
+    sparse product.  An entry that two terms share holds their sum.
     """
 
-    def __init__(self, hop: csr_matrix, double_occ: np.ndarray):
-        n = hop.shape[0]
-        entries = hop.tocoo()
+    def __init__(self, space: _Space):
+        self.hop = (space.q.conj().T @ _block_hop(space.block) @ space.q).tocsr()
+        self.hop_h = self.hop.conj().T.tocsr()
+        self.double_occ = space.double_occ
+        n = self.hop.shape[0]
+        entries = self.hop.tocoo()
         row = entries.row.astype(np.int64)
         col = entries.col.astype(np.int64)
         fwd_key, bwd_key = row * n + col, col * n + row
         diag_key = np.arange(n, dtype=np.int64) * (n + 1)
         keys = np.unique(np.concatenate([fwd_key, bwd_key, diag_key]))
         rows, cols = np.divmod(keys, n)
-        self.fwd = np.zeros(keys.size, dtype=complex)
-        self.fwd[np.searchsorted(keys, fwd_key)] = entries.data
-        self.bwd = np.zeros(keys.size, dtype=complex)
-        self.bwd[np.searchsorted(keys, bwd_key)] = np.conj(entries.data)
-        self.occ = np.zeros(keys.size)
-        self.occ[np.searchsorted(keys, diag_key)] = double_occ
+        self._fwd = np.zeros(keys.size, dtype=complex)
+        self._fwd[np.searchsorted(keys, fwd_key)] = entries.data
+        self._bwd = np.zeros(keys.size, dtype=complex)
+        self._bwd[np.searchsorted(keys, bwd_key)] = np.conj(entries.data)
+        self._occ = np.zeros(keys.size)
+        self._occ[np.searchsorted(keys, diag_key)] = self.double_occ
         indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        self._matrix = csr_matrix(
+        self._phased = csr_matrix(
             (np.zeros(keys.size, dtype=complex), cols.astype(np.int32), indptr),
             shape=(n, n))
 
-    def __call__(self, z: complex, u: float) -> csr_matrix:
-        data = self._matrix.data
-        np.multiply(self.fwd, z, out=data)
-        data += self.bwd * np.conj(z)
-        data += u * self.occ
-        return self._matrix
-
-
-class _BlockOperators:
-    """Forward hop Q^H T_K Q, its adjoint and the double occupancy of a
-    space on the block K."""
-
-    def __init__(self, space: _Space):
-        self.hop = (space.q.conj().T @ _block_hop(space.block) @ space.q).tocsr()
-        self.hop_h = self.hop.conj().T.tocsr()
-        self.double_occ = space.double_occ
-        self._phased = _PhasedHop(self.hop, self.double_occ)
-
     def phased(self, phi: float, u: float) -> csr_matrix:
         """H(phi) of the space, in a matrix that the next call rewrites."""
-        return self._phased(-np.exp(1j * phi), u)
+        z = -np.exp(1j * phi)
+        data = self._phased.data
+        np.multiply(self._fwd, z, out=data)
+        data += self._bwd * np.conj(z)
+        data += u * self._occ
+        return self._phased
 
 
 # operators of the spaces that systems work in; the ground-state scan

@@ -76,13 +76,18 @@ def power_spectrum(series: TimeSeries, window: str = "hann") -> Spectrum:
     """One-sided power spectrum of a real series, zero-padded to 2^m.
 
     The normalization makes Parseval exact: the sum of the returned power
-    equals the sum of squares of the windowed samples.
+    equals the sum of squares of the windowed samples.  A NaN or inf
+    sample raises ValueError, which names the first.
     """
     if len(series) < 16:
         raise ValueError("need at least 16 samples for a spectrum")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}, expected one of {_WINDOWS}")
     x = series.values
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"series has {bad.size} non-finite samples, the first "
+                         f"at index {bad[0]} (t = {series.t0 + bad[0] * series.dt:g})")
     n = x.size
     if window == "hann":
         x = x * np.hanning(n)

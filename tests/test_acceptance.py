@@ -14,10 +14,8 @@ from scipy.linalg import eigh
 
 from amptrack.feedback import FeedbackConfig, run_open_loop, run_tracking
 from amptrack.grid import (
-    AbsorberSpec,
     AtomNumerics,
     AtomSystem,
-    Grid1D,
     _energy,
     calibrate_softening,
     soft_coulomb_potential,
@@ -271,17 +269,16 @@ def test_matched_intensities_preserve_observables(
 def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     """Norm and energy stay put; Ehrenfest residuals shrink with the step."""
     cfg = hubbard_config
-    grid = Grid1D(60.0, 512)
-    alpha = calibrate_softening(0.5, grid)
+    numerics = AtomNumerics(60.0, 512, 0.02, absorber_fraction=0.0)
+    alpha = calibrate_softening(0.5, numerics)
     drive = PulseSpec(e0=0.05, omega0=0.25, cycles=2)
 
     # Norm under driving with the absorber off (the split steps are unitary).
-    no_absorber = AbsorberSpec(fraction=0.0)
-    system = AtomSystem(alpha, drive, AtomNumerics(60.0, 512, 0.02, no_absorber))
+    system = AtomSystem(alpha, drive, numerics)
     psi = system.initial_state()
     for step in range(system.n_steps):
         psi = system.advance(psi, step, 0.0)
-    norm = float(np.sum(np.abs(psi) ** 2) * grid.dx)
+    norm = float(np.sum(np.abs(psi) ** 2) * numerics.dx)
     atom_norm_drift = abs(norm - 1.0) / system.n_steps
 
     lat = _lattice_system(cfg, cfg.hubbard.u_driven, 4)
@@ -293,17 +290,17 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     # Field-free energy over ten thousand steps, both platforms.
     still = AtomSystem(
         alpha, PulseSpec(e0=0.0, omega0=0.25, cycles=2),
-        AtomNumerics(60.0, 512, 0.02, no_absorber),
+        numerics,
     )
-    potential = soft_coulomb_potential(grid, alpha)
-    k2 = grid.k() ** 2
+    potential = soft_coulomb_potential(numerics, alpha)
+    k2 = numerics.k() ** 2
     psi = still.initial_state()
-    e_ref = _energy(psi, k2, potential, grid.dx, grid.n_points)
+    e_ref = _energy(psi, k2, potential, numerics.dx, numerics.n_points)
     atom_energy_drift = 0.0
     for step in range(10_000):
         psi = still.advance(psi, step, 0.0)
         if (step + 1) % 250 == 0:
-            e_now = _energy(psi, k2, potential, grid.dx, grid.n_points)
+            e_now = _energy(psi, k2, potential, numerics.dx, numerics.n_points)
             atom_energy_drift = max(atom_energy_drift, abs(e_now - e_ref))
 
     still_lat = HubbardSystem(
@@ -334,7 +331,8 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
     # must shrink at the second-order rate when dt halves.
     def atom_residual(dt):
         run = run_open_loop(
-            AtomSystem(alpha, drive, AtomNumerics(60.0, 512, dt, no_absorber))
+            AtomSystem(alpha, drive,
+                       AtomNumerics(60.0, 512, dt, absorber_fraction=0.0))
         )
         p, y = run.channels["p"], run.channels["y"]
         return float(np.max(np.abs((p[2:] - p[:-2]) / (2 * dt) - y[1:-1])))

@@ -71,8 +71,6 @@ def test_benchmark_span_targets_resolve():
 # a valid instance of each public value type, as keyword arguments
 VALID = {
     amptrack.PulseSpec: dict(e0=1.0, omega0=1.0, cycles=1),
-    amptrack.Grid1D: dict(half_width=10.0, n_points=8),
-    amptrack.AbsorberSpec: dict(),
     amptrack.AtomNumerics: dict(),
     amptrack.LatticeNumerics: dict(),
     amptrack.FeedbackConfig: dict(k_p=1.0),
@@ -84,10 +82,9 @@ VALID = {
     (amptrack.PulseSpec, "e0"),
     (amptrack.PulseSpec, "omega0"),
     (amptrack.PulseSpec, "cycles"),
-    (amptrack.Grid1D, "half_width"),
-    (amptrack.AbsorberSpec, "exponent"),
     (amptrack.AtomNumerics, "dt"),
     (amptrack.AtomNumerics, "box_half_width"),
+    (amptrack.AtomNumerics, "absorber_exponent"),
     (amptrack.LatticeNumerics, "dt"),
     (amptrack.FeedbackConfig, "k_p"),
 ], ids=lambda x: getattr(x, "__name__", x))
@@ -116,7 +113,8 @@ def test_atom_system_rejects_bad_alpha(value):
 
 
 def test_removed_model_types_are_not_exported():
-    for name in ("LatticeModel", "AtomSpec", "atom_for_ip"):
+    for name in ("LatticeModel", "AtomSpec", "atom_for_ip", "Grid1D",
+                 "AbsorberSpec"):
         assert not hasattr(amptrack, name), name
 
 

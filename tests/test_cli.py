@@ -251,7 +251,7 @@ class TestRunTracking:
         summary = read_json(out / "metadata.json")["summary"]
         if platform == "atom":
             # the driven atom of ATOM_CFG: Ip 0.5 on its 512-point grid
-            alpha = grid.calibrate_softening(0.5, grid.Grid1D(60.0, 512))
+            alpha = grid.calibrate_softening(0.5, grid.AtomNumerics(60.0, 512))
             assert summary["softening_alpha"] == alpha
             assert summary["ground_energy"] == pytest.approx(-0.5, abs=1e-4)
         else:

@@ -301,6 +301,10 @@ class TestStrictValidation:
         ("n_points = 512", "n_points = 500", "[numerics] n_points must be a power of two"),
         ("box_half_width = 60", "box_half_width = 0",
          "[numerics] box_half_width must be positive"),
+        ("dt = 0.05", "dt = 0.05\nabsorber_fraction = 0.5",
+         "[numerics] absorber_fraction must lie in [0, 0.5)"),
+        ("dt = 0.05", "dt = 0.05\nabsorber_exponent = 0",
+         "[numerics] absorber_exponent must be positive"),
     ])
     def test_bad_atom_numerics_fail_at_parse(self, tmp_path, old, new, message):
         text = MINIMAL_ATOM.replace(old, new)

@@ -20,7 +20,7 @@ from amptrack.feedback import (
     run_open_loop,
     run_tracking,
 )
-from amptrack.grid import AbsorberSpec, AtomNumerics, AtomSystem
+from amptrack.grid import AtomNumerics, AtomSystem
 from amptrack.lattice import HubbardSystem
 from amptrack.pulses import evaluate_tl_field
 
@@ -29,7 +29,7 @@ finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
 def small_atom_numerics():
     return AtomNumerics(box_half_width=60.0, n_points=512, dt=0.05,
-                        absorber=AbsorberSpec(fraction=0.0))
+                        absorber_fraction=0.0)
 
 
 def small_pulse():

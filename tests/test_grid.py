@@ -14,10 +14,8 @@ from amptrack import (
 )
 from amptrack import grid as grid_module
 from amptrack.grid import (
-    AbsorberSpec,
     AtomNumerics,
     AtomSystem,
-    Grid1D,
     _energy,
     _softening_slope,
     calibrate_softening,
@@ -29,11 +27,11 @@ from amptrack.grid import (
 SQRT2 = math.sqrt(2.0)
 
 
-def dense_spectral_hamiltonian(grid, V):
+def dense_spectral_hamiltonian(numerics, V):
     # K = F^-1 diag(k^2/2) F on the same grid the propagator uses
-    n = grid.n_points
+    n = numerics.n_points
     F = sfft.fft(np.eye(n), axis=0)
-    K = sfft.ifft((grid.k() ** 2 / 2.0)[:, None] * F, axis=0)
+    K = sfft.ifft((numerics.k() ** 2 / 2.0)[:, None] * F, axis=0)
     H = K + np.diag(V)
     return 0.5 * (H + H.conj().T)
 
@@ -57,11 +55,11 @@ def field_reversal_residuals(system, forward):
     }
 
 
-def gaussian_state(grid, x0=0.0, k0=0.0, width=1.0):
-    x = grid.x()
+def gaussian_state(numerics, x0=0.0, k0=0.0, width=1.0):
+    x = numerics.x()
     psi = np.exp(-((x - x0) ** 2) / (2 * width**2)).astype(complex)
     psi *= np.exp(1j * k0 * x)
-    psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
+    psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * numerics.dx)
     return psi
 
 
@@ -71,40 +69,40 @@ def field_free_atom(half_width, n_points, alpha=SQRT2, dt=0.02):
     return AtomSystem(
         alpha,
         PulseSpec(e0=0.0, omega0=1.0, cycles=1),
-        AtomNumerics(half_width, n_points, dt, AbsorberSpec(fraction=0.0)),
+        AtomNumerics(half_width, n_points, dt, absorber_fraction=0.0),
     )
 
 
-def norm(psi, grid):
-    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
+def norm(psi, numerics):
+    return float(np.sum(np.abs(psi) ** 2) * numerics.dx)
 
 
 class TestGrid1D:
     def test_spacing_and_symmetry(self):
-        grid = Grid1D(10.0, 16)
-        x = grid.x()
+        numerics = AtomNumerics(10.0, 16)
+        x = numerics.x()
         assert x[0] == -10.0 and x[-1] == 10.0
-        assert grid.dx == pytest.approx(20.0 / 15)
+        assert numerics.dx == pytest.approx(20.0 / 15)
         np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-12)
 
     def test_rejects_bad_point_counts(self):
         with pytest.raises(ValueError):
-            Grid1D(10.0, 100)
+            AtomNumerics(10.0, 100)
         with pytest.raises(ValueError):
-            Grid1D(10.0, 4)
+            AtomNumerics(10.0, 4)
 
 
 class TestPotential:
     def test_depth_at_origin(self):
-        grid = Grid1D(10.0, 16)
-        V = soft_coulomb_potential(grid, 1.0)
-        j = np.argmin(np.abs(grid.x()))
-        assert V[j] == pytest.approx(-1.0 / math.sqrt(grid.x()[j] ** 2 + 1.0))
+        numerics = AtomNumerics(10.0, 16)
+        V = soft_coulomb_potential(numerics, 1.0)
+        j = np.argmin(np.abs(numerics.x()))
+        assert V[j] == pytest.approx(-1.0 / math.sqrt(numerics.x()[j] ** 2 + 1.0))
 
     def test_monotone_decay_to_zero(self):
-        grid = Grid1D(200.0, 1024)
-        V = soft_coulomb_potential(grid, SQRT2)
-        right = V[grid.x() > 0]
+        numerics = AtomNumerics(200.0, 1024)
+        V = soft_coulomb_potential(numerics, SQRT2)
+        right = V[numerics.x() > 0]
         assert np.all(np.diff(right) > 0) and right[-1] < 0
         assert abs(right[-1]) < 0.01
 
@@ -114,29 +112,29 @@ class TestPotential:
     def test_softening_must_be_finite_and_positive(self, sample, alpha):
         # NaN fails every comparison, so "alpha <= 0" alone would let it through
         with pytest.raises(ValueError, match="^alpha must be finite and positive"):
-            sample(Grid1D(10.0, 16), alpha)
+            sample(AtomNumerics(10.0, 16), alpha)
 
 
 class TestObservables:
     def test_momentum_of_real_state_is_zero(self):
         system = field_free_atom(20.0, 256)
-        obs = system.observables(gaussian_state(system.grid))
+        obs = system.observables(gaussian_state(system.numerics))
         assert abs(obs["p"]) < 1e-12
 
     def test_momentum_shift_theorem(self):
         system = field_free_atom(20.0, 256)
-        obs = system.observables(gaussian_state(system.grid, k0=0.7))
+        obs = system.observables(gaussian_state(system.numerics, k0=0.7))
         assert obs["p"] == pytest.approx(0.7, abs=1e-8)
 
     def test_force_vanishes_for_symmetric_density(self):
         system = field_free_atom(20.0, 256)
-        obs = system.observables(gaussian_state(system.grid))
+        obs = system.observables(gaussian_state(system.numerics))
         assert abs(obs["force"]) < 1e-12
 
     def test_force_of_displaced_gaussian_matches_quadrature(self):
         system = field_free_atom(40.0, 8192)
         alpha2 = 2.0
-        psi = gaussian_state(system.grid, x0=5.0)
+        psi = gaussian_state(system.numerics, x0=5.0)
 
         def integrand(x):
             rho = np.exp(-((x - 5.0) ** 2)) / math.sqrt(math.pi)
@@ -149,27 +147,27 @@ class TestObservables:
 
 class TestGroundState:
     def test_harmonic_oscillator(self):
-        grid = Grid1D(12.0, 256)
-        V = 0.5 * grid.x() ** 2
-        psi, energy = imaginary_time_ground_state(grid, V)
+        numerics = AtomNumerics(12.0, 256)
+        V = 0.5 * numerics.x() ** 2
+        psi, energy = imaginary_time_ground_state(numerics, V)
         assert energy == pytest.approx(0.5, abs=1e-8)
-        exact = np.exp(-grid.x() ** 2 / 2)
-        exact /= math.sqrt(np.sum(exact**2) * grid.dx)
-        overlap = abs(np.sum(np.conj(psi) * exact) * grid.dx)
+        exact = np.exp(-numerics.x() ** 2 / 2)
+        exact /= math.sqrt(np.sum(exact**2) * numerics.dx)
+        overlap = abs(np.sum(np.conj(psi) * exact) * numerics.dx)
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_free_particle_relaxes_to_zero_momentum_mode(self):
-        grid = Grid1D(10.0, 64)
-        psi, energy = imaginary_time_ground_state(grid, np.zeros(64))
+        numerics = AtomNumerics(10.0, 64)
+        psi, energy = imaginary_time_ground_state(numerics, np.zeros(64))
         assert abs(energy) < 1e-8
         flat = np.abs(psi)
         assert flat.std() / flat.mean() < 1e-4
 
     def test_soft_coulomb_matches_dense_diagonalization(self):
-        grid = Grid1D(100.0, 1024)
-        V = soft_coulomb_potential(grid, SQRT2)
-        _, energy = imaginary_time_ground_state(grid, V)
-        dense = dense_spectral_hamiltonian(grid, V)
+        numerics = AtomNumerics(100.0, 1024)
+        V = soft_coulomb_potential(numerics, SQRT2)
+        _, energy = imaginary_time_ground_state(numerics, V)
+        dense = dense_spectral_hamiltonian(numerics, V)
         e0 = eigh(dense, eigvals_only=True, subset_by_index=(0, 0))[0]
         assert energy == pytest.approx(e0, abs=1e-8)
 
@@ -185,9 +183,9 @@ class TestGroundState:
             select="i",
             select_range=(0, 0),
         )[0][0]
-        grid = Grid1D(100.0, 1024)
+        numerics = AtomNumerics(100.0, 1024)
         _, e_spectral = imaginary_time_ground_state(
-            grid, soft_coulomb_potential(grid, SQRT2)
+            numerics, soft_coulomb_potential(numerics, SQRT2)
         )
         assert e_spectral == pytest.approx(e_fd, abs=5e-4)
         assert e_spectral == pytest.approx(-0.5, abs=2e-3)
@@ -195,35 +193,35 @@ class TestGroundState:
 
 class TestCalibration:
     def test_half_hartree_gives_sqrt_two(self):
-        grid = Grid1D(100.0, 1024)
-        alpha = calibrate_softening(0.5, grid)
+        numerics = AtomNumerics(100.0, 1024)
+        alpha = calibrate_softening(0.5, numerics)
         assert alpha == pytest.approx(SQRT2, abs=0.02)
 
     def test_fixed_point_consistency(self):
-        grid = Grid1D(100.0, 1024)
+        numerics = AtomNumerics(100.0, 1024)
         probe = 1.1
         _, energy = imaginary_time_ground_state(
-            grid, soft_coulomb_potential(grid, probe)
+            numerics, soft_coulomb_potential(numerics, probe)
         )
-        alpha = calibrate_softening(-energy, grid)
+        alpha = calibrate_softening(-energy, numerics)
         assert alpha == pytest.approx(probe, abs=5e-3)
 
     def test_rejects_targets_outside_domain(self):
-        grid = Grid1D(100.0, 1024)
+        numerics = AtomNumerics(100.0, 1024)
         with pytest.raises(ValueError):
-            calibrate_softening(0.1, grid)
+            calibrate_softening(0.1, numerics)
         with pytest.raises(ValueError):
-            calibrate_softening(2.5, grid)
+            calibrate_softening(2.5, numerics)
 
     def test_non_bracketing_interval(self):
-        grid = Grid1D(100.0, 1024)
+        numerics = AtomNumerics(100.0, 1024)
         with pytest.raises(CalibrationError):
-            calibrate_softening(0.3, grid, lo=0.1, hi=0.2)
+            calibrate_softening(0.3, numerics, lo=0.1, hi=0.2)
 
     def test_target_too_deep_for_interval(self):
-        grid = Grid1D(100.0, 1024)
+        numerics = AtomNumerics(100.0, 1024)
         with pytest.raises(CalibrationError):
-            calibrate_softening(1.5, grid, lo=1.0, hi=6.0)
+            calibrate_softening(1.5, numerics, lo=1.0, hi=6.0)
 
     def test_few_ground_state_solves(self, monkeypatch):
         calls = []
@@ -234,20 +232,20 @@ class TestCalibration:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(grid_module, "imaginary_time_ground_state", counted)
-        calibrate_softening(0.5, Grid1D(100.0, 1024))
+        calibrate_softening(0.5, AtomNumerics(100.0, 1024))
         assert len(calls) <= 6
 
     def test_slope_is_hellmann_feynman(self):
         # dE0/dalpha by central difference against <dV/dalpha>, the slope
         # the Newton steps use
-        grid = Grid1D(100.0, 1024)
+        numerics = AtomNumerics(100.0, 1024)
         alpha, h = 1.2, 1e-3
 
         def ground(a):
-            return imaginary_time_ground_state(grid, soft_coulomb_potential(grid, a))
+            return imaginary_time_ground_state(numerics, soft_coulomb_potential(numerics, a))
 
         psi, _ = ground(alpha)
-        slope = np.sum(np.abs(psi) ** 2 * _softening_slope(grid, alpha)) * grid.dx
+        slope = np.sum(np.abs(psi) ** 2 * _softening_slope(numerics, alpha)) * numerics.dx
         central = (ground(alpha + h)[1] - ground(alpha - h)[1]) / (2 * h)
         assert slope == pytest.approx(central, abs=1e-5)
 
@@ -259,22 +257,22 @@ class TestSplitOperator:
         e0 = system.ground_energy
         dt = system.dt
         stepped = system.advance(psi, 0, 0.0)
-        grid = system.grid
-        overlap = np.sum(np.conj(psi) * stepped) * grid.dx
+        numerics = system.numerics
+        overlap = np.sum(np.conj(psi) * stepped) * numerics.dx
         assert abs(abs(overlap) - 1.0) < 1e-12
         assert -np.angle(overlap) / dt == pytest.approx(e0, abs=1e-5)
         obs = system.observables(stepped)
         assert abs(obs["p"]) < 1e-10
         assert abs(obs["force"]) < 1e-10
-        energy = _energy(stepped, grid.k() ** 2, system._V, grid.dx, grid.n_points)
+        energy = _energy(stepped, numerics.k() ** 2, system._V, numerics.dx, numerics.n_points)
         assert energy == pytest.approx(e0, abs=1e-10)
 
     def test_unitarity_without_absorber(self):
         system = field_free_atom(30.0, 256, alpha=1.0, dt=0.05)
-        psi = gaussian_state(system.grid, x0=1.0)
+        psi = gaussian_state(system.numerics, x0=1.0)
         for step in range(200):
             psi = system.advance(psi, step, 0.05)
-            assert abs(norm(psi, system.grid) - 1.0) < 1e-12
+            assert abs(norm(psi, system.numerics) - 1.0) < 1e-12
 
     def test_thousand_field_free_steps_leave_observables_fixed(self):
         system = field_free_atom(100.0, 1024)
@@ -285,7 +283,7 @@ class TestSplitOperator:
         end = system.observables(psi)
         assert abs(end["p"] - start["p"]) < 1e-8
         assert abs(end["force"] - start["force"]) < 1e-8
-        assert abs(norm(psi, system.grid) - 1.0) < 1e-10
+        assert abs(norm(psi, system.numerics) - 1.0) < 1e-10
 
     def test_harmonic_ehrenfest_follows_classical_motion(self):
         # Ehrenfest is exact for a quadratic potential, so a classical
@@ -297,14 +295,14 @@ class TestSplitOperator:
 
         def quantum_error(dt):
             system = field_free_atom(12.0, 256, dt=dt)
-            grid = system.grid
-            system._V = 0.5 * grid.x() ** 2
+            numerics = system.numerics
+            system._V = 0.5 * numerics.x() ** 2
             system._exp_v_half = np.exp(-0.5j * dt * system._V)
             n = int(round(t_stop / dt))
-            psi = gaussian_state(grid, x0=1.0)
+            psi = gaussian_state(numerics, x0=1.0)
             xs, ps, ts = [], [], []
             for i in range(n + 1):
-                xs.append(float(np.sum(grid.x() * np.abs(psi) ** 2) * grid.dx))
+                xs.append(float(np.sum(numerics.x() * np.abs(psi) ** 2) * numerics.dx))
                 ps.append(system.observables(psi)["p"])
                 ts.append(i * dt)
                 if i < n:
@@ -332,11 +330,11 @@ class TestSplitOperator:
         alpha = SQRT2
         pulse = PulseSpec(e0=0.1, omega0=0.3, cycles=2)
         system = AtomSystem(alpha, pulse, AtomNumerics(60.0, n_points, 0.05))
-        grid, dt = system.grid, system.dt
-        x, k = grid.x(), grid.k()
-        V = soft_coulomb_potential(grid, SQRT2)
-        force = soft_coulomb_force(grid, SQRT2)
-        mask = AbsorberSpec().mask(grid)
+        numerics, dt = system.numerics, system.dt
+        x, k = numerics.x(), numerics.k()
+        V = soft_coulomb_potential(numerics, SQRT2)
+        force = soft_coulomb_force(numerics, SQRT2)
+        mask = numerics.mask()
 
         def direct_step(psi, step, u):
             pot = np.exp(-0.5j * dt * V) * np.exp(
@@ -345,40 +343,41 @@ class TestSplitOperator:
             psi = sfft.ifft(np.exp(-0.5j * dt * k**2) * sfft.fft(pot * psi))
             return pot * psi * mask
 
-        psi = gaussian_state(grid, x0=3.0, k0=0.7)
+        psi = gaussian_state(numerics, x0=3.0, k0=0.7)
         for step in range(40):
             psi = direct_step(psi, step, 0.2)
         got, want = system.advance(psi, 40, -0.3), direct_step(psi, 40, -0.3)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
         phi = sfft.fft(psi)
-        p = np.real(np.sum(k * np.conj(phi) * phi)) * grid.dx / n_points
-        f = np.sum(force * np.abs(psi) ** 2) * grid.dx
+        p = np.real(np.sum(k * np.conj(phi) * phi)) * numerics.dx / n_points
+        f = np.sum(force * np.abs(psi) ** 2) * numerics.dx
         obs = system.observables(psi)
         assert obs["p"] == pytest.approx(p, rel=1e-13)
         assert obs["force"] == pytest.approx(f, rel=1e-13)
 
     def test_advance_leaves_its_input_unchanged(self):
         system = field_free_atom(30.0, 256)
-        psi = gaussian_state(system.grid, x0=1.0, k0=0.3)
+        psi = gaussian_state(system.numerics, x0=1.0, k0=0.3)
         before = psi.copy()
         system.advance(psi, 0, 0.1)
         np.testing.assert_array_equal(psi, before)
 
     def test_absorber_mask_shape(self):
-        grid = Grid1D(100.0, 1024)
-        mask = AbsorberSpec(fraction=0.1, exponent=0.125).mask(grid)
+        numerics = AtomNumerics(100.0, 1024, absorber_fraction=0.1,
+                                absorber_exponent=0.125)
+        mask = numerics.mask()
         assert mask.min() >= 0.0 and mask.max() <= 1.0
-        interior = np.abs(grid.x()) < 100.0 - 20.0
+        interior = np.abs(numerics.x()) < 100.0 - 20.0
         np.testing.assert_array_equal(mask[interior], 1.0)
         assert mask[0] < 0.01 and mask[-1] < 0.01
-        assert AbsorberSpec(fraction=0.0).mask(grid) is None
+        assert AtomNumerics(100.0, 1024, absorber_fraction=0.0).mask() is None
 
 
 class TestReferenceRuns:
-    def small_numerics(self, absorber=AbsorberSpec(fraction=0.0)):
+    def small_numerics(self):
         return AtomNumerics(box_half_width=60.0, n_points=512, dt=0.05,
-                            absorber=absorber)
+                            absorber_fraction=0.0)
 
     def test_zero_amplitude_gives_null_reference(self):
         alpha = SQRT2
@@ -400,7 +399,7 @@ class TestReferenceRuns:
 
         def residual(dt):
             numerics = AtomNumerics(box_half_width=60.0, n_points=512, dt=dt,
-                                    absorber=AbsorberSpec(fraction=0.0))
+                                    absorber_fraction=0.0)
             rec = run_open_loop(AtomSystem(alpha, pulse, numerics))
             p = rec.channels["p"]
             dp = (p[2:] - p[:-2]) / (2 * dt)

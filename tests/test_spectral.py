@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,3 +143,11 @@ class TestCompareSpectra:
         assert report.delta_orders == 4
         assert report.orders == list(range(3, 18, 2))
         assert max(abs(r) for r in report.ratios_db) < 1.0
+
+    def test_non_finite_sample_is_named_not_a_missing_plateau(self):
+        series = comb_series(odd_orders=range(3, 23, 2))
+        series.values[1000] = math.nan
+        with pytest.raises(ValueError, match=re.escape(
+                "series has 1 non-finite samples, the first at index 1000 "
+                "(t = 50)")):
+            compare_spectra(power_spectrum(series), power_spectrum(series), 1.0)
