@@ -8,16 +8,7 @@ Fermi-Hubbard ring (many-body current tracking), plus the intensity
 matching rules and spectral analysis that connect the two pictures.
 """
 
-from .exceptions import (
-    AmptrackError,
-    CalibrationError,
-    ConfigError,
-    ConvergenceError,
-    DetectionError,
-    GridMismatchError,
-    InfeasibleTargetError,
-    StepSizeError,
-)
+from .exceptions import ConfigError, NumericalError
 from .series import TimeSeries
 from .pulses import (
     PulseSpec,

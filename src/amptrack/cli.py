@@ -18,23 +18,13 @@ import numpy as np
 
 from . import __version__, pulses, spectral, storage
 from .config import build_system, parse_config
-from .exceptions import (
-    AmptrackError,
-    CalibrationError,
-    ConfigError,
-    ConvergenceError,
-    DetectionError,
-    GridMismatchError,
-    StepSizeError,
-)
+from .exceptions import ConfigError, NumericalError
 from .feedback import check_reference, relative_rms, rms, run_open_loop, run_tracking
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
-
-_NUMERICAL = (ConvergenceError, StepSizeError, DetectionError, CalibrationError)
 
 
 def _out_dir(arg: str) -> Path:
@@ -200,7 +190,7 @@ def cmd_compare(args) -> int:
     series_a = table_a.series(args.column)
     series_b = table_b.series(args.column)
     if not series_a.same_grid(series_b):
-        raise GridMismatchError("the two runs are not on the same time grid")
+        raise ValueError("the two runs are not on the same time grid")
     diff = series_a.values - series_b.values
     rel = relative_rms(diff, series_b.values)
     if not math.isfinite(rel):
@@ -296,10 +286,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (AmptrackError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,41 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Invalid input raises ValueError, of which ConfigError is the config
+parser's and the CLI flags' kind; a solve that cannot meet its target
+raises NumericalError.
+"""
 
 
-class AmptrackError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ConfigError(AmptrackError):
+class ConfigError(ValueError):
     """Invalid, missing, or unknown configuration input."""
 
 
-class InfeasibleTargetError(AmptrackError, ValueError):
-    """An intensity-matching target cannot be reached with a real field."""
+class NumericalError(Exception):
+    """A solve failed: no convergence, no solution, or no feature found.
 
-
-class CalibrationError(AmptrackError):
-    """Softening-parameter calibration failed (target not bracketed)."""
-
-
-class ConvergenceError(AmptrackError):
-    """An iterative solver missed its tolerance, or a solve had no solution."""
+    ``residual`` is the solver's residual when it has one.
+    """
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class StepSizeError(AmptrackError):
-    """A propagation step could not meet its accuracy target at the given dt."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class DetectionError(AmptrackError):
-    """Spectral feature detection failed (featureless or degenerate input)."""
-
-
-class GridMismatchError(AmptrackError):
-    """Reference signal and driven propagation do not share one time grid."""

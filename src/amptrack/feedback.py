@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, GridMismatchError
+from .exceptions import NumericalError
 from .series import TimeSeries
 
 __all__ = [
@@ -51,11 +51,11 @@ def control_field(response: float, coupling: float, y: float, cfg) -> float:
     u = k_p (response - y) / (1 - k_p coupling).  The coupling is -1 for
     the atom's momentum, so that denominator never vanishes; on the ring,
     in hopping units, it is -<H_kin>, and a denominator of exactly zero,
-    where no field moves the rate, raises ConvergenceError.
+    where no field moves the rate, raises NumericalError.
     """
     denom = 1.0 - cfg.k_p * coupling
     if denom == 0.0:
-        raise ConvergenceError(
+        raise NumericalError(
             f"control law is singular: 1 - k_p coupling = 0 at k_p = {cfg.k_p!r}, "
             f"coupling = {coupling!r}"
         )
@@ -161,7 +161,7 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
     zero (used to re-drive a system with a recorded field).
     """
     if u_forced is not None and len(u_forced) != system.n_steps + 1:
-        raise GridMismatchError("forced control sequence does not match the grid")
+        raise ValueError("forced control sequence does not match the grid")
     return _run(system, u_forced=u_forced)
 
 
@@ -169,11 +169,11 @@ def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
     """Reject a reference that is not ``n_steps`` steps of ``dt`` from t = 0,
     or that has a non-finite sample; no interpolation is ever performed."""
     if len(reference) != n_steps + 1:
-        raise GridMismatchError(
+        raise ValueError(
             f"reference has {len(reference)} samples, propagation needs {n_steps + 1}"
         )
     if not (abs(reference.t0) <= 1e-12 and abs(reference.dt - dt) <= 1e-12 * dt):
-        raise GridMismatchError("reference grid does not match the propagation grid")
+        raise ValueError("reference grid does not match the propagation grid")
     bad = np.flatnonzero(~np.isfinite(reference.values))
     if bad.size:
         raise ValueError(

@@ -7,13 +7,14 @@ numerical differentiation.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
 from . import feedback
-from .exceptions import CalibrationError, ConvergenceError
+from .exceptions import NumericalError
 from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = [
@@ -45,7 +46,11 @@ class AtomNumerics:
     absorber_exponent: float = 0.125
 
     def __post_init__(self):
-        n = self.n_points
+        try:
+            n = operator.index(self.n_points)
+        except TypeError:
+            raise ValueError(
+                f"n_points must be an integer, got {self.n_points!r}") from None
         if n < 8 or n & (n - 1) != 0:
             raise ValueError("n_points must be a power of two, at least 8")
         for name in ("box_half_width", "dt", "absorber_exponent"):
@@ -103,7 +108,7 @@ def _energy(psi: np.ndarray, k2: np.ndarray, V: np.ndarray,
 # the last fixed point sits far below the calibration's 1e-4 tolerance
 _DTAU_SCHEDULE = (0.1, 0.02, 0.005)
 _ENERGY_TOL = 1e-12     # relative energy change per step that ends a stage
-_MAX_STEPS = 200_000    # steps per stage before a ConvergenceError
+_MAX_STEPS = 200_000    # steps per stage before a NumericalError
 
 
 def imaginary_time_ground_state(
@@ -142,7 +147,7 @@ def imaginary_time_ground_state(
                 break
             previous = energy
         else:
-            raise ConvergenceError(
+            raise NumericalError(
                 f"imaginary time did not settle at dtau={dtau}",
                 residual=abs(energy - previous),
             )
@@ -213,11 +218,11 @@ def calibrate_softening(
             if abs(f_edge) < _CALIBRATION_TOL:
                 return edge
             if not (f_edge > 0 if edge == lo else f_edge < 0):
-                raise CalibrationError(
+                raise NumericalError(
                     f"interval [{lo}, {hi}] does not bracket Ip={target_ip}"
                 )
         alpha = 0.5 * (a + b)
-    raise CalibrationError("calibration exhausted its iteration budget")
+    raise NumericalError("calibration exhausted its iteration budget")
 
 
 class AtomSystem:

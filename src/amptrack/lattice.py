@@ -41,7 +41,7 @@ from scipy.linalg import lapack
 from scipy.sparse import coo_matrix, csr_matrix, diags, identity
 
 from . import feedback
-from .exceptions import ConvergenceError, StepSizeError
+from .exceptions import NumericalError
 from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = ["LatticeNumerics", "HubbardSystem"]
@@ -408,7 +408,7 @@ def _lanczos(V: np.ndarray, hop: csr_matrix):
     generator stops without touching the coefficients.  There is no
     reorthogonalization.  Every state-sized operation is a sparse product,
     a numpy ufunc or ``_real_vdot``, never BLAS.  A coefficient that is
-    not finite raises ConvergenceError before it reaches the eigensolver.
+    not finite raises NumericalError before it reaches the eigensolver.
     """
     scratch = np.empty_like(V[0])
     alphas: list = []
@@ -422,7 +422,7 @@ def _lanczos(V: np.ndarray, hop: csr_matrix):
         alphas.append(alpha)
         beta = math.sqrt(_real_vdot(w, w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise ConvergenceError(
+            raise NumericalError(
                 "Lanczos coefficients are not finite: the state or the "
                 "Peierls phase is not finite")
         yield alphas, betas, beta
@@ -464,7 +464,7 @@ def _tridiagonal_eigh(alphas: list, betas: list):
         return np.array(alphas), np.ones((1, 1))
     evals, evecs, info = lapack.dstevd(alphas, betas, compute_v=1)
     if info:
-        raise ConvergenceError(f"tridiagonal eigensolver dstevd failed, info {info}")
+        raise NumericalError(f"tridiagonal eigensolver dstevd failed, info {info}")
     return evals, evecs
 
 
@@ -484,8 +484,8 @@ def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
     propagates over the longest halving t / 2^k that passes, and the
     recurrence restarts from the result for the rest (Expokit's step
     control, Sidje, ACM TOMS 24, 130 (1998)); past ``_MAX_HALVINGS`` a
-    StepSizeError carries the residual.  A state or an H that is not
-    finite raises ConvergenceError from the recurrence.  There is no
+    NumericalError carries the residual.  A state or an H that is not
+    finite raises NumericalError from the recurrence.  There is no
     reorthogonalization; the step counts involved here are small enough
     that orthogonality loss stays far below the norm-drift budget
     (asserted by the conservation tests).
@@ -513,7 +513,7 @@ def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
                 if err < _KRYLOV_TOL:
                     break
             else:
-                raise StepSizeError(
+                raise NumericalError(
                     f"Krylov residual {err:.3e} above {_KRYLOV_TOL:.1e} after "
                     f"{_MAX_HALVINGS} halvings of the step; reduce dt",
                     residual=err,
@@ -547,7 +547,7 @@ def _ground_state(hop: csr_matrix):
     seeded at first with a fixed random vector.  It stops when
     ||H psi - E psi|| < 1e-10, or when beta < 1e-14, which makes the
     Krylov space invariant and the Ritz pair exact.  The returned vector
-    must satisfy ||H psi - E psi|| < 1e-8 or a ConvergenceError carrying
+    must satisfy ||H psi - E psi|| < 1e-8 or a NumericalError carrying
     the residual is raised.
     """
     dim = hop.shape[0]
@@ -568,7 +568,7 @@ def _ground_state(hop: csr_matrix):
         if residual < _GROUND_STATE_TOL or beta < 1e-14:
             break
     if not residual < 1e-8:
-        raise ConvergenceError(
+        raise NumericalError(
             f"ground-state residual {residual:.3e} above 1e-8", residual=residual
         )
     j = int(np.argmax(np.abs(vec)))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InfeasibleTargetError
 
 __all__ = [
     "PulseSpec",
@@ -89,8 +88,16 @@ def evaluate_tl_field(t, spec: PulseSpec):
     return float(out) if out.ndim == 0 else out
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def ponderomotive_energy(field: float, omega: float) -> float:
     """Cycle-averaged quiver energy Up = (F / 2 omega)^2."""
+    _require_finite(field=field, omega=omega)
     if not omega > 0:
         raise ValueError("omega must be positive")
     return (field / (2.0 * omega)) ** 2
@@ -98,6 +105,7 @@ def ponderomotive_energy(field: float, omega: float) -> float:
 
 def hhg_cutoff(field: float, omega: float, ip: float) -> float:
     """Maximum emitted frequency 3.17 Up + Ip of the harmonic plateau."""
+    _require_finite(field=field, omega=omega, ip=ip)
     if not omega > 0:
         raise ValueError("omega must be positive")
     if not ip > 0:
@@ -112,12 +120,13 @@ def hhg_matched_field(omega: float, cutoff: float, ip_new: float) -> float:
     the printed 1.12 rather than 2/sqrt(3.17), recomputing the cutoff from
     F' lands within 1% of the target rather than exactly on it.
     """
+    _require_finite(omega=omega, cutoff=cutoff, ip_new=ip_new)
     if not omega > 0:
         raise ValueError("omega must be positive")
     if not ip_new > 0:
         raise ValueError("ip_new must be positive")
     if not cutoff >= ip_new:
-        raise InfeasibleTargetError(
+        raise ValueError(
             f"target cutoff {cutoff} below the new ionization potential {ip_new}"
         )
     return HHG_MATCH_PREFACTOR * omega * math.sqrt(cutoff - ip_new)
@@ -129,12 +138,13 @@ def ati_matched_field(omega: float, field: float, ip: float, ip_new: float) -> f
     F' = 2 omega * sqrt(Up + Ip - Ip'), which enforces Up' + Ip' = Up + Ip
     exactly, so every n-photon peak position is preserved.
     """
+    _require_finite(omega=omega, field=field, ip=ip, ip_new=ip_new)
     for name, value in (("ip", ip), ("ip_new", ip_new)):
         if not value > 0:
             raise ValueError(f"{name} must be positive")
     budget = ponderomotive_energy(field, omega) + ip - ip_new
     if not budget >= 0:
-        raise InfeasibleTargetError(
+        raise ValueError(
             f"Up + Ip = {ponderomotive_energy(field, omega) + ip} is below "
             f"the new ionization potential {ip_new}"
         )

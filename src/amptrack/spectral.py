@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .exceptions import DetectionError
+from .exceptions import NumericalError
 from .series import TimeSeries
 
 __all__ = [
@@ -155,9 +155,13 @@ def detect_cutoff_order(
     when fewer than ``_MIN_PLATEAU_ORDERS`` odd orders are usable
     (featureless or monochromatic input).
     """
-    peaks = harmonic_peaks(spectrum, omega0)
+    return _cutoff_order(harmonic_peaks(spectrum, omega0), drop_db)
+
+
+def _cutoff_order(peaks: dict, drop_db: float) -> int:
+    """The cutoff rule of `detect_cutoff_order` on a `harmonic_peaks` table."""
     if not peaks:
-        raise DetectionError("spectrum too narrow for harmonic analysis")
+        raise NumericalError("spectrum too narrow for harmonic analysis")
     anchor = max(p.power_db for p in peaks.values())
     candidates = [
         p
@@ -166,7 +170,7 @@ def detect_cutoff_order(
         and p.power_db >= anchor - _FLOOR_DB
     ]
     if len(candidates) < _MIN_PLATEAU_ORDERS:
-        raise DetectionError(
+        raise NumericalError(
             f"no harmonic plateau: {len(candidates)} usable odd orders"
         )
     top = max(p.power_db for p in candidates)
@@ -180,10 +184,10 @@ def compare_spectra(
     a: Spectrum, b: Spectrum, omega0: float, drop_db: float = 20.0
 ) -> SpectrumComparison:
     """Cutoff difference and per-order peak ratios over the shared plateau."""
-    order_a = detect_cutoff_order(a, omega0, drop_db=drop_db)
-    order_b = detect_cutoff_order(b, omega0, drop_db=drop_db)
     peaks_a = harmonic_peaks(a, omega0)
+    order_a = _cutoff_order(peaks_a, drop_db)
     peaks_b = harmonic_peaks(b, omega0)
+    order_b = _cutoff_order(peaks_b, drop_db)
     shared = [
         n
         for n in range(3, min(order_a, order_b) + 1, 2)

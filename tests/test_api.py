@@ -112,10 +112,28 @@ def test_atom_system_rejects_bad_alpha(value):
         amptrack.AtomSystem(value, amptrack.PulseSpec(**PULSE), numerics)
 
 
+@pytest.mark.parametrize("value", [512.0, "512"])
+def test_atom_numerics_rejects_non_integer_n_points(value):
+    with pytest.raises(ValueError, match="^n_points must be an integer, got "):
+        amptrack.AtomNumerics(60.0, value)
+
+
 def test_removed_model_types_are_not_exported():
     for name in ("LatticeModel", "AtomSpec", "atom_for_ip", "Grid1D",
-                 "AbsorberSpec"):
+                 "AbsorberSpec", "AmptrackError", "CalibrationError",
+                 "ConvergenceError", "DetectionError", "GridMismatchError",
+                 "InfeasibleTargetError", "StepSizeError"):
         assert not hasattr(amptrack, name), name
+
+
+def test_two_error_types_one_per_exit_code():
+    # the CLI maps NumericalError to exit 3, then any ValueError to exit 2
+    classes = {name for name, value in vars(amptrack.exceptions).items()
+               if isinstance(value, type)}
+    assert classes == {"ConfigError", "NumericalError"}
+    assert issubclass(amptrack.ConfigError, ValueError)
+    assert not issubclass(amptrack.NumericalError, ValueError)
+    assert amptrack.NumericalError("m", residual=2.0).residual == 2.0
 
 
 DOCS = sorted((ROOT / "docs").glob("*.md"))

@@ -636,6 +636,32 @@ class TestFailClosed:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no column 't'; file has y" in err
 
+    def test_exhausted_calibration_exits_3(self, atom_cfg, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(grid, "_CALIBRATION_MAX_ITER", 0)
+        out = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(atom_cfg),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: calibration exhausted its iteration budget\n")
+        assert not (out / "reference.csv").exists()
+
+    def test_oversized_ring_step_exits_3(self, tmp_path, capsys):
+        # six sites at U/t0 = 8: a step of 100 is beyond 20 Lanczos vectors
+        # even after six halvings.  The slow carrier spreads the pulse over
+        # three steps, so the first step's midpoint phase is not zero and
+        # the ground state does not simply stand still.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(HUBBARD_CFG.replace("sites = 2", "sites = 6")
+                       .replace("omega0_over_t0 = 4.43", "omega0_over_t0 = 0.05")
+                       + "\n[numerics]\ndt = 100\n")
+        out = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Krylov residual ")
+        assert err.endswith(" after 6 halvings of the step; reduce dt\n")
+        assert not (out / "reference.csv").exists()
+
     def test_overflowing_rms_exits_3(self, tmp_path, capsys):
         a = write_constant_csv(tmp_path / "a.csv", 1e308)
         b = write_constant_csv(tmp_path / "b.csv", -1e308)

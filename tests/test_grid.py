@@ -7,7 +7,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from amptrack import (
-    CalibrationError,
+    NumericalError,
     PulseSpec,
     evaluate_tl_field,
     run_open_loop,
@@ -215,12 +215,12 @@ class TestCalibration:
 
     def test_non_bracketing_interval(self):
         numerics = AtomNumerics(100.0, 1024)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(NumericalError, match="does not bracket"):
             calibrate_softening(0.3, numerics, lo=0.1, hi=0.2)
 
     def test_target_too_deep_for_interval(self):
         numerics = AtomNumerics(100.0, 1024)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(NumericalError, match="does not bracket"):
             calibrate_softening(1.5, numerics, lo=1.0, hi=6.0)
 
     def test_few_ground_state_solves(self, monkeypatch):

@@ -16,9 +16,8 @@ from scipy.sparse import csr_matrix, diags
 
 import amptrack
 from amptrack import (
-    ConvergenceError,
+    NumericalError,
     PulseSpec,
-    StepSizeError,
     evaluate_tl_field,
     lattice,
 )
@@ -499,7 +498,7 @@ class TestGroundStates:
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
         system = ring(6, 10.0)
-        with pytest.raises(ConvergenceError) as exc:
+        with pytest.raises(NumericalError, match="ground-state residual") as exc:
             system.initial_state()
         assert exc.value.residual > 1e-8
         assert system.ground_energy is None
@@ -597,7 +596,7 @@ class TestKrylovPropagation:
         # 20 Lanczos vectors resolve, so the step fails with its residual
         basis = ring(6).basis
         psi = random_state(basis, 33).psi
-        with pytest.raises(StepSizeError, match="reduce dt") as exc:
+        with pytest.raises(NumericalError, match="reduce dt") as exc:
             _krylov_apply(psi, hamiltonian(basis, 10.0, 0.0), 100.0)
         assert exc.value.residual > 1e-10
 
@@ -627,7 +626,7 @@ class TestKrylovPropagation:
         # H, NaN: a numerical failure (exit 3), not a step size to reduce
         system = ring(4, 3.0)
         state = system.initial_state()
-        with pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             system.advance(state, 0, u)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -635,7 +634,7 @@ class TestKrylovPropagation:
         basis = ring(4).basis
         psi = random_state(basis, 35).psi
         psi[2] = complex(math.nan, 0.0)
-        with pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             _krylov_apply(psi, hamiltonian(basis, 3.0, 0.2), 0.005)
 
     def test_systems_sharing_operators_step_independently(self):
@@ -700,7 +699,7 @@ class TestTridiagonalEigh:
             return np.zeros(n), np.zeros((n, n)), 1
 
         monkeypatch.setattr(lattice.lapack, "dstevd", dstevd)
-        with pytest.raises(ConvergenceError, match="dstevd"):
+        with pytest.raises(NumericalError, match="dstevd"):
             _tridiagonal_eigh([1.0, 2.0], [0.5])
 
 

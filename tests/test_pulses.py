@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from amptrack import (
     HubbardSystem,
-    InfeasibleTargetError,
     LatticeNumerics,
     PulseSpec,
     ati_matched_field,
@@ -161,7 +160,7 @@ class TestScalingLaws:
         assert hhg_matched_field(0.0569, 1.198, 0.5) == pytest.approx(0.0532, abs=1e-4)
 
     def test_hhg_match_infeasible(self):
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(ValueError, match="^target cutoff 0.4 below the new"):
             hhg_matched_field(0.5, 0.4, 0.5)
 
     @pytest.mark.parametrize("ip_new", [0.0, -1.0])
@@ -190,7 +189,7 @@ class TestScalingLaws:
         assert ati_matched_field(0.4, 0.0, 0.5, 0.5) == 0.0
 
     def test_ati_infeasible(self):
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(ValueError, match="is below the new ionization potential 5.0"):
             ati_matched_field(0.5, 0.01, 0.3, 5.0)
 
     @pytest.mark.parametrize("ip,ip_new,name", [
@@ -199,6 +198,21 @@ class TestScalingLaws:
     def test_ati_match_rejects_nonpositive_ip(self, ip, ip_new, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             ati_matched_field(0.05, 0.05, ip, ip_new)
+
+    @pytest.mark.parametrize("law, args, name", [
+        (ponderomotive_energy, (math.inf, 0.057), "field"),
+        (ponderomotive_energy, (0.05, math.nan), "omega"),
+        (hhg_cutoff, (math.nan, 0.057, 0.5), "field"),
+        (hhg_cutoff, (0.05, 0.057, math.inf), "ip"),
+        (hhg_matched_field, (0.057, math.inf, 0.5), "cutoff"),
+        (hhg_matched_field, (math.inf, 1.2, 0.5), "omega"),
+        (ati_matched_field, (0.057, math.inf, 0.579, 0.5), "field"),
+        (ati_matched_field, (0.057, 0.05, 0.579, -math.inf), "ip_new"),
+    ], ids=["up-field", "up-omega", "cutoff-field", "cutoff-ip", "hhg-cutoff",
+            "hhg-omega", "ati-field", "ati-ip-new"])
+    def test_scaling_laws_reject_non_finite_input(self, law, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            law(*args)
 
     @given(
         omega=st.floats(0.02, 2.0),

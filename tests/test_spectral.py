@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from amptrack import DetectionError, TimeSeries
+from amptrack import NumericalError, TimeSeries
 from amptrack.spectral import (
     Spectrum,
     compare_spectra,
@@ -103,12 +103,12 @@ class TestCutoffDetection:
     def test_monochromatic_input_raises(self):
         t = 0.05 * np.arange(937)
         spec = power_spectrum(make_series(np.cos(1.37 * t), dt=0.05), window="hann")
-        with pytest.raises(DetectionError):
+        with pytest.raises(NumericalError, match="no harmonic plateau"):
             detect_cutoff_order(spec, 1.37) * 1.37
 
     def test_noise_free_flat_input_raises(self):
         spec = power_spectrum(make_series(np.ones(512), dt=0.05), window="none")
-        with pytest.raises(DetectionError):
+        with pytest.raises(NumericalError, match="no harmonic plateau"):
             detect_cutoff_order(spec, 1.0) * 1.0
 
     def test_peak_table_flags_interior_maxima(self):
