@@ -9,12 +9,12 @@ own reference reproduces that run bit for bit (the control field is
 exactly zero, not merely small).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError
+from .pulses import _require_finite
 from .series import TimeSeries
 
 __all__ = [
@@ -36,8 +36,7 @@ class FeedbackConfig:
     k_p: float
 
     def __post_init__(self):
-        if not math.isfinite(self.k_p):
-            raise ValueError("k_p must be finite")
+        _require_finite(k_p=self.k_p)
         if not self.k_p >= 0:
             raise ValueError("k_p must be nonnegative")
 

@@ -42,7 +42,7 @@ from scipy.sparse import coo_matrix, csr_matrix, diags, identity
 
 from . import feedback
 from .exceptions import NumericalError
-from .pulses import PulseSpec, evaluate_tl_field
+from .pulses import PulseSpec, _require_finite, evaluate_tl_field
 
 __all__ = ["LatticeNumerics", "HubbardSystem"]
 
@@ -440,13 +440,16 @@ def _combine(V: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return out
 
 
-# Krylov dimension of a time step and of a ground-state restart (ARPACK's
+# Krylov dimension of a time step and of a ground-state pass (ARPACK's
 # default ncv); error tolerance of a time step and the number of halvings
-# an oversized step may take before it fails; restart budget and residual
-# that end the ground-state iteration
+# an oversized step may take before it fails; Ritz vectors a ground-state
+# pass hands to the next (more cost more einsum work than they save in H
+# products), restart budget and residual that end the ground-state
+# iteration
 _KRYLOV_DIM = 20
 _KRYLOV_TOL = 1e-10
 _MAX_HALVINGS = 6
+_RITZ_KEPT = 4
 _MAX_RESTARTS = 100
 _GROUND_STATE_TOL = 1e-10
 
@@ -533,40 +536,77 @@ class LatticeNumerics:
     dt: float = 0.005
 
     def __post_init__(self):
-        if not math.isfinite(self.dt):
-            raise ValueError("dt must be finite")
+        _require_finite(dt=self.dt)
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
 
 def _ground_state(hop: csr_matrix):
-    """Lowest eigenpair of the Hermitian ``hop`` by restarted Lanczos.
+    """Lowest eigenpair of the Hermitian ``hop`` by thick-restart Lanczos.
 
-    Explicitly restarted on the recurrence of the time step: each restart
-    runs ``_KRYLOV_DIM`` steps from the lowest Ritz vector of the last,
-    seeded at first with a fixed random vector.  It stops when
-    ||H psi - E psi|| < 1e-10, or when beta < 1e-14, which makes the
-    Krylov space invariant and the Ritz pair exact.  The returned vector
-    must satisfy ||H psi - E psi|| < 1e-8 or a NumericalError carrying
-    the residual is raised.
+    Each pass runs the three-term recurrence until the basis holds
+    ``_KRYLOV_DIM`` vectors, from a fixed random vector at first.  A
+    restart keeps the ``_RITZ_KEPT`` lowest Ritz vectors y_i and appends
+    the pass's normalized residual r, to which H y_i = theta_i y_i +
+    beta s_i r couples them, s_i being the last coefficient of y_i.  On
+    the new basis H projects to diag(theta) with the arrowhead beta s in
+    the row and column of r, and the recurrence goes on from r (Wu and
+    Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  The projected
+    matrix goes to LAPACK ``dsyevd``, and the Ritz vectors are one einsum
+    over the float views of the basis, so state-sized arithmetic stays off
+    BLAS.  It stops when ||H psi - E psi|| < 1e-10, or when beta < 1e-14,
+    which makes the Krylov space invariant and the Ritz pair exact.  The
+    returned vector must satisfy ||H psi - E psi|| < 1e-8 or a
+    NumericalError carrying the residual is raised; a coefficient that is
+    not finite raises NumericalError before it reaches the eigensolver.
     """
     dim = hop.shape[0]
+    m = _KRYLOV_DIM
     rng = np.random.default_rng(_GROUND_STATE_SEED)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    V = np.empty((_KRYLOV_DIM, dim), dtype=complex)
+    V = np.empty((m, dim), dtype=complex)
+    np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
+    ritz = np.empty((_RITZ_KEPT, dim), dtype=complex)
+    scratch = np.empty(dim, dtype=complex)
+    T = np.zeros((m, m))
+    kept = 0
     for _ in range(_MAX_RESTARTS):
-        np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
-        for alphas, betas, beta in _lanczos(V, hop):
+        for j in range(kept, m):
+            w = hop @ V[j]
+            T[j, j] = _real_vdot(V[j], w)
+            # V[j] and the vectors coupled to it: V[j-1], or after a
+            # restart every kept Ritz vector
+            for i in range(j, j - 2 if j > kept else -1, -1):
+                np.subtract(w, np.multiply(V[i], T[i, j], out=scratch), out=w)
+            beta = math.sqrt(_real_vdot(w, w))
+            if not (math.isfinite(T[j, j]) and math.isfinite(beta)):
+                raise NumericalError(
+                    "ground-state Lanczos coefficients are not finite: H is "
+                    "not finite")
             if beta < 1e-14:
                 break
-        evals, evecs = _tridiagonal_eigh(alphas, betas)
+            if j + 1 < m:
+                T[j, j + 1] = T[j + 1, j] = beta
+                np.divide(w, beta, out=V[j + 1])
+        n = j + 1
+        evals, S, info = lapack.dsyevd(T[:n, :n])
+        if info:
+            raise NumericalError(f"projected eigensolver dsyevd failed, info {info}")
+        keep = min(_RITZ_KEPT, n)
+        np.einsum("jq,jd->qd", S[:, :keep], V[:n].view(float),
+                  out=ritz[:keep].view(float))
         energy = float(evals[0])
-        vec = _combine(V, evecs[:, 0])
-        vec /= math.sqrt(_real_vdot(vec, vec))
+        vec = ritz[0] / math.sqrt(_real_vdot(ritz[0], ritz[0]))
         r = hop @ vec - energy * vec
         residual = math.sqrt(_real_vdot(r, r))
         if residual < _GROUND_STATE_TOL or beta < 1e-14:
             break
+        T[:] = 0.0
+        T[:keep, :keep] = np.diag(evals[:keep])
+        T[keep, :keep] = T[:keep, keep] = beta * S[n - 1, :keep]
+        V[:keep] = ritz[:keep]
+        np.divide(w, beta, out=V[keep])
+        kept = keep
     if not residual < 1e-8:
         raise NumericalError(
             f"ground-state residual {residual:.3e} above 1e-8", residual=residual
@@ -608,8 +648,7 @@ class HubbardSystem:
     def __init__(self, n_sites: int, u: float, pulse: PulseSpec,
                  numerics: LatticeNumerics | None = None,
                  n_up: int | None = None, n_down: int | None = None):
-        if not math.isfinite(u):
-            raise ValueError("u must be finite")
+        _require_finite(u=u)
         try:
             n_sites = operator.index(n_sites)
         except TypeError:

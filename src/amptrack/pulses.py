@@ -53,14 +53,12 @@ class PulseSpec:
     cycles: int
 
     def __post_init__(self):
-        for name in ("e0", "omega0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(e0=self.e0, omega0=self.omega0, cycles=self.cycles)
         if not self.e0 >= 0:
             raise ValueError("e0 must be nonnegative")
         if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
-        if not 1 <= self.cycles < math.inf or int(self.cycles) != self.cycles:
+        if not self.cycles >= 1 or int(self.cycles) != self.cycles:
             raise ValueError("cycles must be a positive integer")
 
     @property
@@ -89,9 +87,15 @@ def evaluate_tl_field(t, spec: PulseSpec):
 
 
 def _require_finite(**values: float) -> None:
-    """Raise ValueError naming the first argument that is not finite."""
+    """Raise ValueError naming the first argument that is not a finite real
+    number: a string or None included, so that the CLI reports it as bad
+    input (exit 2) and not as a TypeError."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -77,13 +77,16 @@ VALID = {
 }
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+# a string or None is bad input, a ValueError that names the field
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   "0.1", None])
 @pytest.mark.parametrize("cls, field", [
     (amptrack.PulseSpec, "e0"),
     (amptrack.PulseSpec, "omega0"),
     (amptrack.PulseSpec, "cycles"),
     (amptrack.AtomNumerics, "dt"),
     (amptrack.AtomNumerics, "box_half_width"),
+    (amptrack.AtomNumerics, "absorber_fraction"),
     (amptrack.AtomNumerics, "absorber_exponent"),
     (amptrack.LatticeNumerics, "dt"),
     (amptrack.FeedbackConfig, "k_p"),
@@ -98,14 +101,14 @@ def test_value_types_reject_non_finite_numbers(cls, field, value):
 PULSE = dict(e0=1.0, omega0=1.0, cycles=1)
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "1.0"])
 def test_hubbard_system_rejects_non_finite_u(value):
     with pytest.raises(ValueError, match="^u must be finite"):
         amptrack.HubbardSystem(2, value, amptrack.PulseSpec(**PULSE))
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
-                                   0.0, -1.4])
+                                   0.0, -1.4, "1.4"])
 def test_atom_system_rejects_bad_alpha(value):
     numerics = amptrack.AtomNumerics(box_half_width=10.0, n_points=8)
     with pytest.raises(ValueError, match="^alpha must be finite and positive"):

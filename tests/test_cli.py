@@ -311,12 +311,12 @@ class TestArtifactDigests:
             "d7411961d7820ad3339c829b0a7be981a6dfa600e79af4731b9ebf7c59b9963d",
         ),
         "hubbard-6": (
-            "100cf72d429e9f22bb0eee6b7ec69b60a75015836d0d3c18bff91748313d2a10",
-            "0da2b1ce1843b54736649e0d6e63ba83777374924ecf0d49e4fdba2480b56e53",
+            "d56dc553909c9ccbe3fa86cdf6ba001a522a59d4b89bf27474506260709b3949",
+            "199f7e54f87e673486ec357e8e68e385ff27f135899d0b8319816a9808929119",
         ),
         "hubbard-6-4-2": (
-            "11f7a4afe424e2ecadea2176aa38ee40557aed6c72c1bde1ce40c1e29e8e656c",
-            "78ff3fd4fb6f58b7e6d5acca96fbae9f58e6b8fd33db3282cc59a75f57c5b3ea",
+            "d697775c2a3ca89bfeb461fa82f2d53f3d8206395361d7361d611b1ca6e5a66a",
+            "4059425a76ab53ef9f89b34fa21ea1f167ca23c8a3e29fa3786c99b0456a68fd",
         ),
     }
     CONFIGS = {

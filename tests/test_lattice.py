@@ -503,6 +503,50 @@ class TestGroundStates:
         assert exc.value.residual > 1e-8
         assert system.ground_energy is None
 
+    @pytest.mark.parametrize("u", [1.0, 10.0])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_every_block_matches_dense(self, L, u):
+        # every filling and every K, degenerate lowest levels and blocks
+        # smaller than the kept Ritz vectors included
+        for n_up, n_down, k in itertools.product(range(L + 1), range(L + 1), range(L)):
+            space = block_space(L, n_up, n_down, k)
+            if not space.dim:
+                continue
+            h = hamiltonian(space, u, 0.0)
+            energy, vec = lattice._ground_state(h)
+            dense = h.toarray()
+            where = (n_up, n_down, k)
+            assert energy == pytest.approx(eigh(dense, eigvals_only=True)[0],
+                                           abs=1e-10), where
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12), where
+            assert np.linalg.norm(dense @ vec - energy * vec) < 1e-8, where
+
+    def test_ten_site_scan_takes_few_h_products(self, monkeypatch):
+        # both rings of the default experiment; restarting each pass from
+        # the lowest Ritz vector alone took 3 066 products
+        solve = lattice._ground_state
+        products = []
+
+        class Counted:
+            def __init__(self, hop):
+                self.hop, self.shape = hop, hop.shape
+
+            def __matmul__(self, x):
+                products.append(self.shape[0])
+                return self.hop @ x
+
+        monkeypatch.setattr(lattice, "_ground_state", lambda hop: solve(Counted(hop)))
+        for u in (10.0, 1.0):
+            ring(10, u).initial_state()
+        assert len(products) <= 1800
+
+    def test_non_finite_hamiltonian_raises(self):
+        # a copy: the cached operators of the space must stay finite
+        h = hamiltonian(block_space(6, 3, 3, 0), 10.0, 0.0).copy()
+        h.data[h.data.size // 2] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            lattice._ground_state(h)
+
     def test_free_fermion_band_sums(self):
         for L, n in ((10, 5), (6, 3)):
             system = ring(L, n_up=n, n_down=n)
@@ -727,23 +771,48 @@ _THREAD_PROBE = textwrap.dedent("""
 """)
 
 
+# the ground-state vectors of a six- and a ten-site ring, hashed
+_GROUND_STATE_PROBE = textwrap.dedent("""
+    import hashlib
+    from amptrack import HubbardSystem, PulseSpec
+
+    for n_sites in (6, 10):
+        system = HubbardSystem(n_sites, 10.0, PulseSpec(e0=0.0, omega0=1.0, cycles=1))
+        psi = system.initial_state().psi
+        print(n_sites, hashlib.sha256(psi.tobytes()).hexdigest())
+""")
+
+
+def probe_digests(probe):
+    """The output of ``probe`` in one process per BLAS thread count, 1 and 2."""
+    src = str(Path(amptrack.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    return digests
+
+
 class TestThreadIndependence:
     def test_ten_site_steps_do_not_depend_on_blas_threads(self):
         # the ground-state scan and five observables + advance steps on
         # the ten-site ring (the parity half of the K = 0 block, dim 3 202)
         # from a seeded state, hashed, in one process per BLAS thread count
-        src = str(Path(amptrack.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, env.get("PYTHONPATH")) if p)
-            run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
-                                 capture_output=True, text=True, timeout=600)
-            assert run.returncode == 0, run.stderr
-            digests.append(run.stdout.strip())
+        digests = probe_digests(_THREAD_PROBE)
         assert digests[0] == digests[1]
+
+    def test_ground_states_do_not_depend_on_blas_threads(self):
+        # the projected eigenproblem of each restart goes to LAPACK, which
+        # calls BLAS
+        digests = probe_digests(_GROUND_STATE_PROBE)
+        assert digests[0] == digests[1]
+        assert digests[0].count("\n") == 1
 
 
 class TestReferenceRun:
