@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import lapack
-from scipy.sparse import coo_matrix, csr_matrix, diags, identity
+from scipy.sparse import coo_matrix, csr_matrix, identity, vstack
 
 from . import feedback
 from .exceptions import NumericalError
@@ -339,54 +339,56 @@ def _ground_space(block: _BlockBasis, psi: np.ndarray):
 
 
 class _BlockOperators:
-    """Forward hop Q^H T_K Q, its adjoint and the double occupancy of a
-    space on the block K, and its H(phi) = z T + conj(z) T^H + u D with
-    z = -e^{i phi} as one sparse matrix on a fixed pattern.
+    """H(phi) = z T + conj(z) T^H + u D of a space, with z = -e^{i phi}.
 
-    The pattern is the union of those of T, T^H and the diagonal, and the
-    values of each term are stored on it separately.  ``phased`` writes
-    fwd z + bwd conj(z) + u occ into the data of one matrix built on the
-    pattern here, so a new phase costs a few vector operations and no
-    sparse arithmetic or allocation of a matrix, and one H apply is one
-    sparse product.  An entry that two terms share holds their sum.
+    T is the space's forward hop Q^H T_K Q and D its double occupancy.
+    ``stacked`` holds [T; T^H] as one complex (2n x n) CSR matrix, so an
+    apply is one sparse product r = [T; T^H] x, then z r[:n] + conj(z)
+    r[n:] + u D x.  The factors are complex vectors: numpy's loops over
+    whole vectors of one dtype cost the least per call, and the calls are
+    most of an apply on the small rings.  ``at`` gives H at another phase
+    and interaction on the same matrix.  The solvers use only ``shape``
+    and ``@``.
     """
 
-    def __init__(self, space: _Space):
-        self.hop = (space.q.conj().T @ _block_hop(space.block) @ space.q).tocsr()
-        self.hop_h = self.hop.conj().T.tocsr()
-        self.double_occ = space.double_occ
-        n = self.hop.shape[0]
-        entries = self.hop.tocoo()
-        row = entries.row.astype(np.int64)
-        col = entries.col.astype(np.int64)
-        fwd_key, bwd_key = row * n + col, col * n + row
-        diag_key = np.arange(n, dtype=np.int64) * (n + 1)
-        keys = np.unique(np.concatenate([fwd_key, bwd_key, diag_key]))
-        rows, cols = np.divmod(keys, n)
-        self._fwd = np.zeros(keys.size, dtype=complex)
-        self._fwd[np.searchsorted(keys, fwd_key)] = entries.data
-        self._bwd = np.zeros(keys.size, dtype=complex)
-        self._bwd[np.searchsorted(keys, bwd_key)] = np.conj(entries.data)
-        self._occ = np.zeros(keys.size)
-        self._occ[np.searchsorted(keys, diag_key)] = self.double_occ
-        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        self._phased = csr_matrix(
-            (np.zeros(keys.size, dtype=complex), cols.astype(np.int32), indptr),
-            shape=(n, n))
-
-    def phased(self, phi: float, u: float) -> csr_matrix:
-        """H(phi) of the space, in a matrix that the next call rewrites."""
+    def __init__(self, stacked: csr_matrix, double_occ: np.ndarray,
+                 phi: float, u: float):
+        n = double_occ.size
+        self.stacked = stacked
+        self.double_occ = double_occ
+        self.shape = (n, n)
         z = -np.exp(1j * phi)
-        data = self._phased.data
-        np.multiply(self._fwd, z, out=data)
-        data += self._bwd * np.conj(z)
-        data += u * self._occ
-        return self._phased
+        self.phases = np.full(2 * n, z)
+        self.phases[n:] = np.conj(z)
+        self.interaction = (u * double_occ).astype(complex)
+
+    def at(self, phi: float, u: float) -> "_BlockOperators":
+        return _BlockOperators(self.stacked, self.double_occ, phi, u)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        r = self.stacked @ x
+        r *= self.phases
+        n = self.shape[0]
+        w, scratch = r[:n], r[n:]
+        w += scratch
+        w += np.multiply(x, self.interaction, out=scratch)
+        return w
 
 
-# operators of the spaces that systems work in; the ground-state scan
-# builds only the field-free H of each block
-_operators = functools.cache(_BlockOperators)
+def _field_free(hop: csr_matrix, double_occ: np.ndarray, u: float) -> _BlockOperators:
+    """H(0) with interaction u of the space whose forward hop is ``hop``."""
+    # two complex CSR blocks take vstack's fast path
+    hop = hop.astype(complex)
+    stacked = vstack([hop, hop.conj().T.tocsr()], format="csr")
+    return _BlockOperators(stacked, double_occ, 0.0, u)
+
+
+@functools.cache
+def _operators(space: _Space) -> _BlockOperators:
+    """The operators of a space that systems work in, built once; the
+    ground-state scan builds the H(0) of each block it solves instead."""
+    hop = space.q.conj().T @ _block_hop(space.block) @ space.q
+    return _field_free(hop, space.double_occ, 0.0)
 
 
 def _real_vdot(a: np.ndarray, b: np.ndarray) -> float:
@@ -399,52 +401,59 @@ def _real_vdot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.view(float), b.view(float)))
 
 
-def _lanczos(V: np.ndarray, hop: csr_matrix):
-    """Three-term Lanczos recurrence from the unit vector V[0].
+def _lanczos(V: np.ndarray, hop, arrow=()):
+    """Lanczos recurrence from the unit vector V[k], k = len(arrow).
 
-    Yields after each step the tridiagonal coefficients so far (alphas,
-    betas) and beta, the norm of the new residual.  Resuming fills the
-    next row of V with the normalized residual; after the last row the
-    generator stops without touching the coefficients.  There is no
-    reorthogonalization.  Every state-sized operation is a sparse product,
-    a numpy ufunc or ``_real_vdot``, never BLAS.  A coefficient that is
-    not finite raises NumericalError before it reaches the eigensolver.
+    The rows V[:k] are orthonormal vectors that H couples only to V[k],
+    by H V[i] = theta_i V[i] + arrow[i] V[k]: kept Ritz vectors after a
+    thick restart, or none.  The first new row subtracts every kept
+    vector, each later one only the row before it.  Yields after each
+    step the new diagonal (alphas) and off-diagonal (betas) coefficients
+    so far and beta, the norm of the new residual; resuming normalizes
+    the residual into the next row, until V's last row is filled.  There
+    is no reorthogonalization.  Every state-sized operation is a sparse
+    product, a numpy ufunc or ``_real_vdot``, never BLAS.  A coefficient
+    that is not finite raises NumericalError before it reaches an
+    eigensolver.
     """
+    kept = len(arrow)
     scratch = np.empty_like(V[0])
     alphas: list = []
     betas: list = []
-    for m in range(len(V)):
+    for m in range(kept, len(V) - 1):
         w = hop @ V[m]
         alpha = _real_vdot(V[m], w)
         np.subtract(w, np.multiply(V[m], alpha, out=scratch), out=w)
-        if m > 0:
+        if m > kept:
             np.subtract(w, np.multiply(V[m - 1], betas[-1], out=scratch), out=w)
+        else:
+            for v, c in zip(V, arrow):
+                np.subtract(w, np.multiply(v, c, out=scratch), out=w)
         alphas.append(alpha)
         beta = math.sqrt(_real_vdot(w, w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise NumericalError(
-                "Lanczos coefficients are not finite: the state or the "
-                "Peierls phase is not finite")
+                "Lanczos coefficients are not finite: the state, the "
+                "Peierls phase or H is not finite")
         yield alphas, betas, beta
-        if m + 1 < len(V):
-            betas.append(beta)
-            np.divide(w, beta, out=V[m + 1])
+        betas.append(beta)
+        np.divide(w, beta, out=V[m + 1])
 
 
 def _combine(V: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_k coeff[k] V[k] over the first len(coeff) rows of V."""
-    out = np.multiply(V[0], coeff[0])
-    scratch = np.empty_like(out)
-    for k in range(1, len(coeff)):
-        out += np.multiply(V[k], coeff[k], out=scratch)
+    """Rows q = 0..k-1 of sum_j coeff[j, q] V[j] for the real (m x k)
+    ``coeff``, over the first m rows of V: one einsum over their float
+    views, numpy's own loop, not BLAS."""
+    out = np.empty((coeff.shape[1], V.shape[1]), dtype=complex)
+    np.einsum("jq,jd->qd", coeff, V[:len(coeff)].view(float), out=out.view(float))
     return out
 
 
 # Krylov dimension of a time step and of a ground-state pass (ARPACK's
 # default ncv); error tolerance of a time step and the number of halvings
 # an oversized step may take before it fails; Ritz vectors a ground-state
-# pass hands to the next (more cost more einsum work than they save in H
-# products), restart budget and residual that end the ground-state
+# pass hands to the next (more cost more combination work than they save
+# in H products), restart budget and residual that end the ground-state
 # iteration
 _KRYLOV_DIM = 20
 _KRYLOV_TOL = 1e-10
@@ -476,7 +485,7 @@ def _evolved(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return evecs @ (np.exp(-1j * t * evals) * evecs[0, :])
 
 
-def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
+def _krylov_apply(psi: np.ndarray, hop: _BlockOperators, dt: float):
     """exp(-i H dt) psi by short Lanczos recurrences.
 
     The recurrence stops at the first dimension whose error estimate
@@ -496,7 +505,7 @@ def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
     norm0 = math.sqrt(_real_vdot(psi, psi))
     if norm0 == 0.0:
         return psi.copy()
-    V = np.empty((_KRYLOV_DIM, psi.size), dtype=complex)
+    V = np.empty((_KRYLOV_DIM + 1, psi.size), dtype=complex)
     left = dt
     while True:
         np.divide(psi, norm0, out=V[0])
@@ -522,7 +531,10 @@ def _krylov_apply(psi: np.ndarray, hop: csr_matrix, dt: float):
                     residual=err,
                 )
         coeff *= norm0
-        psi = _combine(V, coeff)
+        # the real and imaginary parts of the coefficients as two columns
+        psi, im = _combine(V, coeff.view(float).reshape(-1, 2))
+        im *= 1j
+        psi += im
         left -= tau
         if left == 0.0:
             return psi
@@ -541,72 +553,58 @@ class LatticeNumerics:
             raise ValueError("dt must be positive")
 
 
-def _ground_state(hop: csr_matrix):
+def _ground_state(hop):
     """Lowest eigenpair of the Hermitian ``hop`` by thick-restart Lanczos.
 
-    Each pass runs the three-term recurrence until the basis holds
-    ``_KRYLOV_DIM`` vectors, from a fixed random vector at first.  A
-    restart keeps the ``_RITZ_KEPT`` lowest Ritz vectors y_i and appends
-    the pass's normalized residual r, to which H y_i = theta_i y_i +
-    beta s_i r couples them, s_i being the last coefficient of y_i.  On
-    the new basis H projects to diag(theta) with the arrowhead beta s in
-    the row and column of r, and the recurrence goes on from r (Wu and
-    Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  The projected
-    matrix goes to LAPACK ``dsyevd``, and the Ritz vectors are one einsum
-    over the float views of the basis, so state-sized arithmetic stays off
-    BLAS.  It stops when ||H psi - E psi|| < 1e-10, or when beta < 1e-14,
-    which makes the Krylov space invariant and the Ritz pair exact.  The
-    returned vector must satisfy ||H psi - E psi|| < 1e-8 or a
-    NumericalError carrying the residual is raised; a coefficient that is
-    not finite raises NumericalError before it reaches the eigensolver.
+    Each pass runs ``_lanczos`` until the basis holds ``_KRYLOV_DIM``
+    vectors, or as many as the space has, from a fixed random vector at
+    first.  A restart keeps the ``_RITZ_KEPT`` lowest Ritz vectors y_i and
+    appends the pass's normalized residual r, to which H y_i = theta_i y_i
+    + beta s_i r couples them, s_i being the last coefficient of y_i; the
+    next pass goes on from r with the arrowhead beta s (Wu and Simon, SIAM
+    J. Matrix Anal. Appl. 22, 602 (2000)).  H projects on the basis to
+    diag(theta), the arrowhead and the recurrence's tridiagonal part, which
+    goes to LAPACK ``dsyevd``; the Ritz vectors come from ``_combine``, off
+    BLAS.  ||H psi - E psi|| costs an H product, so it is computed only
+    once the free estimate |beta s_0| is below ``_GROUND_STATE_TOL`` or
+    beta < 1e-14 makes the Krylov space invariant, and the iteration ends
+    when it is below the tolerance too or the space is invariant.  The
+    returned vector must satisfy it to 1e-8, or a NumericalError carrying
+    the residual is raised, as when the restart budget runs out.  A
+    coefficient that is not finite raises NumericalError before it reaches
+    the eigensolver.
     """
     dim = hop.shape[0]
-    m = _KRYLOV_DIM
     rng = np.random.default_rng(_GROUND_STATE_SEED)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    V = np.empty((m, dim), dtype=complex)
+    V = np.empty((min(_KRYLOV_DIM, dim) + 1, dim), dtype=complex)
     np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
-    ritz = np.empty((_RITZ_KEPT, dim), dtype=complex)
-    scratch = np.empty(dim, dtype=complex)
-    T = np.zeros((m, m))
-    kept = 0
-    for _ in range(_MAX_RESTARTS):
-        for j in range(kept, m):
-            w = hop @ V[j]
-            T[j, j] = _real_vdot(V[j], w)
-            # V[j] and the vectors coupled to it: V[j-1], or after a
-            # restart every kept Ritz vector
-            for i in range(j, j - 2 if j > kept else -1, -1):
-                np.subtract(w, np.multiply(V[i], T[i, j], out=scratch), out=w)
-            beta = math.sqrt(_real_vdot(w, w))
-            if not (math.isfinite(T[j, j]) and math.isfinite(beta)):
-                raise NumericalError(
-                    "ground-state Lanczos coefficients are not finite: H is "
-                    "not finite")
+    theta = arrow = np.empty(0)
+    for restart in range(_MAX_RESTARTS):
+        for alphas, betas, beta in _lanczos(V, hop, arrow):
             if beta < 1e-14:
                 break
-            if j + 1 < m:
-                T[j, j + 1] = T[j + 1, j] = beta
-                np.divide(w, beta, out=V[j + 1])
-        n = j + 1
-        evals, S, info = lapack.dsyevd(T[:n, :n])
+        kept, n = arrow.size, arrow.size + len(alphas)
+        T = np.diag(np.concatenate([theta, alphas]))
+        T[kept, :kept] = T[:kept, kept] = arrow
+        off = np.arange(kept, n - 1)
+        T[off, off + 1] = T[off + 1, off] = betas[:n - 1 - kept]
+        evals, S, info = lapack.dsyevd(T)
         if info:
             raise NumericalError(f"projected eigensolver dsyevd failed, info {info}")
-        keep = min(_RITZ_KEPT, n)
-        np.einsum("jq,jd->qd", S[:, :keep], V[:n].view(float),
-                  out=ritz[:keep].view(float))
         energy = float(evals[0])
-        vec = ritz[0] / math.sqrt(_real_vdot(ritz[0], ritz[0]))
-        r = hop @ vec - energy * vec
-        residual = math.sqrt(_real_vdot(r, r))
-        if residual < _GROUND_STATE_TOL or beta < 1e-14:
-            break
-        T[:] = 0.0
-        T[:keep, :keep] = np.diag(evals[:keep])
-        T[keep, :keep] = T[:keep, keep] = beta * S[n - 1, :keep]
-        V[:keep] = ritz[:keep]
-        np.divide(w, beta, out=V[keep])
-        kept = keep
+        if (beta < 1e-14 or abs(beta * S[n - 1, 0]) < _GROUND_STATE_TOL
+                or restart + 1 == _MAX_RESTARTS):
+            vec = _combine(V, S[:, :1])[0]
+            vec /= math.sqrt(_real_vdot(vec, vec))
+            r = hop @ vec - energy * vec
+            residual = math.sqrt(_real_vdot(r, r))
+            if residual < _GROUND_STATE_TOL or beta < 1e-14:
+                break
+        keep = min(_RITZ_KEPT, n - 1)
+        V[:keep] = _combine(V, S[:, :keep])
+        theta, arrow = evals[:keep], beta * S[n - 1, :keep]
+        V[keep] = V[n]
     if not residual < 1e-8:
         raise NumericalError(
             f"ground-state residual {residual:.3e} above 1e-8", residual=residual
@@ -702,11 +700,8 @@ class HubbardSystem:
         for k in range(L // 2 + 1):
             basis = _block_basis(L, n_up, n_down, k)
             if basis.dim:
-                # H(0) alone, complex like the Lanczos vectors, so that no
-                # product converts it
-                hop = _block_hop(basis)
-                h0 = diags(self.u * basis.double_occ) - hop - hop.conj().T
-                levels.append((*_ground_state(h0.astype(complex).tocsr()), basis))
+                h0 = _field_free(_block_hop(basis), basis.double_occ, self.u)
+                levels.append((*_ground_state(h0), basis))
         levels.sort(key=lambda level: level[0])
         energy, vec, basis = levels[0]
         sector = f"sector (L={L}, N_up={n_up}, N_down={n_down})"
@@ -725,24 +720,25 @@ class HubbardSystem:
         return vec
 
     def observables(self, state: _ManyBodyState) -> dict:
-        # one forward hop pass feeds the current and the kinetic energy,
-        # and a backward pass adds the commutator. The kinetic part
-        # commutes with the current on a uniform ring (both are diagonal
-        # in momentum), so i<[H,J]> reduces to the interaction term; the
-        # equivalence with the general commutator of the Jordan-Wigner
-        # matrices is a tested property.  With fwd = e^{+iPhi} T+ psi:
+        # one product with [T; T^H] gives the forward hops, which feed
+        # the current and the kinetic energy, and the backward hops that
+        # the commutator adds.  The kinetic part commutes with the
+        # current on a uniform ring (both are diagonal in momentum), so
+        # i<[H,J]> reduces to the interaction term; the equivalence with
+        # the general commutator of the Jordan-Wigner matrices is a tested
+        # property.  With fwd = e^{+iPhi} T+ psi:
         # <H_kin> = -2 Re<psi|fwd>, <J> = -2 Im<psi|fwd> where
         # Im<x|y> = Re<ix|y>, and J psi = i (fwd - bwd) turns
         # i<[H,J]> = 2U Im<J psi|D psi> into -2 U Re<fwd - bwd|D psi>.
         ops = _operators(self.basis)
         psi = state.psi
         phase = np.exp(1j * state.phi)
-        fwd = ops.hop @ psi
+        hops = ops.stacked @ psi
+        fwd, bwd = hops[:psi.size], hops[psi.size:]
         fwd *= phase
         kin = -2.0 * _real_vdot(psi, fwd)
         cur = -2.0 * _real_vdot(1j * psi, fwd)
         if self.u != 0.0:
-            bwd = ops.hop_h @ psi
             bwd *= np.conj(phase)
             comm = -2.0 * self.u * _real_vdot(fwd - bwd, ops.double_occ * psi)
         else:
@@ -761,6 +757,6 @@ class HubbardSystem:
         u_sum = state.u_sum + u
         phi_new = -(self._phi_smooth[step + 1] + u_sum * self.dt)
         phi_mid = 0.5 * (state.phi + phi_new)
-        hop = _operators(self.basis).phased(phi_mid, self.u)
+        hop = _operators(self.basis).at(phi_mid, self.u)
         psi = _krylov_apply(state.psi, hop, self.dt)
         return _ManyBodyState(psi, phi=phi_new, u_sum=u_sum)

@@ -1,9 +1,10 @@
 """Uniformly sampled real time series."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .pulses import _require_finite
 
 
 @dataclass
@@ -26,9 +27,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not math.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
+        _require_finite(t0=self.t0, dt=self.dt)
+        if not self.dt > 0:
             raise ValueError("dt must be positive and finite")
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("need a 1-D series with at least two samples")

@@ -74,6 +74,7 @@ VALID = {
     amptrack.AtomNumerics: dict(),
     amptrack.LatticeNumerics: dict(),
     amptrack.FeedbackConfig: dict(k_p=1.0),
+    amptrack.TimeSeries: dict(t0=0.0, dt=0.1, values=[0.0, 1.0]),
 }
 
 
@@ -90,6 +91,8 @@ VALID = {
     (amptrack.AtomNumerics, "absorber_exponent"),
     (amptrack.LatticeNumerics, "dt"),
     (amptrack.FeedbackConfig, "k_p"),
+    (amptrack.TimeSeries, "t0"),
+    (amptrack.TimeSeries, "dt"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_value_types_reject_non_finite_numbers(cls, field, value):
     # the config parser stops these first; a library caller meets them here

@@ -307,16 +307,16 @@ class TestArtifactDigests:
             "ef86db586a389cdb7fb2ec8498de1d87793b49c75d9899e484282ab9d591f154",
         ),
         "hubbard-2": (
-            "09cdf39e92453b85047a55adf112ff50fddc4eaf1688a939cea9b2567740fddc",
-            "d7411961d7820ad3339c829b0a7be981a6dfa600e79af4731b9ebf7c59b9963d",
+            "5de471121306774063aa7f9adce5a59919628758574e5d97f298d162946bd981",
+            "297d1c25e505955f860ee5886e068f561a64acf9976151622fca67895762d252",
         ),
         "hubbard-6": (
-            "d56dc553909c9ccbe3fa86cdf6ba001a522a59d4b89bf27474506260709b3949",
-            "199f7e54f87e673486ec357e8e68e385ff27f135899d0b8319816a9808929119",
+            "faf552b5e966a4b5b11a645866b0c4c5a7f0b87f377eecfe093ee8bca34dca34",
+            "427aac63f4eab05a7c6f80102767c6881a6e26967230c2d36ad47baf05d87963",
         ),
         "hubbard-6-4-2": (
-            "d697775c2a3ca89bfeb461fa82f2d53f3d8206395361d7361d611b1ca6e5a66a",
-            "4059425a76ab53ef9f89b34fa21ea1f167ca23c8a3e29fa3786c99b0456a68fd",
+            "3a73ed8f73a734e727550b917d8809accb489af0a4363b91e49a0ad54eb44f12",
+            "df850f3274a4367af2739f9833fdac35523c825da92d4752e5bcb6aa2377f3df",
         ),
     }
     CONFIGS = {

@@ -26,6 +26,8 @@ from amptrack.lattice import (
     HubbardSystem,
     LatticeNumerics,
     _block_basis,
+    _block_hop,
+    _BlockOperators,
     _ground_space,
     _krylov_apply,
     _ManyBodyState,
@@ -62,11 +64,17 @@ def random_state(basis, seed=0, phi=0.0):
 
 def hamiltonian(basis, u, phi):
     """H(phi) of the propagator, the operator ``HubbardSystem.advance`` uses."""
-    return _operators(basis).phased(phi, u)
+    return _operators(basis).at(phi, u)
+
+
+def dense(h):
+    """The matrix of the operator ``h``, one apply per column."""
+    n = h.shape[0]
+    return np.array([h @ e for e in np.eye(n, dtype=complex)]).reshape(n, n).T
 
 
 def module_dense(basis, u, phi):
-    return hamiltonian(basis, u, phi).toarray()
+    return dense(hamiltonian(basis, u, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +365,24 @@ class TestOperatorsAgainstJordanWigner:
         assert abs(np.vdot(state.psi, h_psi).imag) < 1e-12
 
 
-class TestPhasedFactors:
+class TestStackedApply:
     @pytest.mark.parametrize("L", range(2, 9))
     def test_equal_to_scipy_sum(self, L):
-        # the fixed-pattern H against z T + conj(z) T^H + u D by scipy
-        # sparse arithmetic, for every block of every filling and five
-        # phases; L = 2 has forward and backward hops on the same entries
+        # H(phi) applied through [T; T^H] against z T + conj(z) T^H + u D
+        # by scipy sparse arithmetic, for every block of every filling and
+        # five phases; L = 2 has forward and backward hops on the same
+        # entries
         for n in range(L + 1):
             for k in range(L):
-                ops = _operators(block_space(L, n, L - n, k))
+                space = block_space(L, n, L - n, k)
+                hop = space.q.conj().T @ _block_hop(space.block) @ space.q
                 for phi in (0.0, 0.3, -1.1, 0.5 * math.pi, 2.9):
                     z = -np.exp(1j * phi)
                     for u in (0.0, 2.5):
-                        want = (ops.hop * z + ops.hop_h * np.conj(z)
-                                + diags(u * ops.double_occ)).tocsr()
-                        got = ops.phased(phi, u)
-                        np.testing.assert_array_equal(got.toarray(), want.toarray())
+                        want = (hop * z + hop.conj().T * np.conj(z)
+                                + diags(u * space.double_occ))
+                        got = module_dense(space, u, phi)
+                        np.testing.assert_array_equal(got, want.toarray())
 
 
 class TestDerivativeAndCommutator:
@@ -514,12 +524,12 @@ class TestGroundStates:
                 continue
             h = hamiltonian(space, u, 0.0)
             energy, vec = lattice._ground_state(h)
-            dense = h.toarray()
+            matrix = dense(h)
             where = (n_up, n_down, k)
-            assert energy == pytest.approx(eigh(dense, eigvals_only=True)[0],
+            assert energy == pytest.approx(eigh(matrix, eigvals_only=True)[0],
                                            abs=1e-10), where
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12), where
-            assert np.linalg.norm(dense @ vec - energy * vec) < 1e-8, where
+            assert np.linalg.norm(matrix @ vec - energy * vec) < 1e-8, where
 
     def test_ten_site_scan_takes_few_h_products(self, monkeypatch):
         # both rings of the default experiment; restarting each pass from
@@ -540,10 +550,61 @@ class TestGroundStates:
             ring(10, u).initial_state()
         assert len(products) <= 1800
 
+    def test_thick_restart_continues_the_recurrence(self, monkeypatch):
+        # the second pass on a six-site block: _lanczos grows the basis
+        # from the kept Ritz vectors and the residual, and H V = V T + beta
+        # r e^T holds for the matrix T handed to the eigensolver: diag(theta),
+        # the arrowhead and the recurrence's tridiagonal part.  Without
+        # reorthogonalization the later rows lose orthogonality to the
+        # converging Ritz vector (3e-6 by the last row here), so only the
+        # restart block is orthonormal to 1e-12
+        h = hamiltonian(block_space(6, 3, 3, 0), 10.0, 0.0)
+        lanczos, dsyevd = lattice._lanczos, lattice.lapack.dsyevd
+        bases, passes = [], []
+
+        def spied_lanczos(V, hop, arrow=()):
+            bases.append(V)
+            return lanczos(V, hop, arrow)
+
+        def spied_dsyevd(T):
+            passes.append((T.copy(), bases[-1][:len(T) + 1].copy()))
+            return dsyevd(T)
+
+        monkeypatch.setattr(lattice, "_lanczos", spied_lanczos)
+        monkeypatch.setattr(lattice.lapack, "dsyevd", spied_dsyevd)
+        lattice._ground_state(h)
+        assert len(passes) >= 2
+        T, V = passes[1]
+        n, kept = len(T), lattice._RITZ_KEPT
+        assert n == lattice._KRYLOV_DIM
+        pattern = np.eye(n, dtype=bool)
+        pattern[kept, :kept] = pattern[:kept, kept] = True
+        i = np.arange(kept, n - 1)
+        pattern[i, i + 1] = pattern[i + 1, i] = True
+        assert not np.any(T[~pattern])
+        np.testing.assert_array_equal(T, T.T)
+        np.testing.assert_allclose(np.diag(T)[:kept],
+                                   np.linalg.eigvalsh(passes[0][0])[:kept],
+                                   rtol=0, atol=1e-12)
+        block = kept + 1
+        restart = V[:block]
+        np.testing.assert_allclose(restart.conj() @ restart.T, np.eye(block),
+                                   rtol=0, atol=1e-12)
+        HV = np.array([h @ v for v in V[:n]])
+        np.testing.assert_allclose(restart.conj() @ HV[:block].T,
+                                   T[:block, :block], rtol=0, atol=1e-12)
+        residual = HV - T @ V[:n]
+        np.testing.assert_allclose(residual[:-1], 0.0, rtol=0, atol=1e-12)
+        beta = np.vdot(V[n], residual[-1])
+        np.testing.assert_allclose(residual[-1], beta * V[n], rtol=0, atol=1e-12)
+
     def test_non_finite_hamiltonian_raises(self):
-        # a copy: the cached operators of the space must stay finite
-        h = hamiltonian(block_space(6, 3, 3, 0), 10.0, 0.0).copy()
-        h.data[h.data.size // 2] = np.nan
+        # one NaN in a copy of the double occupancy: the cached operators
+        # of the space must stay finite
+        ops = _operators(block_space(6, 3, 3, 0))
+        occ = ops.double_occ.copy()
+        occ[occ.size // 2] = np.nan
+        h = _BlockOperators(ops.stacked, occ, 0.0, 10.0)
         with pytest.raises(NumericalError, match="not finite"):
             lattice._ground_state(h)
 
@@ -683,8 +744,9 @@ class TestKrylovPropagation:
 
     def test_systems_sharing_operators_step_independently(self):
         # U/t0 = 10 and U/t0 = 1 on one six-site block share the cached
-        # operators, whose H(phi) matrix every advance rewrites in place;
-        # stepped alternately, each keeps the bits it has when stepped alone
+        # operators, from which every advance takes H at its own phase and
+        # interaction; stepped alternately, each keeps the bits it has when
+        # stepped alone
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=1)
         systems = [HubbardSystem(6, u, pulse) for u in (10.0, 1.0)]
         starts = [system.initial_state() for system in systems]
