@@ -166,12 +166,13 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
 
 def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
     """Reject a reference that is not ``n_steps`` steps of ``dt`` from t = 0,
-    or that has a non-finite sample; no interpolation is ever performed."""
+    by the rule of `TimeSeries.same_grid`, or that has a non-finite sample;
+    no interpolation is ever performed."""
     if len(reference) != n_steps + 1:
         raise ValueError(
             f"reference has {len(reference)} samples, propagation needs {n_steps + 1}"
         )
-    if not (abs(reference.t0) <= 1e-12 and abs(reference.dt - dt) <= 1e-12 * dt):
+    if not TimeSeries(0.0, dt, reference.values).same_grid(reference):
         raise ValueError("reference grid does not match the propagation grid")
     bad = np.flatnonzero(~np.isfinite(reference.values))
     if bad.size:

@@ -454,13 +454,14 @@ def _combine(V: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 # an oversized step may take before it fails; Ritz vectors a ground-state
 # pass hands to the next (more cost more combination work than they save
 # in H products), restart budget and residual that end the ground-state
-# iteration
+# iteration, and the looser residual at which the scan ranks the blocks
 _KRYLOV_DIM = 20
 _KRYLOV_TOL = 1e-10
 _MAX_HALVINGS = 6
 _RITZ_KEPT = 4
 _MAX_RESTARTS = 100
 _GROUND_STATE_TOL = 1e-10
+_RANK_TOL = 1e-4
 
 
 def _tridiagonal_eigh(alphas: list, betas: list):
@@ -553,26 +554,25 @@ class LatticeNumerics:
             raise ValueError("dt must be positive")
 
 
-def _ground_state(hop):
-    """Lowest eigenpair of the Hermitian ``hop`` by thick-restart Lanczos.
+def _thick_restart(hop):
+    """Passes of thick-restart Lanczos toward the lowest eigenpair of the
+    Hermitian ``hop``, at most ``_MAX_RESTARTS`` of them.
 
     Each pass runs ``_lanczos`` until the basis holds ``_KRYLOV_DIM``
     vectors, or as many as the space has, from a fixed random vector at
-    first.  A restart keeps the ``_RITZ_KEPT`` lowest Ritz vectors y_i and
-    appends the pass's normalized residual r, to which H y_i = theta_i y_i
-    + beta s_i r couples them, s_i being the last coefficient of y_i; the
-    next pass goes on from r with the arrowhead beta s (Wu and Simon, SIAM
-    J. Matrix Anal. Appl. 22, 602 (2000)).  H projects on the basis to
-    diag(theta), the arrowhead and the recurrence's tridiagonal part, which
-    goes to LAPACK ``dsyevd``; the Ritz vectors come from ``_combine``, off
-    BLAS.  ||H psi - E psi|| costs an H product, so it is computed only
-    once the free estimate |beta s_0| is below ``_GROUND_STATE_TOL`` or
-    beta < 1e-14 makes the Krylov space invariant, and the iteration ends
-    when it is below the tolerance too or the space is invariant.  The
-    returned vector must satisfy it to 1e-8, or a NumericalError carrying
-    the residual is raised, as when the restart budget runs out.  A
-    coefficient that is not finite raises NumericalError before it reaches
-    the eigensolver.
+    first, or until beta < 1e-14 makes the Krylov space invariant.  H
+    projects on the basis to diag(theta), the arrowhead and the
+    recurrence's tridiagonal part, which goes to LAPACK ``dsyevd``.  The
+    pass yields the eigenvalues and eigenvectors (evals, S) of that n x n
+    matrix, beta and the basis V, whose first n rows S combines into the
+    Ritz vectors; |beta S[-1, 0]| is the residual of the lowest Ritz pair.
+    Resuming restarts: the ``_RITZ_KEPT`` lowest Ritz vectors y_i, from
+    ``_combine`` off BLAS, and the pass's normalized residual r, to which H
+    y_i = theta_i y_i + beta s_i r couples them, s_i being the last
+    coefficient of y_i; the next pass goes on from r with the arrowhead
+    beta s (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  A
+    coefficient that is not finite raises NumericalError before it
+    reaches the eigensolver.
     """
     dim = hop.shape[0]
     rng = np.random.default_rng(_GROUND_STATE_SEED)
@@ -580,7 +580,7 @@ def _ground_state(hop):
     V = np.empty((min(_KRYLOV_DIM, dim) + 1, dim), dtype=complex)
     np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
     theta = arrow = np.empty(0)
-    for restart in range(_MAX_RESTARTS):
+    for _ in range(_MAX_RESTARTS):
         for alphas, betas, beta in _lanczos(V, hop, arrow):
             if beta < 1e-14:
                 break
@@ -592,8 +592,44 @@ def _ground_state(hop):
         evals, S, info = lapack.dsyevd(T)
         if info:
             raise NumericalError(f"projected eigensolver dsyevd failed, info {info}")
+        yield evals, S, beta, V
+        keep = min(_RITZ_KEPT, n - 1)
+        V[:keep] = _combine(V, S[:, :keep])
+        theta, arrow = evals[:keep], beta * S[n - 1, :keep]
+        V[keep] = V[n]
+
+
+def _lowest_ritz(hop):
+    """The lowest Ritz value theta of ``hop`` and its residual r.
+
+    ``_thick_restart`` stops at the first pass whose free estimate r =
+    |beta s_0| is below ``_RANK_TOL``, or whose Krylov space is invariant,
+    or at the end of the restart budget; r is then what that pass reached.
+    An eigenvalue of ``hop`` lies within r of theta, and theta is at least
+    the lowest one.  No vector is formed, and the basis is freed on return.
+    """
+    for evals, S, beta, _ in _thick_restart(hop):
+        residual = abs(beta * S[-1, 0])
+        if beta < 1e-14 or residual < _RANK_TOL:
+            break
+    return float(evals[0]), residual
+
+
+def _ground_state(hop):
+    """Lowest eigenpair of the Hermitian ``hop`` by ``_thick_restart``.
+
+    ||H psi - E psi|| costs an H product, so it is computed only once the
+    free estimate |beta s_0| is below ``_GROUND_STATE_TOL``, or beta <
+    1e-14 makes the Krylov space invariant, or on the last pass of the
+    restart budget.  The iteration ends when it is below the tolerance too
+    or the space is invariant.  The returned vector must satisfy it to
+    1e-8, or a NumericalError carrying the residual is raised, as when the
+    restart budget runs out.  Its largest component is made real and
+    positive.
+    """
+    for restart, (evals, S, beta, V) in enumerate(_thick_restart(hop)):
         energy = float(evals[0])
-        if (beta < 1e-14 or abs(beta * S[n - 1, 0]) < _GROUND_STATE_TOL
+        if (beta < 1e-14 or abs(beta * S[-1, 0]) < _GROUND_STATE_TOL
                 or restart + 1 == _MAX_RESTARTS):
             vec = _combine(V, S[:, :1])[0]
             vec /= math.sqrt(_real_vdot(vec, vec))
@@ -601,10 +637,6 @@ def _ground_state(hop):
             residual = math.sqrt(_real_vdot(r, r))
             if residual < _GROUND_STATE_TOL or beta < 1e-14:
                 break
-        keep = min(_RITZ_KEPT, n - 1)
-        V[:keep] = _combine(V, S[:, :keep])
-        theta, arrow = evals[:keep], beta * S[n - 1, :keep]
-        V[keep] = V[n]
     if not residual < 1e-8:
         raise NumericalError(
             f"ground-state residual {residual:.3e} above 1e-8", residual=residual
@@ -678,16 +710,24 @@ class HubbardSystem:
     def initial_state(self) -> _ManyBodyState:
         """Ground state of the field-free H; sets ``ground_energy`` and ``basis``.
 
-        The first call solves every block K = 2 pi k / L, k = 0..L/2, with
-        ``_ground_state`` and keeps the lowest; K and -K share a spectrum,
-        since H and T are real in the occupation basis.  The state is then
-        kept in the space of its block that ``_ground_space`` names: at
-        N_up = N_down the parity half that <psi|F|psi> names.  Later calls
-        return a copy of that state.  A sector whose ground state is not
-        unique raises ValueError: its lowest level lies at a K other than 0
-        or pi, whose -K twin is degenerate with it, two blocks' lowest
-        levels agree to 1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8,
-        so that the block's lowest level holds both parities.
+        The first call scans the blocks K = 2 pi k / L, k = 0..L/2; K and
+        -K share a spectrum, since H and T are real in the occupation
+        basis.  ``_lowest_ritz`` ranks each block B by its lowest Ritz
+        value theta_B and residual r_B < ``_RANK_TOL``: B has an eigenvalue
+        within r_B of theta_B, the lowest one that the solver converges
+        to, and a full solve from the same seed goes on to an energy at
+        most theta_B.  So only a block with theta_B - r_B < min theta + 1e-8
+        can hold the lowest level or tie with it to 1e-8.  ``_ground_state``
+        solves those blocks, usually one, and the lowest is kept: the
+        block that a full solve of every block would pick, with the same
+        bits.  The state is then kept in the space of its block that
+        ``_ground_space`` names: at N_up = N_down the parity half that
+        <psi|F|psi> names.  Later calls return a copy of that state.  A
+        sector whose ground state is not unique raises ValueError: its
+        lowest level lies at a K other than 0 or pi, whose -K twin is
+        degenerate with it, two solved blocks' lowest levels agree to
+        1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8, so that the
+        block's lowest level holds both parities.
         """
         if self._ground is None:
             self._ground = self._solve_ground_state()
@@ -696,12 +736,19 @@ class HubbardSystem:
     def _solve_ground_state(self) -> np.ndarray:
         b = self.basis.block
         L, n_up, n_down = b.n_sites, b.n_up, b.n_down
-        levels = []
-        for k in range(L // 2 + 1):
-            basis = _block_basis(L, n_up, n_down, k)
-            if basis.dim:
-                h0 = _field_free(_block_hop(basis), basis.double_occ, self.u)
-                levels.append((*_ground_state(h0), basis))
+        blocks = [block for k in range(L // 2 + 1)
+                  if (block := _block_basis(L, n_up, n_down, k)).dim]
+
+        def h0(block):
+            return _field_free(_block_hop(block), block.double_occ, self.u)
+
+        # rank every block at a loose residual, then solve only the blocks
+        # that can hold the lowest level or tie with it to 1e-8
+        ranks = [_lowest_ritz(h0(block)) for block in blocks]
+        top = min(theta for theta, _ in ranks)
+        levels = [(*_ground_state(h0(block)), block)
+                  for block, (theta, residual) in zip(blocks, ranks)
+                  if theta - residual < top + 1e-8]
         levels.sort(key=lambda level: level[0])
         energy, vec, basis = levels[0]
         sector = f"sector (L={L}, N_up={n_up}, N_down={n_down})"

@@ -114,13 +114,20 @@ def read_table(path) -> Table:
     """Read a CSV written by this module back into named float columns.
 
     Lines are read with universal newlines, so a copy with CRLF (or CR)
-    line endings reads the same as the LF original.
+    line endings reads the same as the LF original.  A header with an
+    empty or repeated column name is rejected, so that a name always
+    means one column.
     """
     with open(path, "r") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = tuple(lines[0].split(","))
+    for j, name in enumerate(header):
+        if not name:
+            raise ValueError(f"{path}: header column {j + 1} has no name")
+        if name in header[:j]:
+            raise ValueError(f"{path}: header names column {name!r} twice")
     raw = [line.split(",") for line in lines[1:]]
     if not raw:
         raise ValueError(f"{path}: no data rows")

@@ -479,6 +479,13 @@ class TestCompare:
         assert err.startswith("error:")
         assert f"{ragged}: line 3 has 1 cells, header has 4" in err
 
+    def test_repeated_column_exits_2(self, tmp_path, capsys):
+        a = write_harmonic_csv(tmp_path / "a.csv")
+        twice = tmp_path / "twice.csv"
+        twice.write_text("t,y,y\n0.0,1.0,2.0\n0.1,1.0,2.0\n")
+        assert main(["compare", "--a", str(a), "--b", str(twice)]) == 2
+        assert f"{twice}: header names column 'y' twice" in capsys.readouterr().err
+
     def test_unknown_column_exits_2(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")
         assert main(["compare", "--a", str(a), "--b", str(a),

@@ -15,6 +15,7 @@ from amptrack import (
 from amptrack.feedback import (
     FeedbackConfig,
     RunRecord,
+    check_reference,
     control_field,
     run_open_loop,
     run_tracking,
@@ -185,6 +186,20 @@ class TestGridValidation:
         bad = type(y)(y.t0, y.dt * 1.001, y.values)
         with pytest.raises(ValueError, match="reference grid does not match"):
             run_tracking(system, bad, FeedbackConfig(k_p=10.0))
+
+    @pytest.mark.parametrize("t0,dt,accepted", [
+        (5e-13, 0.05, True),
+        (2e-12, 0.05, False),
+        (0.0, 0.05 * (1 + 2e-12), False),
+    ], ids=["t0-within", "t0-off", "dt-off"])
+    def test_reference_grid_tolerance(self, t0, dt, accepted):
+        # the rule of TimeSeries.same_grid: t0 to 1e-12, dt to 1e-12 dt
+        reference = TimeSeries(t0, dt, np.zeros(11))
+        if accepted:
+            check_reference(reference, 10, 0.05)
+        else:
+            with pytest.raises(ValueError, match="reference grid does not match"):
+                check_reference(reference, 10, 0.05)
 
     def test_forced_control_length_must_match(self):
         alpha = math.sqrt(2)

@@ -490,7 +490,8 @@ class TestGroundStates:
             assert half is _space(block, p)
             np.testing.assert_allclose(half.q @ psi, vec, atol=1e-14)
 
-        # the scan solves K = 0 first; hand it the mixture as its lowest level
+        # the scan ranks every block and fully solves only the lowest,
+        # K = 0; hand it the mixture as that block's lowest level
         def mixed_first(hop):
             energy, vec = solve(hop)
             if hop.shape[0] == block.dim and not calls:
@@ -504,6 +505,7 @@ class TestGroundStates:
         with pytest.raises(ValueError, match="holds both spin-flip parities"):
             system.initial_state()
         assert system.ground_energy is None
+        assert calls == [block.dim]
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
@@ -532,23 +534,85 @@ class TestGroundStates:
             assert np.linalg.norm(matrix @ vec - energy * vec) < 1e-8, where
 
     def test_ten_site_scan_takes_few_h_products(self, monkeypatch):
-        # both rings of the default experiment; restarting each pass from
-        # the lowest Ritz vector alone took 3 066 products
-        solve = lattice._ground_state
+        # both rings of the default experiment, every product of the scan
+        # counted; solving every block to the full tolerance took 1 516
+        apply = _BlockOperators.__matmul__
         products = []
 
-        class Counted:
-            def __init__(self, hop):
-                self.hop, self.shape = hop, hop.shape
+        def counted(self, x):
+            products.append(self.shape[0])
+            return apply(self, x)
 
-            def __matmul__(self, x):
-                products.append(self.shape[0])
-                return self.hop @ x
-
-        monkeypatch.setattr(lattice, "_ground_state", lambda hop: solve(Counted(hop)))
+        monkeypatch.setattr(_BlockOperators, "__matmul__", counted)
         for u in (10.0, 1.0):
             ring(10, u).initial_state()
-        assert len(products) <= 1800
+        assert 0 < len(products) <= 1150
+
+    def test_ten_site_scan_solves_one_block(self, monkeypatch):
+        # every block is ranked, only the ground state's is fully solved,
+        # and each block left unsolved lies 1e-8 above its energy with
+        # room for the ranking residual
+        rank, solve = lattice._lowest_ritz, lattice._ground_state
+        ranks, solved = [], []
+
+        def ranked(hop):
+            ranks.append(rank(hop))
+            return ranks[-1]
+
+        def solved_in_full(hop):
+            solved.append(solve(hop))
+            return solved[-1]
+
+        monkeypatch.setattr(lattice, "_lowest_ritz", ranked)
+        monkeypatch.setattr(lattice, "_ground_state", solved_in_full)
+        for u in (10.0, 1.0):
+            ranks.clear()
+            solved.clear()
+            system = ring(10, u)
+            system.initial_state()
+            assert len(ranks) == 6 and len(solved) == 1
+            energy = solved[0][0]
+            assert system.ground_energy == energy
+            k = system.basis.block.k
+            assert ranks[k][0] >= energy
+            for theta, residual in ranks[:k] + ranks[k + 1:]:
+                assert 0 <= residual < lattice._RANK_TOL
+                assert theta - residual >= energy + 1e-8
+
+    @pytest.mark.parametrize("u", [1.0, 10.0])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
+    def test_ranked_scan_matches_full_scan(self, L, u):
+        # the oracle solves every block in full and keeps the lowest; the
+        # ranked scan must pick the same block and return the same bits,
+        # or fail closed where the oracle finds no unique ground state
+        half = L // 2
+        fillings = {(half, half), (half, half - 1), (half + 1, half - 1),
+                    (L - 1, 1), (1, 0)}
+        for n_up, n_down in sorted(fillings):
+            levels = []
+            for k in range(half + 1):
+                block = _block_basis(L, n_up, n_down, k)
+                if block.dim:
+                    h = lattice._field_free(_block_hop(block), block.double_occ, u)
+                    levels.append((*lattice._ground_state(h), block))
+            levels.sort(key=lambda level: level[0])
+            energy, vec, block = levels[0]
+            unique = (2 * block.k) % L == 0 and (
+                len(levels) == 1 or levels[1][0] - energy >= 1e-8)
+            try:
+                space, psi = _ground_space(block, vec)
+            except ValueError:
+                unique = False
+            system = ring(L, u, n_up, n_down)
+            where = (n_up, n_down)
+            if not unique:
+                with pytest.raises(ValueError, match="no unique ground state"):
+                    system.initial_state()
+                continue
+            state = system.initial_state()
+            assert repr(system.ground_energy) == repr(energy), where
+            assert system.basis is space, where
+            np.testing.assert_array_equal(state.psi, psi, err_msg=str(where))
 
     def test_thick_restart_continues_the_recurrence(self, monkeypatch):
         # the second pass on a six-site block: _lanczos grows the basis

@@ -136,6 +136,21 @@ class TestReadTable:
         with pytest.raises(ValueError, match=re.escape(message)):
             storage.read_table(path)
 
+    def test_rejects_repeated_column_name(self, tmp_path):
+        # two columns named y: series("y") would read the second
+        path = tmp_path / "twice.csv"
+        path.write_text("t,y,y\n0.0,1.0,2.0\n0.1,1.0,2.0\n")
+        message = f"{path}: header names column 'y' twice"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            storage.read_table(path)
+
+    def test_rejects_empty_column_name(self, tmp_path):
+        path = tmp_path / "unnamed.csv"
+        path.write_text("t,,y\n0.0,1.0,2.0\n0.1,1.0,2.0\n")
+        message = f"{path}: header column 2 has no name"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            storage.read_table(path)
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
