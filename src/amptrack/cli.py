@@ -69,11 +69,13 @@ def _positive_finite(text: str) -> float:
 
 def _summary(system, platform: str, **scalars) -> dict:
     """A run's summary scalars plus its system's ground energy and, on the
-    atom, its calibrated softening."""
+    atom, its calibrated softening.  JSON has no NaN or inf, so a
+    non-finite scalar is written as null."""
     summary = dict(scalars, ground_energy=system.ground_energy)
     if platform == "atom":
         summary["softening_alpha"] = system.alpha
-    return summary
+    return {key: None if isinstance(value, float) and not math.isfinite(value)
+            else value for key, value in summary.items()}
 
 
 def cmd_run_reference(args) -> int:
@@ -115,7 +117,7 @@ def cmd_run_tracking(args) -> int:
         system, cfg.platform,
         rms_residual=result.rms_relative,
         residual_kind=residual_kind,
-        k_p=result.k_p,
+        k_p=cfg.feedback.k_p,
         gate=args.gate,
     )
     meta = _metadata(cfg, "run-tracking", summary,
@@ -155,8 +157,7 @@ def cmd_match_intensity(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    table = storage.read_table(args.input)
-    series = table.series(args.column)
+    series = storage.read_table(args.input).series(args.column)
     bad = np.flatnonzero(~np.isfinite(series.values))
     if bad.size:
         raise ValueError(f"{args.input}: column {args.column!r} has {bad.size} "
@@ -185,10 +186,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    table_a = storage.read_table(args.a)
-    table_b = storage.read_table(args.b)
-    series_a = table_a.series(args.column)
-    series_b = table_b.series(args.column)
+    series_a = storage.read_table(args.a).series(args.column)
+    series_b = storage.read_table(args.b).series(args.column)
     if not series_a.same_grid(series_b):
         raise ValueError("the two runs are not on the same time grid")
     diff = series_a.values - series_b.values

@@ -82,17 +82,16 @@ def _channel(name: str) -> property:
 
 @dataclass
 class RunRecord:
-    """Per-step channels recorded by one run of the loop, on the grid
-    t = dt * arange(len(record)).
+    """Per-step channels of one run, on the grid t = dt * arange(len(record)).
 
-    ``channels`` holds the system's observables, then ``e_total``, ``u``,
-    ``response``, ``y`` and ``residual``.  An open-loop run records its own
-    response as ``y``, so its residual is zero and its gain ``k_p`` is 0.
+    A run of the loop records the system's observables, then ``e_total``,
+    ``u``, ``response``, ``y`` and ``residual``; an open-loop run records
+    its own response as ``y``, so its residual is zero.  A run CSV reads
+    back (`storage.read_table`) as a record of its columns after ``t``.
     """
 
     dt: float
     channels: dict
-    k_p: float = 0.0
 
     u = _channel("u")
     response = _channel("response")
@@ -100,6 +99,10 @@ class RunRecord:
     residual = _channel("residual")
 
     def series(self, name: str) -> TimeSeries:
+        if name not in self.channels:
+            raise ValueError(
+                f"no column {name!r}; record has {', '.join(self.channels)}"
+            )
         return TimeSeries(0.0, self.dt, self.channels[name])
 
     def __len__(self) -> int:
@@ -149,8 +152,7 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
     channels["response"] = resp_arr
     channels["y"] = y_arr
     channels["residual"] = resp_arr - y_arr
-    return RunRecord(dt=system.dt, channels=channels,
-                     k_p=0.0 if cfg is None else cfg.k_p)
+    return RunRecord(dt=system.dt, channels=channels)
 
 
 def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:

@@ -38,6 +38,11 @@ class Spectrum:
         self.power = np.asarray(self.power, dtype=float)
         if self.omega.ndim != 1 or self.omega.shape != self.power.shape:
             raise ValueError("omega and power must be matching 1-D arrays")
+        if self.omega.size == 0:
+            raise ValueError("frequency grid is empty")
+        bad = np.flatnonzero(~np.isfinite(self.omega))
+        if bad.size:
+            raise ValueError(f"frequency grid has a non-finite value at index {bad[0]}")
         if self.omega[0] < 0 or np.any(np.diff(self.omega) <= 0):
             raise ValueError("frequency grid must be nonnegative and ascending")
 

@@ -3,22 +3,20 @@
 Every float is written with ``repr``, the shortest decimal string that
 round-trips to the identical binary value, so rerunning a configuration
 on the same build produces byte-identical files.  Column orders are
-fixed per platform and documented in docs/formats.md; readers rebuild
-time series from the ``t`` column without interpolation.
+fixed per platform and documented in docs/formats.md; a run CSV reads
+back as the `RunRecord` it was written from, without interpolation.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries
+from .feedback import RunRecord
 
 __all__ = [
     "REFERENCE_COLUMNS",
     "TRACKING_COLUMNS",
     "SPECTRUM_COLUMNS",
-    "Table",
     "write_reference_csv",
     "write_tracking_csv",
     "write_spectrum_csv",
@@ -74,33 +72,6 @@ def write_spectrum_csv(path, spectrum, omega0: float) -> None:
     _write_csv(path, SPECTRUM_COLUMNS, [spectrum.omega, order, spectrum.power])
 
 
-@dataclass
-class Table:
-    """Columns of a run CSV, with time-series reconstruction."""
-
-    header: tuple
-    columns: dict
-
-    def __len__(self) -> int:
-        return len(self.columns[self.header[0]])
-
-    def series(self, name: str) -> TimeSeries:
-        """Rebuild a channel as a uniform series from the ``t`` column."""
-        for column in (name, "t"):
-            if column not in self.columns:
-                raise ValueError(
-                    f"no column {column!r}; file has {', '.join(self.header)}"
-                )
-        t = self.columns["t"]
-        if len(t) < 2:
-            raise ValueError("need at least two rows to form a series")
-        dt = float(t[1] - t[0])
-        steps = np.diff(t)
-        if not np.all(np.abs(steps - dt) <= 1e-9 * max(1.0, abs(dt))):
-            raise ValueError("t column is not uniformly spaced")
-        return TimeSeries(float(t[0]), dt, self.columns[name])
-
-
 def _data_line_numbers(path) -> list:
     """File line numbers of the data rows, blank lines counted.
 
@@ -110,13 +81,15 @@ def _data_line_numbers(path) -> list:
         return [n for n, line in enumerate(fh, 1) if line.strip()][1:]
 
 
-def read_table(path) -> Table:
-    """Read a CSV written by this module back into named float columns.
+def read_table(path) -> RunRecord:
+    """Read a run CSV written by this module back into a `RunRecord`.
 
     Lines are read with universal newlines, so a copy with CRLF (or CR)
     line endings reads the same as the LF original.  A header with an
     empty or repeated column name is rejected, so that a name always
-    means one column.
+    means one column.  The ``t`` column must hold at least two rows,
+    start at 0 and be uniform to 1e-9 of its step; it sets the record's
+    ``dt``, and every other column becomes a channel, in file order.
     """
     with open(path, "r") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -146,12 +119,26 @@ def read_table(path) -> Table:
                     raise ValueError(f"{path}: line {number}, column {name!r}: "
                                      f"{cell!r} is not a number") from None
         raise
-    columns = {name: data[:, j] for j, name in enumerate(header)}
-    return Table(header=header, columns=columns)
+    if "t" not in header:
+        raise ValueError(f"{path}: no column 't'; file has {', '.join(header)}")
+    t = data[:, header.index("t")]
+    if len(t) < 2:
+        raise ValueError(f"{path}: need at least two rows to form a series")
+    dt = float(t[1] - t[0])
+    if not np.all(np.abs(np.diff(t) - dt) <= 1e-9 * max(1.0, abs(dt))):
+        raise ValueError(f"{path}: t column is not uniformly spaced")
+    if t[0] != 0.0:
+        raise ValueError(f"{path}: t column starts at {float(t[0])!r}, not 0")
+    channels = {name: data[:, j] for j, name in enumerate(header) if name != "t"}
+    return RunRecord(dt=dt, channels=channels)
 
 
 def write_metadata(path, payload: dict) -> None:
-    """Write a JSON sidecar with sorted keys (no timestamps, no randomness)."""
+    """Write a JSON sidecar with sorted keys (no timestamps, no randomness).
+
+    A NaN or inf anywhere in ``payload`` raises ValueError before the file
+    is opened, since JSON has no such values.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

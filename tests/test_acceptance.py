@@ -367,7 +367,7 @@ def test_conservation_and_step_convergence(hubbard_config, criterion_report):
 
 
 def test_control_field_satisfies_closed_form(
-    atom_trackings, hubbard_tracking, criterion_report
+    atom_trackings, hubbard_config, hubbard_tracking, criterion_report
 ):
     """Recorded control equals k_p times the realized residual pointwise.
 
@@ -376,14 +376,15 @@ def test_control_field_satisfies_closed_form(
     hopping units.
     """
     devs = {}
-    for label, run in (("atom", atom_trackings[1000.0]), ("lattice", hubbard_tracking)):
+    for label, run, k_p in (("atom", atom_trackings[1000.0], 1000.0),
+                            ("lattice", hubbard_tracking, hubbard_config.feedback.k_p)):
         res = run.result
-        dev = float(np.max(np.abs(res.u - res.k_p * res.residual)))
+        dev = float(np.max(np.abs(res.u - k_p * res.residual)))
         if label == "atom":
-            margin = 1.0 + res.k_p
+            margin = 1.0 + k_p
         else:
             kinetic = res.channels["kinetic"]
-            margin = float(np.min(np.abs(1.0 + res.k_p * kinetic)))
+            margin = float(np.min(np.abs(1.0 + k_p * kinetic)))
         devs[label] = (dev, margin)
     ok = all(dev <= 1e-9 for dev, _ in devs.values())
     detail = (

@@ -78,6 +78,16 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             Spectrum(omega=np.array([1.0, 0.5]), power=np.array([1.0, 1.0]))
 
+    def test_spectrum_type_rejects_empty_axis(self):
+        with pytest.raises(ValueError, match="frequency grid is empty"):
+            Spectrum(omega=np.array([]), power=np.array([]))
+
+    @pytest.mark.parametrize("omega", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0]])
+    def test_spectrum_type_rejects_nan_frequency(self, omega):
+        # NaN fails every comparison, so the ordering check alone passes it
+        with pytest.raises(ValueError, match="non-finite value at index"):
+            Spectrum(omega=np.array(omega), power=np.ones(3))
+
 
 class TestCutoffDetection:
     def test_hard_comb_cutoff(self):

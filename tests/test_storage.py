@@ -1,5 +1,6 @@
 """Round-trip and determinism tests for the CSV/JSON writers."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -28,7 +29,7 @@ def tracking_record(n=9):
     names = ("p", "force", "e_total", "u", "response", "y")
     channels = {name: rng.normal(size=n) for name in names}
     channels["residual"] = channels["response"] - channels["y"]
-    return RunRecord(dt=0.01, channels=channels, k_p=10.0)
+    return RunRecord(dt=0.01, channels=channels)
 
 
 class TestReferenceCsv:
@@ -36,10 +37,12 @@ class TestReferenceCsv:
         record = reference_record()
         path = tmp_path / "reference.csv"
         storage.write_reference_csv(path, record, "atom")
-        table = storage.read_table(path)
-        assert table.header == storage.REFERENCE_COLUMNS["atom"]
+        read = storage.read_table(path)
+        assert isinstance(read, RunRecord)
+        assert ("t", *read.channels) == storage.REFERENCE_COLUMNS["atom"]
+        assert read.dt == record.dt
         for name in ("p", "force", "e_total", "y"):
-            assert np.array_equal(table.columns[name], record.channels[name])
+            assert np.array_equal(read.channels[name], record.channels[name])
 
     def test_hubbard_column_order(self, tmp_path):
         record = reference_record(platform="hubbard")
@@ -61,10 +64,10 @@ class TestTrackingCsv:
         result = tracking_record()
         path = tmp_path / "tracking.csv"
         storage.write_tracking_csv(path, result, "atom")
-        table = storage.read_table(path)
-        assert table.header == storage.TRACKING_COLUMNS["atom"]
-        assert np.array_equal(table.columns["u"], result.u)
-        assert np.array_equal(table.columns["residual"], result.residual)
+        read = storage.read_table(path)
+        assert ("t", *read.channels) == storage.TRACKING_COLUMNS["atom"]
+        assert np.array_equal(read.u, result.u)
+        assert np.array_equal(read.residual, result.residual)
 
     def test_series_reconstruction(self, tmp_path):
         result = tracking_record()
@@ -82,6 +85,16 @@ class TestTrackingCsv:
         with pytest.raises(ValueError, match="no column 'response'.*e_total"):
             storage.read_table(path).series("response")
 
+    def test_record_series_rejects_an_unknown_channel(self):
+        # the in-memory record fails as the one read back does, not with KeyError
+        with pytest.raises(ValueError, match="no column 'response'; record has p"):
+            reference_record().series("response")
+
+    def test_storage_has_one_record_type(self):
+        # a CSV holds a grid and channels, so the record holds nothing else
+        assert not hasattr(storage, "Table")
+        assert [f.name for f in dataclasses.fields(RunRecord)] == ["dt", "channels"]
+
 
 class TestSpectrumCsv:
     def test_harmonic_order_axis(self, tmp_path):
@@ -89,10 +102,11 @@ class TestSpectrumCsv:
         spectrum = Spectrum(omega=omega, power=np.exp(-omega))
         path = tmp_path / "spectrum.csv"
         storage.write_spectrum_csv(path, spectrum, omega0=0.5)
-        table = storage.read_table(path)
-        assert table.header == storage.SPECTRUM_COLUMNS
-        assert np.array_equal(table.columns["harmonic_order"],
-                              table.columns["omega"] / 0.5)
+        lines = path.read_text().splitlines()
+        assert tuple(lines[0].split(",")) == storage.SPECTRUM_COLUMNS
+        omega, order, _ = np.array([line.split(",") for line in lines[1:]],
+                                   dtype=float).T
+        assert np.array_equal(order, omega / 0.5)
 
     def test_rejects_nonpositive_omega0(self, tmp_path):
         spectrum = Spectrum(omega=np.arange(4.0), power=np.ones(4))
@@ -163,26 +177,33 @@ class TestReadTable:
         with pytest.raises(ValueError, match="no data rows"):
             storage.read_table(path)
 
-    def test_series_needs_uniform_time(self, tmp_path):
-        path = tmp_path / "warped.csv"
-        path.write_text("t,y\n0.0,1.0\n0.1,2.0\n0.35,3.0\n")
-        with pytest.raises(ValueError, match="uniform"):
-            storage.read_table(path).series("y")
+    # the grid is checked once, as the file is read, and the fault names it
+    @pytest.mark.parametrize("text, message", [
+        ("y\n0.0\n1.0\n", "no column 't'; file has y"),
+        ("t,y\n0.0,1.0\n", "need at least two rows"),
+        ("t,y\n0.0,1.0\n0.1,2.0\n0.35,3.0\n", "t column is not uniformly spaced"),
+        ("t,y\n0.5,1.0\n0.6,2.0\n0.7,3.0\n", "t column starts at 0.5, not 0"),
+    ], ids=["no-t", "one-row", "non-uniform-t", "t-not-from-0"])
+    def test_checks_the_time_grid(self, tmp_path, text, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            storage.read_table(path)
 
     def test_reads_crlf_line_endings(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"t,y\r\n0.0,1.0\r\n0.1,2.0\r\n")
-        table = storage.read_table(path)
-        assert table.header == ("t", "y")
-        np.testing.assert_array_equal(table.series("y").values, [1.0, 2.0])
+        record = storage.read_table(path)
+        assert list(record.channels) == ["y"]
+        np.testing.assert_array_equal(record.series("y").values, [1.0, 2.0])
 
     @pytest.mark.parametrize("t", ["nan,nan,nan", "0.0,nan,0.2", "nan,0.1,0.2"])
     def test_series_needs_finite_time(self, tmp_path, t):
-        # NaN fails the uniformity test and the grid checks of TimeSeries
+        # NaN fails the uniformity test
         path = tmp_path / "nan.csv"
         path.write_text("t,y\n" + "".join(f"{ti},1.0\n" for ti in t.split(",")))
-        with pytest.raises(ValueError):
-            storage.read_table(path).series("y")
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            storage.read_table(path)
 
 
 class TestMetadata:
