@@ -119,6 +119,9 @@ def read_table(path) -> RunRecord:
                     raise ValueError(f"{path}: line {number}, column {name!r}: "
                                      f"{cell!r} is not a number") from None
         raise
+    # the text rows are freed first, so the grid checks add nothing to the
+    # peak memory of a read
+    del lines, raw
     if "t" not in header:
         raise ValueError(f"{path}: no column 't'; file has {', '.join(header)}")
     t = data[:, header.index("t")]
