@@ -58,7 +58,7 @@ def main():
               f"{result.rms_relative:.3e}, rms control {u_rms:.3e} a.u.")
         best = result
 
-    write_tracking_csv(args.out, best, "atom")
+    write_tracking_csv(args.out, best)
     print(f"highest-gain tracking record written to {args.out}")
 
 

@@ -42,7 +42,7 @@ def main():
     print(f"  relative rms residual {result.rms_relative:.3e} over "
           f"{len(result.u)} steps")
 
-    write_tracking_csv(args.out, result, "hubbard")
+    write_tracking_csv(args.out, result)
     print(f"tracking record written to {args.out}")
 
 

@@ -83,12 +83,12 @@ def cmd_run_reference(args) -> int:
     out = _out_dir(args.out)
     system = build_system(cfg, "reference")
     record = run_open_loop(system)
-    storage.write_reference_csv(out / "reference.csv", record, cfg.platform)
+    columns = storage.write_reference_csv(out / "reference.csv", record)
     meta = _metadata(
         cfg, "run-reference",
         _summary(system, cfg.platform, n_steps=len(record) - 1, dt=record.dt,
-                 y_rms=rms(record.channels["y"])),
-        storage.REFERENCE_COLUMNS[cfg.platform],
+                 y_rms=rms(record.y)),
+        columns,
     )
     storage.write_metadata(out / "metadata.json", meta)
     print(f"reference run: {len(record) - 1} steps, wrote {out / 'reference.csv'}")
@@ -107,11 +107,11 @@ def cmd_run_tracking(args) -> int:
     else:
         ref_system = build_system(cfg, "reference")
         ref_record = run_open_loop(ref_system)
-        storage.write_reference_csv(out / "reference.csv", ref_record, cfg.platform)
+        storage.write_reference_csv(out / "reference.csv", ref_record)
         reference = ref_record.series("y")
     system = build_system(cfg, "driven")
     result = run_tracking(system, reference, cfg.feedback)
-    storage.write_tracking_csv(out / "tracking.csv", result, cfg.platform)
+    columns = storage.write_tracking_csv(out / "tracking.csv", result)
     residual_kind = "absolute" if result.absolute_rms else "relative"
     summary = _summary(
         system, cfg.platform,
@@ -120,8 +120,7 @@ def cmd_run_tracking(args) -> int:
         k_p=cfg.feedback.k_p,
         gate=args.gate,
     )
-    meta = _metadata(cfg, "run-tracking", summary,
-                     storage.TRACKING_COLUMNS[cfg.platform])
+    meta = _metadata(cfg, "run-tracking", summary, columns)
     meta["reference"] = args.reference
     storage.write_metadata(out / "metadata.json", meta)
     print(f"{residual_kind} rms residual: {result.rms_relative!r}")
@@ -167,7 +166,7 @@ def cmd_spectrum(args) -> int:
     order = spectral.detect_cutoff_order(spectrum, args.omega0,
                                          drop_db=args.drop_db)
     out = _out_dir(args.out)
-    storage.write_spectrum_csv(out / "spectrum.csv", spectrum, args.omega0)
+    columns = storage.write_spectrum_csv(out / "spectrum.csv", spectrum, args.omega0)
     meta = {
         "command": "spectrum",
         "version": __version__,
@@ -178,7 +177,7 @@ def cmd_spectrum(args) -> int:
         "drop_db": args.drop_db,
         "cutoff_order": order,
         "cutoff_frequency": order * args.omega0,
-        "columns": list(storage.SPECTRUM_COLUMNS),
+        "columns": list(columns),
     }
     storage.write_metadata(out / "metadata.json", meta)
     print(f"cutoff order: {order}")

@@ -77,17 +77,17 @@ def relative_rms(diff: np.ndarray, target: np.ndarray) -> float:
 
 
 def _channel(name: str) -> property:
-    return property(lambda self: self.channels[name], doc=f"The {name!r} channel.")
+    return property(lambda self: self.channel(name), doc=f"The {name!r} channel.")
 
 
 @dataclass
 class RunRecord:
     """Per-step channels of one run, on the grid t = dt * arange(len(record)).
 
-    A run of the loop records the system's observables, then ``e_total``,
-    ``u``, ``response``, ``y`` and ``residual``; an open-loop run records
-    its own response as ``y``, so its residual is zero.  A run CSV reads
-    back (`storage.read_table`) as a record of its columns after ``t``.
+    A run records the system's observables and ``e_total``; an open-loop
+    run adds its own response as ``y``, a tracking run ``u``, ``response``,
+    ``y`` and ``residual``.  A run CSV is ``t`` and then these channels,
+    and reads back (`storage.read_table`) as the record it came from.
     """
 
     dt: float
@@ -98,12 +98,15 @@ class RunRecord:
     y = _channel("y")
     residual = _channel("residual")
 
-    def series(self, name: str) -> TimeSeries:
+    def channel(self, name: str) -> np.ndarray:
         if name not in self.channels:
             raise ValueError(
                 f"no column {name!r}; record has {', '.join(self.channels)}"
             )
-        return TimeSeries(0.0, self.dt, self.channels[name])
+        return self.channels[name]
+
+    def series(self, name: str) -> TimeSeries:
+        return TimeSeries(0.0, self.dt, self.channel(name))
 
     def __len__(self) -> int:
         first = next(iter(self.channels.values()))
@@ -145,13 +148,12 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
         if i < n:
             psi = system.advance(psi, i, u)
 
-    y_arr = (resp_arr if y is None else y).copy()
-    channels = dict(cols)
-    channels["e_total"] = e_total_arr
-    channels["u"] = u_arr
-    channels["response"] = resp_arr
-    channels["y"] = y_arr
-    channels["residual"] = resp_arr - y_arr
+    channels = {**cols, "e_total": e_total_arr}
+    if y is None:
+        channels["y"] = resp_arr
+    else:
+        y = y.copy()
+        channels.update(u=u_arr, response=resp_arr, y=y, residual=resp_arr - y)
     return RunRecord(dt=system.dt, channels=channels)
 
 
@@ -159,7 +161,8 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
     """Propagate without feedback and record the Ehrenfest response as y.
 
     With ``u_forced`` given, that control sequence is replayed instead of
-    zero (used to re-drive a system with a recorded field).
+    zero (used to re-drive a system with a recorded field; it shows in
+    ``e_total``).  The record holds the channels of a reference CSV.
     """
     if u_forced is not None and len(u_forced) != system.n_steps + 1:
         raise ValueError("forced control sequence does not match the grid")

@@ -6,6 +6,8 @@ import numpy as np
 
 from .pulses import _require_finite
 
+_GRID_TOL = 1e-12  # same_grid's tolerance, relative to dt and to max(1, |t0|)
+
 
 @dataclass
 class TimeSeries:
@@ -36,10 +38,10 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def same_grid(self, other: "TimeSeries", tol: float = 1e-12) -> bool:
+    def same_grid(self, other: "TimeSeries") -> bool:
         return (
             len(self) == len(other)
-            and abs(self.t0 - other.t0) <= tol * max(1.0, abs(self.t0))
-            and abs(self.dt - other.dt) <= tol * self.dt
+            and abs(self.t0 - other.t0) <= _GRID_TOL * max(1.0, abs(self.t0))
+            and abs(self.dt - other.dt) <= _GRID_TOL * self.dt
         )
 

@@ -2,9 +2,9 @@
 
 Every float is written with ``repr``, the shortest decimal string that
 round-trips to the identical binary value, so rerunning a configuration
-on the same build produces byte-identical files.  Column orders are
-fixed per platform and documented in docs/formats.md; a run CSV reads
-back as the `RunRecord` it was written from, without interpolation.
+on the same build produces byte-identical files.  A run CSV is ``t`` and
+then every channel of its `RunRecord`, in the record's order (see
+docs/formats.md), and reads back as that record, without interpolation.
 """
 
 import json
@@ -14,9 +14,6 @@ import numpy as np
 from .feedback import RunRecord
 
 __all__ = [
-    "REFERENCE_COLUMNS",
-    "TRACKING_COLUMNS",
-    "SPECTRUM_COLUMNS",
     "write_reference_csv",
     "write_tracking_csv",
     "write_spectrum_csv",
@@ -24,52 +21,43 @@ __all__ = [
     "write_metadata",
 ]
 
-# fixed column orders; the per-platform observable channels come first
-REFERENCE_COLUMNS = {
-    "atom": ("t", "p", "force", "e_total", "y"),
-    "hubbard": ("t", "current", "kinetic", "phase", "e_total", "y"),
-}
 
-TRACKING_COLUMNS = {
-    "atom": ("t", "p", "force", "e_total", "u", "response", "y", "residual"),
-    "hubbard": (
-        "t", "current", "kinetic", "phase", "e_total",
-        "u", "response", "y", "residual",
-    ),
-}
-
-SPECTRUM_COLUMNS = ("omega", "harmonic_order", "power")
-
-
-def _write_csv(path, header, columns) -> None:
+def _write_csv(path, columns: dict) -> tuple:
+    """Write the named columns in order, one row per sample; return the header."""
+    header = tuple(columns)
+    values = list(columns.values())
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(columns[0])):
-            fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
+        for i in range(len(values[0])):
+            fh.write(",".join(repr(float(col[i])) for col in values) + "\n")
+    return header
 
 
-def _write_record(path, record, header) -> None:
-    columns = [record.dt * np.arange(len(record))]
-    columns += [record.channels[name] for name in header[1:]]
-    _write_csv(path, header, columns)
+def _write_record(path, record) -> tuple:
+    return _write_csv(path, {"t": record.dt * np.arange(len(record)),
+                             **record.channels})
 
 
-def write_reference_csv(path, record, platform: str) -> None:
-    """Write an open-loop run in the fixed per-platform column order."""
-    _write_record(path, record, REFERENCE_COLUMNS[platform])
+# ``platform`` is ignored, as a record's channels set its columns; it stays
+# for callers that still pass it
+def write_reference_csv(path, record, platform=None) -> tuple:
+    """Write an open-loop run, ``t`` and then every channel; return the header."""
+    return _write_record(path, record)
 
 
-def write_tracking_csv(path, record, platform: str) -> None:
-    """Write a tracking run in the fixed per-platform column order."""
-    _write_record(path, record, TRACKING_COLUMNS[platform])
+def write_tracking_csv(path, record, platform=None) -> tuple:
+    """Write a tracking run, ``t`` and then every channel; return the header."""
+    return _write_record(path, record)
 
 
-def write_spectrum_csv(path, spectrum, omega0: float) -> None:
-    """Write a one-sided power spectrum with the harmonic-order axis."""
-    if not omega0 > 0:
-        raise ValueError("omega0 must be positive")
-    order = spectrum.omega / omega0
-    _write_csv(path, SPECTRUM_COLUMNS, [spectrum.omega, order, spectrum.power])
+def write_spectrum_csv(path, spectrum, omega0: float) -> tuple:
+    """Write a one-sided power spectrum with the harmonic-order axis; return
+    the header."""
+    if not (omega0 > 0 and np.isfinite(omega0)):
+        raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
+    return _write_csv(path, {"omega": spectrum.omega,
+                             "harmonic_order": spectrum.omega / omega0,
+                             "power": spectrum.power})
 
 
 def _data_line_numbers(path) -> list:
@@ -89,7 +77,8 @@ def read_table(path) -> RunRecord:
     empty or repeated column name is rejected, so that a name always
     means one column.  The ``t`` column must hold at least two rows,
     start at 0 and be uniform to 1e-9 of its step; it sets the record's
-    ``dt``, and every other column becomes a channel, in file order.
+    ``dt``, and every other column becomes a channel, in file order.  A
+    file must hold at least one such column.
     """
     with open(path, "r") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -124,6 +113,8 @@ def read_table(path) -> RunRecord:
     del lines, raw
     if "t" not in header:
         raise ValueError(f"{path}: no column 't'; file has {', '.join(header)}")
+    if len(header) == 1:
+        raise ValueError(f"{path}: no column besides 't'")
     t = data[:, header.index("t")]
     if len(t) < 2:
         raise ValueError(f"{path}: need at least two rows to form a series")

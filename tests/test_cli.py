@@ -99,6 +99,11 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def header(path) -> list:
+    """The column names on the first line of a CSV."""
+    return path.read_text().splitlines()[0].split(",")
+
+
 def write_constant_csv(path, value, n=16, dt=0.05):
     with open(path, "w") as fh:
         fh.write("t,y\n")
@@ -113,8 +118,9 @@ class TestRunReference:
         assert main(["run-reference", "--config", str(atom_cfg),
                      "--out", str(out)]) == 0
         record = storage.read_table(out / "reference.csv")
-        assert ("t", *record.channels) == storage.REFERENCE_COLUMNS["atom"]
+        assert list(record.channels) == ["p", "force", "e_total", "y"]
         meta = read_json(out / "metadata.json")
+        assert meta["columns"] == header(out / "reference.csv")
         assert meta["command"] == "run-reference"
         assert meta["config"]["platform"] == "atom"
         assert meta["summary"]["ground_energy"] == pytest.approx(-0.579, abs=5e-3)
@@ -180,8 +186,10 @@ class TestRunTracking:
                      "--out", str(out)]) == 0
         assert (out / "reference.csv").exists()
         record = storage.read_table(out / "tracking.csv")
-        assert ("t", *record.channels) == storage.TRACKING_COLUMNS["hubbard"]
+        assert list(record.channels) == ["current", "kinetic", "phase", "e_total",
+                                         "u", "response", "y", "residual"]
         meta = read_json(out / "metadata.json")
+        assert meta["columns"] == header(out / "tracking.csv")
         assert meta["summary"]["residual_kind"] == "relative"
         assert meta["summary"]["rms_residual"] < 0.05
         assert "rms residual" in capsys.readouterr().out
@@ -293,7 +301,8 @@ class TestRunTracking:
 
 
 class TestArtifactDigests:
-    """SHA-256 digests of the run-tracking CSVs, pinned per library build.
+    """SHA-256 digests of the run-tracking CSVs and their sidecar, pinned
+    per library build.
 
     A change that keeps the arithmetic keeps these bytes.  A change that
     alters the arithmetic updates the digests and says so in CHANGES.md.
@@ -328,19 +337,46 @@ class TestArtifactDigests:
                                              "sites = 6\nn_up = 4\nn_down = 2"),
     }
 
-    @pytest.mark.parametrize("case", sorted(DIGESTS))
-    def test_csv_digests(self, case, tmp_path):
+    # the metadata.json of each case, recorded before the CSV writer took
+    # its header from the record
+    METADATA_DIGESTS = {
+        "atom": "83b09347dc4cdddf7e9da29038a3b3a2e8222685db195d9e815e213f2efa2de6",
+        "hubbard-2":
+            "647a6c8e8e07187e348c5e16ce3296fd683c0065c63e116e0e6545a5e3954d5a",
+        "hubbard-6":
+            "78a1c5a419a686304c753c37a3fe235db26712d8e321219b8909f744319fe927",
+        "hubbard-6-4-2":
+            "0018ecb5b3d415093521f0abee84e9306e33daf1d908865421f74c7eb02ca8cb",
+    }
+
+    @pytest.fixture(scope="class", params=sorted(DIGESTS))
+    def run(self, request, tmp_path_factory):
+        """One run-tracking output directory per case, shared by the tests."""
         versions = (np.__version__, scipy.__version__)
         if versions != self.VERSIONS:
             pytest.skip(f"digests pinned for numpy {self.VERSIONS[0]} and scipy "
                         f"{self.VERSIONS[1]}, found {versions[0]} and {versions[1]}")
+        case = request.param
+        tmp_path = tmp_path_factory.mktemp(case)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(self.CONFIGS[case])
         out = tmp_path / "trk"
         assert main(["run-tracking", "--config", str(cfg), "--out", str(out)]) == 0
-        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+        return case, out
+
+    @staticmethod
+    def digest(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_csv_digests(self, run):
+        case, out = run
+        digests = tuple(self.digest(out / name)
                         for name in ("reference.csv", "tracking.csv"))
         assert digests == self.DIGESTS[case]
+
+    def test_metadata_digests(self, run):
+        case, out = run
+        assert self.digest(out / "metadata.json") == self.METADATA_DIGESTS[case]
 
 
 class TestMatchIntensity:
@@ -420,9 +456,9 @@ class TestSpectrum:
         assert main(["spectrum", "--in", str(csv), "--out", str(out),
                      "--omega0", "0.3"]) == 0
         assert "cutoff order: 9" in capsys.readouterr().out
-        header = (out / "spectrum.csv").read_text().splitlines()[0]
-        assert tuple(header.split(",")) == storage.SPECTRUM_COLUMNS
         meta = read_json(out / "metadata.json")
+        assert meta["columns"] == header(out / "spectrum.csv") == \
+            ["omega", "harmonic_order", "power"]
         assert meta["cutoff_order"] == 9
         assert meta["window"] == "hann"
 

@@ -130,12 +130,22 @@ class TestCutoffDetection:
         # levels of the constructed lines are equal to within a fraction of a dB
         assert abs(peaks[3].power_db - peaks[7].power_db) < 0.5
 
-    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_omega0(self, omega0):
+        # inf is bad input (a ValueError), not a spectrum too narrow to analyse
         spec = power_spectrum(comb_series(odd_orders=(3, 5)), window="hann")
         for find in (detect_cutoff_order, harmonic_peaks):
-            with pytest.raises(ValueError, match="omega0 must be positive"):
+            with pytest.raises(ValueError, match="omega0 must be positive and finite"):
                 find(spec, omega0)
+
+    @pytest.mark.parametrize("drop_db", [0.0, -5.0, math.nan, math.inf])
+    def test_rejects_nonpositive_drop_db(self, drop_db):
+        spec = power_spectrum(comb_series(odd_orders=range(3, 23, 2)), window="hann")
+        message = f"drop_db must be positive and finite, got {drop_db!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            detect_cutoff_order(spec, 1.0, drop_db=drop_db)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compare_spectra(spec, spec, 1.0, drop_db=drop_db)
 
 
 class TestCompareSpectra:

@@ -2,15 +2,18 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amptrack.feedback import RunRecord
+from amptrack import PulseSpec, storage
+from amptrack.feedback import FeedbackConfig, RunRecord, run_open_loop, run_tracking
+from amptrack.grid import AtomNumerics, AtomSystem
+from amptrack.lattice import HubbardSystem
 from amptrack.spectral import Spectrum
-from amptrack import storage
 
 FORMATS_DOC = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
@@ -36,26 +39,27 @@ class TestReferenceCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         record = reference_record()
         path = tmp_path / "reference.csv"
-        storage.write_reference_csv(path, record, "atom")
+        header = storage.write_reference_csv(path, record)
         read = storage.read_table(path)
         assert isinstance(read, RunRecord)
-        assert ("t", *read.channels) == storage.REFERENCE_COLUMNS["atom"]
+        assert header == ("t", *read.channels) == ("t", *record.channels)
+        assert path.read_text().splitlines()[0] == ",".join(header)
         assert read.dt == record.dt
-        for name in ("p", "force", "e_total", "y"):
+        for name in record.channels:
             assert np.array_equal(read.channels[name], record.channels[name])
 
     def test_hubbard_column_order(self, tmp_path):
         record = reference_record(platform="hubbard")
         path = tmp_path / "reference.csv"
-        storage.write_reference_csv(path, record, "hubbard")
+        storage.write_reference_csv(path, record)
         header = path.read_text().splitlines()[0]
         assert header == "t,current,kinetic,phase,e_total,y"
 
     def test_writes_are_byte_identical(self, tmp_path):
         record = reference_record()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        storage.write_reference_csv(a, record, "atom")
-        storage.write_reference_csv(b, record, "atom")
+        storage.write_reference_csv(a, record)
+        storage.write_reference_csv(b, record)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -63,16 +67,16 @@ class TestTrackingCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         result = tracking_record()
         path = tmp_path / "tracking.csv"
-        storage.write_tracking_csv(path, result, "atom")
+        header = storage.write_tracking_csv(path, result)
         read = storage.read_table(path)
-        assert ("t", *read.channels) == storage.TRACKING_COLUMNS["atom"]
+        assert header == ("t", *read.channels) == ("t", *result.channels)
         assert np.array_equal(read.u, result.u)
         assert np.array_equal(read.residual, result.residual)
 
     def test_series_reconstruction(self, tmp_path):
         result = tracking_record()
         path = tmp_path / "tracking.csv"
-        storage.write_tracking_csv(path, result, "atom")
+        storage.write_tracking_csv(path, result)
         series = storage.read_table(path).series("response")
         assert series.t0 == 0.0
         assert series.dt == result.dt
@@ -81,7 +85,7 @@ class TestTrackingCsv:
     def test_missing_column_names_the_alternatives(self, tmp_path):
         record = reference_record()
         path = tmp_path / "reference.csv"
-        storage.write_reference_csv(path, record, "atom")
+        storage.write_reference_csv(path, record)
         with pytest.raises(ValueError, match="no column 'response'.*e_total"):
             storage.read_table(path).series("response")
 
@@ -101,9 +105,9 @@ class TestSpectrumCsv:
         omega = np.linspace(0.0, 4.0, 33)
         spectrum = Spectrum(omega=omega, power=np.exp(-omega))
         path = tmp_path / "spectrum.csv"
-        storage.write_spectrum_csv(path, spectrum, omega0=0.5)
+        header = storage.write_spectrum_csv(path, spectrum, omega0=0.5)
         lines = path.read_text().splitlines()
-        assert tuple(lines[0].split(",")) == storage.SPECTRUM_COLUMNS
+        assert lines[0] == ",".join(header) == "omega,harmonic_order,power"
         omega, order, _ = np.array([line.split(",") for line in lines[1:]],
                                    dtype=float).T
         assert np.array_equal(order, omega / 0.5)
@@ -113,12 +117,14 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError):
             storage.write_spectrum_csv(tmp_path / "s.csv", spectrum, omega0=0.0)
 
-    def test_rejects_nan_omega0(self, tmp_path):
-        # NaN fails every comparison, so the check is written as not > 0
+    @pytest.mark.parametrize("omega0", [float("nan"), float("inf")])
+    def test_rejects_nan_omega0(self, tmp_path, omega0):
+        # NaN fails every comparison, so the check is written as not > 0;
+        # inf would write a harmonic_order column of zeros
         spectrum = Spectrum(omega=np.arange(4.0), power=np.ones(4))
         path = tmp_path / "s.csv"
-        with pytest.raises(ValueError, match="omega0 must be positive"):
-            storage.write_spectrum_csv(path, spectrum, omega0=float("nan"))
+        with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+            storage.write_spectrum_csv(path, spectrum, omega0=omega0)
         assert not path.exists()
 
 
@@ -180,10 +186,11 @@ class TestReadTable:
     # the grid is checked once, as the file is read, and the fault names it
     @pytest.mark.parametrize("text, message", [
         ("y\n0.0\n1.0\n", "no column 't'; file has y"),
+        ("t\n0.0\n0.1\n", "no column besides 't'"),
         ("t,y\n0.0,1.0\n", "need at least two rows"),
         ("t,y\n0.0,1.0\n0.1,2.0\n0.35,3.0\n", "t column is not uniformly spaced"),
         ("t,y\n0.5,1.0\n0.6,2.0\n0.7,3.0\n", "t column starts at 0.5, not 0"),
-    ], ids=["no-t", "one-row", "non-uniform-t", "t-not-from-0"])
+    ], ids=["no-t", "only-t", "one-row", "non-uniform-t", "t-not-from-0"])
     def test_checks_the_time_grid(self, tmp_path, text, message):
         path = tmp_path / "grid.csv"
         path.write_text(text)
@@ -230,9 +237,37 @@ def documented_columns(section):
     return {platform: tuple(columns.split(", ")) for platform, columns in rows}
 
 
-@pytest.mark.parametrize("section, layout", [
-    ("reference.csv", storage.REFERENCE_COLUMNS),
-    ("tracking.csv", storage.TRACKING_COLUMNS),
-])
-def test_formats_doc_lists_the_column_layouts(section, layout):
-    assert documented_columns(section) == layout
+def small_system(platform):
+    """A short, cheap run of either platform."""
+    if platform == "atom":
+        return AtomSystem(math.sqrt(2), PulseSpec(e0=0.05, omega0=1.0, cycles=1),
+                          AtomNumerics(40.0, 128, 0.1, absorber_fraction=0.0))
+    return HubbardSystem(2, 8.0, PulseSpec(e0=2.61, omega0=4.43, cycles=1))
+
+
+@pytest.mark.parametrize("platform", ["atom", "hubbard"])
+def test_reference_csv_reads_back_as_the_open_loop_record(platform, tmp_path):
+    record = run_open_loop(small_system(platform))
+    path = tmp_path / "reference.csv"
+    storage.write_reference_csv(path, record)
+    read = storage.read_table(path)
+    assert read.dt == record.dt
+    assert list(read.channels) == list(record.channels)
+    for name in record.channels:
+        assert np.array_equal(read.channels[name], record.channels[name]), name
+
+
+@pytest.mark.parametrize("section", ["reference.csv", "tracking.csv"])
+def test_formats_doc_lists_the_column_layouts(section, tmp_path):
+    # the headers that real runs write: a reference run and its self-tracking
+    written = {}
+    for platform in ("atom", "hubbard"):
+        record = run_open_loop(small_system(platform))
+        path = tmp_path / section
+        if section == "reference.csv":
+            written[platform] = storage.write_reference_csv(path, record)
+        else:
+            result = run_tracking(small_system(platform), record.series("y"),
+                                  FeedbackConfig(k_p=10.0))
+            written[platform] = storage.write_tracking_csv(path, result)
+    assert documented_columns(section) == written
