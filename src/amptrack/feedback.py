@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalError
-from .pulses import _require_finite
+from .exceptions import NumericalError, _require
 from .series import TimeSeries
 
 __all__ = [
@@ -36,9 +35,7 @@ class FeedbackConfig:
     k_p: float
 
     def __post_init__(self):
-        _require_finite(k_p=self.k_p)
-        if not self.k_p >= 0:
-            raise ValueError("k_p must be nonnegative")
+        _require("nonnegative", k_p=self.k_p)
 
 
 def control_field(response: float, coupling: float, y: float, cfg) -> float:
@@ -88,6 +85,8 @@ class RunRecord:
     run adds its own response as ``y``, a tracking run ``u``, ``response``,
     ``y`` and ``residual``.  A run CSV is ``t`` and then these channels,
     and reads back (`storage.read_table`) as the record it came from.
+    ``dt`` must be positive, and the channels at least one, each 1-D and
+    all of one length.
     """
 
     dt: float
@@ -97,6 +96,16 @@ class RunRecord:
     response = _channel("response")
     y = _channel("y")
     residual = _channel("residual")
+
+    def __post_init__(self):
+        _require("positive", dt=self.dt)
+        if not self.channels:
+            raise ValueError("a record needs at least one channel")
+        n = len(self)
+        for name, values in self.channels.items():
+            shape = np.shape(values)
+            if shape != (n,):
+                raise ValueError(f"channel {name!r} has shape {shape}, not ({n},)")
 
     def channel(self, name: str) -> np.ndarray:
         if name not in self.channels:
@@ -129,21 +138,21 @@ def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
     psi = system.initial_state()
     names = system.channel_names
     cols = {name: np.empty(n + 1) for name in names}
-    u_arr = np.empty(n + 1)
+    # an open-loop control is zero or ``u_forced``, so only tracking stores it
+    u_arr = None if y is None else np.empty(n + 1)
     e_total_arr = np.empty(n + 1)
     resp_arr = np.empty(n + 1)
     for i in range(n + 1):
         obs = system.observables(psi)
         e_tl = system.e_tl[i]
         if y is not None:
-            u = system.control(obs, e_tl, y[i], cfg)
+            u = u_arr[i] = system.control(obs, e_tl, y[i], cfg)
         else:
             u = 0.0 if u_forced is None else float(u_forced[i])
         e_total = e_tl + u
         resp_arr[i] = system.response(obs, e_total)
         for name in names:
             cols[name][i] = obs[name]
-        u_arr[i] = u
         e_total_arr[i] = e_total
         if i < n:
             psi = system.advance(psi, i, u)
@@ -162,11 +171,23 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
 
     With ``u_forced`` given, that control sequence is replayed instead of
     zero (used to re-drive a system with a recorded field; it shows in
-    ``e_total``).  The record holds the channels of a reference CSV.
+    ``e_total``).  The record holds the channels of a reference CSV.  A
+    NaN or inf in ``u_forced`` is rejected before anything is propagated.
     """
-    if u_forced is not None and len(u_forced) != system.n_steps + 1:
-        raise ValueError("forced control sequence does not match the grid")
+    if u_forced is not None:
+        if len(u_forced) != system.n_steps + 1:
+            raise ValueError("forced control sequence does not match the grid")
+        _check_samples("forced control", u_forced)
     return _run(system, u_forced=u_forced)
+
+
+def _check_samples(what: str, values) -> None:
+    """Reject a sequence holding NaN or inf, naming the count and first step."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"{what} has {bad.size} non-finite samples, the first at step {bad[0]}"
+        )
 
 
 def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
@@ -179,11 +200,7 @@ def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
         )
     if not TimeSeries(0.0, dt, reference.values).same_grid(reference):
         raise ValueError("reference grid does not match the propagation grid")
-    bad = np.flatnonzero(~np.isfinite(reference.values))
-    if bad.size:
-        raise ValueError(
-            f"reference has {bad.size} non-finite samples, the first at step {bad[0]}"
-        )
+    _check_samples("reference", reference.values)
 
 
 def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> RunRecord:

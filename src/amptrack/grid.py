@@ -14,8 +14,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import feedback
-from .exceptions import NumericalError
-from .pulses import PulseSpec, _require_finite, evaluate_tl_field
+from .exceptions import NumericalError, _require
+from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = [
     "AtomNumerics",
@@ -53,12 +53,9 @@ class AtomNumerics:
                 f"n_points must be an integer, got {self.n_points!r}") from None
         if n < 8 or n & (n - 1) != 0:
             raise ValueError("n_points must be a power of two, at least 8")
-        _require_finite(box_half_width=self.box_half_width, dt=self.dt,
-                        absorber_fraction=self.absorber_fraction,
-                        absorber_exponent=self.absorber_exponent)
-        for name in ("box_half_width", "dt", "absorber_exponent"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _require("positive", box_half_width=self.box_half_width, dt=self.dt,
+                 absorber_exponent=self.absorber_exponent)
+        _require(absorber_fraction=self.absorber_fraction)
         if not 0.0 <= self.absorber_fraction < 0.5:
             raise ValueError("absorber_fraction must lie in [0, 0.5)")
 
@@ -83,25 +80,15 @@ class AtomNumerics:
         return np.cos(0.5 * math.pi * s) ** self.absorber_exponent
 
 
-def _require_softening(alpha: float) -> None:
-    """Raise ValueError unless ``alpha`` is a finite positive number."""
-    try:
-        good = math.isfinite(alpha) and alpha > 0
-    except TypeError:
-        good = False
-    if not good:
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-
-
 def soft_coulomb_potential(numerics: AtomNumerics, alpha: float) -> np.ndarray:
     """V(x) = -1 / sqrt(x^2 + alpha^2) sampled on the grid."""
-    _require_softening(alpha)
+    _require("positive", alpha=alpha)
     return -1.0 / np.sqrt(numerics.x() ** 2 + alpha**2)
 
 
 def soft_coulomb_force(numerics: AtomNumerics, alpha: float) -> np.ndarray:
     """Core force -V'(x) = -x / (x^2 + alpha^2)^(3/2), analytic."""
-    _require_softening(alpha)
+    _require("positive", alpha=alpha)
     x = numerics.x()
     return -x / (x**2 + alpha**2) ** 1.5
 
@@ -187,6 +174,7 @@ def calibrate_softening(
     crossed brackets the target, and then bisect.  Tolerance is on the
     energy, not alpha.
     """
+    _require(target_ip=target_ip)
     if not 0.2 < target_ip < 2.0:
         raise ValueError("target ionization potential must lie in (0.2, 2.0)")
 

@@ -41,8 +41,8 @@ from scipy.linalg import lapack
 from scipy.sparse import coo_matrix, csr_matrix, identity, vstack
 
 from . import feedback
-from .exceptions import NumericalError
-from .pulses import PulseSpec, _require_finite, evaluate_tl_field
+from .exceptions import NumericalError, _require
+from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = ["LatticeNumerics", "HubbardSystem"]
 
@@ -549,9 +549,7 @@ class LatticeNumerics:
     dt: float = 0.005
 
     def __post_init__(self):
-        _require_finite(dt=self.dt)
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        _require("positive", dt=self.dt)
 
 
 def _thick_restart(hop):
@@ -678,7 +676,7 @@ class HubbardSystem:
     def __init__(self, n_sites: int, u: float, pulse: PulseSpec,
                  numerics: LatticeNumerics | None = None,
                  n_up: int | None = None, n_down: int | None = None):
-        _require_finite(u=u)
+        _require(u=u)
         try:
             n_sites = operator.index(n_sites)
         except TypeError:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import _require
 
 __all__ = [
     "PulseSpec",
@@ -53,11 +54,9 @@ class PulseSpec:
     cycles: int
 
     def __post_init__(self):
-        _require_finite(e0=self.e0, omega0=self.omega0, cycles=self.cycles)
-        if not self.e0 >= 0:
-            raise ValueError("e0 must be nonnegative")
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be positive")
+        _require("nonnegative", e0=self.e0)
+        _require("positive", omega0=self.omega0)
+        _require(cycles=self.cycles)
         if not self.cycles >= 1 or int(self.cycles) != self.cycles:
             raise ValueError("cycles must be a positive integer")
 
@@ -86,34 +85,17 @@ def evaluate_tl_field(t, spec: PulseSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def _require_finite(**values: float) -> None:
-    """Raise ValueError naming the first argument that is not a finite real
-    number: a string or None included, so that the CLI reports it as bad
-    input (exit 2) and not as a TypeError."""
-    for name, value in values.items():
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def ponderomotive_energy(field: float, omega: float) -> float:
     """Cycle-averaged quiver energy Up = (F / 2 omega)^2."""
-    _require_finite(field=field, omega=omega)
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    _require(field=field)
+    _require("positive", omega=omega)
     return (field / (2.0 * omega)) ** 2
 
 
 def hhg_cutoff(field: float, omega: float, ip: float) -> float:
     """Maximum emitted frequency 3.17 Up + Ip of the harmonic plateau."""
-    _require_finite(field=field, omega=omega, ip=ip)
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    if not ip > 0:
-        raise ValueError("ip must be positive")
+    _require(field=field)
+    _require("positive", omega=omega, ip=ip)
     return CUTOFF_SLOPE * ponderomotive_energy(field, omega) + ip
 
 
@@ -124,11 +106,8 @@ def hhg_matched_field(omega: float, cutoff: float, ip_new: float) -> float:
     the printed 1.12 rather than 2/sqrt(3.17), recomputing the cutoff from
     F' lands within 1% of the target rather than exactly on it.
     """
-    _require_finite(omega=omega, cutoff=cutoff, ip_new=ip_new)
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    if not ip_new > 0:
-        raise ValueError("ip_new must be positive")
+    _require(cutoff=cutoff)
+    _require("positive", omega=omega, ip_new=ip_new)
     if not cutoff >= ip_new:
         raise ValueError(
             f"target cutoff {cutoff} below the new ionization potential {ip_new}"
@@ -142,10 +121,8 @@ def ati_matched_field(omega: float, field: float, ip: float, ip_new: float) -> f
     F' = 2 omega * sqrt(Up + Ip - Ip'), which enforces Up' + Ip' = Up + Ip
     exactly, so every n-photon peak position is preserved.
     """
-    _require_finite(omega=omega, field=field, ip=ip, ip_new=ip_new)
-    for name, value in (("ip", ip), ("ip_new", ip_new)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
+    _require(field=field)
+    _require("positive", omega=omega, ip=ip, ip_new=ip_new)
     budget = ponderomotive_energy(field, omega) + ip - ip_new
     if not budget >= 0:
         raise ValueError(

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import _require_finite
+from .exceptions import _require
 
 _GRID_TOL = 1e-12  # same_grid's tolerance, relative to dt and to max(1, |t0|)
 
@@ -29,9 +29,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        _require_finite(t0=self.t0, dt=self.dt)
-        if not self.dt > 0:
-            raise ValueError("dt must be positive and finite")
+        _require(t0=self.t0)
+        _require("positive", dt=self.dt)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("need a 1-D series with at least two samples")
 

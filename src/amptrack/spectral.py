@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .exceptions import NumericalError
+from .exceptions import NumericalError, _require
 from .series import TimeSeries
 
 __all__ = [
@@ -109,8 +109,7 @@ def power_spectrum(series: TimeSeries, window: str = "hann") -> Spectrum:
 
 def _order_windows(spectrum: Spectrum, omega0: float):
     """Bin ranges [(n-1/2) w0, (n+1/2) w0) for each whole harmonic order."""
-    if not (omega0 > 0 and math.isfinite(omega0)):
-        raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
+    _require("positive", omega0=omega0)
     n_max = int(math.floor(spectrum.omega[-1] / omega0 - 0.5))
     edges = (np.arange(1, n_max + 2) - 0.5) * omega0
     idx = np.searchsorted(spectrum.omega, edges)
@@ -165,8 +164,7 @@ def detect_cutoff_order(
 
 def _cutoff_order(peaks: dict, drop_db: float) -> int:
     """The cutoff rule of `detect_cutoff_order` on a `harmonic_peaks` table."""
-    if not (drop_db > 0 and math.isfinite(drop_db)):
-        raise ValueError(f"drop_db must be positive and finite, got {drop_db!r}")
+    _require("positive", drop_db=drop_db)
     if not peaks:
         raise NumericalError("spectrum too narrow for harmonic analysis")
     anchor = max(p.power_db for p in peaks.values())

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .exceptions import _require
 from .feedback import RunRecord
 
 __all__ = [
@@ -53,8 +54,7 @@ def write_tracking_csv(path, record, platform=None) -> tuple:
 def write_spectrum_csv(path, spectrum, omega0: float) -> tuple:
     """Write a one-sided power spectrum with the harmonic-order axis; return
     the header."""
-    if not (omega0 > 0 and np.isfinite(omega0)):
-        raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
+    _require("positive", omega0=omega0)
     return _write_csv(path, {"omega": spectrum.omega,
                              "harmonic_order": spectrum.omega / omega0,
                              "power": spectrum.power})

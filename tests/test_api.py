@@ -14,9 +14,11 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import amptrack
+from amptrack import grid, storage
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -68,36 +70,102 @@ def test_benchmark_span_targets_resolve():
             assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
 
 
-# a valid instance of each public value type, as keyword arguments
+SPECTRUM = amptrack.Spectrum(omega=[0.0, 1.0, 2.0, 3.0], power=[1.0] * 4)
+NUMERICS = amptrack.AtomNumerics(box_half_width=10.0, n_points=8)
+
+# valid keyword arguments of each public value type and numeric function
 VALID = {
     amptrack.PulseSpec: dict(e0=1.0, omega0=1.0, cycles=1),
     amptrack.AtomNumerics: dict(),
     amptrack.LatticeNumerics: dict(),
     amptrack.FeedbackConfig: dict(k_p=1.0),
     amptrack.TimeSeries: dict(t0=0.0, dt=0.1, values=[0.0, 1.0]),
+    amptrack.RunRecord: dict(dt=0.1, channels={"y": np.zeros(2)}),
+    amptrack.ponderomotive_energy: dict(field=0.05, omega=0.057),
+    amptrack.hhg_cutoff: dict(field=0.05, omega=0.057, ip=0.579),
+    amptrack.hhg_matched_field: dict(omega=0.057, cutoff=1.2, ip_new=0.5),
+    amptrack.ati_matched_field: dict(omega=0.057, field=0.05, ip=0.579,
+                                     ip_new=0.5),
+    grid.soft_coulomb_potential: dict(numerics=NUMERICS, alpha=1.0),
+    grid.soft_coulomb_force: dict(numerics=NUMERICS, alpha=1.0),
+    amptrack.calibrate_softening: dict(target_ip=0.5, numerics=NUMERICS),
+    amptrack.harmonic_peaks: dict(spectrum=SPECTRUM, omega0=1.0),
+    amptrack.detect_cutoff_order: dict(spectrum=SPECTRUM, omega0=1.0,
+                                       drop_db=20.0),
+    amptrack.compare_spectra: dict(a=SPECTRUM, b=SPECTRUM, omega0=1.0,
+                                   drop_db=20.0),
+    storage.write_spectrum_csv: dict(path="spectrum.csv", spectrum=SPECTRUM,
+                                     omega0=1.0),
 }
 
+# the numeric arguments, with the sign rule each keeps (None: finite only)
+RULES = [
+    (amptrack.PulseSpec, "e0", "nonnegative"),
+    (amptrack.PulseSpec, "omega0", "positive"),
+    (amptrack.PulseSpec, "cycles", None),
+    (amptrack.AtomNumerics, "dt", "positive"),
+    (amptrack.AtomNumerics, "box_half_width", "positive"),
+    (amptrack.AtomNumerics, "absorber_fraction", None),
+    (amptrack.AtomNumerics, "absorber_exponent", "positive"),
+    (amptrack.LatticeNumerics, "dt", "positive"),
+    (amptrack.FeedbackConfig, "k_p", "nonnegative"),
+    (amptrack.TimeSeries, "t0", None),
+    (amptrack.TimeSeries, "dt", "positive"),
+    (amptrack.RunRecord, "dt", "positive"),
+    (amptrack.ponderomotive_energy, "field", None),
+    (amptrack.ponderomotive_energy, "omega", "positive"),
+    (amptrack.hhg_cutoff, "field", None),
+    (amptrack.hhg_cutoff, "omega", "positive"),
+    (amptrack.hhg_cutoff, "ip", "positive"),
+    (amptrack.hhg_matched_field, "omega", "positive"),
+    (amptrack.hhg_matched_field, "cutoff", None),
+    (amptrack.hhg_matched_field, "ip_new", "positive"),
+    (amptrack.ati_matched_field, "omega", "positive"),
+    (amptrack.ati_matched_field, "field", None),
+    (amptrack.ati_matched_field, "ip", "positive"),
+    (amptrack.ati_matched_field, "ip_new", "positive"),
+    (grid.soft_coulomb_potential, "alpha", "positive"),
+    (grid.soft_coulomb_force, "alpha", "positive"),
+    (amptrack.calibrate_softening, "target_ip", None),
+    (amptrack.harmonic_peaks, "omega0", "positive"),
+    (amptrack.detect_cutoff_order, "omega0", "positive"),
+    (amptrack.detect_cutoff_order, "drop_db", "positive"),
+    (amptrack.compare_spectra, "omega0", "positive"),
+    (amptrack.compare_spectra, "drop_db", "positive"),
+    (storage.write_spectrum_csv, "omega0", "positive"),
+]
 
-# a string or None is bad input, a ValueError that names the field
+
+def rule_id(x):
+    return getattr(x, "__name__", str(x))
+
+
+# a string or None is bad input, a ValueError that names the argument
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
                                    "0.1", None])
-@pytest.mark.parametrize("cls, field", [
-    (amptrack.PulseSpec, "e0"),
-    (amptrack.PulseSpec, "omega0"),
-    (amptrack.PulseSpec, "cycles"),
-    (amptrack.AtomNumerics, "dt"),
-    (amptrack.AtomNumerics, "box_half_width"),
-    (amptrack.AtomNumerics, "absorber_fraction"),
-    (amptrack.AtomNumerics, "absorber_exponent"),
-    (amptrack.LatticeNumerics, "dt"),
-    (amptrack.FeedbackConfig, "k_p"),
-    (amptrack.TimeSeries, "t0"),
-    (amptrack.TimeSeries, "dt"),
-], ids=lambda x: getattr(x, "__name__", x))
-def test_value_types_reject_non_finite_numbers(cls, field, value):
-    # the config parser stops these first; a library caller meets them here
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        cls(**{**VALID[cls], field: value})
+@pytest.mark.parametrize("func, name", [(f, n) for f, n, _ in RULES], ids=rule_id)
+def test_numeric_arguments_must_be_finite(func, name, value, tmp_path,
+                                          monkeypatch):
+    # the config parser and the CLI stop these first; a library caller
+    # meets them here
+    monkeypatch.chdir(tmp_path)
+    message = f"{name} must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(**{**VALID[func], name: value})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("func, name, rule, value", [
+    (f, n, rule, value) for f, n, rule in RULES if rule
+    for value in ((0.0, -1.0) if rule == "positive" else (-1.0,))
+], ids=rule_id)
+def test_numeric_arguments_keep_their_sign_rule(func, name, rule, value,
+                                                tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    message = f"{name} must be {rule}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(**{**VALID[func], name: value})
+    assert not list(tmp_path.iterdir())
 
 
 # the two systems take their model numbers directly
@@ -114,7 +182,8 @@ def test_hubbard_system_rejects_non_finite_u(value):
                                    0.0, -1.4, "1.4"])
 def test_atom_system_rejects_bad_alpha(value):
     numerics = amptrack.AtomNumerics(box_half_width=10.0, n_points=8)
-    with pytest.raises(ValueError, match="^alpha must be finite and positive"):
+    rule = "positive" if value in (0.0, -1.4) else "finite"
+    with pytest.raises(ValueError, match=f"^alpha must be {rule}, got {value!r}$"):
         amptrack.AtomSystem(value, amptrack.PulseSpec(**PULSE), numerics)
 
 

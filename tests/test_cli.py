@@ -349,13 +349,24 @@ class TestArtifactDigests:
             "0018ecb5b3d415093521f0abee84e9306e33daf1d908865421f74c7eb02ca8cb",
     }
 
-    @pytest.fixture(scope="class", params=sorted(DIGESTS))
-    def run(self, request, tmp_path_factory):
-        """One run-tracking output directory per case, shared by the tests."""
+    # spectrum.csv and metadata.json of `spectrum` on the synthetic harmonic
+    # CSV of TestSpectrum, recorded before the spectral argument checks
+    # moved to one rule
+    SPECTRUM_DIGESTS = (
+        "7c7b21594f0f4a5fd92d3124d49d0a9953fa2f82fe08e74bbbdc643c37caceb5",
+        "0bd3c334000a331bf95c9e21eab2dabc80ab949551d9eab98d2bdb705dbf9e86",
+    )
+
+    def require_pinned_versions(self):
         versions = (np.__version__, scipy.__version__)
         if versions != self.VERSIONS:
             pytest.skip(f"digests pinned for numpy {self.VERSIONS[0]} and scipy "
                         f"{self.VERSIONS[1]}, found {versions[0]} and {versions[1]}")
+
+    @pytest.fixture(scope="class", params=sorted(DIGESTS))
+    def run(self, request, tmp_path_factory):
+        """One run-tracking output directory per case, shared by the tests."""
+        self.require_pinned_versions()
         case = request.param
         tmp_path = tmp_path_factory.mktemp(case)
         cfg = tmp_path / "run.cfg"
@@ -377,6 +388,18 @@ class TestArtifactDigests:
     def test_metadata_digests(self, run):
         case, out = run
         assert self.digest(out / "metadata.json") == self.METADATA_DIGESTS[case]
+
+    def test_spectrum_digests(self, tmp_path, monkeypatch):
+        # relative paths, so that the sidecar's "input" is the same in any
+        # directory
+        self.require_pinned_versions()
+        monkeypatch.chdir(tmp_path)
+        write_harmonic_csv(Path("run.csv"))
+        assert main(["spectrum", "--in", "run.csv", "--out", "spec",
+                     "--omega0", "0.3"]) == 0
+        digests = tuple(self.digest(Path("spec") / name)
+                        for name in ("spectrum.csv", "metadata.json"))
+        assert digests == self.SPECTRUM_DIGESTS
 
 
 class TestMatchIntensity:

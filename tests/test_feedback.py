@@ -218,6 +218,50 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="forced control sequence"):
             run_open_loop(system, u_forced=np.zeros(7))
 
+    @pytest.mark.parametrize("platform, value, step", [
+        ("atom", math.nan, 5), ("ring", math.inf, 5), ("ring", math.nan, -1),
+    ])
+    def test_forced_control_must_be_finite(self, platform, value, step,
+                                           monkeypatch):
+        # a replayed field with a NaN or inf is bad input, rejected before
+        # the ground state is formed, not a NaN record or a solver failure
+        if platform == "atom":
+            system = AtomSystem(math.sqrt(2), PulseSpec(e0=0.08, omega0=0.8, cycles=1),
+                                small_atom_numerics())
+        else:
+            system = HubbardSystem(4, 8.0, PulseSpec(e0=2.61, omega0=4.43, cycles=1))
+
+        def propagate():
+            raise AssertionError("propagated a non-finite control")
+
+        monkeypatch.setattr(system, "initial_state", propagate)
+        u = np.zeros(system.n_steps + 1)
+        u[step] = value
+        first = step % u.size
+        with pytest.raises(ValueError, match=f"^forced control has 1 non-finite "
+                                             f"samples, the first at step {first}$"):
+            run_open_loop(system, u_forced=u)
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("channels, message", [
+        ({}, "a record needs at least one channel"),
+        ({"a": np.zeros(3), "b": np.zeros(4)},
+         r"channel 'b' has shape \(4,\), not \(3,\)"),
+        ({"b": np.zeros(4), "a": np.zeros(3)},
+         r"channel 'a' has shape \(3,\), not \(4,\)"),
+        ({"a": np.zeros((3, 2))},
+         r"channel 'a' has shape \(3, 2\), not \(3,\)"),
+        ({"a": np.zeros(3), "b": np.zeros((3, 1))},
+         r"channel 'b' has shape \(3, 1\), not \(3,\)"),
+    ], ids=["none", "short-first", "long-first", "2-d", "2-d-second"])
+    def test_rejects_channels_of_bad_shape(self, channels, message):
+        # unequal lengths wrote a CSV cut to the first channel, or raised
+        # IndexError, and no channel raised StopIteration in len(); the rule
+        # for dt is in tests/test_api.py
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunRecord(dt=0.1, channels=channels)
+
 
 class TestSelfTracking:
     def test_atom_tracks_itself_exactly(self):

@@ -111,7 +111,8 @@ class TestPotential:
                              ids=lambda f: f.__name__)
     def test_softening_must_be_finite_and_positive(self, sample, alpha):
         # NaN fails every comparison, so "alpha <= 0" alone would let it through
-        with pytest.raises(ValueError, match="^alpha must be finite and positive"):
+        rule = "positive" if math.isfinite(alpha) else "finite"
+        with pytest.raises(ValueError, match=f"^alpha must be {rule}, got {alpha!r}$"):
             sample(AtomNumerics(10.0, 16), alpha)
 
 

@@ -134,14 +134,16 @@ class TestCutoffDetection:
     def test_rejects_nonpositive_omega0(self, omega0):
         # inf is bad input (a ValueError), not a spectrum too narrow to analyse
         spec = power_spectrum(comb_series(odd_orders=(3, 5)), window="hann")
+        rule = "positive" if math.isfinite(omega0) else "finite"
         for find in (detect_cutoff_order, harmonic_peaks):
-            with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+            with pytest.raises(ValueError, match=f"^omega0 must be {rule}, got"):
                 find(spec, omega0)
 
     @pytest.mark.parametrize("drop_db", [0.0, -5.0, math.nan, math.inf])
     def test_rejects_nonpositive_drop_db(self, drop_db):
         spec = power_spectrum(comb_series(odd_orders=range(3, 23, 2)), window="hann")
-        message = f"drop_db must be positive and finite, got {drop_db!r}"
+        rule = "positive" if math.isfinite(drop_db) else "finite"
+        message = f"drop_db must be {rule}, got {drop_db!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             detect_cutoff_order(spec, 1.0, drop_db=drop_db)
         with pytest.raises(ValueError, match=re.escape(message)):

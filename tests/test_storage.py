@@ -119,11 +119,11 @@ class TestSpectrumCsv:
 
     @pytest.mark.parametrize("omega0", [float("nan"), float("inf")])
     def test_rejects_nan_omega0(self, tmp_path, omega0):
-        # NaN fails every comparison, so the check is written as not > 0;
-        # inf would write a harmonic_order column of zeros
+        # NaN fails every comparison and inf would write a harmonic_order
+        # column of zeros, so both fail as not finite
         spectrum = Spectrum(omega=np.arange(4.0), power=np.ones(4))
         path = tmp_path / "s.csv"
-        with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^omega0 must be finite, got {omega0!r}$"):
             storage.write_spectrum_csv(path, spectrum, omega0=omega0)
         assert not path.exists()
 
