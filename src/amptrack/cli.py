@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, pulses, spectral, storage
 from .config import build_system, parse_config
-from .exceptions import ConfigError, NumericalError
+from .exceptions import ConfigError, NumericalError, _check_samples, _require
 from .feedback import check_reference, relative_rms, rms, run_open_loop, run_tracking
 
 EXIT_OK = 0
@@ -55,16 +55,11 @@ def _gate(residual: float, gate) -> int:
     return EXIT_OK
 
 
-def _positive_finite(text: str) -> float:
-    """A positive finite number, for ``--gate``, ``--omega0`` and
-    ``--drop-db``; argparse turns the error into exit 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _require_flags(args, rule, *names) -> None:
+    """`_require` on each named option that was given, under its flag's
+    name; a command calls it before it reads, builds or writes anything."""
+    _require(rule, **{"--" + name.replace("_", "-"): getattr(args, name)
+                      for name in names if getattr(args, name) is not None})
 
 
 def _summary(system, platform: str, **scalars) -> dict:
@@ -96,6 +91,7 @@ def cmd_run_reference(args) -> int:
 
 
 def cmd_run_tracking(args) -> int:
+    _require_flags(args, "positive", "gate")
     cfg = parse_config(args.config)
     out = _out_dir(args.out)
     if args.reference is not None:
@@ -128,14 +124,10 @@ def cmd_run_tracking(args) -> int:
 
 
 def cmd_match_intensity(args) -> int:
-    for name in ("omega", "ip", "ip_new", "field", "cutoff"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} must be finite, got {value!r}")
-    if not args.ip > 0:
-        # with --cutoff no formula reads --ip, so it is checked here
-        raise ConfigError(f"--ip must be positive, got {args.ip!r}")
+    # every flag is checked here, so an error names it; with --cutoff no
+    # formula reads --ip at all
+    _require_flags(args, "positive", "omega", "ip", "ip_new")
+    _require_flags(args, None, "field", "cutoff")
     if args.mode == "hhg":
         if args.cutoff is not None:
             cutoff = args.cutoff
@@ -156,12 +148,9 @@ def cmd_match_intensity(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _require_flags(args, "positive", "omega0", "drop_db")
     series = storage.read_table(args.input).series(args.column)
-    bad = np.flatnonzero(~np.isfinite(series.values))
-    if bad.size:
-        raise ValueError(f"{args.input}: column {args.column!r} has {bad.size} "
-                         f"non-finite samples, the first at row {bad[0]} "
-                         f"(t = {series.t0 + bad[0] * series.dt:g})")
+    _check_samples(f"{args.input}: column {args.column!r}", series.values)
     spectrum = spectral.power_spectrum(series, window=args.window)
     order = spectral.detect_cutoff_order(spectrum, args.omega0,
                                          drop_db=args.drop_db)
@@ -185,6 +174,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_flags(args, "positive", "omega0", "drop_db", "gate")
     series_a = storage.read_table(args.a).series(args.column)
     series_b = storage.read_table(args.b).series(args.column)
     if not series_a.same_grid(series_b):
@@ -238,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--out", required=True)
     trk.add_argument("--reference", default=None,
                      help="reference.csv to track; omitted: run it in-process")
-    trk.add_argument("--gate", type=_positive_finite, default=None,
+    trk.add_argument("--gate", type=float, default=None,
                      help="fail (exit 4) if the rms residual exceeds this")
     trk.set_defaults(func=cmd_run_tracking)
 
@@ -257,10 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     spe = sub.add_parser("spectrum", help="power spectrum and cutoff of a run")
     spe.add_argument("--in", required=True, dest="input")
     spe.add_argument("--out", required=True)
-    spe.add_argument("--omega0", required=True, type=_positive_finite)
+    spe.add_argument("--omega0", required=True, type=float)
     spe.add_argument("--column", default="y")
     spe.add_argument("--window", default="hann", choices=("hann", "none"))
-    spe.add_argument("--drop-db", type=_positive_finite, default=20.0,
+    spe.add_argument("--drop-db", type=float, default=20.0,
                      dest="drop_db")
     spe.set_defaults(func=cmd_spectrum)
 
@@ -268,12 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--a", required=True)
     cmp_.add_argument("--b", required=True)
     cmp_.add_argument("--column", default="y")
-    cmp_.add_argument("--omega0", type=_positive_finite, default=None,
+    cmp_.add_argument("--omega0", type=float, default=None,
                       help="carrier frequency; enables the spectral comparison")
     cmp_.add_argument("--window", default="hann", choices=("hann", "none"))
-    cmp_.add_argument("--drop-db", type=_positive_finite, default=20.0,
+    cmp_.add_argument("--drop-db", type=float, default=20.0,
                       dest="drop_db")
-    cmp_.add_argument("--gate", type=_positive_finite, default=None)
+    cmp_.add_argument("--gate", type=float, default=None)
     cmp_.add_argument("--json", action="store_true")
     cmp_.set_defaults(func=cmd_compare)
     return parser

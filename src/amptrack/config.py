@@ -9,11 +9,10 @@ quantity all raise a configuration error naming the offender.
 """
 
 import configparser
-import math
 from dataclasses import asdict, dataclass, fields
 
 from . import units
-from .exceptions import ConfigError
+from .exceptions import ConfigError, _require
 from .feedback import FeedbackConfig
 from .grid import AtomNumerics, AtomSystem, calibrate_softening
 from .lattice import HubbardSystem, LatticeNumerics
@@ -85,10 +84,11 @@ class _Section:
         self.raw = dict(raw)
         self.physical = physical
 
-    def take(self, key: str, kind=float, default=_REQUIRED):
+    def take(self, key: str, kind=float, default=_REQUIRED, rule=None):
         """Pop ``key`` and convert it with ``kind``, else return ``default``.
 
-        A number must be finite: inf passes every sign rule.
+        A number must be finite and satisfy ``rule`` (``"positive"`` or
+        ``"nonnegative"``), by `_require`, under the key's own name.
         """
         if key not in self.raw:
             if default is _REQUIRED:
@@ -99,16 +99,19 @@ class _Section:
             value = kind(text)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}: '{text}' is not {_KINDS[kind]}")
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"[{self.name}] {key}: '{text}' is not finite")
+        if kind in _KINDS:
+            try:
+                _require(rule, **{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"[{self.name}] {exc}") from None
         return value
 
     def one_of(self, program: str, lab: str, convert, rule=None, echo=None) -> float:
         """A quantity given either in program units or in laboratory units.
 
-        A lab value must satisfy ``rule`` (``"positive"`` or
-        ``"nonnegative"``), is echoed to the physical inputs as ``echo``
-        (default: the lab key) and is converted with ``convert``.
+        Either key's value must satisfy ``rule``.  A lab value is echoed
+        to the physical inputs as ``echo`` (default: the lab key) and is
+        converted with ``convert``.
         """
         present = [k for k in (program, lab) if k in self.raw]
         if len(present) != 1:
@@ -116,11 +119,9 @@ class _Section:
                 f"section [{self.name}] needs exactly one of {sorted((program, lab))}, "
                 f"found {sorted(present) or 'none'}"
             )
+        value = self.take(present[0], rule=rule)
         if present[0] == program:
-            return self.take(program)
-        value = self.take(lab)
-        if rule == "positive" and not value > 0 or rule == "nonnegative" and not value >= 0:
-            raise ConfigError(f"[{self.name}] {lab} must be {rule}")
+            return value
         self.physical[echo or lab] = value
         return convert(value)
 
@@ -179,16 +180,13 @@ def _from_section(sec: _Section, defaults):
 
 
 def _pulse(sec: _Section, omega0: float, e0: float) -> PulseSpec:
-    if not e0 >= 0:
-        raise ConfigError("[pulse] field amplitude must be nonnegative")
-    return PulseSpec(e0=e0, omega0=omega0, cycles=sec.take("cycles", int))
+    return PulseSpec(e0=e0, omega0=omega0,
+                     cycles=sec.take("cycles", int, rule="positive"))
 
 
 def _ip(sec: _Section) -> float:
-    ip = sec.one_of("ip_au", "ip_ev", units.ev_to_au, echo=f"{sec.name}_ip_ev")
-    if not ip > 0:
-        raise ConfigError(f"[{sec.name}] ionization potential must be positive")
-    return ip
+    return sec.one_of("ip_au", "ip_ev", units.ev_to_au, "positive",
+                      echo=f"{sec.name}_ip_ev")
 
 
 def _parse_atom(sections: _Sections) -> dict:
@@ -211,10 +209,8 @@ def _parse_hubbard(sections: _Sections) -> dict:
     sites = lat.take("sites", int)
     if sites < 2:
         raise ConfigError("[lattice] sites must be at least 2")
-    t0_ev = lat.take("t0_ev", float, 1.0)
-    a_angstrom = lat.take("a_angstrom", float, 1.0)
-    if not (t0_ev > 0 and a_angstrom > 0):
-        raise ConfigError("[lattice] t0_ev and a_angstrom must be positive")
+    t0_ev = lat.take("t0_ev", float, 1.0, "positive")
+    a_angstrom = lat.take("a_angstrom", float, 1.0, "positive")
     n_up = lat.take("n_up", int, sites // 2)
     n_down = lat.take("n_down", int, sites // 2)
     if not (0 <= n_up <= sites and 0 <= n_down <= sites):
@@ -255,7 +251,7 @@ def parse_config(path) -> ExperimentConfig:
     sections.taken.append(exp)
     try:
         parts = _PLATFORMS[platform](sections)
-        feedback = FeedbackConfig(k_p=exp.take("k_p"))
+        feedback = FeedbackConfig(k_p=exp.take("k_p", rule="nonnegative"))
     except ValueError as exc:
         raise ConfigError(str(exc))
     for sec in sections.taken:

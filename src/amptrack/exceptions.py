@@ -1,11 +1,15 @@
 """Exception types shared across the package, and the rule for numbers.
 
 Invalid input raises ValueError, of which ConfigError is the config
-parser's and the CLI flags' kind; a solve that cannot meet its target
-raises NumericalError.  A numeric argument is checked by `_require`.
+parser's kind; a solve that cannot meet its target raises
+NumericalError.  A number from outside is checked by `_require`, a
+sequence of samples by `_check_samples`, and nothing else checks either:
+a config key, a CLI flag or a CSV column only adds its name.
 """
 
 import math
+
+import numpy as np
 
 _RULES = {None: lambda value: True, "positive": lambda value: value > 0,
           "nonnegative": lambda value: value >= 0}
@@ -41,3 +45,12 @@ def _require(rule: str | None = None, **values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
         if not holds(value):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_samples(what: str, values) -> None:
+    """Reject a sequence holding NaN or inf, naming the count and first step."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"{what} has {bad.size} non-finite samples, the first at step {bad[0]}"
+        )

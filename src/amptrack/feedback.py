@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalError, _require
+from .exceptions import NumericalError, _check_samples, _require
 from .series import TimeSeries
 
 __all__ = [
@@ -179,15 +179,6 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
             raise ValueError("forced control sequence does not match the grid")
         _check_samples("forced control", u_forced)
     return _run(system, u_forced=u_forced)
-
-
-def _check_samples(what: str, values) -> None:
-    """Reject a sequence holding NaN or inf, naming the count and first step."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(
-            f"{what} has {bad.size} non-finite samples, the first at step {bad[0]}"
-        )
 
 
 def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:

@@ -176,7 +176,7 @@ def calibrate_softening(
     """
     _require(target_ip=target_ip)
     if not 0.2 < target_ip < 2.0:
-        raise ValueError("target ionization potential must lie in (0.2, 2.0)")
+        raise ValueError(f"target_ip must lie in (0.2, 2.0), got {target_ip!r}")
 
     guess = None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .exceptions import NumericalError, _require
+from .exceptions import NumericalError, _check_samples, _require
 from .series import TimeSeries
 
 __all__ = [
@@ -89,10 +89,7 @@ def power_spectrum(series: TimeSeries, window: str = "hann") -> Spectrum:
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}, expected one of {_WINDOWS}")
     x = series.values
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"series has {bad.size} non-finite samples, the first "
-                         f"at index {bad[0]} (t = {series.t0 + bad[0] * series.dt:g})")
+    _check_samples("series", x)
     n = x.size
     if window == "hann":
         x = x * np.hanning(n)

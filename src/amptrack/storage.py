@@ -76,9 +76,10 @@ def read_table(path) -> RunRecord:
     line endings reads the same as the LF original.  A header with an
     empty or repeated column name is rejected, so that a name always
     means one column.  The ``t`` column must hold at least two rows,
-    start at 0 and be uniform to 1e-9 of its step; it sets the record's
-    ``dt``, and every other column becomes a channel, in file order.  A
-    file must hold at least one such column.
+    start at 0 and rise uniformly, to 1e-9 of its step; it sets the
+    record's ``dt``, and every other column becomes a channel, in file
+    order.  A file must hold at least one such column.  Every error names
+    the path.
     """
     with open(path, "r") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -124,7 +125,11 @@ def read_table(path) -> RunRecord:
     if t[0] != 0.0:
         raise ValueError(f"{path}: t column starts at {float(t[0])!r}, not 0")
     channels = {name: data[:, j] for j, name in enumerate(header) if name != "t"}
-    return RunRecord(dt=dt, channels=channels)
+    try:
+        return RunRecord(dt=dt, channels=channels)
+    except ValueError as exc:
+        # a t column that stands still or falls breaks the record's dt rule
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_metadata(path, payload: dict) -> None:

@@ -155,9 +155,9 @@ class TestRunReference:
         bad.write_text(ATOM_CFG.replace("dt = 0.05", f"dt = {dt}"))
         assert main(["run-reference", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
-        message = ("[numerics] dt: 'nan' is not finite" if dt == "nan"
-                   else "[numerics] dt must be positive")
-        assert message in capsys.readouterr().err
+        rule = "finite" if dt == "nan" else "positive"
+        assert capsys.readouterr().err == \
+            f"error: [numerics] dt must be {rule}, got {float(dt)!r}\n"
 
     def test_smallest_grid_checks_its_box_edge(self, tmp_path, capsys):
         # 16 points: n // 20 is 0, so each edge is checked at one point
@@ -357,6 +357,25 @@ class TestArtifactDigests:
         "0bd3c334000a331bf95c9e21eab2dabc80ab949551d9eab98d2bdb705dbf9e86",
     )
 
+    # stdout of `compare` and of both `match-intensity` modes, recorded
+    # before the CLI flags were checked through the one numeric rule
+    STDOUT_DIGESTS = {
+        "compare-json":
+            "39d30e2eaeb6156c384b6441dfb514dd51cdc45886a80b02e2e3de8592be45af",
+        "match-ati":
+            "2357a2ba4a7c89eb6b55aeba5925f1e52d6cfebd201d9f22ad20574ca9484e43",
+        "match-hhg-cutoff":
+            "94d196568efe4f2b14f075b48ca584f1a6fc638bec226ee80bce63f7b18f977b",
+    }
+    STDOUT_ARGS = {
+        "compare-json": ["compare", "--a", "a.csv", "--b", "b.csv", "--json",
+                         "--omega0", "0.3"],
+        "match-ati": ["match-intensity", "--mode", "ati", "--omega", "0.05",
+                      "--field", "0.05", "--ip", "0.9", "--ip-new", "0.5"],
+        "match-hhg-cutoff": ["match-intensity", "--mode", "hhg", "--omega", "0.9",
+                             "--cutoff", "1.8", "--ip", "1.3", "--ip-new", "1.0"],
+    }
+
     def require_pinned_versions(self):
         versions = (np.__version__, scipy.__version__)
         if versions != self.VERSIONS:
@@ -400,6 +419,16 @@ class TestArtifactDigests:
         digests = tuple(self.digest(Path("spec") / name)
                         for name in ("spectrum.csv", "metadata.json"))
         assert digests == self.SPECTRUM_DIGESTS
+
+    @pytest.mark.parametrize("case", sorted(STDOUT_DIGESTS))
+    def test_stdout_digests(self, case, tmp_path, monkeypatch, capsys):
+        self.require_pinned_versions()
+        monkeypatch.chdir(tmp_path)
+        write_harmonic_csv(Path("a.csv"))
+        write_harmonic_csv(Path("b.csv"), jitter=1e-3)
+        assert main(self.STDOUT_ARGS[case]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_DIGESTS[case]
 
 
 class TestMatchIntensity:
@@ -545,6 +574,19 @@ class TestCompare:
         assert main(["compare", "--a", str(a), "--b", str(twice)]) == 2
         assert f"{twice}: header names column 'y' twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["--a", "--b"])
+    @pytest.mark.parametrize("t, dt", [("0.0,0.0,0.0", "0.0"),
+                                       ("0.0,-0.1,-0.2", "-0.1")],
+                             ids=["standing", "falling"])
+    def test_time_column_must_advance(self, side, t, dt, tmp_path, capsys):
+        good = write_harmonic_csv(tmp_path / "good.csv")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,y\n" + "".join(f"{ti},1.0\n" for ti in t.split(",")))
+        files = {"--a": good, "--b": good, side: bad}
+        assert main(["compare", *(str(x) for item in files.items() for x in item)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: dt must be positive, got {dt}\n"
+
     def test_unknown_column_exits_2(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")
         assert main(["compare", "--a", str(a), "--b", str(a),
@@ -581,8 +623,7 @@ class TestFailClosed:
                      "--omega0", "0.3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert (f"{bad}: column 'y' has 1 non-finite samples, the first at row 4 "
-                f"(t = 0.2)") in err
+        assert f"{bad}: column 'y' has 1 non-finite samples, the first at step 4" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("gate", [None, "1e9"])
@@ -605,10 +646,10 @@ class TestFailClosed:
         args = {"run-tracking": ["--config", str(hubbard_cfg),
                                  "--out", str(tmp_path / "trk")],
                 "compare": ["--a", str(a), "--b", str(a)]}[command]
-        with pytest.raises(SystemExit) as exc:
-            main([command, *args, "--gate", gate])
-        assert exc.value.code == 2
-        assert "--gate: must be positive and finite" in capsys.readouterr().err
+        assert main([command, *args, "--gate", gate]) == 2
+        rule = "positive" if gate == "0" else "finite"
+        assert capsys.readouterr().err == \
+            f"error: --gate must be {rule}, got {float(gate)!r}\n"
         assert not (tmp_path / "trk").exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "compare"])
@@ -623,17 +664,51 @@ class TestFailClosed:
         args = {"spectrum": ["--in", str(csv), "--out", str(out)],
                 "compare": ["--a", str(csv), "--b", str(csv)]}[command]
         options = {"--omega0": "0.3", "--drop-db": "20", flag: value}
-        with pytest.raises(SystemExit) as exc:
-            main([command, *args, *(x for item in options.items() for x in item)])
-        assert exc.value.code == 2
-        assert f"{flag}: must be positive and finite" in capsys.readouterr().err
-        assert not (out / "spectrum.csv").exists()
+        assert main([command, *args,
+                     *(x for item in options.items() for x in item)]) == 2
+        rule = "finite" if value in ("inf", "nan") else "positive"
+        assert capsys.readouterr().err == \
+            f"error: {flag} must be {rule}, got {float(value)!r}\n"
+        assert not out.exists()
+
+    # every numeric flag, each on one command that reads it, with its rule
+    FLAGS = [("run-tracking", "--gate", "positive"),
+             ("spectrum", "--omega0", "positive"),
+             ("spectrum", "--drop-db", "positive"),
+             ("match-intensity", "--omega", "positive"),
+             ("match-intensity", "--ip", "positive"),
+             ("match-intensity", "--ip-new", "positive"),
+             ("match-intensity", "--field", None),
+             ("match-intensity", "--cutoff", None)]
+
+    @pytest.mark.parametrize("command, flag, value, form", [
+        pytest.param(command, flag, value, form, id=f"{flag}={value}")
+        for command, flag, rule in FLAGS
+        for value, form in [("nan", "finite")] + ([("0", rule)] if rule else [])])
+    def test_numeric_flag_is_named(self, command, flag, value, form,
+                                   hubbard_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_harmonic_csv(Path("run.csv"))
+        options = {
+            "run-tracking": {"--config": str(hubbard_cfg), "--out": "out"},
+            "spectrum": {"--in": "run.csv", "--out": "out", "--omega0": "0.3"},
+            "match-intensity": {"--mode": "hhg", "--omega": "0.057", "--ip": "0.579",
+                                "--ip-new": "0.5",
+                                "--cutoff" if flag == "--cutoff" else "--field": "0.05"},
+        }[command]
+        options[flag] = value
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *(x for item in options.items() for x in item)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be {form}, got {float(value)!r}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("old, new, message", [
         ("k_p = 100", "k_p = 100\ngate = nan",
          "unknown key 'gate' in section [experiment]"),
         ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
-         "[numerics] dt: 'nan' is not finite"),
+         "[numerics] dt must be finite, got nan"),
         ("u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
          "unknown key 'krylov_tol' in section [numerics]"),
     ])
@@ -662,7 +737,7 @@ class TestFailClosed:
         out = tmp_path / "trk"
         assert main(["run-tracking", "--config", str(bad), "--out", str(out)]) == 2
         message = ("unknown key 'gate' in section [experiment]" if key == "gate"
-                   else f"{key}: '{value}' is not finite")
+                   else f"{key} must be finite, got {value}")
         assert message in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 

@@ -203,7 +203,7 @@ class TestStrictValidation:
 
     def test_negative_amplitude_rejected(self, tmp_path):
         text = MINIMAL_ATOM.replace("e0_au = 0.08", "e0_au = -0.08")
-        with pytest.raises(ConfigError, match="amplitude"):
+        with pytest.raises(ConfigError, match="e0_au must be nonnegative"):
             parse_config(write_cfg(tmp_path, text))
 
     def test_non_numeric_value_rejected(self, tmp_path):
@@ -240,45 +240,45 @@ class TestStrictValidation:
         ("hubbard", "e0_over_t0 = 2.61", "e0_mv_cm = -24",
          "[pulse] e0_mv_cm must be nonnegative"),
         ("atom", "ip_au = 0.5\n", "ip_au = 0\n",
-         "[driven] ionization potential must be positive"),
+         "[driven] ip_au must be positive, got 0.0"),
         ("atom", "ip_au = 0.579", "ip_ev = -15.8",
-         "[reference] ionization potential must be positive"),
+         "[reference] ip_ev must be positive, got -15.8"),
         ("atom", "k_p = 50", "k_p = 50\ngate = 0",
          "unknown key 'gate' in section [experiment]"),
         ("atom", "k_p = 50", "k_p = 50\noutput_stride = 0",
          "unknown key 'output_stride' in section [experiment]"),
         ("hubbard", "sites = 2", "sites = 1", "[lattice] sites must be at least 2"),
         ("hubbard", "sites = 2", "sites = 2\nt0_ev = 0",
-         "[lattice] t0_ev and a_angstrom must be positive"),
+         "[lattice] t0_ev must be positive, got 0.0"),
         ("hubbard", "sites = 2", "sites = 2\na_angstrom = -3.8",
-         "[lattice] t0_ev and a_angstrom must be positive"),
+         "[lattice] a_angstrom must be positive, got -3.8"),
         ("atom", "cycles = 2", "cycles = 2.5",
          "[pulse] cycles: '2.5' is not an integer"),
         ("atom", "[pulse]", "[pulse", "malformed config file"),
         # a non-finite number fails as it is read, naming section and key
         ("atom", "omega0_au = 0.8", "wavelength_nm = nan",
-         "[pulse] wavelength_nm: 'nan' is not finite"),
+         "[pulse] wavelength_nm must be finite, got nan"),
         ("atom", "e0_au = 0.08", "intensity_w_cm2 = nan",
-         "[pulse] intensity_w_cm2: 'nan' is not finite"),
+         "[pulse] intensity_w_cm2 must be finite, got nan"),
         ("atom", "omega0_au = 0.8", "omega0_au = nan",
-         "[pulse] omega0_au: 'nan' is not finite"),
-        ("atom", "e0_au = 0.08", "e0_au = nan", "[pulse] e0_au: 'nan' is not finite"),
+         "[pulse] omega0_au must be finite, got nan"),
+        ("atom", "e0_au = 0.08", "e0_au = nan", "[pulse] e0_au must be finite, got nan"),
         ("atom", "ip_au = 0.579", "ip_au = nan",
-         "[reference] ip_au: 'nan' is not finite"),
-        ("atom", "k_p = 50", "k_p = nan", "[experiment] k_p: 'nan' is not finite"),
+         "[reference] ip_au must be finite, got nan"),
+        ("atom", "k_p = 50", "k_p = nan", "[experiment] k_p must be finite, got nan"),
         ("atom", "k_p = 50", "k_p = 50\nepsilon = nan",
          "unknown key 'epsilon' in section [experiment]"),
         ("atom", "k_p = 50", "k_p = 50\ngate = nan",
          "unknown key 'gate' in section [experiment]"),
-        ("atom", "dt = 0.05", "dt = nan", "[numerics] dt: 'nan' is not finite"),
+        ("atom", "dt = 0.05", "dt = nan", "[numerics] dt must be finite, got nan"),
         ("atom", "box_half_width = 60", "box_half_width = nan",
-         "[numerics] box_half_width: 'nan' is not finite"),
+         "[numerics] box_half_width must be finite, got nan"),
         ("atom", "dt = 0.05", "dt = 0.05\nabsorber_exponent = nan",
-         "[numerics] absorber_exponent: 'nan' is not finite"),
+         "[numerics] absorber_exponent must be finite, got nan"),
         ("hubbard", "sites = 2", "sites = 2\nt0_ev = nan",
-         "[lattice] t0_ev: 'nan' is not finite"),
+         "[lattice] t0_ev must be finite, got nan"),
         ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\ndt = nan\n",
-         "[numerics] dt: 'nan' is not finite"),
+         "[numerics] dt must be finite, got nan"),
         ("hubbard", "u_over_t0 = 1\n", "u_over_t0 = 1\n[numerics]\nkrylov_tol = nan\n",
          "unknown key 'krylov_tol' in section [numerics]"),
         # the control law has no threshold, and the Krylov step control is fixed
@@ -310,6 +310,56 @@ class TestStrictValidation:
         text = MINIMAL_ATOM.replace(old, new)
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(write_cfg(tmp_path, text))
+
+
+# every number the parser reads: platform, section, the line it replaces,
+# the key's line (the value goes in the braces), and the key's sign rule
+NUMERIC_KEYS = [
+    ("atom", "experiment", "k_p = 50", "k_p = {}", "nonnegative"),
+    ("atom", "pulse", "omega0_au = 0.8", "omega0_au = {}", "positive"),
+    ("atom", "pulse", "omega0_au = 0.8", "wavelength_nm = {}", "positive"),
+    ("atom", "pulse", "e0_au = 0.08", "e0_au = {}", "nonnegative"),
+    ("atom", "pulse", "e0_au = 0.08", "intensity_w_cm2 = {}", "nonnegative"),
+    ("hubbard", "pulse", "omega0_over_t0 = 4.43", "omega0_over_t0 = {}", "positive"),
+    ("hubbard", "pulse", "omega0_over_t0 = 4.43", "frequency_thz = {}", "positive"),
+    ("hubbard", "pulse", "e0_over_t0 = 2.61", "e0_over_t0 = {}", "nonnegative"),
+    ("hubbard", "pulse", "e0_over_t0 = 2.61", "e0_mv_cm = {}", "nonnegative"),
+    ("atom", "pulse", "cycles = 2", "cycles = {}", "positive"),
+    ("atom", "reference", "ip_au = 0.579", "ip_au = {}", "positive"),
+    ("atom", "driven", "ip_au = 0.5\n", "ip_ev = {}\n", "positive"),
+    ("hubbard", "lattice", "sites = 2", "sites = 2\nt0_ev = {}", "positive"),
+    ("hubbard", "lattice", "sites = 2", "sites = 2\na_angstrom = {}", "positive"),
+    ("hubbard", "driven", "u_over_t0 = 1\n", "u_over_t0 = {}\n", None),
+    ("atom", "numerics", "dt = 0.05", "dt = {}", "positive"),
+    ("atom", "numerics", "box_half_width = 60", "box_half_width = {}", "positive"),
+    ("atom", "numerics", "dt = 0.05", "dt = 0.05\nabsorber_exponent = {}", "positive"),
+]
+
+
+def numeric_key_cases():
+    """NaN for every key, and 0 (positive) or -1 (nonnegative) for each key
+    with a sign rule.  The integer key ``cycles`` reads "nan" as not an
+    integer, so it has only its sign case."""
+    for base, section, old, new, rule in NUMERIC_KEYS:
+        key = re.search(r"(\w+) = \{\}", new).group(1)
+        kind = int if key == "cycles" else float
+        values = [] if kind is int else [("nan", "finite")]
+        if rule is not None:
+            values.append(("0" if rule == "positive" else "-1", rule))
+        for value, form in values:
+            message = f"[{section}] {key} must be {form}, got {kind(value)!r}"
+            yield pytest.param(base, old, new.format(value), message,
+                               id=f"{key}={value}")
+
+
+class TestNumericKeys:
+    @pytest.mark.parametrize("base, old, new, message", numeric_key_cases())
+    def test_message_names_section_and_key(self, tmp_path, base, old, new,
+                                           message):
+        text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]
+        assert old in text
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_cfg(tmp_path, text.replace(old, new)))
 
 
 class TestBuildSystem:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def norm(psi, numerics):
     return float(np.sum(np.abs(psi) ** 2) * numerics.dx)
 
 
-class TestGrid1D:
+class TestAtomNumerics:
     def test_spacing_and_symmetry(self):
         numerics = AtomNumerics(10.0, 16)
         x = numerics.x()
@@ -209,10 +210,10 @@ class TestCalibration:
 
     def test_rejects_targets_outside_domain(self):
         numerics = AtomNumerics(100.0, 1024)
-        with pytest.raises(ValueError):
-            calibrate_softening(0.1, numerics)
-        with pytest.raises(ValueError):
-            calibrate_softening(2.5, numerics)
+        for target in (0.0, 0.1, 2.5):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"target_ip must lie in (0.2, 2.0), got {target}")):
+                calibrate_softening(target, numerics)
 
     def test_non_bracketing_interval(self):
         numerics = AtomNumerics(100.0, 1024)

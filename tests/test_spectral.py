@@ -170,6 +170,5 @@ class TestCompareSpectra:
         series = comb_series(odd_orders=range(3, 23, 2))
         series.values[1000] = math.nan
         with pytest.raises(ValueError, match=re.escape(
-                "series has 1 non-finite samples, the first at index 1000 "
-                "(t = 50)")):
+                "series has 1 non-finite samples, the first at step 1000")):
             compare_spectra(power_spectrum(series), power_spectrum(series), 1.0)

@@ -190,7 +190,10 @@ class TestReadTable:
         ("t,y\n0.0,1.0\n", "need at least two rows"),
         ("t,y\n0.0,1.0\n0.1,2.0\n0.35,3.0\n", "t column is not uniformly spaced"),
         ("t,y\n0.5,1.0\n0.6,2.0\n0.7,3.0\n", "t column starts at 0.5, not 0"),
-    ], ids=["no-t", "only-t", "one-row", "non-uniform-t", "t-not-from-0"])
+        ("t,y\n0.0,1.0\n0.0,2.0\n0.0,3.0\n", "dt must be positive, got 0.0"),
+        ("t,y\n0.0,1.0\n-0.1,2.0\n-0.2,3.0\n", "dt must be positive, got -0.1"),
+    ], ids=["no-t", "only-t", "one-row", "non-uniform-t", "t-not-from-0",
+            "standing-t", "falling-t"])
     def test_checks_the_time_grid(self, tmp_path, text, message):
         path = tmp_path / "grid.csv"
         path.write_text(text)
