@@ -12,7 +12,7 @@ import configparser
 from dataclasses import asdict, dataclass, fields
 
 from . import units
-from .exceptions import ConfigError, _require
+from .exceptions import ConfigError, _require, _require_int
 from .feedback import FeedbackConfig
 from .grid import AtomNumerics, AtomSystem, calibrate_softening
 from .lattice import HubbardSystem, LatticeNumerics
@@ -84,11 +84,13 @@ class _Section:
         self.raw = dict(raw)
         self.physical = physical
 
-    def take(self, key: str, kind=float, default=_REQUIRED, rule=None):
+    def take(self, key: str, kind=float, default=_REQUIRED, rule=None, bounds=()):
         """Pop ``key`` and convert it with ``kind``, else return ``default``.
 
         A number must be finite and satisfy ``rule`` (``"positive"`` or
-        ``"nonnegative"``), by `_require`, under the key's own name.
+        ``"nonnegative"``), by `_require`, and an integer must lie within
+        ``bounds``, ``(lo,)`` or ``(lo, hi)``, by `_require_int`, under the
+        key's own name.
         """
         if key not in self.raw:
             if default is _REQUIRED:
@@ -102,16 +104,19 @@ class _Section:
         if kind in _KINDS:
             try:
                 _require(rule, **{key: value})
+                if bounds:
+                    _require_int(key, value, *bounds)
             except ValueError as exc:
                 raise ConfigError(f"[{self.name}] {exc}") from None
         return value
 
-    def one_of(self, program: str, lab: str, convert, rule=None, echo=None) -> float:
+    def one_of(self, program: str, lab: str, convert, rule: str, echo=None) -> float:
         """A quantity given either in program units or in laboratory units.
 
         Either key's value must satisfy ``rule``.  A lab value is echoed
         to the physical inputs as ``echo`` (default: the lab key) and is
-        converted with ``convert``.
+        converted with ``convert``; the result must satisfy ``rule`` too,
+        else the error names the lab key.
         """
         present = [k for k in (program, lab) if k in self.raw]
         if len(present) != 1:
@@ -123,7 +128,13 @@ class _Section:
         if present[0] == program:
             return value
         self.physical[echo or lab] = value
-        return convert(value)
+        try:
+            converted = convert(value)
+            _require(rule, converted=converted)
+        except (ArithmeticError, ValueError):
+            raise ConfigError(f"[{self.name}] {lab} must convert to a finite, {rule} "
+                              f"{program}, got {value!r}") from None
+        return converted
 
 
 class _Sections:
@@ -206,15 +217,11 @@ def _parse_atom(sections: _Sections) -> dict:
 def _parse_hubbard(sections: _Sections) -> dict:
     lat, ref, drv, pulse, num = sections.take(
         "lattice", "reference", "driven", "pulse", optional=("numerics",))
-    sites = lat.take("sites", int)
-    if sites < 2:
-        raise ConfigError("[lattice] sites must be at least 2")
+    sites = lat.take("sites", int, bounds=(2,))
     t0_ev = lat.take("t0_ev", float, 1.0, "positive")
     a_angstrom = lat.take("a_angstrom", float, 1.0, "positive")
-    n_up = lat.take("n_up", int, sites // 2)
-    n_down = lat.take("n_down", int, sites // 2)
-    if not (0 <= n_up <= sites and 0 <= n_down <= sites):
-        raise ConfigError("[lattice] fillings must lie in [0, sites]")
+    n_up = lat.take("n_up", int, sites // 2, bounds=(0, sites))
+    n_down = lat.take("n_down", int, sites // 2, bounds=(0, sites))
     u_ref, u_dr = ref.take("u_over_t0"), drv.take("u_over_t0")
     omega0 = pulse.one_of("omega0_over_t0", "frequency_thz",
                           lambda thz: units.thz_to_ev(thz) / t0_ev, "positive")

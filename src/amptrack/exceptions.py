@@ -3,11 +3,13 @@
 Invalid input raises ValueError, of which ConfigError is the config
 parser's kind; a solve that cannot meet its target raises
 NumericalError.  A number from outside is checked by `_require`, a
-sequence of samples by `_check_samples`, and nothing else checks either:
-a config key, a CLI flag or a CSV column only adds its name.
+whole number and its bounds by `_require_int`, a sequence of samples by
+`_check_samples`, and nothing else checks any of them: a config key, a
+CLI flag or a CSV column only adds its name.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -45,6 +47,20 @@ def _require(rule: str | None = None, **values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
         if not holds(value):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int (by `operator.index`, so 2.0 and "2" are not),
+    else ValueError naming ``name``; it must lie in [lo, hi], or be at
+    least ``lo`` when ``hi`` is None."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < lo or hi is not None and n > hi:
+        bound = f"be at least {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{name} must {bound}, got {n}")
+    return n
 
 
 def _check_samples(what: str, values) -> None:

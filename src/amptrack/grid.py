@@ -7,14 +7,13 @@ numerical differentiation.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
 from . import feedback
-from .exceptions import NumericalError, _require
+from .exceptions import NumericalError, _require, _require_int
 from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = [
@@ -46,18 +45,15 @@ class AtomNumerics:
     absorber_exponent: float = 0.125
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n_points)
-        except TypeError:
-            raise ValueError(
-                f"n_points must be an integer, got {self.n_points!r}") from None
-        if n < 8 or n & (n - 1) != 0:
-            raise ValueError("n_points must be a power of two, at least 8")
+        n = _require_int("n_points", self.n_points, 8)
+        if n & (n - 1) != 0:
+            raise ValueError(f"n_points must be a power of two, got {n}")
         _require("positive", box_half_width=self.box_half_width, dt=self.dt,
                  absorber_exponent=self.absorber_exponent)
         _require(absorber_fraction=self.absorber_fraction)
         if not 0.0 <= self.absorber_fraction < 0.5:
-            raise ValueError("absorber_fraction must lie in [0, 0.5)")
+            raise ValueError(f"absorber_fraction must lie in [0, 0.5), "
+                             f"got {self.absorber_fraction!r}")
 
     @property
     def dx(self) -> float:

@@ -32,7 +32,6 @@ the state also keeps its parity F = +-1.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from scipy.linalg import lapack
 from scipy.sparse import coo_matrix, csr_matrix, identity, vstack
 
 from . import feedback
-from .exceptions import NumericalError, _require
+from .exceptions import NumericalError, _require, _require_int
 from .pulses import PulseSpec, evaluate_tl_field
 
 __all__ = ["LatticeNumerics", "HubbardSystem"]
@@ -677,27 +676,13 @@ class HubbardSystem:
                  numerics: LatticeNumerics | None = None,
                  n_up: int | None = None, n_down: int | None = None):
         _require(u=u)
-        try:
-            n_sites = operator.index(n_sites)
-        except TypeError:
-            raise ValueError(f"n_sites must be an integer, got {n_sites!r}") from None
-        if n_sites < 2:
-            raise ValueError("n_sites must be at least 2")
-        self.n_sites = n_sites
+        self.n_sites = L = _require_int("n_sites", n_sites, 2)
         self.u = u
         self.pulse = pulse
         self.numerics = numerics if numerics is not None else LatticeNumerics()
-        L = n_sites
-        fillings = []
-        for n in (n_up, n_down):
-            try:
-                n = L // 2 if n is None else operator.index(n)
-            except TypeError:
-                raise ValueError(f"particle numbers must be integers, got {n!r}") from None
-            if not 0 <= n <= L:
-                raise ValueError("particle numbers must lie in [0, n_sites]")
-            fillings.append(n)
-        self.basis = _space(_block_basis(L, *fillings, 0), 0)
+        n_up = L // 2 if n_up is None else _require_int("n_up", n_up, 0, L)
+        n_down = L // 2 if n_down is None else _require_int("n_down", n_down, 0, L)
+        self.basis = _space(_block_basis(L, n_up, n_down, 0), 0)
         self.dt = self.numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
         self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)

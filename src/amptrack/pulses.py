@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _require
+from .exceptions import _require, _require_int
 
 __all__ = [
     "PulseSpec",
@@ -56,9 +56,7 @@ class PulseSpec:
     def __post_init__(self):
         _require("nonnegative", e0=self.e0)
         _require("positive", omega0=self.omega0)
-        _require(cycles=self.cycles)
-        if not self.cycles >= 1 or int(self.cycles) != self.cycles:
-            raise ValueError("cycles must be a positive integer")
+        _require_int("cycles", self.cycles, 1)
 
     @property
     def duration(self) -> float:

@@ -70,12 +70,31 @@ def test_benchmark_span_targets_resolve():
             assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
 
 
+def test_whole_numbers_are_checked_in_one_place():
+    # operator.index is the integer test of exceptions._require_int; any
+    # other module that calls it checks whole numbers by hand
+    offenders = []
+    for path in sorted((ROOT / "src" / "amptrack").glob("*.py")):
+        if path.name == "exceptions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            by_attribute = (isinstance(node, ast.Attribute) and node.attr == "index"
+                            and getattr(node.value, "id", None) == "operator")
+            by_import = (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                         and any(alias.name == "index" for alias in node.names))
+            if by_attribute or by_import:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"operator.index outside exceptions.py: {offenders}"
+
+
 SPECTRUM = amptrack.Spectrum(omega=[0.0, 1.0, 2.0, 3.0], power=[1.0] * 4)
 NUMERICS = amptrack.AtomNumerics(box_half_width=10.0, n_points=8)
 
 # valid keyword arguments of each public value type and numeric function
 VALID = {
     amptrack.PulseSpec: dict(e0=1.0, omega0=1.0, cycles=1),
+    amptrack.HubbardSystem: dict(n_sites=2, u=1.0,
+                                 pulse=amptrack.PulseSpec(1.0, 1.0, 1)),
     amptrack.AtomNumerics: dict(),
     amptrack.LatticeNumerics: dict(),
     amptrack.FeedbackConfig: dict(k_p=1.0),
@@ -102,7 +121,6 @@ VALID = {
 RULES = [
     (amptrack.PulseSpec, "e0", "nonnegative"),
     (amptrack.PulseSpec, "omega0", "positive"),
-    (amptrack.PulseSpec, "cycles", None),
     (amptrack.AtomNumerics, "dt", "positive"),
     (amptrack.AtomNumerics, "box_half_width", "positive"),
     (amptrack.AtomNumerics, "absorber_fraction", None),
@@ -136,20 +154,36 @@ RULES = [
 ]
 
 
+# the whole-number arguments and their bounds [lo, hi] (hi None: no upper
+# bound); a filling of None is the half-filling default
+WHOLE_NUMBERS = [
+    (amptrack.PulseSpec, "cycles", 1, None),
+    (amptrack.AtomNumerics, "n_points", 8, None),
+    (amptrack.HubbardSystem, "n_sites", 2, None),
+    (amptrack.HubbardSystem, "n_up", 0, 2),
+    (amptrack.HubbardSystem, "n_down", 0, 2),
+]
+FILLINGS = ("n_up", "n_down")
+
+
 def rule_id(x):
     return getattr(x, "__name__", str(x))
 
 
-# a string or None is bad input, a ValueError that names the argument
+# a string or None is bad input, a ValueError that names the argument; a
+# whole-number argument says it must be an integer
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
                                    "0.1", None])
-@pytest.mark.parametrize("func, name", [(f, n) for f, n, _ in RULES], ids=rule_id)
+@pytest.mark.parametrize("func, name", [
+    (f, n) for f, n, *_ in RULES + WHOLE_NUMBERS if n not in FILLINGS
+], ids=rule_id)
 def test_numeric_arguments_must_be_finite(func, name, value, tmp_path,
                                           monkeypatch):
     # the config parser and the CLI stop these first; a library caller
     # meets them here
     monkeypatch.chdir(tmp_path)
-    message = f"{name} must be finite, got {value!r}"
+    whole = any(f is func and n == name for f, n, *_ in WHOLE_NUMBERS)
+    message = f"{name} must be {'an integer' if whole else 'finite'}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         func(**{**VALID[func], name: value})
     assert not list(tmp_path.iterdir())
@@ -166,6 +200,26 @@ def test_numeric_arguments_keep_their_sign_rule(func, name, rule, value,
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         func(**{**VALID[func], name: value})
     assert not list(tmp_path.iterdir())
+
+
+def whole_number_cases():
+    """2.5, 2.0 and "3" for each whole-number argument, NaN for the
+    fillings (the others meet NaN and None above), and one value past each
+    bound."""
+    for func, name, lo, hi in WHOLE_NUMBERS:
+        bad = [2.5, 2.0, "3"] + ([float("nan")] if name in FILLINGS else [])
+        for value in bad:
+            yield func, name, value, f"{name} must be an integer, got {value!r}"
+        bound = f"be at least {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        for value in [lo - 1] + ([] if hi is None else [hi + 1]):
+            yield func, name, value, f"{name} must {bound}, got {value}"
+
+
+@pytest.mark.parametrize("func, name, value, message", whole_number_cases(),
+                         ids=rule_id)
+def test_whole_number_arguments_keep_their_bounds(func, name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(**{**VALID[func], name: value})
 
 
 # the two systems take their model numbers directly

@@ -358,18 +358,28 @@ class TestArtifactDigests:
     )
 
     # stdout of `compare` and of both `match-intensity` modes, recorded
-    # before the CLI flags were checked through the one numeric rule
+    # before the CLI flags were checked through the one numeric rule;
+    # "compare-text" and "match-hhg" (the README's example) recorded before
+    # whole numbers were checked through it
     STDOUT_DIGESTS = {
         "compare-json":
             "39d30e2eaeb6156c384b6441dfb514dd51cdc45886a80b02e2e3de8592be45af",
+        "compare-text":
+            "2c91a76d212050d98a388d498f5616b24e659aa9db24362b99796789ddbb5ea7",
         "match-ati":
             "2357a2ba4a7c89eb6b55aeba5925f1e52d6cfebd201d9f22ad20574ca9484e43",
+        "match-hhg":
+            "50eabcb1493abd63f7d2ede53dc6584c2ac5a2600ea2be7ead697d6691fd19e1",
         "match-hhg-cutoff":
             "94d196568efe4f2b14f075b48ca584f1a6fc638bec226ee80bce63f7b18f977b",
     }
     STDOUT_ARGS = {
         "compare-json": ["compare", "--a", "a.csv", "--b", "b.csv", "--json",
                          "--omega0", "0.3"],
+        "compare-text": ["compare", "--a", "a.csv", "--b", "b.csv",
+                         "--omega0", "0.3"],
+        "match-hhg": ["match-intensity", "--mode", "hhg", "--omega", "0.056954",
+                      "--ip", "0.579", "--ip-new", "0.5", "--field", "0.05338"],
         "match-ati": ["match-intensity", "--mode", "ati", "--omega", "0.05",
                       "--field", "0.05", "--ip", "0.9", "--ip-new", "0.5"],
         "match-hhg-cutoff": ["match-intensity", "--mode", "hhg", "--omega", "0.9",
@@ -450,6 +460,13 @@ class TestMatchIntensity:
         assert main(["match-intensity", "--mode", "hhg", "--omega", "0.9",
                      "--cutoff", "0.7", "--ip", "1.3", "--ip-new", "1.0"]) == 2
         assert "cutoff" in capsys.readouterr().err
+
+    def test_ati_needs_a_field(self, capsys):
+        assert main(["match-intensity", "--mode", "ati", "--omega", "0.05",
+                     "--cutoff", "1.2", "--ip", "0.9", "--ip-new", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ati mode needs --field (no cutoff form exists)\n"
 
     @pytest.mark.parametrize("args", [
         ["--mode", "hhg", "--omega", "0.9", "--cutoff", "1.8", "--ip", "1.3",

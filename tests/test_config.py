@@ -196,6 +196,12 @@ class TestStrictValidation:
         with pytest.raises(ConfigError, match=r"\[driven\]"):
             parse_config(write_cfg(tmp_path, text))
 
+    def test_missing_experiment_section_rejected(self, tmp_path):
+        text = MINIMAL_ATOM.replace("[experiment]\nplatform = atom\nk_p = 50\n", "")
+        with pytest.raises(ConfigError,
+                           match=r"^missing required section \[experiment\]$"):
+            parse_config(write_cfg(tmp_path, text))
+
     def test_missing_key_rejected(self, tmp_path):
         text = MINIMAL_HUBBARD.replace("k_p = 100", "")
         with pytest.raises(ConfigError, match="k_p"):
@@ -223,7 +229,8 @@ class TestStrictValidation:
 
     def test_overfilled_sector_rejected(self, tmp_path):
         text = MINIMAL_HUBBARD.replace("sites = 2", "sites = 2\nn_up = 3")
-        with pytest.raises(ConfigError, match="filling"):
+        with pytest.raises(ConfigError,
+                           match=r"^\[lattice\] n_up must lie in \[0, 2\], got 3$"):
             parse_config(write_cfg(tmp_path, text))
 
     def test_missing_file(self, tmp_path):
@@ -247,7 +254,8 @@ class TestStrictValidation:
          "unknown key 'gate' in section [experiment]"),
         ("atom", "k_p = 50", "k_p = 50\noutput_stride = 0",
          "unknown key 'output_stride' in section [experiment]"),
-        ("hubbard", "sites = 2", "sites = 1", "[lattice] sites must be at least 2"),
+        ("hubbard", "sites = 2", "sites = 1",
+         "[lattice] sites must be at least 2, got 1"),
         ("hubbard", "sites = 2", "sites = 2\nt0_ev = 0",
          "[lattice] t0_ev must be positive, got 0.0"),
         ("hubbard", "sites = 2", "sites = 2\na_angstrom = -3.8",
@@ -298,11 +306,11 @@ class TestStrictValidation:
     @pytest.mark.parametrize("old, new, message", [
         ("dt = 0.05", "dt = 0", "[numerics] dt must be positive"),
         ("dt = 0.05", "dt = -0.05", "[numerics] dt must be positive"),
-        ("n_points = 512", "n_points = 500", "[numerics] n_points must be a power of two"),
+        ("n_points = 512", "n_points = 500", "[numerics] n_points must be a power of two, got 500"),
         ("box_half_width = 60", "box_half_width = 0",
          "[numerics] box_half_width must be positive"),
         ("dt = 0.05", "dt = 0.05\nabsorber_fraction = 0.5",
-         "[numerics] absorber_fraction must lie in [0, 0.5)"),
+         "[numerics] absorber_fraction must lie in [0, 0.5), got 0.5"),
         ("dt = 0.05", "dt = 0.05\nabsorber_exponent = 0",
          "[numerics] absorber_exponent must be positive"),
     ])
@@ -356,6 +364,42 @@ class TestNumericKeys:
     @pytest.mark.parametrize("base, old, new, message", numeric_key_cases())
     def test_message_names_section_and_key(self, tmp_path, base, old, new,
                                            message):
+        text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]
+        assert old in text
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_cfg(tmp_path, text.replace(old, new)))
+
+
+    @pytest.mark.parametrize("new, message", [
+        ("sites = 1", "[lattice] sites must be at least 2, got 1"),
+        ("sites = 4\nn_up = 5", "[lattice] n_up must lie in [0, 4], got 5"),
+        ("sites = 4\nn_up = -1", "[lattice] n_up must lie in [0, 4], got -1"),
+        ("sites = 4\nn_down = 5", "[lattice] n_down must lie in [0, 4], got 5"),
+        ("sites = 4\nn_down = -1", "[lattice] n_down must lie in [0, 4], got -1"),
+    ])
+    def test_integer_keys_keep_their_bounds(self, tmp_path, new, message):
+        text = MINIMAL_HUBBARD.replace("sites = 2", new)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write_cfg(tmp_path, text))
+
+    # a lab value that passes its rule but not once converted is named by
+    # its key: 1e-320 nm underflows to a zero wavelength in metres, 375 THz
+    # over t0 = 1e-320 eV overflows, 1e-323 eV underflows to 0 hartree
+    @pytest.mark.parametrize("base, old, new, message", [
+        ("atom", "omega0_au = 0.8", "wavelength_nm = 1e-320",
+         "[pulse] wavelength_nm must convert to a finite, positive omega0_au, "
+         "got 1e-320"),
+        ("hubbard", "omega0_over_t0 = 4.43\ne0_over_t0 = 2.61\ncycles = 2\n\n"
+         "[lattice]\nsites = 2",
+         "frequency_thz = 375\ne0_over_t0 = 2.61\ncycles = 2\n\n"
+         "[lattice]\nsites = 2\nt0_ev = 1e-320",
+         "[pulse] frequency_thz must convert to a finite, positive "
+         "omega0_over_t0, got 375.0"),
+        ("atom", "ip_au = 0.579", "ip_ev = 1e-323",
+         "[reference] ip_ev must convert to a finite, positive ip_au, "
+         "got 1e-323"),
+    ], ids=["wavelength_nm", "frequency_thz", "ip_ev"])
+    def test_lab_value_must_convert(self, tmp_path, base, old, new, message):
         text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]
         assert old in text
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

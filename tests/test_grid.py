@@ -87,9 +87,9 @@ class TestAtomNumerics:
         np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-12)
 
     def test_rejects_bad_point_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_points must be a power of two, got 100$"):
             AtomNumerics(10.0, 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_points must be at least 8, got 4$"):
             AtomNumerics(10.0, 4)
 
 

@@ -284,14 +284,18 @@ class TestSectorBasis:
         assert np.all(np.diff(key) > 0)
 
     def test_rejects_bad_occupations(self):
-        with pytest.raises(ValueError, match="particle numbers"):
+        with pytest.raises(ValueError, match=r"^n_up must lie in \[0, 4\], got 5$"):
             ring(4, n_up=5, n_down=2)
-        with pytest.raises(ValueError, match="particle numbers"):
+        with pytest.raises(ValueError, match=r"^n_up must lie in \[0, 4\], got -1$"):
             ring(4, n_up=-1, n_down=2)
 
-    @pytest.mark.parametrize("n_up,n_down", [(1.5, 2), (2, 2.0), (2, "2")])
-    def test_rejects_non_integer_fillings(self, n_up, n_down):
-        with pytest.raises(ValueError, match="particle numbers must be integers"):
+    @pytest.mark.parametrize("n_up,n_down,message", [
+        (1.5, 2, "n_up must be an integer, got 1.5"),
+        (2, 2.0, "n_down must be an integer, got 2.0"),
+        (2, "2", "n_down must be an integer, got '2'"),
+    ], ids=["1.5-2", "2-2.0", "2-2"])
+    def test_rejects_non_integer_fillings(self, n_up, n_down, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ring(4, n_up=n_up, n_down=n_down)
 
     @pytest.mark.parametrize("n_sites,message", [
@@ -759,6 +763,13 @@ class TestKrylovPropagation:
         for _ in range(10000):
             psi = _krylov_apply(psi, hop, 0.005)
         assert abs(float(np.vdot(psi, hop @ psi).real) - e_start) < 1e-8
+
+    def test_zero_vector_stays_zero(self):
+        basis = ring(4).basis
+        psi = np.zeros(basis.dim, dtype=complex)
+        out = _krylov_apply(psi, hamiltonian(basis, 10.0, 0.28), 0.005)
+        assert out is not psi
+        assert not np.any(out)
 
     def test_subspace_exhaustion_raises(self):
         # ||H|| = 32 on this block: even dt / 2^6 = 1.6 is far beyond what

@@ -78,6 +78,11 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             Spectrum(omega=np.array([1.0, 0.5]), power=np.array([1.0, 1.0]))
 
+    def test_spectrum_type_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError,
+                           match="^omega and power must be matching 1-D arrays$"):
+            Spectrum(omega=np.array([0.0, 1.0, 2.0]), power=np.array([1.0, 1.0]))
+
     def test_spectrum_type_rejects_empty_axis(self):
         with pytest.raises(ValueError, match="frequency grid is empty"):
             Spectrum(omega=np.array([]), power=np.array([]))
