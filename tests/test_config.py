@@ -369,14 +369,13 @@ class TestNumericKeys:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(write_cfg(tmp_path, text.replace(old, new)))
 
-
     @pytest.mark.parametrize("new, message", [
         ("sites = 1", "[lattice] sites must be at least 2, got 1"),
         ("sites = 4\nn_up = 5", "[lattice] n_up must lie in [0, 4], got 5"),
         ("sites = 4\nn_up = -1", "[lattice] n_up must lie in [0, 4], got -1"),
         ("sites = 4\nn_down = 5", "[lattice] n_down must lie in [0, 4], got 5"),
         ("sites = 4\nn_down = -1", "[lattice] n_down must lie in [0, 4], got -1"),
-    ])
+    ], ids=["sites=1", "n_up=5", "n_up=-1", "n_down=5", "n_down=-1"])
     def test_integer_keys_keep_their_bounds(self, tmp_path, new, message):
         text = MINIMAL_HUBBARD.replace("sites = 2", new)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -385,25 +384,25 @@ class TestNumericKeys:
     # a lab value that passes its rule but not once converted is named by
     # its key: 1e-320 nm underflows to a zero wavelength in metres, 375 THz
     # over t0 = 1e-320 eV overflows, 1e-323 eV underflows to 0 hartree
-    @pytest.mark.parametrize("base, old, new, message", [
-        ("atom", "omega0_au = 0.8", "wavelength_nm = 1e-320",
+    @pytest.mark.parametrize("base, edits, message", [
+        ("atom", {"omega0_au = 0.8": "wavelength_nm = 1e-320"},
          "[pulse] wavelength_nm must convert to a finite, positive omega0_au, "
          "got 1e-320"),
-        ("hubbard", "omega0_over_t0 = 4.43\ne0_over_t0 = 2.61\ncycles = 2\n\n"
-         "[lattice]\nsites = 2",
-         "frequency_thz = 375\ne0_over_t0 = 2.61\ncycles = 2\n\n"
-         "[lattice]\nsites = 2\nt0_ev = 1e-320",
+        ("hubbard", {"omega0_over_t0 = 4.43": "frequency_thz = 375",
+                     "sites = 2": "sites = 2\nt0_ev = 1e-320"},
          "[pulse] frequency_thz must convert to a finite, positive "
          "omega0_over_t0, got 375.0"),
-        ("atom", "ip_au = 0.579", "ip_ev = 1e-323",
+        ("atom", {"ip_au = 0.579": "ip_ev = 1e-323"},
          "[reference] ip_ev must convert to a finite, positive ip_au, "
          "got 1e-323"),
     ], ids=["wavelength_nm", "frequency_thz", "ip_ev"])
-    def test_lab_value_must_convert(self, tmp_path, base, old, new, message):
+    def test_lab_value_must_convert(self, tmp_path, base, edits, message):
         text = {"atom": MINIMAL_ATOM, "hubbard": MINIMAL_HUBBARD}[base]
-        assert old in text
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            parse_config(write_cfg(tmp_path, text.replace(old, new)))
+            parse_config(write_cfg(tmp_path, text))
 
 
 class TestBuildSystem:
