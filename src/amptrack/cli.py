@@ -62,6 +62,16 @@ def _require_flags(args, rule, *names) -> None:
                       for name in names if getattr(args, name) is not None})
 
 
+def _read_series(path, column: str):
+    """One column of a run CSV; a missing column is named with its file,
+    as every `storage.read_table` error is."""
+    record = storage.read_table(path)
+    try:
+        return record.series(column)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _summary(system, platform: str, **scalars) -> dict:
     """A run's summary scalars plus its system's ground energy and, on the
     atom, its calibrated softening.  JSON has no NaN or inf, so a
@@ -95,7 +105,7 @@ def cmd_run_tracking(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args.out)
     if args.reference is not None:
-        reference = storage.read_table(args.reference).series("y")
+        reference = _read_series(args.reference, "y")
         # reject a bad reference before building the systems, which on the
         # atom calibrates the softening
         dt = (cfg.atom or cfg.hubbard).numerics.dt
@@ -149,7 +159,7 @@ def cmd_match_intensity(args) -> int:
 
 def cmd_spectrum(args) -> int:
     _require_flags(args, "positive", "omega0", "drop_db")
-    series = storage.read_table(args.input).series(args.column)
+    series = _read_series(args.input, args.column)
     _check_samples(f"{args.input}: column {args.column!r}", series.values)
     spectrum = spectral.power_spectrum(series, window=args.window)
     order = spectral.detect_cutoff_order(spectrum, args.omega0,
@@ -175,8 +185,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_compare(args) -> int:
     _require_flags(args, "positive", "omega0", "drop_db", "gate")
-    series_a = storage.read_table(args.a).series(args.column)
-    series_b = storage.read_table(args.b).series(args.column)
+    series_a = _read_series(args.a, args.column)
+    series_b = _read_series(args.b, args.column)
     if not series_a.same_grid(series_b):
         raise ValueError("the two runs are not on the same time grid")
     diff = series_a.values - series_b.values

@@ -137,32 +137,6 @@ class _Section:
         return converted
 
 
-class _Sections:
-    """The sections of one file, handed out to the platform parser."""
-
-    def __init__(self, raw: dict, platform: str, physical: dict):
-        self.raw = raw
-        self.platform = platform
-        self.physical = physical
-        self.taken = []
-
-    def take(self, *names: str, optional=()) -> list:
-        """The named sections; any section left over is unknown.
-
-        An unknown section is reported before a missing required one.
-        """
-        bodies = [self.raw.pop(name, None) for name in names + optional]
-        for name in self.raw:
-            raise ConfigError(f"unknown section [{name}] for platform '{self.platform}'")
-        for name, body in zip(names, bodies):
-            if body is None:
-                raise ConfigError(f"missing required section [{name}]")
-        sections = [_Section(name, body or {}, self.physical)
-                    for name, body in zip(names + optional, bodies)]
-        self.taken += sections
-        return sections
-
-
 def _load_sections(path) -> dict:
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
@@ -200,9 +174,8 @@ def _ip(sec: _Section) -> float:
                       echo=f"{sec.name}_ip_ev")
 
 
-def _parse_atom(sections: _Sections) -> dict:
-    pulse, ref, drv, num = sections.take(
-        "pulse", "reference", "driven", optional=("numerics",))
+def _parse_atom(pulse: _Section, ref: _Section, drv: _Section,
+                num: _Section) -> dict:
     omega0 = pulse.one_of("omega0_au", "wavelength_nm",
                           units.wavelength_nm_to_au_angular, "positive")
     e0 = pulse.one_of("e0_au", "intensity_w_cm2",
@@ -214,9 +187,8 @@ def _parse_atom(sections: _Sections) -> dict:
     }
 
 
-def _parse_hubbard(sections: _Sections) -> dict:
-    lat, ref, drv, pulse, num = sections.take(
-        "lattice", "reference", "driven", "pulse", optional=("numerics",))
+def _parse_hubbard(lat: _Section, ref: _Section, drv: _Section,
+                   pulse: _Section, num: _Section) -> dict:
     sites = lat.take("sites", int, bounds=(2,))
     t0_ev = lat.take("t0_ev", float, 1.0, "positive")
     a_angstrom = lat.take("a_angstrom", float, 1.0, "positive")
@@ -240,7 +212,12 @@ def _parse_hubbard(sections: _Sections) -> dict:
     }
 
 
-_PLATFORMS = {"atom": _parse_atom, "hubbard": _parse_hubbard}
+# each platform's parser and the sections it takes, in argument order; the
+# optional [numerics] comes last, empty when the file has none
+_PLATFORMS = {
+    "atom": (_parse_atom, ("pulse", "reference", "driven")),
+    "hubbard": (_parse_hubbard, ("lattice", "reference", "driven", "pulse")),
+}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -254,14 +231,21 @@ def parse_config(path) -> ExperimentConfig:
     if platform not in _PLATFORMS:
         names = " or ".join(f"'{name}'" for name in _PLATFORMS)
         raise ConfigError(f"[experiment] platform must be {names}, got '{platform}'")
-    sections = _Sections(raw, platform, physical)
-    sections.taken.append(exp)
+    parse, required = _PLATFORMS[platform]
+    layout = (*required, "numerics")
+    for name in raw:
+        if name not in layout:
+            raise ConfigError(f"unknown section [{name}] for platform '{platform}'")
+    for name in required:
+        if name not in raw:
+            raise ConfigError(f"missing required section [{name}]")
+    sections = [_Section(name, raw.get(name, {}), physical) for name in layout]
     try:
-        parts = _PLATFORMS[platform](sections)
+        parts = parse(*sections)
         feedback = FeedbackConfig(k_p=exp.take("k_p", rule="nonnegative"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    for sec in sections.taken:
+    for sec in (exp, *sections):
         for key in sec.raw:
             raise ConfigError(f"unknown key '{key}' in section [{sec.name}]")
     return ExperimentConfig(

@@ -46,6 +46,7 @@ class AtomNumerics:
 
     def __post_init__(self):
         n = _require_int("n_points", self.n_points, 8)
+        object.__setattr__(self, "n_points", n)
         if n & (n - 1) != 0:
             raise ValueError(f"n_points must be a power of two, got {n}")
         _require("positive", box_half_width=self.box_half_width, dt=self.dt,

@@ -56,7 +56,7 @@ class PulseSpec:
     def __post_init__(self):
         _require("nonnegative", e0=self.e0)
         _require("positive", omega0=self.omega0)
-        _require_int("cycles", self.cycles, 1)
+        object.__setattr__(self, "cycles", _require_int("cycles", self.cycles, 1))
 
     @property
     def duration(self) -> float:

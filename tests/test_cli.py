@@ -112,6 +112,12 @@ def write_constant_csv(path, value, n=16, dt=0.05):
     return path
 
 
+def write_p_only_csv(path):
+    """A run CSV that reads, but holds no ``y`` column."""
+    path.write_text("t,p\n0.0,1.0\n0.05,1.0\n")
+    return path
+
+
 class TestRunReference:
     def test_writes_csv_and_metadata(self, atom_cfg, tmp_path, capsys):
         out = tmp_path / "ref"
@@ -207,6 +213,13 @@ class TestRunTracking:
         assert read_json(first / "metadata.json")["reference"] is None
         assert read_json(second / "metadata.json")["reference"] == \
                str(first / "reference.csv")
+
+    def test_reference_without_y_names_its_file(self, hubbard_cfg, tmp_path, capsys):
+        bad = write_p_only_csv(tmp_path / "bad.csv")
+        assert main(["run-tracking", "--config", str(hubbard_cfg),
+                     "--out", str(tmp_path / "trk"), "--reference", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: no column 'y'; record has p\n"
 
     def test_crlf_reference_tracks_like_the_original(self, hubbard_cfg, tmp_path):
         ref = tmp_path / "ref"
@@ -540,6 +553,16 @@ class TestSpectrum:
         assert list((tmp_path / "s").glob("*")) == []
 
 
+    def test_missing_column_names_its_file(self, tmp_path, capsys):
+        bad = write_p_only_csv(tmp_path / "bad.csv")
+        out = tmp_path / "s"
+        assert main(["spectrum", "--in", str(bad), "--out", str(out),
+                     "--omega0", "0.3"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: no column 'y'; record has p\n"
+        assert not out.exists()
+
+
 class TestCompare:
     def test_json_report(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")
@@ -609,6 +632,16 @@ class TestCompare:
         assert main(["compare", "--a", str(a), "--b", str(a),
                      "--column", "response"]) == 2
         assert "no column 'response'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("side", ["--a", "--b"])
+    def test_missing_column_names_its_file(self, side, tmp_path, capsys):
+        good = write_harmonic_csv(tmp_path / "good.csv")
+        bad = write_p_only_csv(tmp_path / "bad.csv")
+        files = {"--a": good, "--b": good, side: bad}
+        assert main(["compare", *(str(x) for item in files.items() for x in item)]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: {bad}: no column 'y'; record has p\n")
 
 
 class TestFailClosed:

@@ -9,8 +9,8 @@ import pytest
 
 from amptrack.config import build_system, parse_config
 from amptrack.exceptions import ConfigError
-from amptrack.grid import AtomSystem
-from amptrack.lattice import HubbardSystem
+from amptrack.grid import AtomNumerics, AtomSystem
+from amptrack.lattice import HubbardSystem, LatticeNumerics
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -318,6 +318,48 @@ class TestStrictValidation:
         text = MINIMAL_ATOM.replace(old, new)
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(write_cfg(tmp_path, text))
+
+
+# each platform's minimal config, a section it does not read, its [driven]
+# section and the numerics it takes without a [numerics] section
+LAYOUTS = {
+    "atom": (MINIMAL_ATOM, "lattice", "[driven]\nip_au = 0.5\n", AtomNumerics()),
+    "hubbard": (MINIMAL_HUBBARD, "detector", "[driven]\nu_over_t0 = 1\n",
+                LatticeNumerics()),
+}
+
+
+def unknown_section(platform) -> str:
+    unknown = LAYOUTS[platform][1]
+    return rf"^unknown section \[{unknown}\] for platform '{platform}'$"
+
+
+@pytest.mark.parametrize("platform", sorted(LAYOUTS))
+class TestSectionLayout:
+    def test_unknown_section_message(self, tmp_path, platform):
+        text, unknown, _, _ = LAYOUTS[platform]
+        path = write_cfg(tmp_path, f"{text}\n[{unknown}]\ngain = 1\n")
+        with pytest.raises(ConfigError, match=unknown_section(platform)):
+            parse_config(path)
+
+    def test_missing_section_message(self, tmp_path, platform):
+        text, _, driven, _ = LAYOUTS[platform]
+        assert driven in text
+        with pytest.raises(ConfigError,
+                           match=r"^missing required section \[driven\]$"):
+            parse_config(write_cfg(tmp_path, text.replace(driven, "")))
+
+    def test_unknown_section_is_reported_before_missing(self, tmp_path, platform):
+        text, unknown, driven, _ = LAYOUTS[platform]
+        text = f"{text.replace(driven, '')}\n[{unknown}]\ngain = 1\n"
+        with pytest.raises(ConfigError, match=unknown_section(platform)):
+            parse_config(write_cfg(tmp_path, text))
+
+    def test_numerics_section_is_optional(self, tmp_path, platform):
+        text, _, _, defaults = LAYOUTS[platform]
+        text = text.split("[numerics]")[0]
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert (cfg.atom or cfg.hubbard).numerics == defaults
 
 
 # every number the parser reads: platform, section, the line it replaces,

@@ -298,16 +298,6 @@ class TestSectorBasis:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ring(4, n_up=n_up, n_down=n_down)
 
-    @pytest.mark.parametrize("n_sites,message", [
-        (6.0, "n_sites must be an integer, got 6.0"),
-        ("6", "n_sites must be an integer, got '6'"),
-        (1, "n_sites must be at least 2"),
-    ])
-    def test_rejects_bad_site_count(self, n_sites, message):
-        # a float count is the ring's fault, not the fillings'
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ring(n_sites, 1.0)
-
 
 class TestOperatorsAgainstJordanWigner:
     @pytest.mark.parametrize(
