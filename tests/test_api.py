@@ -78,8 +78,8 @@ def test_benchmark_span_targets_resolve():
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_benchmark_round_runs(trace, tmp_path):
-    # one ring10 round of the benchmark, as its driver starts it, so a change
-    # that breaks perfbench/workloads.py fails here first
+    # one ring10 round of the benchmark, as perfbench/run.py starts it, so
+    # a change that breaks perfbench/workloads.py fails here first
     proc = subprocess.run(
         [sys.executable, "perfbench/workloads.py", "--workload", "ring10",
          "--trace", str(trace), "--out", str(tmp_path / "out")],
