@@ -211,7 +211,8 @@ def cmd_compare(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"relative rms difference: {rel!r}")
+        kind = "relative" if payload["reference_rms"] else "absolute"
+        print(f"{kind} rms difference: {rel!r}")
         print(f"max abs difference: {payload['max_abs_difference']!r}")
         if "spectra" in payload:
             spectra = payload["spectra"]

@@ -452,15 +452,14 @@ def _combine(V: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 # default ncv); error tolerance of a time step and the number of halvings
 # an oversized step may take before it fails; Ritz vectors a ground-state
 # pass hands to the next (more cost more combination work than they save
-# in H products), restart budget and residual that end the ground-state
-# iteration, and the looser residual at which the scan ranks the blocks
+# in H products), and restart budget and residual that end the
+# ground-state iteration
 _KRYLOV_DIM = 20
 _KRYLOV_TOL = 1e-10
 _MAX_HALVINGS = 6
 _RITZ_KEPT = 4
 _MAX_RESTARTS = 100
 _GROUND_STATE_TOL = 1e-10
-_RANK_TOL = 1e-4
 
 
 def _tridiagonal_eigh(alphas: list, betas: list):
@@ -551,25 +550,40 @@ class LatticeNumerics:
         _require("positive", dt=self.dt)
 
 
-def _thick_restart(hop):
-    """Passes of thick-restart Lanczos toward the lowest eigenpair of the
-    Hermitian ``hop``, at most ``_MAX_RESTARTS`` of them.
+def _ground_state(hop, above=math.inf):
+    """Lowest eigenpair of the Hermitian ``hop`` by thick-restart Lanczos,
+    or None once it is clear that the lowest level lies at ``above`` or
+    higher.
 
-    Each pass runs ``_lanczos`` until the basis holds ``_KRYLOV_DIM``
-    vectors, or as many as the space has, from a fixed random vector at
-    first, or until beta < 1e-14 makes the Krylov space invariant.  H
-    projects on the basis to diag(theta), the arrowhead and the
-    recurrence's tridiagonal part, which goes to LAPACK ``dsyevd``.  The
-    pass yields the eigenvalues and eigenvectors (evals, S) of that n x n
-    matrix, beta and the basis V, whose first n rows S combines into the
-    Ritz vectors; |beta S[-1, 0]| is the residual of the lowest Ritz pair.
-    Resuming restarts: the ``_RITZ_KEPT`` lowest Ritz vectors y_i, from
-    ``_combine`` off BLAS, and the pass's normalized residual r, to which H
-    y_i = theta_i y_i + beta s_i r couples them, s_i being the last
-    coefficient of y_i; the next pass goes on from r with the arrowhead
-    beta s (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  A
-    coefficient that is not finite raises NumericalError before it
-    reaches the eigensolver.
+    Each of at most ``_MAX_RESTARTS`` passes runs ``_lanczos`` until the
+    basis holds ``_KRYLOV_DIM`` vectors, or as many as the space has, from
+    a fixed random vector at first, or until beta < 1e-14 makes the Krylov
+    space invariant.  H projects on the basis to diag(theta), the
+    arrowhead and the recurrence's tridiagonal part, which goes to LAPACK
+    ``dsyevd``; its eigenvectors S combine the basis into the Ritz
+    vectors, and |beta S[-1, 0]| is the residual r of the lowest Ritz pair
+    (theta, y), free of H products.  A restart keeps the ``_RITZ_KEPT``
+    lowest Ritz vectors y_i, from ``_combine`` off BLAS, and the pass's
+    normalized residual, to which H y_i = theta_i y_i + beta s_i r couples
+    them, s_i being the last coefficient of y_i; the next pass goes on
+    from the residual with the arrowhead beta s (Wu and Simon, SIAM J.
+    Matrix Anal. Appl. 22, 602 (2000)).  A coefficient that is not finite
+    raises NumericalError before it reaches the eigensolver.
+
+    ||H psi - E psi|| costs an H product, so it is computed only once r is
+    below ``_GROUND_STATE_TOL``, or the space is invariant, or on the last
+    pass of the restart budget.  The iteration ends when it is below the
+    tolerance too or the space is invariant.  The returned vector must
+    satisfy it to 1e-8, or a NumericalError carrying the residual is
+    raised, as when the restart budget runs out.  Its largest component is
+    made real and positive.
+
+    The early exit: ``hop`` has an eigenvalue within r of theta, the one
+    the iteration converges to, so a full solve would end at an energy of
+    at least theta - r.  At the first pass whose space is not invariant
+    and whose theta - r is at least ``above``, the solve stops and returns
+    None.  The exit changes no pass, so a solve that does not take it
+    returns the same bits at any ``above``.
     """
     dim = hop.shape[0]
     rng = np.random.default_rng(_GROUND_STATE_SEED)
@@ -577,7 +591,7 @@ def _thick_restart(hop):
     V = np.empty((min(_KRYLOV_DIM, dim) + 1, dim), dtype=complex)
     np.divide(vec, math.sqrt(_real_vdot(vec, vec)), out=V[0])
     theta = arrow = np.empty(0)
-    for _ in range(_MAX_RESTARTS):
+    for restart in range(_MAX_RESTARTS):
         for alphas, betas, beta in _lanczos(V, hop, arrow):
             if beta < 1e-14:
                 break
@@ -589,44 +603,11 @@ def _thick_restart(hop):
         evals, S, info = lapack.dsyevd(T)
         if info:
             raise NumericalError(f"projected eigensolver dsyevd failed, info {info}")
-        yield evals, S, beta, V
-        keep = min(_RITZ_KEPT, n - 1)
-        V[:keep] = _combine(V, S[:, :keep])
-        theta, arrow = evals[:keep], beta * S[n - 1, :keep]
-        V[keep] = V[n]
-
-
-def _lowest_ritz(hop):
-    """The lowest Ritz value theta of ``hop`` and its residual r.
-
-    ``_thick_restart`` stops at the first pass whose free estimate r =
-    |beta s_0| is below ``_RANK_TOL``, or whose Krylov space is invariant,
-    or at the end of the restart budget; r is then what that pass reached.
-    An eigenvalue of ``hop`` lies within r of theta, and theta is at least
-    the lowest one.  No vector is formed, and the basis is freed on return.
-    """
-    for evals, S, beta, _ in _thick_restart(hop):
-        residual = abs(beta * S[-1, 0])
-        if beta < 1e-14 or residual < _RANK_TOL:
-            break
-    return float(evals[0]), residual
-
-
-def _ground_state(hop):
-    """Lowest eigenpair of the Hermitian ``hop`` by ``_thick_restart``.
-
-    ||H psi - E psi|| costs an H product, so it is computed only once the
-    free estimate |beta s_0| is below ``_GROUND_STATE_TOL``, or beta <
-    1e-14 makes the Krylov space invariant, or on the last pass of the
-    restart budget.  The iteration ends when it is below the tolerance too
-    or the space is invariant.  The returned vector must satisfy it to
-    1e-8, or a NumericalError carrying the residual is raised, as when the
-    restart budget runs out.  Its largest component is made real and
-    positive.
-    """
-    for restart, (evals, S, beta, V) in enumerate(_thick_restart(hop)):
         energy = float(evals[0])
-        if (beta < 1e-14 or abs(beta * S[-1, 0]) < _GROUND_STATE_TOL
+        estimate = abs(beta * S[-1, 0])
+        if beta >= 1e-14 and energy - estimate >= above:
+            return None
+        if (beta < 1e-14 or estimate < _GROUND_STATE_TOL
                 or restart + 1 == _MAX_RESTARTS):
             vec = _combine(V, S[:, :1])[0]
             vec /= math.sqrt(_real_vdot(vec, vec))
@@ -634,6 +615,10 @@ def _ground_state(hop):
             residual = math.sqrt(_real_vdot(r, r))
             if residual < _GROUND_STATE_TOL or beta < 1e-14:
                 break
+        keep = min(_RITZ_KEPT, n - 1)
+        V[:keep] = _combine(V, S[:, :keep])
+        theta, arrow = evals[:keep], beta * S[n - 1, :keep]
+        V[keep] = V[n]
     if not residual < 1e-8:
         raise NumericalError(
             f"ground-state residual {residual:.3e} above 1e-8", residual=residual
@@ -693,24 +678,22 @@ class HubbardSystem:
     def initial_state(self) -> _ManyBodyState:
         """Ground state of the field-free H; sets ``ground_energy`` and ``basis``.
 
-        The first call scans the blocks K = 2 pi k / L, k = 0..L/2; K and
-        -K share a spectrum, since H and T are real in the occupation
-        basis.  ``_lowest_ritz`` ranks each block B by its lowest Ritz
-        value theta_B and residual r_B < ``_RANK_TOL``: B has an eigenvalue
-        within r_B of theta_B, the lowest one that the solver converges
-        to, and a full solve from the same seed goes on to an energy at
-        most theta_B.  So only a block with theta_B - r_B < min theta + 1e-8
-        can hold the lowest level or tie with it to 1e-8.  ``_ground_state``
-        solves those blocks, usually one, and the lowest is kept: the
-        block that a full solve of every block would pick, with the same
-        bits.  The state is then kept in the space of its block that
-        ``_ground_space`` names: at N_up = N_down the parity half that
-        <psi|F|psi> names.  Later calls return a copy of that state.  A
-        sector whose ground state is not unique raises ValueError: its
-        lowest level lies at a K other than 0 or pi, whose -K twin is
-        degenerate with it, two solved blocks' lowest levels agree to
-        1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8, so that the
-        block's lowest level holds both parities.
+        The first call scans the blocks K = 2 pi k / L, k = 0..L/2, in k
+        order; K and -K share a spectrum, since H and T are real in the
+        occupation basis.  ``_ground_state`` solves each block's field-free
+        H once, from the same seed, with ``above`` the lowest energy solved
+        so far plus 1e-8: the first block in full, and each later one only
+        until its passes show that it can neither hold the lowest level nor
+        tie with it to 1e-8.  So the lowest level and its block are those
+        a full solve of every block would pick, with the same bits, and no
+        block's passes run twice.  The state is then kept in the space of
+        its block that ``_ground_space`` names: at N_up = N_down the parity
+        half that <psi|F|psi> names.  Later calls return a copy of that
+        state.  A sector whose ground state is not unique raises
+        ValueError: its lowest level lies at a K other than 0 or pi, whose
+        -K twin is degenerate with it, two solved blocks' lowest levels
+        agree to 1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8, so that
+        the block's lowest level holds both parities.
         """
         if self._ground is None:
             self._ground = self._solve_ground_state()
@@ -719,19 +702,15 @@ class HubbardSystem:
     def _solve_ground_state(self) -> np.ndarray:
         b = self.basis.block
         L, n_up, n_down = b.n_sites, b.n_up, b.n_down
-        blocks = [block for k in range(L // 2 + 1)
-                  if (block := _block_basis(L, n_up, n_down, k)).dim]
-
-        def h0(block):
-            return _field_free(_block_hop(block), block.double_occ, self.u)
-
-        # rank every block at a loose residual, then solve only the blocks
-        # that can hold the lowest level or tie with it to 1e-8
-        ranks = [_lowest_ritz(h0(block)) for block in blocks]
-        top = min(theta for theta, _ in ranks)
-        levels = [(*_ground_state(h0(block)), block)
-                  for block, (theta, residual) in zip(blocks, ranks)
-                  if theta - residual < top + 1e-8]
+        levels, above = [], math.inf
+        for k in range(L // 2 + 1):
+            block = _block_basis(L, n_up, n_down, k)
+            if block.dim:
+                level = _ground_state(
+                    _field_free(_block_hop(block), block.double_occ, self.u), above)
+                if level is not None:
+                    levels.append((*level, block))
+                    above = min(above, level[0] + 1e-8)
         levels.sort(key=lambda level: level[0])
         energy, vec, basis = levels[0]
         sector = f"sector (L={L}, N_up={n_up}, N_down={n_down})"
@@ -785,7 +764,8 @@ class HubbardSystem:
 
     def advance(self, state: _ManyBodyState, step: int, u: float) -> _ManyBodyState:
         u_sum = state.u_sum + u
-        phi_new = -(self._phi_smooth[step + 1] + u_sum * self.dt)
+        # the pulse has compact support, so past its table the smooth phase holds
+        phi_new = -(self._phi_smooth[min(step + 1, self.n_steps)] + u_sum * self.dt)
         phi_mid = 0.5 * (state.phi + phi_new)
         hop = _operators(self.basis).at(phi_mid, self.u)
         psi = _krylov_apply(state.psi, hop, self.dt)

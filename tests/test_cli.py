@@ -585,6 +585,18 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "relative rms difference: 0.0" in out
 
+    def test_zero_reference_is_named_absolute(self, tmp_path, capsys):
+        # an identically zero --b column, as u of a self-tracking run:
+        # relative_rms falls back to the absolute RMS, and the text says so
+        a = write_constant_csv(tmp_path / "a.csv", 0.5)
+        b = write_constant_csv(tmp_path / "b.csv", 0.0)
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "absolute rms difference: 0.5"
+        assert main(["compare", "--a", str(a), "--b", str(b), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["relative_rms"] == payload["rms_difference"] == 0.5
+        assert payload["reference_rms"] == 0.0
+
     def test_grid_mismatch_exits_2(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")
         b = write_harmonic_csv(tmp_path / "b.csv", dt=0.04)

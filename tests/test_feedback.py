@@ -145,6 +145,26 @@ class TestPulseTable:
         assert len(counts) == 2
         assert set(counts.values()) == {2}
 
+    @pytest.mark.parametrize("platform", ["atom", "ring"])
+    def test_steps_past_the_table_hold_the_pulse(self, platform):
+        # the pulse has compact support, so every step past the table sees
+        # the pulse it ends with: no field, and on the ring the smooth
+        # phase of the table's last node
+        if platform == "atom":
+            system = AtomSystem(math.sqrt(2), small_pulse(), small_atom_numerics())
+        else:
+            system = HubbardSystem(4, 5.0, PulseSpec(e0=1.0, omega0=4.43, cycles=1))
+        state = system.initial_state()
+        n = system.n_steps
+        last = system.advance(state, n - 1, 0.0)
+        past = [system.advance(state, step, 0.0) for step in (n, n + 1, n + 7)]
+        for later in past[1:]:
+            if platform == "atom":
+                np.testing.assert_array_equal(later, past[0])
+            else:
+                np.testing.assert_array_equal(later.psi, past[0].psi)
+                assert later.phi == past[0].phi == last.phi
+
 
 class TestTrackingResidual:
     """RunRecord.rms_relative reads the residual channel against y."""

@@ -484,14 +484,15 @@ class TestGroundStates:
             assert half is _space(block, p)
             np.testing.assert_allclose(half.q @ psi, vec, atol=1e-14)
 
-        # the scan ranks every block and fully solves only the lowest,
-        # K = 0; hand it the mixture as that block's lowest level
-        def mixed_first(hop):
-            energy, vec = solve(hop)
-            if hop.shape[0] == block.dim and not calls:
-                energy, vec = energy - 100.0, mixture
+        # the scan enters every block once, in k order, and solves the
+        # first, K = 0, in full; hand it the mixture as that block's lowest
+        # level, which every later block then lies above
+        def mixed_first(hop, above=math.inf):
+            level = solve(hop, above)
+            if not calls:
+                level = (level[0] - 100.0, mixture)
             calls.append(hop.shape[0])
-            return energy, vec
+            return level
 
         calls = []
         monkeypatch.setattr(lattice, "_ground_state", mixed_first)
@@ -499,7 +500,8 @@ class TestGroundStates:
         with pytest.raises(ValueError, match="holds both spin-flip parities"):
             system.initial_state()
         assert system.ground_energy is None
-        assert calls == [block.dim]
+        assert calls == [_block_basis(6, 3, 3, k).dim for k in range(4)]
+        assert calls[0] == block.dim
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
@@ -527,9 +529,30 @@ class TestGroundStates:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12), where
             assert np.linalg.norm(matrix @ vec - energy * vec) < 1e-8, where
 
+    @pytest.mark.parametrize("u", [1.0, 10.0])
+    @pytest.mark.parametrize("L", [4, 5, 6])
+    def test_bound_stops_only_a_block_above_it(self, L, u):
+        # a bound 1e-8 above the block's own lowest level changes no bit;
+        # one below it stops every block too large to be invariant after
+        # one pass
+        for n_up, n_down, k in itertools.product(range(L + 1), range(L + 1), range(L)):
+            space = block_space(L, n_up, n_down, k)
+            if not space.dim:
+                continue
+            h = hamiltonian(space, u, 0.0)
+            energy, vec = lattice._ground_state(h)
+            where = (n_up, n_down, k)
+            again, same = lattice._ground_state(h, energy + 1e-8)
+            assert repr(again) == repr(energy), where
+            np.testing.assert_array_equal(same, vec, err_msg=str(where))
+            if space.dim > lattice._KRYLOV_DIM:
+                assert lattice._ground_state(h, energy - 1e-3) is None, where
+
     def test_ten_site_scan_takes_few_h_products(self, monkeypatch):
         # both rings of the default experiment, every product of the scan
-        # counted; solving every block to the full tolerance took 1 516
+        # counted; solving every block to the full tolerance took 1 516,
+        # ranking every block and then solving the lowest took 1 034, and
+        # the one-pass scan takes 386
         apply = _BlockOperators.__matmul__
         products = []
 
@@ -540,44 +563,54 @@ class TestGroundStates:
         monkeypatch.setattr(_BlockOperators, "__matmul__", counted)
         for u in (10.0, 1.0):
             ring(10, u).initial_state()
-        assert 0 < len(products) <= 1150
+        assert 0 < len(products) <= 450
 
     def test_ten_site_scan_solves_one_block(self, monkeypatch):
-        # every block is ranked, only the ground state's is fully solved,
-        # and each block left unsolved lies 1e-8 above its energy with
-        # room for the ranking residual
-        rank, solve = lattice._lowest_ritz, lattice._ground_state
-        ranks, solved = [], []
+        # every block enters the solver once, in k order; only the first,
+        # K = 0, returns a level, and each later block stops at a pass
+        # whose bound theta - |beta s_0| lies at least 1e-8 above it
+        solve, lanczos = lattice._ground_state, lattice._lanczos
+        dsyevd = lattice.lapack.dsyevd
+        betas, bounds, calls = [], [], []
 
-        def ranked(hop):
-            ranks.append(rank(hop))
-            return ranks[-1]
+        def spied_lanczos(V, hop, arrow=()):
+            for step in lanczos(V, hop, arrow):
+                betas.append(step[2])
+                yield step
 
-        def solved_in_full(hop):
-            solved.append(solve(hop))
-            return solved[-1]
+        def spied_dsyevd(T):
+            evals, S, info = dsyevd(T)
+            bounds.append(evals[0] - abs(betas[-1] * S[-1, 0]))
+            return evals, S, info
 
-        monkeypatch.setattr(lattice, "_lowest_ritz", ranked)
-        monkeypatch.setattr(lattice, "_ground_state", solved_in_full)
+        def entered(hop, above=math.inf):
+            bounds.clear()
+            level = solve(hop, above)
+            calls.append((hop.shape[0], level, bounds[-1]))
+            return level
+
+        monkeypatch.setattr(lattice, "_lanczos", spied_lanczos)
+        monkeypatch.setattr(lattice.lapack, "dsyevd", spied_dsyevd)
+        monkeypatch.setattr(lattice, "_ground_state", entered)
         for u in (10.0, 1.0):
-            ranks.clear()
-            solved.clear()
+            calls.clear()
             system = ring(10, u)
             system.initial_state()
-            assert len(ranks) == 6 and len(solved) == 1
-            energy = solved[0][0]
-            assert system.ground_energy == energy
-            k = system.basis.block.k
-            assert ranks[k][0] >= energy
-            for theta, residual in ranks[:k] + ranks[k + 1:]:
-                assert 0 <= residual < lattice._RANK_TOL
-                assert theta - residual >= energy + 1e-8
+            assert [dim for dim, _, _ in calls] == [
+                _block_basis(10, 5, 5, k).dim for k in range(6)]
+            assert system.basis.block.k == 0
+            energy = system.ground_energy
+            assert calls[0][1][0] == energy
+            for _, level, bound in calls[1:]:
+                assert level is None
+                assert bound >= energy + 1e-8
 
-    @pytest.mark.parametrize("u", [1.0, 10.0])
+    @pytest.mark.parametrize("u", [0.5, 1.0, 4.0, 10.0])
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
     def test_ranked_scan_matches_full_scan(self, L, u):
         # the oracle solves every block in full and keeps the lowest; the
-        # ranked scan must pick the same block and return the same bits,
+        # scan, which stops a block once it lies 1e-8 above the lowest
+        # level so far, must pick the same block and return the same bits,
         # or fail closed where the oracle finds no unique ground state
         half = L // 2
         fillings = {(half, half), (half, half - 1), (half + 1, half - 1),
