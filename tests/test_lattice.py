@@ -501,7 +501,6 @@ class TestGroundStates:
             system.initial_state()
         assert system.ground_energy is None
         assert calls == [_block_basis(6, 3, 3, k).dim for k in range(4)]
-        assert calls[0] == block.dim
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
