@@ -109,7 +109,10 @@ def cmd_run_tracking(args) -> int:
         # reject a bad reference before building the systems, which on the
         # atom calibrates the softening
         dt = (cfg.atom or cfg.hubbard).numerics.dt
-        check_reference(reference, cfg.pulse.n_steps(dt), dt)
+        try:
+            check_reference(reference, cfg.pulse.n_steps(dt), dt)
+        except ValueError as exc:
+            raise ValueError(f"{args.reference}: {exc}") from None
     else:
         ref_system = build_system(cfg, "reference")
         ref_record = run_open_loop(ref_system)
@@ -260,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spe.add_argument("--out", required=True)
     spe.add_argument("--omega0", required=True, type=float)
     spe.add_argument("--column", default="y")
-    spe.add_argument("--window", default="hann", choices=("hann", "none"))
+    spe.add_argument("--window", default="hann", choices=spectral._WINDOWS)
     spe.add_argument("--drop-db", type=float, default=20.0,
                      dest="drop_db")
     spe.set_defaults(func=cmd_spectrum)
@@ -271,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--column", default="y")
     cmp_.add_argument("--omega0", type=float, default=None,
                       help="carrier frequency; enables the spectral comparison")
-    cmp_.add_argument("--window", default="hann", choices=("hann", "none"))
+    cmp_.add_argument("--window", default="hann", choices=spectral._WINDOWS)
     cmp_.add_argument("--drop-db", type=float, default=20.0,
                       dest="drop_db")
     cmp_.add_argument("--gate", type=float, default=None)

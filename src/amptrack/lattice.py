@@ -123,28 +123,27 @@ class _BlockBasis:
     """Momentum block K = 2 pi k / L of the (N_up, N_down) sector.
 
     Basis vector a is the normalised projection P_K|r_a>, with
-    P_K = (1/L) sum_r e^{-iKr} T^r, of the representative r_a whose
-    bitmasks are ``up[a]`` and ``down[a]``; T acts on it as e^{iK}.  The
-    representatives are the orbits' smallest product states whose
-    projection is nonzero, in ascending (up, down) order, and ``period[a]``
-    is the length of r_a's orbit.
+    P_K = (1/L) sum_r e^{-iKr} T^r, of the representative r_a, the
+    product state of index ``reps[a]`` in the sector's ``_orbits``; T acts
+    on it as e^{iK}.  The representatives are the orbits' smallest product
+    states whose projection is nonzero, in ascending index order.
     """
 
     n_sites: int
     n_up: int
     n_down: int
     k: int
-    up: np.ndarray
-    down: np.ndarray
-    period: np.ndarray
+    reps: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.up.size
+        return self.reps.size
 
     @property
     def double_occ(self) -> np.ndarray:
-        return np.bitwise_count(self.up & self.down).astype(float)
+        orb = _orbits(self.n_sites, self.n_up, self.n_down)
+        i_up, i_down = np.divmod(self.reps, orb.states_down.size)
+        return np.bitwise_count(orb.states_up[i_up] & orb.states_down[i_down]).astype(float)
 
 
 @functools.cache
@@ -155,10 +154,7 @@ def _block_basis(n_sites: int, n_up: int, n_down: int, k: int) -> _BlockBasis:
     phase = (2 * k * orb.period) % (2 * n_sites)
     keep = (orb.rep == np.arange(orb.rep.size)) & (
         phase == np.where(orb.period_sign > 0, 0, n_sites))
-    reps = np.flatnonzero(keep)
-    i_up, i_down = np.divmod(reps, orb.states_down.size)
-    return _BlockBasis(n_sites, n_up, n_down, k, orb.states_up[i_up],
-                       orb.states_down[i_down], orb.period[reps])
+    return _BlockBasis(n_sites, n_up, n_down, k, np.flatnonzero(keep))
 
 
 @dataclass
@@ -200,52 +196,48 @@ def _block_phases(n_sites: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * m / n_sites)
 
 
-def _block_index(basis: _BlockBasis):
-    """The orbits of the block's sector, the per-spin indices (i_up, i_down)
-    of its representatives, and the block position of every product state
-    that is a representative in the block, -1 for every other."""
+def _landing(basis: _BlockBasis, target: np.ndarray, col: np.ndarray):
+    """Where the product states ``target``, reached from basis vectors
+    ``col``, land on the block (Sandvik, arXiv:1101.3281, section 4).
+
+    A product state b = sign T^l r_b projects onto the basis vector of r_b
+    with the amplitude sign e^{iKl} sqrt(R_a / R_b) relative to the basis
+    vector a it came from, R being the orbit lengths.  Returns the block
+    row of r_b, -1 when b's orbit has no state in the block, and that
+    factor.
+    """
     orb = _orbits(basis.n_sites, basis.n_up, basis.n_down)
-    i_up = np.searchsorted(orb.states_up, basis.up)
-    i_down = np.searchsorted(orb.states_down, basis.down)
     position = np.full(orb.rep.size, -1)
-    position[i_up * orb.states_down.size + i_down] = np.arange(basis.dim)
-    return orb, i_up, i_down, position
-
-
-def _projection_factor(basis: _BlockBasis, orb: _Orbits, target: np.ndarray,
-                       col: np.ndarray) -> np.ndarray:
-    """sign e^{iKl} sqrt(R_a / R_b): the amplitude on basis vector b of the
-    product state ``target`` = sign T^l r_b, reached from basis vector a =
-    ``col`` and projected onto the block."""
-    return (orb.sign[target] * _block_phases(basis.n_sites, basis.k)[orb.shift[target]]
-            * np.sqrt(basis.period[col] / orb.period[target]))
+    position[basis.reps] = np.arange(basis.dim)
+    factor = (orb.sign[target] * _block_phases(basis.n_sites, basis.k)[orb.shift[target]]
+              * np.sqrt(orb.period[basis.reps[col]] / orb.period[target]))
+    return position[orb.rep[target]], factor
 
 
 def _block_hop(basis: _BlockBasis) -> csr_matrix:
     """Forward-hop block T_K, from sparse column gathers and one COO sum.
 
-    A hop takes representative a to a product state b = T^l r_b (up to its
-    sign), so <r_b K|T|a K> sums h_ba sign_b e^{iKl} sqrt(R_a / R_b) over
-    the hops from a that land on r_b's orbit (Sandvik, arXiv:1101.3281,
-    section 4).  A hop onto an orbit that has no state in the block
-    projects to zero and is dropped.
+    A hop h_ba from representative a lands on a product state b, which
+    ``_landing`` places on the block, so <r_b K|T|a K> sums h_ba times
+    b's factor over the hops from a that land on r_b's orbit.  A hop onto
+    an orbit that has no state in the block projects to zero and is
+    dropped.
     """
-    L = basis.n_sites
-    orb, i_up, i_down, position = _block_index(basis)
+    orb = _orbits(basis.n_sites, basis.n_up, basis.n_down)
     width = orb.states_down.size
-    hop_up = _forward_hop_matrix(L, orb.states_up)[:, i_up].tocoo()
-    hop_down = _forward_hop_matrix(L, orb.states_down)[:, i_down].tocoo()
+    i_up, i_down = np.divmod(basis.reps, width)
+    hop_up = _forward_hop_matrix(basis.n_sites, orb.states_up)[:, i_up].tocoo()
+    hop_down = _forward_hop_matrix(basis.n_sites, orb.states_down)[:, i_down].tocoo()
     target = np.concatenate([
         hop_up.row.astype(np.int64) * width + i_down[hop_up.col],
         i_up[hop_down.col] * width + hop_down.row,
     ])
     col = np.concatenate([hop_up.col, hop_down.col])
-    row = position[orb.rep[target]]
+    row, factor = _landing(basis, target, col)
+    value = np.concatenate([hop_up.data, hop_down.data]) * factor
     inside = row >= 0
-    target, col, row = target[inside], col[inside], row[inside]
-    value = (np.concatenate([hop_up.data, hop_down.data])[inside]
-             * _projection_factor(basis, orb, target, col))
-    hop = coo_matrix((value, (row, col)), shape=(basis.dim, basis.dim)).tocsr()
+    hop = coo_matrix((value[inside], (row[inside], col[inside])),
+                     shape=(basis.dim, basis.dim)).tocsr()
     hop.eliminate_zeros()
     return hop
 
@@ -253,18 +245,17 @@ def _block_hop(basis: _BlockBasis) -> csr_matrix:
 def _spin_flip(basis: _BlockBasis):
     """The spin flip F on a block with N_up = N_down: F|a> = c[a] |image[a]>.
 
-    F swaps the spins, c+_{j up} <-> c+_{j down}, and commutes with T.
-    Moving the swapped creators back into up-before-down order gives
-    (-1)^(N_up N_down), and the swapped representative is T^l r_b up to its
-    sign, so c_a = (-1)^(N_up N_down) sign e^{iKl} sqrt(R_a / R_b), read
-    from the orbits as ``_block_hop`` reads a hop's landing state.
+    F swaps the spins, c+_{j up} <-> c+_{j down}, and commutes with T.  It
+    takes representative (i_up, i_down) to the product state (i_down, i_up),
+    which ``_landing`` places; reordering the swapped creators up before
+    down multiplies that factor by (-1)^(N_up N_down).
     """
-    orb, i_up, i_down, position = _block_index(basis)
-    target = i_down * orb.states_down.size + i_up
-    c = _projection_factor(basis, orb, target, np.arange(basis.dim))
+    width = _orbits(basis.n_sites, basis.n_up, basis.n_down).states_down.size
+    i_up, i_down = np.divmod(basis.reps, width)
+    image, c = _landing(basis, i_down * width + i_up, np.arange(basis.dim))
     if (basis.n_up * basis.n_down) % 2:
         c = -c
-    return position[orb.rep[target]], c
+    return image, c
 
 
 @dataclass(frozen=True, eq=False)
@@ -745,13 +736,10 @@ class HubbardSystem:
         hops = ops.stacked @ psi
         fwd, bwd = hops[:psi.size], hops[psi.size:]
         fwd *= phase
+        bwd *= np.conj(phase)
         kin = -2.0 * _real_vdot(psi, fwd)
         cur = -2.0 * _real_vdot(1j * psi, fwd)
-        if self.u != 0.0:
-            bwd *= np.conj(phase)
-            comm = -2.0 * self.u * _real_vdot(fwd - bwd, ops.double_occ * psi)
-        else:
-            comm = 0.0
+        comm = -2.0 * self.u * _real_vdot(fwd - bwd, ops.double_occ * psi)
         return {"current": cur, "kinetic": kin, "phase": state.phi, "comm": comm}
 
     def response(self, obs: dict, e_total: float) -> float:

@@ -45,6 +45,7 @@ class Spectrum:
             raise ValueError(f"frequency grid has a non-finite value at index {bad[0]}")
         if self.omega[0] < 0 or np.any(np.diff(self.omega) <= 0):
             raise ValueError("frequency grid must be nonnegative and ascending")
+        _check_samples("power", self.power)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,26 @@ class TestRunTracking:
         assert capsys.readouterr().err == \
             f"error: {bad}: no column 'y'; record has p\n"
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "reference has 1 non-finite samples, the first at step 4"),
+        ("short", "reference has 5 samples, propagation needs 569"),
+    ], ids=["nan", "short"])
+    def test_rejected_reference_names_its_file(self, fault, message, hubbard_cfg,
+                                               tmp_path, capsys):
+        if fault == "nan":
+            ref = tmp_path / "ref"
+            assert main(["run-reference", "--config", str(hubbard_cfg),
+                         "--out", str(ref)]) == 0
+            bad = poison_y(ref / "reference.csv", tmp_path / "bad.csv")
+        else:
+            bad = write_constant_csv(tmp_path / "bad.csv", 0.0, n=5, dt=0.005)
+        capsys.readouterr()
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(hubbard_cfg),
+                     "--out", str(out), "--reference", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+        assert list(out.iterdir()) == []
+
     def test_crlf_reference_tracks_like_the_original(self, hubbard_cfg, tmp_path):
         ref = tmp_path / "ref"
         assert main(["run-reference", "--config", str(hubbard_cfg),
@@ -544,6 +564,17 @@ class TestSpectrum:
         assert meta["cutoff_order"] == 9
         assert meta["window"] == "hann"
 
+    def test_window_none_leaves_the_samples_unwindowed(self, tmp_path, capsys):
+        csv = write_harmonic_csv(tmp_path / "run.csv")
+        spectra = {}
+        for window in ("hann", "none"):
+            out = tmp_path / window
+            assert main(["spectrum", "--in", str(csv), "--out", str(out),
+                         "--omega0", "0.3", "--window", window]) == 0
+            assert read_json(out / "metadata.json")["window"] == window
+            spectra[window] = (out / "spectrum.csv").read_bytes()
+        assert spectra["none"] != spectra["hann"]
+
     def test_monochromatic_input_exits_3(self, tmp_path, capsys):
         # detection runs before anything is written
         csv = write_harmonic_csv(tmp_path / "mono.csv", orders=(1,), weak=())
@@ -572,6 +603,16 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         assert payload["relative_rms"] == pytest.approx(1e-3 / np.sqrt(2) / 1.582, rel=0.2)
         assert payload["spectra"]["delta_orders"] == 0
+
+    def test_window_none_compares_unwindowed_spectra(self, tmp_path, capsys):
+        a = write_harmonic_csv(tmp_path / "a.csv")
+        b = write_harmonic_csv(tmp_path / "b.csv", jitter=1e-3)
+        spectra = {}
+        for window in ("hann", "none"):
+            assert main(["compare", "--a", str(a), "--b", str(b), "--omega0", "0.3",
+                         "--window", window, "--json"]) == 0
+            spectra[window] = json.loads(capsys.readouterr().out)["spectra"]
+        assert spectra["none"] != spectra["hann"]
 
     def test_gate_exits_4(self, tmp_path, capsys):
         a = write_harmonic_csv(tmp_path / "a.csv")

@@ -32,6 +32,7 @@ from amptrack.lattice import (
     _krylov_apply,
     _ManyBodyState,
     _operators,
+    _orbits,
     _space,
     _tridiagonal_eigh,
 )
@@ -53,6 +54,13 @@ def ring(L, u=0.0, n_up=None, n_down=None, pulse=None, numerics=None, k=None):
 def block_space(L, n_up, n_down, k, parity=0):
     """The space of the given parity on block K = 2 pi k / L; 0 is the block."""
     return _space(_block_basis(L, n_up, n_down, k), parity)
+
+
+def block_masks(block):
+    """The up and down occupation bitmasks of a block's representatives."""
+    orb = _orbits(block.n_sites, block.n_up, block.n_down)
+    i_up, i_down = np.divmod(block.reps, orb.states_down.size)
+    return orb.states_up[i_up], orb.states_down[i_down]
 
 
 def random_state(basis, seed=0, phi=0.0):
@@ -171,8 +179,8 @@ def jw_embedding(space, T):
     for _ in range(L - 1):
         powers.append(T @ powers[-1])
     E = np.zeros((T.shape[0], block.dim), dtype=complex)
-    for a in range(block.dim):
-        r = index[int(block.up[a]) | (int(block.down[a]) << L)]
+    for a, (up, down) in enumerate(zip(*block_masks(block))):
+        r = index[int(up) | (int(down) << L)]
         col = sum(np.exp(-1j * K * n) * powers[n][:, r] for n in range(L)) / L
         E[:, a] = col / np.linalg.norm(col)
     return E @ space.q.toarray()
@@ -279,8 +287,8 @@ class TestSectorBasis:
             assert system.basis is block_space(10, 5, 5, 0, -1)
 
     def test_ordering_is_ascending_bitmasks(self):
-        basis = ring(5, n_up=2, n_down=3).basis.block
-        key = basis.up * (1 << 5) + basis.down
+        up, down = block_masks(ring(5, n_up=2, n_down=3).basis.block)
+        key = up * (1 << 5) + down
         assert np.all(np.diff(key) > 0)
 
     def test_rejects_bad_occupations(self):
@@ -339,7 +347,7 @@ class TestOperatorsAgainstJordanWigner:
             H = module_dense(basis, 5.0, 0.0)
             H0 = module_dense(basis, 0.0, 0.0)
             occ = [bin(int(up) & int(down)).count("1")
-                   for up, down in zip(basis.block.up, basis.block.down)]
+                   for up, down in zip(*block_masks(basis.block))]
             np.testing.assert_allclose(H - H0, 5.0 * np.diag(occ), atol=1e-12)
 
     def test_hermiticity_on_random_states(self):
@@ -461,6 +469,17 @@ class TestGroundStates:
         assert f"sector (L={L}, N_up={n_up}, N_down={n_down})" in message
         assert all(block in message for block in blocks)
         assert system.ground_energy is None
+
+    def test_tie_margin_keeps_a_tied_block_in_the_scan(self):
+        # K = 0 and K = 2pi*2/7 share the lowest level; without the 1e-8
+        # margin on ``above`` the scan would drop the second block and
+        # report a parity mixture in K = 0 in place of the tie
+        system = HubbardSystem(7, 0.0, PulseSpec(0.1, 1.0, 1), n_up=2, n_down=2)
+        with pytest.raises(ValueError) as exc:
+            system.initial_state()
+        assert str(exc.value) == (
+            "sector (L=7, N_up=2, N_down=2) has no unique ground state: blocks "
+            "K = 0 and K = 2pi*2/7 share the lowest level -6.493959207 to 1e-8")
 
     def test_parity_mixed_ground_state_fails_closed(self, monkeypatch):
         # an equal mixture of the two halves' lowest vectors has <F> = 0:

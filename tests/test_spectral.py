@@ -93,6 +93,13 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError, match="non-finite value at index"):
             Spectrum(omega=np.array(omega), power=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_type_rejects_non_finite_power(self, bad):
+        # a NaN bin would reach detect_cutoff_order, which reads past it
+        with pytest.raises(ValueError, match="^power has 1 non-finite samples, "
+                                             "the first at step 1$"):
+            Spectrum(omega=np.array([0.0, 0.5, 1.0]), power=np.array([1.0, bad, 1.0]))
+
 
 class TestCutoffDetection:
     def test_hard_comb_cutoff(self):
