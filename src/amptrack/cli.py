@@ -3,9 +3,12 @@
 Subcommands mirror the library workflow: run a reference, run a tracking
 experiment against it, match field strengths between atoms, compute a
 spectrum, and compare two recorded runs.  Exit codes: 0 success, 2
-invalid input or configuration, 3 numerical failure (non-convergence, a
-singular control law, failed detection or a non-finite residual), 4 a
-requested residual gate was exceeded.
+invalid input or configuration (an input file that cannot be read or an
+--out that cannot be made among them), 3 numerical failure
+(non-convergence, a singular control law, failed detection or a
+non-finite residual), 4 a requested residual gate was exceeded.  A
+command makes --out only after its runs have finished, so one that
+fails before then writes nothing.
 """
 
 import argparse
@@ -85,9 +88,9 @@ def _summary(system, platform: str, **scalars) -> dict:
 
 def cmd_run_reference(args) -> int:
     cfg = parse_config(args.config)
-    out = _out_dir(args.out)
     system = build_system(cfg, "reference")
     record = run_open_loop(system)
+    out = _out_dir(args.out)
     columns = storage.write_reference_csv(out / "reference.csv", record)
     meta = _metadata(
         cfg, "run-reference",
@@ -103,7 +106,6 @@ def cmd_run_reference(args) -> int:
 def cmd_run_tracking(args) -> int:
     _require_flags(args, "positive", "gate")
     cfg = parse_config(args.config)
-    out = _out_dir(args.out)
     if args.reference is not None:
         reference = _read_series(args.reference, "y")
         # reject a bad reference before building the systems, which on the
@@ -114,12 +116,13 @@ def cmd_run_tracking(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.reference}: {exc}") from None
     else:
-        ref_system = build_system(cfg, "reference")
-        ref_record = run_open_loop(ref_system)
-        storage.write_reference_csv(out / "reference.csv", ref_record)
+        ref_record = run_open_loop(build_system(cfg, "reference"))
         reference = ref_record.series("y")
     system = build_system(cfg, "driven")
     result = run_tracking(system, reference, cfg.feedback)
+    out = _out_dir(args.out)
+    if args.reference is None:
+        storage.write_reference_csv(out / "reference.csv", ref_record)
     columns = storage.write_tracking_csv(out / "tracking.csv", result)
     residual_kind = "absolute" if result.absolute_rms else "relative"
     summary = _summary(
@@ -291,7 +294,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -133,37 +133,31 @@ class RunRecord:
         return rms(self.y) == 0.0
 
 
-def _run(system, y=None, cfg=None, u_forced=None) -> RunRecord:
+def _run(system, u, y=None, cfg=None) -> RunRecord:
+    """Step ``system`` under the per-node control ``u``: an open loop fills it
+    in advance; tracking passes ``y`` and ``cfg`` and solves each sample into it."""
     n = system.n_steps
     psi = system.initial_state()
     names = system.channel_names
-    cols = {name: np.empty(n + 1) for name in names}
-    # an open-loop control is zero or ``u_forced``, so only tracking stores it
-    u_arr = None if y is None else np.empty(n + 1)
-    e_total_arr = np.empty(n + 1)
-    resp_arr = np.empty(n + 1)
+    cols = {name: np.empty(n + 1) for name in (*names, "e_total", "response")}
     for i in range(n + 1):
         obs = system.observables(psi)
-        e_tl = system.e_tl[i]
         if y is not None:
-            u = u_arr[i] = system.control(obs, e_tl, y[i], cfg)
-        else:
-            u = 0.0 if u_forced is None else float(u_forced[i])
-        e_total = e_tl + u
-        resp_arr[i] = system.response(obs, e_total)
+            u[i] = system.control(obs, system.e_tl[i], y[i], cfg)
+        u_i = float(u[i])
+        e_total = cols["e_total"][i] = system.e_tl[i] + u_i
+        cols["response"][i] = system.response(obs, e_total)
         for name in names:
             cols[name][i] = obs[name]
-        e_total_arr[i] = e_total
         if i < n:
-            psi = system.advance(psi, i, u)
+            psi = system.advance(psi, i, u_i)
 
-    channels = {**cols, "e_total": e_total_arr}
+    response = cols.pop("response")
     if y is None:
-        channels["y"] = resp_arr
+        cols["y"] = response
     else:
-        y = y.copy()
-        channels.update(u=u_arr, response=resp_arr, y=y, residual=resp_arr - y)
-    return RunRecord(dt=system.dt, channels=channels)
+        cols.update(u=u, response=response, y=y.copy(), residual=response - y)
+    return RunRecord(dt=system.dt, channels=cols)
 
 
 def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
@@ -178,7 +172,7 @@ def run_open_loop(system, u_forced: np.ndarray | None = None) -> RunRecord:
         if len(u_forced) != system.n_steps + 1:
             raise ValueError("forced control sequence does not match the grid")
         _check_samples("forced control", u_forced)
-    return _run(system, u_forced=u_forced)
+    return _run(system, np.zeros(system.n_steps + 1) if u_forced is None else u_forced)
 
 
 def check_reference(reference: TimeSeries, n_steps: int, dt: float) -> None:
@@ -201,4 +195,4 @@ def run_tracking(system, reference: TimeSeries, cfg: FeedbackConfig) -> RunRecor
     so a bad one is rejected before anything is propagated.
     """
     check_reference(reference, system.n_steps, system.dt)
-    return _run(system, reference.values, cfg)
+    return _run(system, np.empty(system.n_steps + 1), reference.values, cfg)

@@ -111,7 +111,9 @@ def imaginary_time_ground_state(
 
     The step size is lowered through ``_DTAU_SCHEDULE``; each stage ends
     when the Rayleigh quotient changes by less than ``_ENERGY_TOL``
-    (relative) in one step.  ``psi0`` warm-starts the relaxation.
+    (relative) in one step; a stage still moving after ``_MAX_STEPS``
+    steps raises NumericalError with that last change as its residual.
+    ``psi0`` warm-starts the relaxation.
 
     Returns (psi, energy).
     """
@@ -127,22 +129,20 @@ def imaginary_time_ground_state(
     for dtau in _DTAU_SCHEDULE:
         exp_k = np.exp(-0.5 * k2 * dtau)
         exp_v = np.exp(-0.5 * V * dtau)
-        previous = None
+        previous = math.inf
         for _ in range(_MAX_STEPS):
             psi = exp_v * psi
             psi = sfft.ifft(exp_k * sfft.fft(psi))
             psi = exp_v * psi
             psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx)
             energy = _energy(psi, k2, V, dx, n)
-            if previous is not None and abs(energy - previous) < (
-                _ENERGY_TOL * max(1.0, abs(energy))
-            ):
+            change = abs(energy - previous)
+            if change < _ENERGY_TOL * max(1.0, abs(energy)):
                 break
             previous = energy
         else:
             raise NumericalError(
-                f"imaginary time did not settle at dtau={dtau}",
-                residual=abs(energy - previous),
+                f"imaginary time did not settle at dtau={dtau}", residual=change
             )
     return psi, energy
 

@@ -112,6 +112,26 @@ def test_whole_numbers_are_checked_in_one_place():
     assert not offenders, f"operator.index outside exceptions.py: {offenders}"
 
 
+def test_one_loop_steps_every_system():
+    # feedback._run is the one propagation loop: no other function starts,
+    # reads or advances a system's state
+    hooks = {"initial_state", "observables", "advance"}
+    callers = set()
+    for path in sorted((ROOT / "src" / "amptrack").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in hooks:
+                scope = node
+                while scope in owner and not isinstance(scope, ast.FunctionDef):
+                    scope = owner[scope]
+                callers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert callers == {"feedback._run"}
+
+
 SPECTRUM = amptrack.Spectrum(omega=[0.0, 1.0, 2.0, 3.0], power=[1.0] * 4)
 NUMERICS = amptrack.AtomNumerics(box_half_width=10.0, n_points=8)
 

@@ -184,6 +184,16 @@ class TestRunReference:
         assert "[numerics] box_half_width must be positive" in \
             capsys.readouterr().err
 
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # sector (4, 2, 2) has no unique ground state at U = 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(HUBBARD_CFG.replace("sites = 2", "sites = 4")
+                       .replace("u_over_t0 = 8", "u_over_t0 = 0"))
+        out = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no unique ground state" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunTracking:
     def test_in_process_reference_and_residual(self, hubbard_cfg, tmp_path, capsys):
@@ -239,7 +249,18 @@ class TestRunTracking:
         assert main(["run-tracking", "--config", str(hubbard_cfg),
                      "--out", str(out), "--reference", str(bad)]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_driven_run_writes_nothing(self, tmp_path, capsys):
+        # the U/t0 = 8 reference runs; the U = 0 driven ring, sector
+        # (4, 2, 2), has no unique ground state
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(HUBBARD_CFG.replace("sites = 2", "sites = 4")
+                       .replace("u_over_t0 = 1", "u_over_t0 = 0"))
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no unique ground state" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_crlf_reference_tracks_like_the_original(self, hubbard_cfg, tmp_path):
         ref = tmp_path / "ref"
@@ -698,6 +719,29 @@ class TestCompare:
 
 
 class TestFailClosed:
+    @pytest.mark.parametrize("command", ["spectrum", "compare", "run-tracking",
+                                         "run-reference"])
+    def test_os_error_exits_2_naming_its_path(self, command, hubbard_cfg,
+                                             tmp_path, capsys):
+        # a missing input, or an --out that is a file, is bad input: one
+        # error line, not a traceback
+        missing = tmp_path / "missing.csv"
+        run = write_harmonic_csv(tmp_path / "run.csv")
+        argv = {
+            "spectrum": ["--in", str(missing), "--out", str(tmp_path / "s"),
+                         "--omega0", "0.3"],
+            "compare": ["--a", str(missing), "--b", str(run)],
+            "run-tracking": ["--config", str(hubbard_cfg), "--out",
+                             str(tmp_path / "t"), "--reference", str(missing)],
+            "run-reference": ["--config", str(hubbard_cfg), "--out", str(run)],
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        path = run if command == "run-reference" else missing
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert sorted(tmp_path.iterdir()) == [hubbard_cfg, run]
+
     @pytest.mark.parametrize("platform", ["atom", "hubbard"])
     def test_non_finite_reference_is_rejected(self, platform, request, tmp_path,
                                               capsys):

@@ -283,6 +283,15 @@ class TestRunRecord:
             RunRecord(dt=0.1, channels=channels)
 
 
+class TestTimeSeries:
+    @pytest.mark.parametrize("values", [[1.0], np.zeros((2, 2))],
+                             ids=["one-sample", "2-d"])
+    def test_rejects_values_of_bad_shape(self, values):
+        with pytest.raises(ValueError,
+                           match="^need a 1-D series with at least two samples$"):
+            TimeSeries(0.0, 0.1, values)
+
+
 class TestSelfTracking:
     def test_atom_tracks_itself_exactly(self):
         alpha = math.sqrt(2)

@@ -192,6 +192,24 @@ class TestGroundState:
         assert e_spectral == pytest.approx(e_fd, abs=5e-4)
         assert e_spectral == pytest.approx(-0.5, abs=2e-3)
 
+    def test_unsettled_stage_reports_its_last_energy_change(self, monkeypatch):
+        # the error carries the change of the last step, not the difference
+        # of that step's energy with itself
+        energies = []
+        energy = grid_module._energy
+
+        def recorded(*args):
+            energies.append(energy(*args))
+            return energies[-1]
+
+        monkeypatch.setattr(grid_module, "_MAX_STEPS", 3)
+        monkeypatch.setattr(grid_module, "_energy", recorded)
+        numerics = AtomNumerics(20.0, 64)
+        with pytest.raises(NumericalError, match="did not settle at dtau=0.1") as exc:
+            imaginary_time_ground_state(numerics, soft_coulomb_potential(numerics, SQRT2))
+        assert len(energies) == 3
+        assert exc.value.residual == abs(energies[2] - energies[1]) > 0.0
+
 
 class TestCalibration:
     def test_half_hartree_gives_sqrt_two(self):
@@ -236,6 +254,30 @@ class TestCalibration:
         monkeypatch.setattr(grid_module, "imaginary_time_ground_state", counted)
         calibrate_softening(0.5, AtomNumerics(100.0, 1024))
         assert len(calls) <= 6
+
+    def test_newton_step_past_the_bracket_checks_the_edge_once(self, monkeypatch):
+        # the first Newton step, from 0.76, leaves [0.1, 1.42] through 1.42:
+        # the solver solves that edge once, finds it brackets the target,
+        # and bisects
+        alphas, energies = [], []
+        potential = grid_module.soft_coulomb_potential
+        solve = grid_module.imaginary_time_ground_state
+
+        def recorded_potential(numerics, alpha):
+            alphas.append(alpha)
+            return potential(numerics, alpha)
+
+        def recorded_solve(*args, **kwargs):
+            psi, energy = solve(*args, **kwargs)
+            energies.append(energy)
+            return psi, energy
+
+        monkeypatch.setattr(grid_module, "soft_coulomb_potential", recorded_potential)
+        monkeypatch.setattr(grid_module, "imaginary_time_ground_state", recorded_solve)
+        alpha = calibrate_softening(0.5, AtomNumerics(60.0, 512), lo=0.1, hi=1.42)
+        assert alphas.count(1.42) == 1
+        assert alphas[-1] == alpha < 1.42
+        assert abs(-energies[-1] - 0.5) < grid_module._CALIBRATION_TOL
 
     def test_slope_is_hellmann_feynman(self):
         # dE0/dalpha by central difference against <dV/dalpha>, the slope

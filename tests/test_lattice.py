@@ -521,6 +521,18 @@ class TestGroundStates:
         assert system.ground_energy is None
         assert calls == [_block_basis(6, 3, 3, k).dim for k in range(4)]
 
+    def test_projected_eigensolver_failure_raises(self, monkeypatch):
+        def dsyevd(a):
+            n = len(a)
+            return np.zeros(n), np.zeros((n, n)), 3
+
+        monkeypatch.setattr(lattice.lapack, "dsyevd", dsyevd)
+        system = ring(6, 10.0)
+        with pytest.raises(NumericalError,
+                           match="^projected eigensolver dsyevd failed, info 3$"):
+            system.initial_state()
+        assert system.ground_energy is None
+
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
         system = ring(6, 10.0)

@@ -128,6 +128,13 @@ class TestCutoffDetection:
         with pytest.raises(NumericalError, match="no harmonic plateau"):
             detect_cutoff_order(spec, 1.37) * 1.37
 
+    def test_spectrum_without_a_harmonic_raises(self):
+        # at omega0 = 1 no order window on the grid [0, 3] spans three bins
+        spec = Spectrum(omega=[0.0, 1.0, 2.0, 3.0], power=[1.0] * 4)
+        with pytest.raises(NumericalError,
+                           match="^spectrum too narrow for harmonic analysis$"):
+            detect_cutoff_order(spec, 1.0)
+
     def test_noise_free_flat_input_raises(self):
         spec = power_spectrum(make_series(np.ones(512), dt=0.05), window="none")
         with pytest.raises(NumericalError, match="no harmonic plateau"):
