@@ -7,8 +7,9 @@ invalid input or configuration (an input file that cannot be read or an
 --out that cannot be made among them), 3 numerical failure
 (non-convergence, a singular control law, failed detection or a
 non-finite residual), 4 a requested residual gate was exceeded.  A
-command makes --out only after its runs have finished, so one that
-fails before then writes nothing.
+command refuses an --out that exists and is not a directory before it
+runs anything, and makes --out only after its runs have finished, so
+one that fails before then writes nothing.
 """
 
 import argparse
@@ -31,8 +32,11 @@ EXIT_GATE = 4
 
 
 def _out_dir(arg: str) -> Path:
+    """--out as a path, refused if it exists and is not a directory; the
+    command makes it only once its runs have finished."""
     path = Path(arg)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not path.is_dir():
+        raise ValueError(f"--out {arg}: exists and is not a directory")
     return path
 
 
@@ -87,10 +91,11 @@ def _summary(system, platform: str, **scalars) -> dict:
 
 
 def cmd_run_reference(args) -> int:
+    out = _out_dir(args.out)
     cfg = parse_config(args.config)
     system = build_system(cfg, "reference")
     record = run_open_loop(system)
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     columns = storage.write_reference_csv(out / "reference.csv", record)
     meta = _metadata(
         cfg, "run-reference",
@@ -104,6 +109,7 @@ def cmd_run_reference(args) -> int:
 
 
 def cmd_run_tracking(args) -> int:
+    out = _out_dir(args.out)
     _require_flags(args, "positive", "gate")
     cfg = parse_config(args.config)
     if args.reference is not None:
@@ -120,7 +126,7 @@ def cmd_run_tracking(args) -> int:
         reference = ref_record.series("y")
     system = build_system(cfg, "driven")
     result = run_tracking(system, reference, cfg.feedback)
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.reference is None:
         storage.write_reference_csv(out / "reference.csv", ref_record)
     columns = storage.write_tracking_csv(out / "tracking.csv", result)
@@ -164,13 +170,14 @@ def cmd_match_intensity(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    out = _out_dir(args.out)
     _require_flags(args, "positive", "omega0", "drop_db")
     series = _read_series(args.input, args.column)
     _check_samples(f"{args.input}: column {args.column!r}", series.values)
     spectrum = spectral.power_spectrum(series, window=args.window)
     order = spectral.detect_cutoff_order(spectrum, args.omega0,
                                          drop_db=args.drop_db)
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     columns = storage.write_spectrum_csv(out / "spectrum.csv", spectrum, args.omega0)
     meta = {
         "command": "spectrum",

@@ -60,58 +60,49 @@ def write_spectrum_csv(path, spectrum, omega0: float) -> tuple:
                              "power": spectrum.power})
 
 
-def _data_line_numbers(path) -> list:
-    """File line numbers of the data rows, blank lines counted.
-
-    Read again only on a failure, to name the line at fault.
-    """
-    with open(path, "r") as fh:
-        return [n for n, line in enumerate(fh, 1) if line.strip()][1:]
-
-
 def read_table(path) -> RunRecord:
     """Read a run CSV written by this module back into a `RunRecord`.
 
-    Lines are read with universal newlines, so a copy with CRLF (or CR)
-    line endings reads the same as the LF original.  A header with an
-    empty or repeated column name is rejected, so that a name always
-    means one column.  The ``t`` column must hold at least two rows,
-    start at 0 and rise uniformly, to 1e-9 of its step; it sets the
-    record's ``dt``, and every other column becomes a channel, in file
-    order.  A file must hold at least one such column.  Every error names
-    the path.
+    The file is read once, with universal newlines, so a copy with CRLF
+    (or CR) line endings reads the same as the LF original; numpy's text
+    reader then fills the array, each cell read by Python's ``float``.
+    A header with an empty or repeated column name is rejected, so that
+    a name always means one column.  The ``t`` column must hold at least
+    two rows, start at 0 and rise uniformly, to 1e-9 of its step; it sets
+    the record's ``dt``, and every other column becomes a channel, in
+    file order.  A file must hold at least one such column.  Every error
+    names the path, and a row's error its line, blank lines counted.
     """
     with open(path, "r") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1)
+                 if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = tuple(lines[0].split(","))
+    header = tuple(lines[0][1].split(","))
     for j, name in enumerate(header):
         if not name:
             raise ValueError(f"{path}: header column {j + 1} has no name")
         if name in header[:j]:
             raise ValueError(f"{path}: header names column {name!r} twice")
-    raw = [line.split(",") for line in lines[1:]]
-    if not raw:
+    rows = lines[1:]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    for i, row in enumerate(raw):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {_data_line_numbers(path)[i]} has "
-                             f"{len(row)} cells, header has {len(header)}")
+    for number, line in rows:
+        if (cells := line.count(",") + 1) != len(header):
+            raise ValueError(f"{path}: line {number} has {cells} cells, "
+                             f"header has {len(header)}")
     try:
-        data = np.array(raw, dtype=float)
+        data = np.loadtxt((line for _, line in rows), delimiter=",",
+                          comments=None, ndmin=2, converters=float)
     except ValueError:
-        for number, row in zip(_data_line_numbers(path), raw):
-            for name, cell in zip(header, row):
+        for number, line in rows:
+            for name, cell in zip(header, line.split(",")):
                 try:
                     float(cell)
                 except ValueError:
                     raise ValueError(f"{path}: line {number}, column {name!r}: "
                                      f"{cell!r} is not a number") from None
         raise
-    # the text rows are freed first, so the grid checks add nothing to the
-    # peak memory of a read
-    del lines, raw
     if "t" not in header:
         raise ValueError(f"{path}: no column 't'; file has {', '.join(header)}")
     if len(header) == 1:

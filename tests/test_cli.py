@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from amptrack import config, feedback, grid, lattice, storage
+from amptrack import cli, config, feedback, grid, lattice, storage
 from amptrack.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -741,6 +741,28 @@ class TestFailClosed:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
         assert sorted(tmp_path.iterdir()) == [hubbard_cfg, run]
+
+    @pytest.mark.parametrize("command", ["run-reference", "run-tracking",
+                                         "spectrum"])
+    def test_out_that_is_a_file_fails_before_any_run(self, command, hubbard_cfg,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        # a run that could not write its result is not started
+        calls = []
+        monkeypatch.setattr(cli, "run_open_loop", lambda *a: calls.append(a))
+        monkeypatch.setattr(storage, "read_table", lambda *a: calls.append(a))
+        run = write_harmonic_csv(tmp_path / "run.csv")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        argv = {"run-reference": ["--config", str(hubbard_cfg)],
+                "run-tracking": ["--config", str(hubbard_cfg)],
+                "spectrum": ["--in", str(run), "--omega0", "0.3"]}[command]
+        assert main([command, *argv, "--out", str(afile)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --out {afile}: exists and is not a directory\n"
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == [afile, hubbard_cfg, run]
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("platform", ["atom", "hubbard"])
     def test_non_finite_reference_is_rejected(self, platform, request, tmp_path,

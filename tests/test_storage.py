@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,69 @@ class TestReadTable:
         path.write_text("t,y\n" + "".join(f"{ti},1.0\n" for ti in t.split(",")))
         with pytest.raises(ValueError, match="not uniformly spaced"):
             storage.read_table(path)
+
+    def test_reads_each_cell_as_float_does(self, tmp_path):
+        # blank and whitespace-only lines are skipped, CR alone ends a line
+        cells = [" 1.0 ", "1_0", "Infinity", "+2", "-3e-2"]
+        path = tmp_path / "cells.csv"
+        path.write_bytes(("t,y\r\r" + "".join(
+            f"{0.5 * i!r},{cell}\r \t \r" for i, cell in enumerate(cells)))
+            .encode())
+        record = storage.read_table(path)
+        assert record.dt == 0.5
+        np.testing.assert_array_equal(record.series("y").values,
+                                      [float(cell) for cell in cells])
+
+    def test_random_doubles_read_back_bit_for_bit(self, tmp_path):
+        bits = np.random.default_rng(3).integers(0, 2**64, size=6000,
+                                                 dtype=np.uint64)
+        doubles = bits.view(np.float64)
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, math.nan,
+                    math.inf, -math.inf]
+        values = np.array([*doubles[np.isfinite(doubles)][:5000], *extremes])
+        path = tmp_path / "doubles.csv"
+        storage.write_reference_csv(path, RunRecord(dt=0.05, channels={"y": values}))
+        read = storage.read_table(path).series("y").values
+        assert read.tobytes() == values.tobytes()
+
+    def test_a_short_row_is_reported_before_an_earlier_bad_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.0,abc\n0.1,1.0\n0.2\n")
+        message = f"{path}: line 4 has 1 cells, header has 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            storage.read_table(path)
+
+    def test_a_bad_cell_is_located_without_reading_the_file_again(
+            self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(storage, "open", counting_open, raising=False)
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.0,1.0\n0.1,abc\n")
+        with pytest.raises(ValueError, match="line 3, column 'y': 'abc'"):
+            storage.read_table(path)
+        assert opened == [path]
+
+    def test_read_peak_memory_of_an_atom_reference(self, tmp_path):
+        # 16 550 rows is the length of the shipped atom reference; the
+        # whole text is held once, and the array filled from it, not from
+        # a list of split rows
+        rng = np.random.default_rng(7)
+        record = RunRecord(dt=0.05, channels={
+            name: rng.normal(size=16550) for name in ("p", "force", "e_total", "y")})
+        path = tmp_path / "reference.csv"
+        storage.write_reference_csv(path, record)
+        tracemalloc.start()
+        try:
+            storage.read_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestMetadata:
