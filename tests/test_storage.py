@@ -263,9 +263,9 @@ class TestReadTable:
         assert opened == [path]
 
     def test_read_peak_memory_of_an_atom_reference(self, tmp_path):
-        # 16 550 rows is the length of the shipped atom reference; the
-        # whole text is held once, and the array filled from it, not from
-        # a list of split rows
+        # 16 550 rows of four channels is the size of the reference in
+        # perfbench's atom round; the text is held once and the array filled
+        # from it, with no list of split rows beside them
         rng = np.random.default_rng(7)
         record = RunRecord(dt=0.05, channels={
             name: rng.normal(size=16550) for name in ("p", "force", "e_total", "y")})
