@@ -7,9 +7,10 @@ invalid input or configuration (an input file that cannot be read or an
 --out that cannot be made among them), 3 numerical failure
 (non-convergence, a singular control law, failed detection or a
 non-finite residual), 4 a requested residual gate was exceeded.  A
-command refuses an --out that exists and is not a directory before it
-runs anything, and makes --out only after its runs have finished, so
-one that fails before then writes nothing.
+command refuses an --out that exists and is not a directory, or whose
+nearest existing parent is not one, before it runs anything, and makes
+--out only after its runs have finished, so one that fails before then
+writes nothing.
 """
 
 import argparse
@@ -32,22 +33,21 @@ EXIT_GATE = 4
 
 
 def _out_dir(arg: str) -> Path:
-    """--out as a path, refused if it exists and is not a directory; the
-    command makes it only once its runs have finished."""
+    """--out as a path, refused if its nearest existing part (itself or a
+    parent) is not a directory; it is made once the runs have finished."""
     path = Path(arg)
-    if path.exists() and not path.is_dir():
-        raise ValueError(f"--out {arg}: exists and is not a directory")
+    found = next(part for part in (path, *path.parents) if part.exists())
+    if not found.is_dir():
+        where = "" if found == path else f"{found} "
+        raise ValueError(f"--out {arg}: {where}exists and is not a directory")
     return path
 
 
-def _metadata(cfg, command: str, summary: dict, columns) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "columns": list(columns),
-        "summary": summary,
-    }
+def _metadata(command: str, columns, **fields) -> dict:
+    """A metadata.json payload: the keys every sidecar holds plus the
+    command's own fields."""
+    return dict(fields, command=command, version=__version__,
+                columns=list(columns))
 
 
 def _gate(residual: float, gate) -> int:
@@ -97,13 +97,10 @@ def cmd_run_reference(args) -> int:
     record = run_open_loop(system)
     out.mkdir(parents=True, exist_ok=True)
     columns = storage.write_reference_csv(out / "reference.csv", record)
-    meta = _metadata(
-        cfg, "run-reference",
-        _summary(system, cfg.platform, n_steps=len(record) - 1, dt=record.dt,
-                 y_rms=rms(record.y)),
-        columns,
-    )
-    storage.write_metadata(out / "metadata.json", meta)
+    summary = _summary(system, cfg.platform, n_steps=len(record) - 1,
+                       dt=record.dt, y_rms=rms(record.y))
+    storage.write_metadata(out / "metadata.json", _metadata(
+        "run-reference", columns, config=cfg.as_dict(), summary=summary))
     print(f"reference run: {len(record) - 1} steps, wrote {out / 'reference.csv'}")
     return EXIT_OK
 
@@ -138,9 +135,9 @@ def cmd_run_tracking(args) -> int:
         k_p=cfg.feedback.k_p,
         gate=args.gate,
     )
-    meta = _metadata(cfg, "run-tracking", summary, columns)
-    meta["reference"] = args.reference
-    storage.write_metadata(out / "metadata.json", meta)
+    storage.write_metadata(out / "metadata.json", _metadata(
+        "run-tracking", columns, config=cfg.as_dict(), summary=summary,
+        reference=args.reference))
     print(f"{residual_kind} rms residual: {result.rms_relative!r}")
     return _gate(result.rms_relative, args.gate)
 
@@ -179,19 +176,10 @@ def cmd_spectrum(args) -> int:
                                          drop_db=args.drop_db)
     out.mkdir(parents=True, exist_ok=True)
     columns = storage.write_spectrum_csv(out / "spectrum.csv", spectrum, args.omega0)
-    meta = {
-        "command": "spectrum",
-        "version": __version__,
-        "input": str(args.input),
-        "column": args.column,
-        "window": args.window,
-        "omega0": args.omega0,
-        "drop_db": args.drop_db,
-        "cutoff_order": order,
-        "cutoff_frequency": order * args.omega0,
-        "columns": list(columns),
-    }
-    storage.write_metadata(out / "metadata.json", meta)
+    storage.write_metadata(out / "metadata.json", _metadata(
+        "spectrum", columns, input=str(args.input), column=args.column,
+        window=args.window, omega0=args.omega0, drop_db=args.drop_db,
+        cutoff_order=order, cutoff_frequency=order * args.omega0))
     print(f"cutoff order: {order}")
     return EXIT_OK
 
@@ -241,15 +229,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config", required=True)
+    run_flags.add_argument("--out", required=True)
+    series_flags = argparse.ArgumentParser(add_help=False)
+    series_flags.add_argument("--column", default="y")
+    series_flags.add_argument("--window", default="hann", choices=spectral._WINDOWS)
+    series_flags.add_argument("--drop-db", type=float, default=20.0, dest="drop_db")
 
-    ref = sub.add_parser("run-reference", help="record an open-loop reference run")
-    ref.add_argument("--config", required=True)
-    ref.add_argument("--out", required=True)
+    ref = sub.add_parser("run-reference", parents=[run_flags],
+                         help="record an open-loop reference run")
     ref.set_defaults(func=cmd_run_reference)
 
-    trk = sub.add_parser("run-tracking", help="track a reference with feedback")
-    trk.add_argument("--config", required=True)
-    trk.add_argument("--out", required=True)
+    trk = sub.add_parser("run-tracking", parents=[run_flags],
+                         help="track a reference with feedback")
     trk.add_argument("--reference", default=None,
                      help="reference.csv to track; omitted: run it in-process")
     trk.add_argument("--gate", type=float, default=None,
@@ -268,25 +261,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hhg mode: target cutoff instead of a field")
     mat.set_defaults(func=cmd_match_intensity)
 
-    spe = sub.add_parser("spectrum", help="power spectrum and cutoff of a run")
+    spe = sub.add_parser("spectrum", parents=[series_flags],
+                         help="power spectrum and cutoff of a run")
     spe.add_argument("--in", required=True, dest="input")
     spe.add_argument("--out", required=True)
     spe.add_argument("--omega0", required=True, type=float)
-    spe.add_argument("--column", default="y")
-    spe.add_argument("--window", default="hann", choices=spectral._WINDOWS)
-    spe.add_argument("--drop-db", type=float, default=20.0,
-                     dest="drop_db")
     spe.set_defaults(func=cmd_spectrum)
 
-    cmp_ = sub.add_parser("compare", help="residual and spectral comparison")
+    cmp_ = sub.add_parser("compare", parents=[series_flags],
+                          help="residual and spectral comparison")
     cmp_.add_argument("--a", required=True)
     cmp_.add_argument("--b", required=True)
-    cmp_.add_argument("--column", default="y")
     cmp_.add_argument("--omega0", type=float, default=None,
                       help="carrier frequency; enables the spectral comparison")
-    cmp_.add_argument("--window", default="hann", choices=spectral._WINDOWS)
-    cmp_.add_argument("--drop-db", type=float, default=20.0,
-                      dest="drop_db")
     cmp_.add_argument("--gate", type=float, default=None)
     cmp_.add_argument("--json", action="store_true")
     cmp_.set_defaults(func=cmd_compare)

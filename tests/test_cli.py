@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, and exit codes."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -354,6 +355,81 @@ class TestRunTracking:
         assert not (out / "reference.csv").exists()
 
 
+class TestCommandLine:
+    """The command-line surface, recorded before the flags that two
+    subcommands share were declared once: per subcommand, each option's
+    (dest, default, required, choices, type)."""
+
+    OPTIONS = {
+        "run-reference": {
+            ("--config",): ("config", None, True, None, None),
+            ("--out",): ("out", None, True, None, None),
+        },
+        "run-tracking": {
+            ("--config",): ("config", None, True, None, None),
+            ("--out",): ("out", None, True, None, None),
+            ("--reference",): ("reference", None, False, None, None),
+            ("--gate",): ("gate", None, False, None, float),
+        },
+        "match-intensity": {
+            ("--mode",): ("mode", None, True, ("hhg", "ati"), None),
+            ("--omega",): ("omega", None, True, None, float),
+            ("--ip",): ("ip", None, True, None, float),
+            ("--ip-new",): ("ip_new", None, True, None, float),
+            ("--field",): ("field", None, False, None, float),
+            ("--cutoff",): ("cutoff", None, False, None, float),
+        },
+        "spectrum": {
+            ("--in",): ("input", None, True, None, None),
+            ("--out",): ("out", None, True, None, None),
+            ("--omega0",): ("omega0", None, True, None, float),
+            ("--column",): ("column", "y", False, None, None),
+            ("--window",): ("window", "hann", False, ("none", "hann"), None),
+            ("--drop-db",): ("drop_db", 20.0, False, None, float),
+        },
+        "compare": {
+            ("--a",): ("a", None, True, None, None),
+            ("--b",): ("b", None, True, None, None),
+            ("--column",): ("column", "y", False, None, None),
+            ("--omega0",): ("omega0", None, False, None, float),
+            ("--window",): ("window", "hann", False, ("none", "hann"), None),
+            ("--drop-db",): ("drop_db", 20.0, False, None, float),
+            ("--gate",): ("gate", None, False, None, float),
+            ("--json",): ("json", False, False, None, None),
+        },
+    }
+
+    @staticmethod
+    def subcommands():
+        parser = cli._build_parser()
+        return next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+
+    def test_each_subcommand_keeps_its_options(self):
+        found = {
+            name: {tuple(action.option_strings):
+                   (action.dest, action.default, action.required,
+                    action.choices, action.type)
+                   for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)}
+            for name, sub in self.subcommands().items()
+        }
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]]
+                             + [[name, "--help"] for name in sorted(OPTIONS)])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        # argparse formats a help text only when it prints one
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        if argv == ["--version"]:
+            assert out == f"{cli.__version__}\n"
+        for flags in self.OPTIONS.get(argv[0], ()):
+            assert all(flag in out for flag in flags)
+
+
 class TestArtifactDigests:
     """SHA-256 digests of the run-tracking CSVs and their sidecar, pinned
     per library build.
@@ -401,6 +477,14 @@ class TestArtifactDigests:
             "78a1c5a419a686304c753c37a3fe235db26712d8e321219b8909f744319fe927",
         "hubbard-6-4-2":
             "0018ecb5b3d415093521f0abee84e9306e33daf1d908865421f74c7eb02ca8cb",
+    }
+
+    # the metadata.json of `run-reference` on each config, recorded before
+    # every sidecar was built by one function
+    REFERENCE_METADATA_DIGESTS = {
+        "atom": "40584e1ac2026fec1ff7646ce0005eec44ea1ba32ebf6112bb91fb924520be3d",
+        "hubbard-2":
+            "da6414021eb988cd5ec9dfd2fca48772b0d7e8e1322f543a12f8f69d9668619c",
     }
 
     # spectrum.csv and metadata.json of `spectrum` on the synthetic harmonic
@@ -471,6 +555,17 @@ class TestArtifactDigests:
     def test_metadata_digests(self, run):
         case, out = run
         assert self.digest(out / "metadata.json") == self.METADATA_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_METADATA_DIGESTS))
+    def test_reference_metadata_digests(self, case, tmp_path):
+        self.require_pinned_versions()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIGS[case])
+        out = tmp_path / "ref"
+        assert main(["run-reference", "--config", str(cfg), "--out", str(out)]) == 0
+        assert self.digest(out / "reference.csv") == self.DIGESTS[case][0]
+        assert (self.digest(out / "metadata.json")
+                == self.REFERENCE_METADATA_DIGESTS[case])
 
     def test_spectrum_digests(self, tmp_path, monkeypatch):
         # relative paths, so that the sidecar's "input" is the same in any
@@ -760,6 +855,30 @@ class TestFailClosed:
         assert main([command, *argv, "--out", str(afile)]) == 2
         assert capsys.readouterr().err == \
             f"error: --out {afile}: exists and is not a directory\n"
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == [afile, hubbard_cfg, run]
+        assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["run-reference", "run-tracking",
+                                         "spectrum"])
+    def test_out_below_a_file_fails_before_any_run(self, command, hubbard_cfg,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        # the nearest part of --out that exists is checked, not only the
+        # path itself: a directory cannot be made below a file
+        calls = []
+        monkeypatch.setattr(cli, "run_open_loop", lambda *a: calls.append(a))
+        monkeypatch.setattr(storage, "read_table", lambda *a: calls.append(a))
+        run = write_harmonic_csv(tmp_path / "run.csv")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" / "deeper"
+        argv = {"run-reference": ["--config", str(hubbard_cfg)],
+                "run-tracking": ["--config", str(hubbard_cfg)],
+                "spectrum": ["--in", str(run), "--omega0", "0.3"]}[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --out {out}: {afile} exists and is not a directory\n"
         assert calls == []
         assert sorted(tmp_path.iterdir()) == [afile, hubbard_cfg, run]
         assert afile.read_text() == "kept\n"
