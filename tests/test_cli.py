@@ -417,7 +417,8 @@ class TestCommandLine:
         assert found == self.OPTIONS
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"]]
-                             + [[name, "--help"] for name in sorted(OPTIONS)])
+                             + [[name, "--help"] for name in sorted(OPTIONS)],
+                             ids=" ".join)
     def test_help_and_version_exit_0(self, argv, capsys):
         # argparse formats a help text only when it prints one
         with pytest.raises(SystemExit) as exit_:
