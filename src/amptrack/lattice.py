@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import lapack
 from scipy.sparse import coo_matrix, csr_matrix, identity, vstack
 
@@ -662,7 +661,8 @@ class HubbardSystem:
         self.dt = self.numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
         self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)
-        self._phi_smooth = cumulative_trapezoid(self.e_tl, dx=self.dt, initial=0.0)
+        self._phi_smooth = np.concatenate(
+            ([0.0], np.cumsum(self.dt * (self.e_tl[1:] + self.e_tl[:-1]) / 2.0)))
         self.ground_energy: float | None = None
         self._ground: np.ndarray | None = None
 

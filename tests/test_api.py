@@ -95,6 +95,26 @@ def test_benchmark_round_runs(trace, tmp_path):
         assert sorted(report["layers"]) == sorted(m["name"] for m in per_layer)
 
 
+def test_imports_load_only_the_scipy_the_package_uses():
+    # each scipy subpackage costs megabytes of resident memory in every
+    # run; fft, linalg (LAPACK) and sparse (CSR products) are used, and
+    # special comes with fft.  A fresh process is needed: the test modules
+    # load other subpackages into this one.
+    probe = ("import sys, amptrack, amptrack.cli; "
+             "print(' '.join(sorted(name for name, module in sys.modules.items() "
+             "if name.startswith('scipy.') and name.count('.') == 1 "
+             "and hasattr(module, '__path__'))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("scipy.") for name in proc.stdout.split()}
+    public = {name for name in loaded if not name.startswith("_")}
+    assert public <= {"fft", "linalg", "sparse", "special"}, sorted(public)
+
+
 def test_whole_numbers_are_checked_in_one_place():
     # operator.index is the integer test of exceptions._require_int; any
     # other module that calls it checks whole numbers by hand

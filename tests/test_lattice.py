@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -21,6 +22,7 @@ from amptrack import (
     evaluate_tl_field,
     lattice,
 )
+from amptrack.config import build_system, parse_config
 from amptrack.feedback import run_open_loop
 from amptrack.lattice import (
     HubbardSystem,
@@ -1005,6 +1007,32 @@ class TestThreadIndependence:
         assert digests[0].count("\n") == 1
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_ring(sites, role):
+    """The ``role`` system of the shipped ring config on ``sites`` sites,
+    at half filling."""
+    cfg = parse_config(CONFIG_DIR / "hubbard_default.cfg")
+    par = dataclasses.replace(cfg.hubbard, sites=sites, n_up=sites // 2,
+                              n_down=sites // 2)
+    return build_system(dataclasses.replace(cfg, hubbard=par), role)
+
+
+TWO_CYCLES = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
+PHASE_CASES = {
+    "ten-site-reference": lambda: shipped_ring(10, "reference"),
+    "ten-site-driven": lambda: shipped_ring(10, "driven"),
+    "six-site-reference": lambda: shipped_ring(6, "reference"),
+    "six-site-driven": lambda: shipped_ring(6, "driven"),
+    "two-site": lambda: HubbardSystem(2, 8.0, TWO_CYCLES),
+    "four-site": lambda: HubbardSystem(4, 8.0, TWO_CYCLES),
+    # the pulse lasts 230.6 steps of 0.0123, so the last step overruns it
+    "four-site-dt-0.0123": lambda: HubbardSystem(
+        4, 8.0, TWO_CYCLES, LatticeNumerics(dt=0.0123)),
+}
+
+
 class TestReferenceRun:
     def test_zero_field_is_silent(self):
         pulse = PulseSpec(e0=0.0, omega0=4.43, cycles=1)
@@ -1017,16 +1045,19 @@ class TestReferenceRun:
         rec = run_open_loop(HubbardSystem(4, 8.0, pulse))
         assert rec.channels["y"][0] == pytest.approx(0.0, abs=1e-9)
 
-    def test_phase_channel_reproduces_accumulator(self):
-        pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
-        rec = run_open_loop(HubbardSystem(4, 8.0, pulse))
-        # with no control the phase is minus the trapezoid-rule
-        # integral of the pulse on the propagation grid
-        t = rec.dt * np.arange(len(rec))
-        want = -cumulative_trapezoid(
-            evaluate_tl_field(t, pulse), dx=rec.dt, initial=0.0
+    @pytest.mark.parametrize("case", PHASE_CASES)
+    def test_phase_channel_reproduces_accumulator(self, case):
+        system = PHASE_CASES[case]()
+        # the smooth phase table is the trapezoid-rule integral of the
+        # pulse on the propagation grid, bit for bit as scipy computes it
+        t = system.dt * np.arange(system.n_steps + 1)
+        want = cumulative_trapezoid(
+            evaluate_tl_field(t, system.pulse), dx=system.dt, initial=0.0
         )
-        np.testing.assert_array_equal(rec.channels["phase"], want)
+        assert system._phi_smooth.tobytes() == want.tobytes()
+        # with no control the phase is minus that table
+        rec = run_open_loop(system)
+        np.testing.assert_array_equal(rec.channels["phase"], -want)
 
     def test_ehrenfest_residual_is_second_order(self):
         pulse = PulseSpec(e0=2.61, omega0=4.43, cycles=2)
