@@ -7,6 +7,7 @@ numerical differentiation.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,32 +101,33 @@ def _energy(psi: np.ndarray, k2: np.ndarray, V: np.ndarray,
 # the step is lowered through the schedule so that the Trotter bias of
 # the last fixed point sits far below the calibration's 1e-4 tolerance
 _DTAU_SCHEDULE = (0.1, 0.02, 0.005)
-_ENERGY_TOL = 1e-12     # relative energy change per step that ends a stage
+# relative change per step of the level -ln|psi'|^2 / (2 dtau) that ends a
+# stage; its error is quadratic in the state's, as the energy's is, and
+# 3e-13 leaves the state closer to the fixed point than 1e-12 on the energy
+_LEVEL_TOL = 3e-13
 _MAX_STEPS = 200_000    # steps per stage before a NumericalError
 
 
-def imaginary_time_ground_state(
-    numerics: AtomNumerics, V: np.ndarray, psi0: np.ndarray | None = None
-):
+def imaginary_time_ground_state(numerics: AtomNumerics, V: np.ndarray):
     """Relax to the ground state of K + V by split-step imaginary time.
 
-    The step size is lowered through ``_DTAU_SCHEDULE``; each stage ends
-    when the Rayleigh quotient changes by less than ``_ENERGY_TOL``
-    (relative) in one step; a stage still moving after ``_MAX_STEPS``
-    steps raises NumericalError with that last change as its residual.
-    ``psi0`` warm-starts the relaxation.
+    Every solve starts from the same Gaussian, so the state is a function
+    of (numerics, V) alone.  The step size is lowered through
+    ``_DTAU_SCHEDULE``.  Each step's level -ln|psi'|^2 / (2 dtau), from
+    the norm the normalization takes, is a Rayleigh quotient of the
+    symmetric split-step propagator; a stage ends when it changes by less
+    than ``_LEVEL_TOL`` (relative) in one step, and a stage still moving
+    after ``_MAX_STEPS`` steps raises NumericalError with that last change
+    as its residual.  The energy <K + V> is taken once, after the last
+    stage.
 
     Returns (psi, energy).
     """
     dx, n = numerics.dx, numerics.n_points
     k2 = numerics.k() ** 2
-    if psi0 is None:
-        psi = np.exp(-0.5 * numerics.x() ** 2).astype(complex)
-    else:
-        psi = np.asarray(psi0, dtype=complex).copy()
+    psi = np.exp(-0.5 * numerics.x() ** 2).astype(complex)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx)
 
-    energy = None
     for dtau in _DTAU_SCHEDULE:
         exp_k = np.exp(-0.5 * k2 * dtau)
         exp_v = np.exp(-0.5 * V * dtau)
@@ -134,17 +136,18 @@ def imaginary_time_ground_state(
             psi = exp_v * psi
             psi = sfft.ifft(exp_k * sfft.fft(psi))
             psi = exp_v * psi
-            psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-            energy = _energy(psi, k2, V, dx, n)
-            change = abs(energy - previous)
-            if change < _ENERGY_TOL * max(1.0, abs(energy)):
+            norm2 = np.sum(np.abs(psi) ** 2) * dx
+            psi /= math.sqrt(norm2)
+            level = -math.log(norm2) / (2.0 * dtau)
+            change = abs(level - previous)
+            if change < _LEVEL_TOL * max(1.0, abs(level)):
                 break
-            previous = energy
+            previous = level
         else:
             raise NumericalError(
                 f"imaginary time did not settle at dtau={dtau}", residual=change
             )
-    return psi, energy
+    return psi, _energy(psi, k2, V, dx, n)
 
 
 def _softening_slope(numerics: AtomNumerics, alpha: float) -> np.ndarray:
@@ -155,6 +158,10 @@ def _softening_slope(numerics: AtomNumerics, alpha: float) -> np.ndarray:
 # |E0| - target_ip that ends the calibration, and its solve budget
 _CALIBRATION_TOL = 1e-4
 _CALIBRATION_MAX_ITER = 80
+# (psi, energy) of a calibration's last solve, keyed by (numerics, alpha),
+# until an AtomSystem of that key takes it: at most the latest few
+_CALIBRATED = OrderedDict()
+_CALIBRATED_KEEP = 4
 
 
 def calibrate_softening(
@@ -169,23 +176,40 @@ def calibrate_softening(
     with alpha, so the sign of each residual shrinks a bracket.  A step
     that leaves the bracket makes the solver check, once, that the edge it
     crossed brackets the target, and then bisect.  Tolerance is on the
-    energy, not alpha.
+    energy, not alpha.  ``lo`` and ``hi`` must be finite and positive with
+    ``lo < hi``; a bad bracket raises ValueError before any solve.
+
+    Each solve starts afresh, so the last one is the ground state at the
+    returned alpha, bit for bit.  It is kept for the ``AtomSystem`` built
+    next with these numerics and this alpha, which then solves nothing.
     """
     _require(target_ip=target_ip)
     if not 0.2 < target_ip < 2.0:
         raise ValueError(f"target_ip must lie in (0.2, 2.0), got {target_ip!r}")
+    try:
+        _require("positive", lo=lo, hi=hi)
+        if not lo < hi:
+            raise ValueError("lo must lie below hi")
+    except ValueError as exc:
+        raise ValueError(f"bracket [lo, hi] = [{lo!r}, {hi!r}]: {exc}") from None
 
-    guess = None
+    solved = None
 
     def residual(alpha: float):
         """(|E0| - target_ip, dE0/dalpha) at this softening."""
-        nonlocal guess
-        guess, energy = imaginary_time_ground_state(
-            numerics, soft_coulomb_potential(numerics, alpha), psi0=guess
-        )
-        slope = np.sum(np.abs(guess) ** 2
+        nonlocal solved
+        solved = imaginary_time_ground_state(
+            numerics, soft_coulomb_potential(numerics, alpha))
+        psi, energy = solved
+        slope = np.sum(np.abs(psi) ** 2
                        * _softening_slope(numerics, alpha)) * numerics.dx
         return -energy - target_ip, float(slope)
+
+    def found(alpha: float) -> float:
+        _CALIBRATED[numerics, alpha] = solved
+        if len(_CALIBRATED) > _CALIBRATED_KEEP:
+            _CALIBRATED.popitem(last=False)
+        return alpha
 
     # the residual falls with alpha: it is positive at a, negative at b
     a, b = lo, hi
@@ -194,7 +218,7 @@ def calibrate_softening(
     for _ in range(_CALIBRATION_MAX_ITER):
         f, slope = residual(alpha)
         if abs(f) < _CALIBRATION_TOL:
-            return alpha
+            return found(alpha)
         if f > 0:
             a = alpha
         else:
@@ -210,7 +234,7 @@ def calibrate_softening(
             unchecked.remove(edge)
             f_edge, _ = residual(edge)
             if abs(f_edge) < _CALIBRATION_TOL:
-                return edge
+                return found(edge)
             if not (f_edge > 0 if edge == lo else f_edge < 0):
                 raise NumericalError(
                     f"interval [{lo}, {hi}] does not bracket Ip={target_ip}"
@@ -258,10 +282,21 @@ class AtomSystem:
         self._exp_k = np.exp(-0.5j * self.dt * k**2)
         self._mask = numerics.mask()
         self.ground_energy = None
+        # a calibration's last solve at this key is the state a solve gives
+        self._ground = _CALIBRATED.pop((numerics, alpha), None)
 
     def initial_state(self) -> np.ndarray:
-        psi, energy = imaginary_time_ground_state(self.numerics, self._V)
-        self.ground_energy = energy
+        """A copy of the field-free ground state; sets ``ground_energy``.
+
+        The state is the one `imaginary_time_ground_state` gives for this
+        alpha and these numerics.  It is solved at most once per system:
+        not at all when `calibrate_softening` has just returned this alpha
+        for these numerics, since its last solve is that state bit for
+        bit.  Every call checks that the state decays at the box edge.
+        """
+        if self._ground is None:
+            self._ground = imaginary_time_ground_state(self.numerics, self._V)
+        psi, self.ground_energy = self._ground
         tail = max(1, self.numerics.n_points // 20)
         edge = max(np.abs(psi[:tail]).max(), np.abs(psi[-tail:]).max())
         if edge > 1e-8:
@@ -269,7 +304,7 @@ class AtomSystem:
                 f"ground state does not decay at the box edge (|psi|={edge:.2e}); "
                 "enlarge the box"
             )
-        return psi
+        return psi.copy()
 
     def observables(self, psi: np.ndarray) -> dict:
         dx, n = self.numerics.dx, self.numerics.n_points

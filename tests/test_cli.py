@@ -439,12 +439,14 @@ class TestArtifactDigests:
     alters the arithmetic updates the digests and says so in CHANGES.md.
     """
 
-    # numpy and scipy versions the digests were computed with
+    # numpy and scipy versions the digests were computed with; every atom
+    # digest was re-recorded when imaginary time began to stop on the level
+    # -ln|psi'|^2 / (2 dtau) and each solve to start from the Gaussian
     VERSIONS = ("2.4.6", "1.17.1")
     DIGESTS = {
         "atom": (
-            "0ac596f0c53a910f692ae83dc20569c44131fc36bbd78f3f0e02508b21b3982d",
-            "ef86db586a389cdb7fb2ec8498de1d87793b49c75d9899e484282ab9d591f154",
+            "cda261dfbce850ffbdef8ddf4c0e9efae5c196d886f50dec375883ef4a453c4e",
+            "f8348faf4eb7a3e8eb2c9cbc19a720615a882bb72ce5cf5b2fcdd112912746b6",
         ),
         "hubbard-2": (
             "5de471121306774063aa7f9adce5a59919628758574e5d97f298d162946bd981",
@@ -471,7 +473,7 @@ class TestArtifactDigests:
     # the metadata.json of each case, recorded before the CSV writer took
     # its header from the record
     METADATA_DIGESTS = {
-        "atom": "83b09347dc4cdddf7e9da29038a3b3a2e8222685db195d9e815e213f2efa2de6",
+        "atom": "c63cbc9418fc0619376aa29d8da0b09a1b1e49c796c5a0078e3100a3d0712715",
         "hubbard-2":
             "647a6c8e8e07187e348c5e16ce3296fd683c0065c63e116e0e6545a5e3954d5a",
         "hubbard-6":
@@ -483,7 +485,7 @@ class TestArtifactDigests:
     # the metadata.json of `run-reference` on each config, recorded before
     # every sidecar was built by one function
     REFERENCE_METADATA_DIGESTS = {
-        "atom": "40584e1ac2026fec1ff7646ce0005eec44ea1ba32ebf6112bb91fb924520be3d",
+        "atom": "c80eaba8be6b09baffe1706ee298adef794e91419a4150d21accdc2c8d9c4efd",
         "hubbard-2":
             "da6414021eb988cd5ec9dfd2fca48772b0d7e8e1322f543a12f8f69d9668619c",
     }

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from amptrack import grid
 from amptrack.config import build_system, parse_config
 from amptrack.exceptions import ConfigError
 from amptrack.grid import AtomNumerics, AtomSystem
@@ -455,6 +456,28 @@ class TestBuildSystem:
         # ip = 0.5 calibrates to the textbook softening sqrt(2)
         assert driven.alpha == pytest.approx(math.sqrt(2), abs=0.02)
         assert driven.dt == 0.05
+
+    @pytest.mark.parametrize("role", ["reference", "driven"])
+    def test_atom_starts_from_the_calibrations_last_solve(self, tmp_path,
+                                                         monkeypatch, role):
+        # the calibration's last solve is handed over, so the system solves
+        # nothing, and a system built directly solves to the same bits
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL_ATOM))
+        built = build_system(cfg, role)
+        calls = []
+        solve = grid.imaginary_time_ground_state
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(grid, "imaginary_time_ground_state", counted)
+        psi = built.initial_state()
+        assert calls == []
+        direct = AtomSystem(built.alpha, cfg.pulse, cfg.atom.numerics)
+        assert direct.initial_state().tobytes() == psi.tobytes()
+        assert calls == [1]
+        assert repr(direct.ground_energy) == repr(built.ground_energy)
 
     def test_hubbard_roles_differ_in_interaction(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL_HUBBARD))

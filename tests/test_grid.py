@@ -1,5 +1,6 @@
 import math
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -193,22 +194,60 @@ class TestGroundState:
         assert e_spectral == pytest.approx(-0.5, abs=2e-3)
 
     def test_unsettled_stage_reports_its_last_energy_change(self, monkeypatch):
-        # the error carries the change of the last step, not the difference
-        # of that step's energy with itself
-        energies = []
-        energy = grid_module._energy
-
-        def recorded(*args):
-            energies.append(energy(*args))
-            return energies[-1]
-
+        # the error carries the change of the last step's level
+        # -ln|psi'|^2 / (2 dtau), not the difference of that level with itself
         monkeypatch.setattr(grid_module, "_MAX_STEPS", 3)
-        monkeypatch.setattr(grid_module, "_energy", recorded)
         numerics = AtomNumerics(20.0, 64)
+        V = soft_coulomb_potential(numerics, SQRT2)
         with pytest.raises(NumericalError, match="did not settle at dtau=0.1") as exc:
-            imaginary_time_ground_state(numerics, soft_coulomb_potential(numerics, SQRT2))
-        assert len(energies) == 3
-        assert exc.value.residual == abs(energies[2] - energies[1]) > 0.0
+            imaginary_time_ground_state(numerics, V)
+        dtau, k2 = 0.1, numerics.k() ** 2
+        exp_k, exp_v = np.exp(-0.5 * k2 * dtau), np.exp(-0.5 * V * dtau)
+        psi, levels = gaussian_state(numerics), []
+        for _ in range(3):
+            psi = exp_v * sfft.ifft(exp_k * sfft.fft(exp_v * psi))
+            levels.append(-math.log(norm(psi, numerics)) / (2 * dtau))
+            psi /= math.sqrt(norm(psi, numerics))
+        assert exc.value.residual == pytest.approx(abs(levels[2] - levels[1]), rel=1e-9)
+        assert exc.value.residual > 0.0
+
+    def test_solve_lies_near_the_iterated_fixed_point(self):
+        # 30 000 further steps at the last dtau give the fixed point; the
+        # bounds are the readings of the energy stop rule this one replaced
+        numerics = AtomNumerics(60.0, 512)
+        V = soft_coulomb_potential(numerics, SQRT2)
+        psi, energy = imaginary_time_ground_state(numerics, V)
+        dtau, k2, dx = grid_module._DTAU_SCHEDULE[-1], numerics.k() ** 2, numerics.dx
+        exp_k, exp_v = np.exp(-0.5 * k2 * dtau), np.exp(-0.5 * V * dtau)
+        star = psi
+        for _ in range(30_000):
+            star = exp_v * sfft.ifft(exp_k * sfft.fft(exp_v * star))
+            star /= math.sqrt(norm(star, numerics))
+        overlap = np.sum(np.conj(star) * psi) * dx
+        distance = math.sqrt(norm(psi - star * overlap / abs(overlap), numerics))
+        assert distance <= 1.13e-5
+        assert abs(energy - _energy(star, k2, V, dx, numerics.n_points)) <= 7.8e-11
+
+    def test_system_solves_once_and_hands_out_copies(self, monkeypatch):
+        calls = []
+        solve = grid_module.imaginary_time_ground_state
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(grid_module, "_CALIBRATED", OrderedDict())
+        monkeypatch.setattr(grid_module, "imaginary_time_ground_state", counted)
+        system = AtomSystem(SQRT2, PulseSpec(e0=0.05, omega0=1.0, cycles=1),
+                            AtomNumerics(60.0, 512, 0.05))
+        first = system.initial_state()
+        energy = system.ground_energy
+        want = first.copy()
+        first[:] = 0.0
+        second = system.initial_state()
+        assert len(calls) == 1
+        assert second.tobytes() == want.tobytes()
+        assert system.ground_energy == energy
 
 
 class TestCalibration:
@@ -237,6 +276,36 @@ class TestCalibration:
         numerics = AtomNumerics(100.0, 1024)
         with pytest.raises(NumericalError, match="does not bracket"):
             calibrate_softening(0.3, numerics, lo=0.1, hi=0.2)
+
+    @pytest.mark.parametrize("lo, hi, fault", [
+        (1.0, 1.0, "lo must lie below hi"),
+        (2.0, 1.0, "lo must lie below hi"),
+        (-1.0, 6.0, "lo must be positive, got -1.0"),
+        (0.0, 6.0, "lo must be positive, got 0.0"),
+        (math.nan, 6.0, "lo must be finite, got nan"),
+        (0.1, math.inf, "hi must be finite, got inf"),
+    ])
+    def test_bad_bracket_is_rejected_before_any_solve(self, monkeypatch, lo, hi, fault):
+        def solve(*args):
+            raise AssertionError("imaginary_time_ground_state was called")
+
+        monkeypatch.setattr(grid_module, "imaginary_time_ground_state", solve)
+        message = f"bracket [lo, hi] = [{lo!r}, {hi!r}]: {fault}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate_softening(0.5, AtomNumerics(60.0, 512), lo=lo, hi=hi)
+
+    def test_calibrations_keep_only_their_latest_states_until_taken(self, monkeypatch):
+        # each solve here settles at once, at the middle of its bracket
+        table = OrderedDict()
+        monkeypatch.setattr(grid_module, "_CALIBRATED", table)
+        monkeypatch.setattr(grid_module, "imaginary_time_ground_state",
+                            lambda numerics, V: (np.ones(8, complex), -0.5))
+        numerics = AtomNumerics(10.0, 8)
+        alphas = [calibrate_softening(0.5, numerics, lo=0.1, hi=hi)
+                  for hi in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        assert list(table) == [(numerics, a) for a in alphas[2:]]
+        AtomSystem(alphas[-1], PulseSpec(e0=0.05, omega0=1.0, cycles=1), numerics)
+        assert list(table) == [(numerics, a) for a in alphas[2:-1]]
 
     def test_target_too_deep_for_interval(self):
         numerics = AtomNumerics(100.0, 1024)
