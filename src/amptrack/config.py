@@ -259,8 +259,8 @@ def build_system(cfg: ExperimentConfig, role: str):
 
     ``role`` is ``"reference"`` or ``"driven"``.  Atom systems calibrate
     their softening parameter here, so construction can take a few
-    seconds on large grids; the system starts from the calibration's last
-    ground state and solves none of its own.
+    seconds on large grids; the system, built in its ground state, takes
+    the calibration's last solve from the memo and solves nothing itself.
     """
     if role not in ("reference", "driven"):
         raise ValueError("role must be 'reference' or 'driven'")

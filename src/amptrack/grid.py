@@ -6,8 +6,8 @@ and core force) whose combination gives the emission response without
 numerical differentiation.
 """
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,70 +155,62 @@ def _softening_slope(numerics: AtomNumerics, alpha: float) -> np.ndarray:
     return alpha / (numerics.x() ** 2 + alpha**2) ** 1.5
 
 
-# |E0| - target_ip that ends the calibration, and its solve budget
+@functools.lru_cache(maxsize=1)
+def _ground_state(numerics: AtomNumerics, alpha: float):
+    """(psi, energy) of the soft-core atom, read-only, for the latest key.
+
+    A solve is a function of (numerics, alpha) alone, so the system built
+    right after its calibration takes the calibration's last solve.
+    """
+    psi, energy = imaginary_time_ground_state(
+        numerics, soft_coulomb_potential(numerics, alpha))
+    psi.setflags(write=False)
+    return psi, energy
+
+
+# |E0| - target_ip that ends the calibration, its solve budget, and the
+# softenings it searches between
 _CALIBRATION_TOL = 1e-4
 _CALIBRATION_MAX_ITER = 80
-# (psi, energy) of a calibration's last solve, keyed by (numerics, alpha),
-# until an AtomSystem of that key takes it: at most the latest few
-_CALIBRATED = OrderedDict()
-_CALIBRATED_KEEP = 4
+_BRACKET = (0.1, 6.0)
 
 
-def calibrate_softening(
-    target_ip: float, numerics: AtomNumerics, lo: float = 0.1, hi: float = 6.0
-) -> float:
+def calibrate_softening(target_ip: float, numerics: AtomNumerics) -> float:
     """Softening alpha whose ground state binds with |E0| = target_ip.
 
-    Safeguarded Newton, started at the middle of [lo, hi].  The slope is
-    exact by Hellmann-Feynman, dE0/dalpha = <dV/dalpha>, a sum over the
+    Safeguarded Newton, started at the middle of ``_BRACKET``.  The slope
+    is exact by Hellmann-Feynman, dE0/dalpha = <dV/dalpha>, a sum over the
     ground state each solve returns.  Steps are taken in 1/alpha, in which
     E0 is close to linear (E0 -> -1/alpha for wide softening).  E0 rises
     with alpha, so the sign of each residual shrinks a bracket.  A step
     that leaves the bracket makes the solver check, once, that the edge it
     crossed brackets the target, and then bisect.  Tolerance is on the
-    energy, not alpha.  ``lo`` and ``hi`` must be finite and positive with
-    ``lo < hi``; a bad bracket raises ValueError before any solve.
+    energy, not alpha.
 
-    Each solve starts afresh, so the last one is the ground state at the
-    returned alpha, bit for bit.  It is kept for the ``AtomSystem`` built
-    next with these numerics and this alpha, which then solves nothing.
+    Every solve goes through the one-entry memo of ground states, so the
+    last one, the ground state at the returned alpha, is still held there
+    for the ``AtomSystem`` built next with these numerics and this alpha.
     """
     _require(target_ip=target_ip)
     if not 0.2 < target_ip < 2.0:
         raise ValueError(f"target_ip must lie in (0.2, 2.0), got {target_ip!r}")
-    try:
-        _require("positive", lo=lo, hi=hi)
-        if not lo < hi:
-            raise ValueError("lo must lie below hi")
-    except ValueError as exc:
-        raise ValueError(f"bracket [lo, hi] = [{lo!r}, {hi!r}]: {exc}") from None
-
-    solved = None
 
     def residual(alpha: float):
         """(|E0| - target_ip, dE0/dalpha) at this softening."""
-        nonlocal solved
-        solved = imaginary_time_ground_state(
-            numerics, soft_coulomb_potential(numerics, alpha))
-        psi, energy = solved
+        psi, energy = _ground_state(numerics, alpha)
         slope = np.sum(np.abs(psi) ** 2
                        * _softening_slope(numerics, alpha)) * numerics.dx
         return -energy - target_ip, float(slope)
 
-    def found(alpha: float) -> float:
-        _CALIBRATED[numerics, alpha] = solved
-        if len(_CALIBRATED) > _CALIBRATED_KEEP:
-            _CALIBRATED.popitem(last=False)
-        return alpha
-
     # the residual falls with alpha: it is positive at a, negative at b
+    lo, hi = _BRACKET
     a, b = lo, hi
     unchecked = {lo, hi}
     alpha = 0.5 * (lo + hi)
     for _ in range(_CALIBRATION_MAX_ITER):
         f, slope = residual(alpha)
         if abs(f) < _CALIBRATION_TOL:
-            return found(alpha)
+            return alpha
         if f > 0:
             a = alpha
         else:
@@ -234,7 +226,7 @@ def calibrate_softening(
             unchecked.remove(edge)
             f_edge, _ = residual(edge)
             if abs(f_edge) < _CALIBRATION_TOL:
-                return found(edge)
+                return edge
             if not (f_edge > 0 if edge == lo else f_edge < 0):
                 raise NumericalError(
                     f"interval [{lo}, {hi}] does not bracket Ip={target_ip}"
@@ -252,7 +244,9 @@ class AtomSystem:
     pulse sampled at the step midpoint (second order in dt).  The pulse
     is tabulated once: ``e_tl`` at the grid nodes, ``_e_mid`` at the step
     midpoints.  ``numerics`` is the one record of the grid, the time step
-    and the absorber.
+    and the absorber.  The ground state and ``ground_energy`` are set on
+    construction, from the memo when a calibration has just returned
+    this alpha for these numerics, and by one solve otherwise.
     """
 
     channel_names = ("p", "force")
@@ -281,22 +275,14 @@ class AtomSystem:
         self._exp_v_half = np.exp(-0.5j * self.dt * self._V)
         self._exp_k = np.exp(-0.5j * self.dt * k**2)
         self._mask = numerics.mask()
-        self.ground_energy = None
-        # a calibration's last solve at this key is the state a solve gives
-        self._ground = _CALIBRATED.pop((numerics, alpha), None)
+        self._ground, self.ground_energy = _ground_state(numerics, alpha)
 
     def initial_state(self) -> np.ndarray:
-        """A copy of the field-free ground state; sets ``ground_energy``.
+        """A writable copy of the field-free ground state.
 
-        The state is the one `imaginary_time_ground_state` gives for this
-        alpha and these numerics.  It is solved at most once per system:
-        not at all when `calibrate_softening` has just returned this alpha
-        for these numerics, since its last solve is that state bit for
-        bit.  Every call checks that the state decays at the box edge.
+        Every call checks that the state decays at the box edge.
         """
-        if self._ground is None:
-            self._ground = imaginary_time_ground_state(self.numerics, self._V)
-        psi, self.ground_energy = self._ground
+        psi = self._ground
         tail = max(1, self.numerics.n_points // 20)
         edge = max(np.abs(psi[:tail]).max(), np.abs(psi[-tail:]).max())
         if edge > 1e-8:

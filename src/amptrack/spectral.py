@@ -99,8 +99,8 @@ def power_spectrum(series: TimeSeries, window: str = "hann") -> Spectrum:
     power = np.abs(amps) ** 2 / nfft
     # one-sided: interior bins carry their negative-frequency twins
     power[1:] *= 2.0
-    if nfft % 2 == 0:
-        power[-1] /= 2.0
+    # nfft is a power of two of at least 16: its last bin is Nyquist, no twin
+    power[-1] /= 2.0
     omega = 2.0 * math.pi * sfft.rfftfreq(nfft, d=series.dt)
     return Spectrum(omega=omega, power=power)
 

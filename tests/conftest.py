@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from amptrack import pulses
+from amptrack import grid, pulses
 from amptrack.config import build_system, parse_config
 from amptrack.feedback import FeedbackConfig, run_open_loop, run_tracking
 from amptrack.grid import AtomSystem
@@ -42,6 +42,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(_CRITERION_LINES):
             terminalreporter.line(line)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_atom_ground_states():
+    """Empty the atom's ground-state memo around every test.
+
+    A test that fakes the solver then cannot hand its state to a system
+    built in another test, nor to a session fixture set up after it.
+    """
+    grid._ground_state.cache_clear()
+    yield
+    grid._ground_state.cache_clear()
 
 
 def _timed_reference(make_system):

@@ -132,10 +132,8 @@ def test_whole_numbers_are_checked_in_one_place():
     assert not offenders, f"operator.index outside exceptions.py: {offenders}"
 
 
-def test_one_loop_steps_every_system():
-    # feedback._run is the one propagation loop: no other function starts,
-    # reads or advances a system's state
-    hooks = {"initial_state", "observables", "advance"}
+def source_callers(matches) -> set:
+    """'module.function' of every node in src/amptrack that ``matches``."""
     callers = set()
     for path in sorted((ROOT / "src" / "amptrack").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -144,12 +142,31 @@ def test_one_loop_steps_every_system():
             for child in ast.iter_child_nodes(node):
                 owner[child] = node
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr in hooks:
+            if matches(node):
                 scope = node
                 while scope in owner and not isinstance(scope, ast.FunctionDef):
                     scope = owner[scope]
                 callers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    return callers
+
+
+def test_one_loop_steps_every_system():
+    # feedback._run is the one propagation loop: no other function starts,
+    # reads or advances a system's state
+    hooks = {"initial_state", "observables", "advance"}
+    callers = source_callers(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in hooks)
     assert callers == {"feedback._run"}
+
+
+def test_one_memo_solves_every_atom_ground_state():
+    # grid._ground_state is the one caller of the imaginary-time solver, so
+    # a calibration and the systems built after it share its memo
+    solver = "imaginary_time_ground_state"
+    callers = source_callers(
+        lambda node: isinstance(node, ast.Call) and solver in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert callers == {"grid._ground_state"}
 
 
 SPECTRUM = amptrack.Spectrum(omega=[0.0, 1.0, 2.0, 3.0], power=[1.0] * 4)

@@ -1,6 +1,5 @@
 import math
 import re
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -236,18 +235,38 @@ class TestGroundState:
             calls.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(grid_module, "_CALIBRATED", OrderedDict())
         monkeypatch.setattr(grid_module, "imaginary_time_ground_state", counted)
         system = AtomSystem(SQRT2, PulseSpec(e0=0.05, omega0=1.0, cycles=1),
                             AtomNumerics(60.0, 512, 0.05))
-        first = system.initial_state()
+        assert len(calls) == 1
         energy = system.ground_energy
+        first = system.initial_state()
         want = first.copy()
         first[:] = 0.0
         second = system.initial_state()
         assert len(calls) == 1
         assert second.tobytes() == want.tobytes()
         assert system.ground_energy == energy
+
+    def test_systems_at_a_calibrated_key_solve_nothing(self, monkeypatch):
+        # the calibration's last solve is the memo's entry; systems built
+        # at its (numerics, alpha) share it and make no solve of their own
+        numerics = AtomNumerics(60.0, 512, 0.05)
+        alpha = calibrate_softening(0.5, numerics)
+        calls = []
+        solve = grid_module.imaginary_time_ground_state
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(grid_module, "imaginary_time_ground_state", counted)
+        pulse = PulseSpec(e0=0.05, omega0=1.0, cycles=1)
+        first, second = (AtomSystem(alpha, pulse, numerics) for _ in range(2))
+        states = [first.initial_state(), second.initial_state()]
+        assert calls == []
+        assert states[0].tobytes() == states[1].tobytes()
+        assert repr(first.ground_energy) == repr(second.ground_energy)
 
 
 class TestCalibration:
@@ -272,45 +291,17 @@ class TestCalibration:
                     f"target_ip must lie in (0.2, 2.0), got {target}")):
                 calibrate_softening(target, numerics)
 
-    def test_non_bracketing_interval(self):
+    def test_non_bracketing_interval(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "_BRACKET", (0.1, 0.2))
         numerics = AtomNumerics(100.0, 1024)
         with pytest.raises(NumericalError, match="does not bracket"):
-            calibrate_softening(0.3, numerics, lo=0.1, hi=0.2)
+            calibrate_softening(0.3, numerics)
 
-    @pytest.mark.parametrize("lo, hi, fault", [
-        (1.0, 1.0, "lo must lie below hi"),
-        (2.0, 1.0, "lo must lie below hi"),
-        (-1.0, 6.0, "lo must be positive, got -1.0"),
-        (0.0, 6.0, "lo must be positive, got 0.0"),
-        (math.nan, 6.0, "lo must be finite, got nan"),
-        (0.1, math.inf, "hi must be finite, got inf"),
-    ])
-    def test_bad_bracket_is_rejected_before_any_solve(self, monkeypatch, lo, hi, fault):
-        def solve(*args):
-            raise AssertionError("imaginary_time_ground_state was called")
-
-        monkeypatch.setattr(grid_module, "imaginary_time_ground_state", solve)
-        message = f"bracket [lo, hi] = [{lo!r}, {hi!r}]: {fault}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            calibrate_softening(0.5, AtomNumerics(60.0, 512), lo=lo, hi=hi)
-
-    def test_calibrations_keep_only_their_latest_states_until_taken(self, monkeypatch):
-        # each solve here settles at once, at the middle of its bracket
-        table = OrderedDict()
-        monkeypatch.setattr(grid_module, "_CALIBRATED", table)
-        monkeypatch.setattr(grid_module, "imaginary_time_ground_state",
-                            lambda numerics, V: (np.ones(8, complex), -0.5))
-        numerics = AtomNumerics(10.0, 8)
-        alphas = [calibrate_softening(0.5, numerics, lo=0.1, hi=hi)
-                  for hi in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
-        assert list(table) == [(numerics, a) for a in alphas[2:]]
-        AtomSystem(alphas[-1], PulseSpec(e0=0.05, omega0=1.0, cycles=1), numerics)
-        assert list(table) == [(numerics, a) for a in alphas[2:-1]]
-
-    def test_target_too_deep_for_interval(self):
+    def test_target_too_deep_for_interval(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "_BRACKET", (1.0, 6.0))
         numerics = AtomNumerics(100.0, 1024)
         with pytest.raises(NumericalError, match="does not bracket"):
-            calibrate_softening(1.5, numerics, lo=1.0, hi=6.0)
+            calibrate_softening(1.5, numerics)
 
     def test_few_ground_state_solves(self, monkeypatch):
         calls = []
@@ -343,7 +334,8 @@ class TestCalibration:
 
         monkeypatch.setattr(grid_module, "soft_coulomb_potential", recorded_potential)
         monkeypatch.setattr(grid_module, "imaginary_time_ground_state", recorded_solve)
-        alpha = calibrate_softening(0.5, AtomNumerics(60.0, 512), lo=0.1, hi=1.42)
+        monkeypatch.setattr(grid_module, "_BRACKET", (0.1, 1.42))
+        alpha = calibrate_softening(0.5, AtomNumerics(60.0, 512))
         assert alphas.count(1.42) == 1
         assert alphas[-1] == alpha < 1.42
         assert abs(-energies[-1] - 0.5) < grid_module._CALIBRATION_TOL
