@@ -118,10 +118,12 @@ def cmd_run_tracking(args) -> int:
             check_reference(reference, cfg.pulse.n_steps(dt), dt)
         except ValueError as exc:
             raise ValueError(f"{args.reference}: {exc}") from None
-    else:
+    # built before the in-process reference runs, so that a driven system
+    # without a ground state to start from fails before that run
+    system = build_system(cfg, "driven")
+    if args.reference is None:
         ref_record = run_open_loop(build_system(cfg, "reference"))
         reference = ref_record.series("y")
-    system = build_system(cfg, "driven")
     result = run_tracking(system, reference, cfg.feedback)
     out.mkdir(parents=True, exist_ok=True)
     if args.reference is None:

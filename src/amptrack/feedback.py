@@ -109,9 +109,10 @@ class RunRecord:
 
     def channel(self, name: str) -> np.ndarray:
         if name not in self.channels:
-            raise ValueError(
-                f"no column {name!r}; record has {', '.join(self.channels)}"
-            )
+            # a run CSV's first column reads back as the grid, not a channel
+            what = ("'t' is the record's time grid, not a channel" if name == "t"
+                    else f"no column {name!r}")
+            raise ValueError(f"{what}; record has {', '.join(self.channels)}")
         return self.channels[name]
 
     def series(self, name: str) -> TimeSeries:

@@ -626,18 +626,66 @@ def _block_name(n_sites: int, k: int) -> str:
     return f"K = 2pi*{k}/{n_sites}"
 
 
+def _sector_ground_state(n_sites: int, n_up: int, n_down: int, u: float):
+    """Field-free ground state of the (n_up, n_down) sector at interaction
+    ``u``: the space it lives in, its energy, and the state in that space.
+
+    Scans the blocks K = 2 pi k / L, k = 0..L/2, in k order; K and -K
+    share a spectrum, since H and T are real in the occupation basis.
+    ``_ground_state`` solves each block's field-free H once, from the
+    same seed, with ``above`` the lowest energy solved so far plus 1e-8:
+    the first block in full, and each later one only until its passes
+    show that it can neither hold the lowest level nor tie with it to
+    1e-8.  So the lowest level and its block are those a full solve of
+    every block would pick, with the same bits, and no block's passes run
+    twice.  The state is then kept in the space of its block that
+    ``_ground_space`` names: at N_up = N_down the parity half that
+    <psi|F|psi> names.  A sector whose ground state is not unique raises
+    ValueError: its lowest level lies at a K other than 0 or pi, whose -K
+    twin is degenerate with it, two solved blocks' lowest levels agree to
+    1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8, so that the
+    block's lowest level holds both parities.
+    """
+    L = n_sites
+    levels, above = [], math.inf
+    for k in range(L // 2 + 1):
+        block = _block_basis(L, n_up, n_down, k)
+        if block.dim:
+            level = _ground_state(_field_free(_block_hop(block), block.double_occ, u),
+                                  above)
+            if level is not None:
+                levels.append((*level, block))
+                above = min(above, level[0] + 1e-8)
+    levels.sort(key=lambda level: level[0])
+    energy, vec, block = levels[0]
+    sector = f"sector (L={L}, N_up={n_up}, N_down={n_down})"
+    if (2 * block.k) % L:
+        raise ValueError(
+            f"{sector} has no unique ground state: its lowest level "
+            f"{energy:.10g} lies in block {_block_name(L, block.k)} and "
+            f"in its twin {_block_name(L, L - block.k)}")
+    if len(levels) > 1 and levels[1][0] - energy < 1e-8:
+        raise ValueError(
+            f"{sector} has no unique ground state: blocks "
+            f"{_block_name(L, block.k)} and {_block_name(L, levels[1][2].k)} "
+            f"share the lowest level {energy:.10g} to 1e-8")
+    space, psi = _ground_space(block, vec)
+    return space, energy, psi
+
+
 class HubbardSystem:
     """Driven Hubbard ring exposed through the shared tracking protocol.
 
     A periodic ring of ``n_sites`` sites and interaction ``u`` in hopping
-    units, t0 = a = 1.  The state lives in ``basis``, a space on one
-    momentum block of the sector of ``n_up`` and ``n_down`` particles,
-    half filling of each spin by default.  ``initial_state`` picks the
-    block of the field-free ground state, and the space on it that holds
-    that state: the spin-flip parity half at ``n_up == n_down``, the whole
-    block otherwise.  Until then ``basis`` holds the whole K = 0 block as
-    a space.  ``basis.dim`` is the dimension of the space the state lives
-    in.
+    units, t0 = a = 1, built in its field-free ground state.  The
+    sector holds ``n_up`` and ``n_down`` particles, half filling of each
+    spin by default; construction finds its ground state with
+    ``_sector_ground_state`` and keeps its energy as ``ground_energy``.
+    The state lives in ``basis``, the space that holds that ground state
+    on its momentum block: the spin-flip parity half at ``n_up ==
+    n_down``, the whole block otherwise.  ``basis.dim`` is the dimension
+    of that space.  A sector without a unique ground state raises
+    ValueError at construction.
 
     The Peierls phase is accumulated causally: the smooth pulse part by
     the trapezoidal rule on the ``e_tl`` table of node samples, the
@@ -657,67 +705,17 @@ class HubbardSystem:
         self.numerics = numerics if numerics is not None else LatticeNumerics()
         n_up = L // 2 if n_up is None else _require_int("n_up", n_up, 0, L)
         n_down = L // 2 if n_down is None else _require_int("n_down", n_down, 0, L)
-        self.basis = _space(_block_basis(L, n_up, n_down, 0), 0)
         self.dt = self.numerics.dt
         self.n_steps = pulse.n_steps(self.dt)
         self.e_tl = evaluate_tl_field(self.dt * np.arange(self.n_steps + 1), pulse)
         self._phi_smooth = np.concatenate(
             ([0.0], np.cumsum(self.dt * (self.e_tl[1:] + self.e_tl[:-1]) / 2.0)))
-        self.ground_energy: float | None = None
-        self._ground: np.ndarray | None = None
+        self.basis, self.ground_energy, self._ground = _sector_ground_state(
+            L, n_up, n_down, u)
 
     def initial_state(self) -> _ManyBodyState:
-        """Ground state of the field-free H; sets ``ground_energy`` and ``basis``.
-
-        The first call scans the blocks K = 2 pi k / L, k = 0..L/2, in k
-        order; K and -K share a spectrum, since H and T are real in the
-        occupation basis.  ``_ground_state`` solves each block's field-free
-        H once, from the same seed, with ``above`` the lowest energy solved
-        so far plus 1e-8: the first block in full, and each later one only
-        until its passes show that it can neither hold the lowest level nor
-        tie with it to 1e-8.  So the lowest level and its block are those
-        a full solve of every block would pick, with the same bits, and no
-        block's passes run twice.  The state is then kept in the space of
-        its block that ``_ground_space`` names: at N_up = N_down the parity
-        half that <psi|F|psi> names.  Later calls return a copy of that
-        state.  A sector whose ground state is not unique raises
-        ValueError: its lowest level lies at a K other than 0 or pi, whose
-        -K twin is degenerate with it, two solved blocks' lowest levels
-        agree to 1e-8, or |<psi|F|psi>| is off 1 by more than 1e-8, so that
-        the block's lowest level holds both parities.
-        """
-        if self._ground is None:
-            self._ground = self._solve_ground_state()
+        """A copy of the ground state found at construction."""
         return _ManyBodyState(self._ground.copy())
-
-    def _solve_ground_state(self) -> np.ndarray:
-        b = self.basis.block
-        L, n_up, n_down = b.n_sites, b.n_up, b.n_down
-        levels, above = [], math.inf
-        for k in range(L // 2 + 1):
-            block = _block_basis(L, n_up, n_down, k)
-            if block.dim:
-                level = _ground_state(
-                    _field_free(_block_hop(block), block.double_occ, self.u), above)
-                if level is not None:
-                    levels.append((*level, block))
-                    above = min(above, level[0] + 1e-8)
-        levels.sort(key=lambda level: level[0])
-        energy, vec, basis = levels[0]
-        sector = f"sector (L={L}, N_up={n_up}, N_down={n_down})"
-        if (2 * basis.k) % L:
-            raise ValueError(
-                f"{sector} has no unique ground state: its lowest level "
-                f"{energy:.10g} lies in block {_block_name(L, basis.k)} and "
-                f"in its twin {_block_name(L, L - basis.k)}")
-        if len(levels) > 1 and levels[1][0] - energy < 1e-8:
-            raise ValueError(
-                f"{sector} has no unique ground state: blocks "
-                f"{_block_name(L, basis.k)} and {_block_name(L, levels[1][2].k)} "
-                f"share the lowest level {energy:.10g} to 1e-8")
-        self.basis, vec = _ground_space(basis, vec)
-        self.ground_energy = energy
-        return vec
 
     def observables(self, state: _ManyBodyState) -> dict:
         # one product with [T; T^H] gives the forward hops, which feed

@@ -133,7 +133,8 @@ def test_whole_numbers_are_checked_in_one_place():
 
 
 def source_callers(matches) -> set:
-    """'module.function' of every node in src/amptrack that ``matches``."""
+    """'module.function', or 'module.Class.method', of every node in
+    src/amptrack that ``matches``."""
     callers = set()
     for path in sorted((ROOT / "src" / "amptrack").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -146,8 +147,17 @@ def source_callers(matches) -> set:
                 scope = node
                 while scope in owner and not isinstance(scope, ast.FunctionDef):
                     scope = owner[scope]
-                callers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+                name = getattr(scope, "name", "<module>")
+                if isinstance(owner.get(scope), ast.ClassDef):
+                    name = f"{owner[scope].name}.{name}"
+                callers.add(f"{path.stem}.{name}")
     return callers
+
+
+def calls_to(name):
+    """Matches a call of ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
 
 def test_one_loop_steps_every_system():
@@ -162,11 +172,19 @@ def test_one_loop_steps_every_system():
 def test_one_memo_solves_every_atom_ground_state():
     # grid._ground_state is the one caller of the imaginary-time solver, so
     # a calibration and the systems built after it share its memo
-    solver = "imaginary_time_ground_state"
-    callers = source_callers(
-        lambda node: isinstance(node, ast.Call) and solver in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    callers = source_callers(calls_to("imaginary_time_ground_state"))
     assert callers == {"grid._ground_state"}
+
+
+def test_a_ring_scans_its_sector_once_when_built():
+    # only the sector scan solves a block, and only construction scans, so
+    # a HubbardSystem holds its ground state from the start and
+    # initial_state solves nothing
+    def lattice_callers(name):
+        return {c for c in source_callers(calls_to(name)) if c.startswith("lattice.")}
+
+    assert lattice_callers("_ground_state") == {"lattice._sector_ground_state"}
+    assert lattice_callers("_sector_ground_state") == {"lattice.HubbardSystem.__init__"}
 
 
 SPECTRUM = amptrack.Spectrum(omega=[0.0, 1.0, 2.0, 3.0], power=[1.0] * 4)

@@ -1068,6 +1068,36 @@ class TestFailClosed:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no column 't'; file has y" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_time_column_is_not_a_channel(self, command, tmp_path, capsys):
+        # a run CSV's t column is its grid; asked for as a channel, the
+        # error says so
+        csv = write_p_only_csv(tmp_path / "p.csv")
+        args = {"spectrum": ["--in", str(csv), "--out", str(tmp_path / "spec"),
+                             "--omega0", "0.3"],
+                "compare": ["--a", str(csv), "--b", str(csv)]}[command]
+        assert main([command, *args, "--column", "t"]) == 2
+        assert capsys.readouterr() == ("", f"error: {csv}: 't' is the record's "
+                                           "time grid, not a channel; record has p\n")
+        assert not (tmp_path / "spec").exists()
+
+    def test_driven_sector_fails_before_the_reference_runs(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # the U = 0 driven ring, sector (4, 2, 2), has no unique ground
+        # state: the U/t0 = 8 reference is not propagated first
+        calls = []
+        monkeypatch.setattr(cli, "run_open_loop", lambda *a: calls.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(HUBBARD_CFG.replace("sites = 2", "sites = 4")
+                       .replace("u_over_t0 = 1", "u_over_t0 = 0"))
+        out = tmp_path / "trk"
+        assert main(["run-tracking", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: sector (L=4, N_up=2, N_down=2) has no unique ground state: "
+            "blocks K = 0 and K = pi share the lowest level -4 to 1e-8\n"))
+        assert calls == []
+        assert not out.exists()
+
     def test_exhausted_calibration_exits_3(self, atom_cfg, tmp_path, monkeypatch,
                                            capsys):
         monkeypatch.setattr(grid, "_CALIBRATION_MAX_ITER", 0)

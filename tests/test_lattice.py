@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,15 +43,21 @@ from amptrack.lattice import (
 def ring(L, u=0.0, n_up=None, n_down=None, pulse=None, numerics=None, k=None):
     """An L-site HubbardSystem on the (n_up, n_down) sector, field-free by default.
 
-    With ``k`` given, the system works in the whole block K = 2 pi k / L in
-    place of the K = 0 block it holds until ``initial_state`` picks one.
+    With ``k`` given, the system works in the whole block K = 2 pi k / L:
+    it is built with the sector scan replaced by that block and a NaN
+    ground state, so it exists on sectors without a unique ground state
+    too, and solves nothing.
     """
     pulse = pulse or PulseSpec(e0=0.0, omega0=1.0, cycles=1)
-    system = HubbardSystem(L, u, pulse, numerics, n_up=n_up, n_down=n_down)
-    if k is not None:
-        b = system.basis.block
-        system.basis = block_space(b.n_sites, b.n_up, b.n_down, k)
-    return system
+    if k is None:
+        return HubbardSystem(L, u, pulse, numerics, n_up=n_up, n_down=n_down)
+
+    def whole_block(n_sites, n_up, n_down, u):
+        space = block_space(n_sites, n_up, n_down, k)
+        return space, math.nan, np.full(space.dim, math.nan, dtype=complex)
+
+    with mock.patch.object(lattice, "_sector_ground_state", whole_block):
+        return HubbardSystem(L, u, pulse, numerics, n_up=n_up, n_down=n_down)
 
 
 def block_space(L, n_up, n_down, k, parity=0):
@@ -231,7 +238,7 @@ class TestSectorBasis:
          (6, None, None, 400)],
     )
     def test_dimensions(self, L, n_up, n_down, dim):
-        b = ring(L, n_up=n_up, n_down=n_down).basis.block
+        b = ring(L, n_up=n_up, n_down=n_down, k=0).basis.block
         assert sum(_block_basis(L, b.n_up, b.n_down, k).dim for k in range(L)) == dim
 
     @pytest.mark.parametrize(
@@ -240,7 +247,7 @@ class TestSectorBasis:
          (6, None, None, 68)],
     )
     def test_k0_block_dimensions(self, L, n_up, n_down, dim):
-        assert ring(L, n_up=n_up, n_down=n_down).basis.dim == dim
+        assert ring(L, n_up=n_up, n_down=n_down, k=0).basis.dim == dim
 
     @pytest.mark.parametrize("L", range(2, 9))
     def test_blocks_partition_the_sector(self, L):
@@ -289,7 +296,7 @@ class TestSectorBasis:
             assert system.basis is block_space(10, 5, 5, 0, -1)
 
     def test_ordering_is_ascending_bitmasks(self):
-        up, down = block_masks(ring(5, n_up=2, n_down=3).basis.block)
+        up, down = block_masks(_block_basis(5, 2, 3, 0))
         key = up * (1 << 5) + down
         assert np.all(np.diff(key) > 0)
 
@@ -363,7 +370,7 @@ class TestOperatorsAgainstJordanWigner:
                 assert abs(lhs - rhs) < 1e-12
 
     def test_expectations_are_real(self):
-        basis = ring(4).basis
+        basis = block_space(4, 2, 2, 0)
         state = random_state(basis, 5)
         h_psi = hamiltonian(basis, 2.0, 0.7) @ state.psi
         assert abs(np.vdot(state.psi, h_psi).imag) < 1e-12
@@ -392,7 +399,7 @@ class TestStackedApply:
 class TestDerivativeAndCommutator:
     def test_current_differentiates_into_kinetic_term(self):
         # d<J>/dPhi = <H_kin>, checked by central finite difference
-        system = ring(4, 6.0)
+        system = ring(4, 6.0, k=0)
         phi, h = 0.43, 1e-5
         for seed in (1, 2, 3):
             psi = random_state(system.basis, seed).psi
@@ -417,7 +424,7 @@ class TestDerivativeAndCommutator:
 
     def test_commutator_vanishes_without_interaction(self):
         # hopping and current are both diagonal in momentum on the ring
-        system = ring(4)
+        system = ring(4, k=0)
         state = random_state(system.basis, 11, phi=0.3)
         assert abs(Embedded(system).expectations(state)["comm"]) < 1e-12
         assert system.observables(state)["comm"] == 0.0
@@ -464,21 +471,18 @@ class TestGroundStates:
         (4, 2, 2, 0.0, ("K = 0", "K = pi")),
     ])
     def test_degenerate_sector_fails_closed(self, L, n_up, n_down, u, blocks):
-        system = ring(L, u, n_up, n_down)
         with pytest.raises(ValueError, match="no unique ground state") as exc:
-            system.initial_state()
+            ring(L, u, n_up, n_down)
         message = str(exc.value)
         assert f"sector (L={L}, N_up={n_up}, N_down={n_down})" in message
         assert all(block in message for block in blocks)
-        assert system.ground_energy is None
 
     def test_tie_margin_keeps_a_tied_block_in_the_scan(self):
         # K = 0 and K = 2pi*2/7 share the lowest level; without the 1e-8
         # margin on ``above`` the scan would drop the second block and
         # report a parity mixture in K = 0 in place of the tie
-        system = HubbardSystem(7, 0.0, PulseSpec(0.1, 1.0, 1), n_up=2, n_down=2)
         with pytest.raises(ValueError) as exc:
-            system.initial_state()
+            HubbardSystem(7, 0.0, PulseSpec(0.1, 1.0, 1), n_up=2, n_down=2)
         assert str(exc.value) == (
             "sector (L=7, N_up=2, N_down=2) has no unique ground state: blocks "
             "K = 0 and K = 2pi*2/7 share the lowest level -6.493959207 to 1e-8")
@@ -517,10 +521,8 @@ class TestGroundStates:
 
         calls = []
         monkeypatch.setattr(lattice, "_ground_state", mixed_first)
-        system = ring(6, 10.0)
         with pytest.raises(ValueError, match="holds both spin-flip parities"):
-            system.initial_state()
-        assert system.ground_energy is None
+            ring(6, 10.0)
         assert calls == [_block_basis(6, 3, 3, k).dim for k in range(4)]
 
     def test_projected_eigensolver_failure_raises(self, monkeypatch):
@@ -529,19 +531,15 @@ class TestGroundStates:
             return np.zeros(n), np.zeros((n, n)), 3
 
         monkeypatch.setattr(lattice.lapack, "dsyevd", dsyevd)
-        system = ring(6, 10.0)
         with pytest.raises(NumericalError,
                            match="^projected eigensolver dsyevd failed, info 3$"):
-            system.initial_state()
-        assert system.ground_energy is None
+            ring(6, 10.0)
 
     def test_exhausted_restart_budget_raises(self, monkeypatch):
         monkeypatch.setattr(lattice, "_MAX_RESTARTS", 1)
-        system = ring(6, 10.0)
         with pytest.raises(NumericalError, match="ground-state residual") as exc:
-            system.initial_state()
+            ring(6, 10.0)
         assert exc.value.residual > 1e-8
-        assert system.ground_energy is None
 
     @pytest.mark.parametrize("u", [1.0, 10.0])
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
@@ -662,12 +660,12 @@ class TestGroundStates:
                 space, psi = _ground_space(block, vec)
             except ValueError:
                 unique = False
-            system = ring(L, u, n_up, n_down)
             where = (n_up, n_down)
             if not unique:
                 with pytest.raises(ValueError, match="no unique ground state"):
-                    system.initial_state()
+                    ring(L, u, n_up, n_down)
                 continue
+            system = ring(L, u, n_up, n_down)
             state = system.initial_state()
             assert repr(system.ground_energy) == repr(energy), where
             assert system.basis is space, where
@@ -768,6 +766,26 @@ class TestGroundStates:
         a.psi[:] = 0.0
         assert np.linalg.norm(system.initial_state().psi) == pytest.approx(1.0)
 
+    def test_shipped_ring_is_built_in_its_ground_state(self):
+        # basis and energy are the ground state's from construction on,
+        # before the loop asks for the state
+        cfg = parse_config(CONFIG_DIR / "hubbard_default.cfg")
+        for role in ("reference", "driven"):
+            system = build_system(cfg, role)
+            assert system.basis is block_space(10, 5, 5, 0, -1)
+            assert system.basis.dim == 3202
+            assert type(system.ground_energy) is float
+
+    def test_initial_state_solves_nothing(self, monkeypatch):
+        system = ring(6, 4.0)
+        calls = []
+        monkeypatch.setattr(lattice, "_ground_state",
+                            lambda *a: calls.append(a))
+        a, b = system.initial_state(), system.initial_state()
+        assert calls == []
+        assert a.psi.tobytes() == b.psi.tobytes()
+        assert a.psi is not b.psi
+
     def test_empty_sector(self):
         system = ring(4, 9.0, 0, 0)
         gs = system.initial_state()
@@ -803,7 +821,7 @@ class TestKrylovPropagation:
         assert max_dev < 1e-6
 
     def test_norm_drift(self):
-        basis = ring(4).basis
+        basis = block_space(4, 2, 2, 0)
         hop = hamiltonian(basis, 10.0, 0.28)
         psi = random_state(basis, 21).psi
         for _ in range(1000):
@@ -811,7 +829,7 @@ class TestKrylovPropagation:
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-11
 
     def test_energy_conserved_at_constant_phase(self):
-        basis = ring(2).basis
+        basis = block_space(2, 1, 1, 0)
         hop = hamiltonian(basis, 3.7, 0.3)
         psi = random_state(basis, 30).psi
         e_start = float(np.vdot(psi, hop @ psi).real)
@@ -820,7 +838,7 @@ class TestKrylovPropagation:
         assert abs(float(np.vdot(psi, hop @ psi).real) - e_start) < 1e-8
 
     def test_zero_vector_stays_zero(self):
-        basis = ring(4).basis
+        basis = block_space(4, 2, 2, 0)
         psi = np.zeros(basis.dim, dtype=complex)
         out = _krylov_apply(psi, hamiltonian(basis, 10.0, 0.28), 0.005)
         assert out is not psi
@@ -829,7 +847,7 @@ class TestKrylovPropagation:
     def test_subspace_exhaustion_raises(self):
         # ||H|| = 32 on this block: even dt / 2^6 = 1.6 is far beyond what
         # 20 Lanczos vectors resolve, so the step fails with its residual
-        basis = ring(6).basis
+        basis = block_space(6, 3, 3, 0)
         psi = random_state(basis, 33).psi
         with pytest.raises(NumericalError, match="reduce dt") as exc:
             _krylov_apply(psi, hamiltonian(basis, 10.0, 0.0), 100.0)
@@ -866,7 +884,7 @@ class TestKrylovPropagation:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_fails_as_numerical(self):
-        basis = ring(4).basis
+        basis = block_space(4, 2, 2, 0)
         psi = random_state(basis, 35).psi
         psi[2] = complex(math.nan, 0.0)
         with pytest.raises(NumericalError, match="not finite"):
